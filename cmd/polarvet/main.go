@@ -1,6 +1,6 @@
 // Command polarvet runs the repository's architectural static analyzers
-// (internal/lint) over the module: nosleep, layering, lockheld, errdrop,
-// pairing, regionescape, verbdeadline, lockorder, fabriccost.
+// (internal/lint) over the module: nosleep, layering, errdrop, pairing,
+// regionescape, verbdeadline, lockorder, fabriccost.
 //
 // Usage:
 //

@@ -75,19 +75,17 @@ func main() {
 	// Read the working set again: the shared remote memory pool survived
 	// the crash, so pages come from remote memory, not storage.
 	c := db.Cluster()
-	c.RW.Engine.Cache().EvictAll() // start the new RW's local tier cold
+	c.RW.Engine.Cache().EvictAll() // start every local tier cold
+	for _, ro := range c.ROs {
+		ro.Engine.Cache().EvictAll()
+	}
+	before := db.Stats()
 	for k := uint64(0); k < 200; k++ {
 		if _, _, err := s.Get("kv", k); err != nil {
 			log.Fatal(err)
 		}
 	}
-	var remote, storage uint64
-	remote += c.RW.Engine.Stats().RemoteReads.Load()
-	storage += c.RW.Engine.Stats().StorageReads.Load()
-	for _, ro := range c.ROs {
-		remote += ro.Engine.Stats().RemoteReads.Load()
-		storage += ro.Engine.Stats().StorageReads.Load()
-	}
+	after := db.Stats()
 	fmt.Printf("warm restart: %d page reads served by the surviving remote memory pool, %d by storage\n",
-		remote, storage)
+		after.RemoteReads-before.RemoteReads, after.StorageReads-before.StorageReads)
 }

@@ -33,6 +33,13 @@ func launch(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
+// pageReads is the number of pages a node's engine fetched from the
+// remote memory and storage tiers.
+func pageReads(n *DBNode) uint64 {
+	m := n.EP.Metrics().Snapshot()
+	return m.Counter("engine.page.remote_read") + m.Counter("engine.page.storage_read")
+}
+
 func TestLaunchAndBasicTraffic(t *testing.T) {
 	c := launch(t, testConfig())
 	if _, err := c.RW.Engine.CreateTable("t"); err != nil {
@@ -53,7 +60,7 @@ func TestLaunchAndBasicTraffic(t *testing.T) {
 	}
 	// Reads go to RO nodes (round robin): both ROs should have traffic.
 	for _, ro := range c.ROs {
-		if ro.Engine.Stats().RemoteReads.Load()+ro.Engine.Stats().StorageReads.Load() == 0 {
+		if pageReads(ro) == 0 {
 			t.Fatalf("RO %s served no reads", ro.ID)
 		}
 	}
@@ -317,7 +324,7 @@ func TestAddROLive(t *testing.T) {
 	}
 	// New RO serves reads.
 	deadline := time.Now().Add(2 * time.Second)
-	for ro.Engine.Stats().RemoteReads.Load()+ro.Engine.Stats().StorageReads.Load() == 0 {
+	for pageReads(ro) == 0 {
 		if _, _, err := s.Get("t", 1); err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +427,7 @@ func TestROPessimisticMode(t *testing.T) {
 		}
 	}
 	ro := c.ROs[0]
-	if st := ro.Engine.Pool().PL().Stats(); st.FastPath+st.SlowPath == 0 {
+	if m := ro.EP.Metrics().Snapshot(); m.Counter("rmem.pl.fast")+m.Counter("rmem.pl.slow") == 0 {
 		t.Fatal("pessimistic RO took no PL latches")
 	}
 }

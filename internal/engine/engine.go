@@ -83,16 +83,19 @@ type Config struct {
 	ROMode btree.TraverseMode
 	// LockWait bounds row lock waits.
 	LockWait time.Duration
-	// ShipInterval is the redo flusher/shipper idle tick.
-	ShipInterval time.Duration
 	// CheckpointInterval drives coverage sync + redo truncation (0 = off).
 	CheckpointInterval time.Duration
-	// FlushPageTimeout bounds an RO node's eng.flushpage request to the
-	// RW (asking it to write a stale page back to remote memory).
-	FlushPageTimeout time.Duration
-	// ViewTimeout bounds an RO node's read-view RPC to the RW at BeginRO.
-	ViewTimeout time.Duration
 }
+
+const (
+	// shipInterval is the redo flusher/shipper idle tick.
+	shipInterval = 500 * time.Microsecond
+	// flushPageTimeout bounds an RO node's eng.flushpage request to the
+	// RW (asking it to write a stale page back to remote memory).
+	flushPageTimeout = 2 * time.Second
+	// viewTimeout bounds an RO node's read-view RPC to the RW at BeginRO.
+	viewTimeout = 2 * time.Second
+)
 
 func (c *Config) applyDefaults() {
 	if c.LocalCachePages == 0 {
@@ -101,20 +104,11 @@ func (c *Config) applyDefaults() {
 	if c.LockWait == 0 {
 		c.LockWait = 2 * time.Second
 	}
-	if c.ShipInterval == 0 {
-		c.ShipInterval = 500 * time.Microsecond
-	}
 	if c.CTSSlots == 0 {
 		c.CTSSlots = txn.DefaultCTSSlots
 	}
 	if c.ROMode == 0 && c.ReadOnly {
 		c.ROMode = btree.Optimistic
-	}
-	if c.FlushPageTimeout == 0 {
-		c.FlushPageTimeout = 2 * time.Second
-	}
-	if c.ViewTimeout == 0 {
-		c.ViewTimeout = 2 * time.Second
 	}
 }
 
@@ -183,8 +177,7 @@ type Engine struct {
 	closeCh chan struct{}
 	wg      sync.WaitGroup
 
-	stats EngineStats
-	met   engineMetrics
+	met engineMetrics
 }
 
 // engineMetrics are the node registry's view of engine events: the
@@ -218,15 +211,6 @@ func newEngineMetrics(r *stat.Registry) engineMetrics {
 		flushBatch:  r.Counter("engine.redo.flush.batches"),
 		flushRecs:   r.Counter("engine.redo.flush.records"),
 	}
-}
-
-// EngineStats counts engine-level events for the benchmark harness.
-type EngineStats struct {
-	Commits       atomic.Uint64
-	Aborts        atomic.Uint64
-	RemoteReads   atomic.Uint64 // pages fetched from remote memory
-	StorageReads  atomic.Uint64 // pages fetched from PolarFS
-	FlushRequests atomic.Uint64 // RO-triggered write-backs served
 }
 
 // NewRW creates the engine for the read-write node. Call Bootstrap (fresh
@@ -328,9 +312,6 @@ func (e *Engine) Cache() *cache.Cache { return e.cache }
 
 // Pool returns the remote memory client, or nil.
 func (e *Engine) Pool() *rmem.Pool { return e.pool }
-
-// Stats returns engine counters.
-func (e *Engine) Stats() *EngineStats { return &e.stats }
 
 // CTSRegionID returns the RW node's CTS region id (cluster wiring).
 func (e *Engine) CTSRegionID() uint32 {
@@ -448,26 +429,14 @@ func (e *Engine) loadFrame(id types.PageID) (*cache.Frame, error) {
 		}
 	}
 	if fromRemote {
-		e.stats.RemoteReads.Add(1)
-		e.met.remoteRead.Inc()
-		f.NewestLSN = types.LSN(binary.LittleEndian.Uint64(f.Data[0:8]))
-		f.ShippedLSN = f.NewestLSN
+		e.adoptRemote(f)
 	} else {
-		data, lsn, exists, err := e.pfs.GetPage(id, polarfs.MaxLSN)
-		if err != nil {
+		if err := e.fillFromStorage(f); err != nil {
 			if f.Remote.Registered {
 				_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed by DropNodeRefs
 			}
 			return nil, err
 		}
-		e.stats.StorageReads.Add(1)
-		e.met.storageRead.Inc()
-		if exists {
-			copy(f.Data, data)
-		}
-		binary.LittleEndian.PutUint64(f.Data[0:8], uint64(lsn))
-		f.NewestLSN = lsn
-		f.ShippedLSN = lsn
 		if f.Remote.Registered {
 			// Populate the remote copy only when we allocated the remote
 			// page (nobody else references it) or we are the RW (the sole
@@ -527,7 +496,7 @@ func (e *Engine) requestRWFlush(id types.PageID) (bool, error) {
 	req := make([]byte, 8)
 	binary.LittleEndian.PutUint32(req[0:], uint32(id.Space))
 	binary.LittleEndian.PutUint32(req[4:], uint32(id.No))
-	resp, err := e.ep.CallTimeout(e.cfg.RWNode, "eng.flushpage", req, e.cfg.FlushPageTimeout)
+	resp, err := e.ep.CallTimeout(e.cfg.RWNode, "eng.flushpage", req, flushPageTimeout)
 	if err != nil {
 		return false, err
 	}
@@ -549,21 +518,36 @@ func (e *Engine) refreshFrame(f *cache.Frame) error {
 	}
 	if f.Remote.Registered {
 		if err := e.readRemoteFresh(f); err == nil {
-			e.stats.RemoteReads.Add(1)
-			e.met.remoteRead.Inc()
-			f.NewestLSN = types.LSN(binary.LittleEndian.Uint64(f.Data[0:8]))
-			f.ShippedLSN = f.NewestLSN
+			e.adoptRemote(f)
 			f.SetInvalid(false)
 			return nil
 		} else if !errors.Is(err, ErrStalePage) {
 			return err
 		}
 	}
+	if err := e.fillFromStorage(f); err != nil {
+		return err
+	}
+	f.SetInvalid(false)
+	return nil
+}
+
+// adoptRemote stamps a frame whose image was just read from remote
+// memory: the page LSN travels in bytes 0-8 of the image.
+func (e *Engine) adoptRemote(f *cache.Frame) {
+	e.met.remoteRead.Inc()
+	f.NewestLSN = types.LSN(binary.LittleEndian.Uint64(f.Data[0:8]))
+	f.ShippedLSN = f.NewestLSN
+}
+
+// fillFromStorage overwrites the frame with the newest PolarFS image of
+// its page (zeroes if storage has never seen the page) and stamps the
+// image's LSN into bytes 0-8.
+func (e *Engine) fillFromStorage(f *cache.Frame) error {
 	data, lsn, exists, err := e.pfs.GetPage(f.ID, polarfs.MaxLSN)
 	if err != nil {
 		return err
 	}
-	e.stats.StorageReads.Add(1)
 	e.met.storageRead.Inc()
 	if exists {
 		copy(f.Data, data)
@@ -575,7 +559,6 @@ func (e *Engine) refreshFrame(f *cache.Frame) error {
 	binary.LittleEndian.PutUint64(f.Data[0:8], uint64(lsn))
 	f.NewestLSN = lsn
 	f.ShippedLSN = lsn
-	f.SetInvalid(false)
 	return nil
 }
 

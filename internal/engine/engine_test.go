@@ -401,7 +401,7 @@ func TestROBothLockModes(t *testing.T) {
 			close(stop)
 			wg.Wait()
 			if mode == btree.PessimisticS {
-				if st := ro.Pool().PL().Stats(); st.FastPath+st.SlowPath == 0 {
+				if m := ro.EP().Metrics().Snapshot(); m.Counter("rmem.pl.fast")+m.Counter("rmem.pl.slow") == 0 {
 					t.Fatal("pessimistic RO took no global latches")
 				}
 			}
@@ -440,7 +440,7 @@ func TestCacheEvictionPressure(t *testing.T) {
 	if cs.SwappedOut == 0 {
 		t.Fatal("no eviction under pressure")
 	}
-	if h.rw.Stats().RemoteReads.Load() == 0 {
+	if h.rw.EP().Metrics().Snapshot().Counter("engine.page.remote_read") == 0 {
 		t.Fatal("no remote memory reads under pressure")
 	}
 }
@@ -457,7 +457,7 @@ func TestNoPoolBaseline(t *testing.T) {
 			t.Fatalf("baseline read %d: %q %v", k, got, ok)
 		}
 	}
-	if h.rw.Stats().StorageReads.Load() == 0 {
+	if h.rw.EP().Metrics().Snapshot().Counter("engine.page.storage_read") == 0 {
 		t.Fatal("baseline never read storage")
 	}
 }
@@ -696,16 +696,15 @@ func TestFailoverKeepsRemoteMemoryWarm(t *testing.T) {
 	if err := newRW.Recover("rw", false); err != nil {
 		t.Fatal(err)
 	}
-	newRW.Stats().RemoteReads.Store(0)
-	newRW.Stats().StorageReads.Store(0)
+	before := newRW.EP().Metrics().Snapshot()
 	tbl2 := mustOpen(t, newRW, "t")
 	for k := uint64(0); k < 300; k += 3 {
 		if _, ok := roGet(t, newRW, tbl2, k); !ok {
 			t.Fatalf("key %d missing after failover", k)
 		}
 	}
-	remote := newRW.Stats().RemoteReads.Load()
-	storage := newRW.Stats().StorageReads.Load()
+	d := newRW.EP().Metrics().Snapshot().Sub(before)
+	remote, storage := d.Counter("engine.page.remote_read"), d.Counter("engine.page.storage_read")
 	if remote == 0 {
 		t.Fatal("remote memory cold after failover (no remote reads)")
 	}

@@ -31,7 +31,6 @@ func (e *Engine) handleFlushPage(from rdma.NodeID, req []byte) ([]byte, error) {
 	if !f.Remote.Registered {
 		return []byte{0}, nil
 	}
-	e.stats.FlushRequests.Add(1)
 	e.met.flushServed.Inc()
 	// A frame modified by a still-open mini-transaction must not be
 	// shipped: its bytes may reference the MTR's other pages (e.g. a data

@@ -24,7 +24,7 @@ func (e *Engine) shipper() {
 			case <-e.closeCh:
 				return
 			case <-e.nudge:
-			case <-time.After(e.cfg.ShipInterval):
+			case <-time.After(shipInterval):
 			}
 			continue
 		}

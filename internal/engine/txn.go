@@ -79,7 +79,7 @@ func (e *Engine) BeginRO() (*Txn, error) {
 		e.roViewsMu.Unlock()
 		return t, nil
 	}
-	resp, err := e.ep.CallTimeout(e.cfg.RWNode, txn.ViewRPCMethod, nil, e.cfg.ViewTimeout)
+	resp, err := e.ep.CallTimeout(e.cfg.RWNode, txn.ViewRPCMethod, nil, viewTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("engine: read view from RW: %w", err)
 	}
@@ -426,7 +426,6 @@ func (t *Txn) Commit() error {
 	}()
 	if t.writes == 0 {
 		e.cts.ClearSlot(t.id)
-		e.stats.Commits.Add(1)
 		e.met.txnCommit.Inc()
 		return nil
 	}
@@ -457,12 +456,10 @@ func (t *Txn) Commit() error {
 	if err := e.DurableCommit(end); err != nil {
 		// The node died before the commit became durable; recovery on the
 		// new RW rolls this transaction back.
-		e.stats.Aborts.Add(1)
 		e.met.txnAbort.Inc()
 		return err
 	}
 	e.cts.RecordCommit(t.id, ctsCommit)
-	e.stats.Commits.Add(1)
 	e.met.txnCommit.Inc()
 	// Backfill cts_commit into the modified records asynchronously.
 	for _, k := range t.touched {
@@ -496,7 +493,6 @@ func (t *Txn) Rollback() error {
 	}()
 	err := e.rollbackChain(t.id, t.lastPg, t.lastOff, t.slot)
 	e.cts.ClearSlot(t.id)
-	e.stats.Aborts.Add(1)
 	e.met.txnAbort.Inc()
 	return err
 }

@@ -77,13 +77,20 @@ func buildModuleIndex(pkgs []*Package) *moduleIndex {
 	return idx
 }
 
+// methodValue is a method captured into a local variable (h := x.M):
+// the bound method and the receiver expression it was taken from.
+type methodValue struct {
+	fn   *types.Func
+	recv ast.Expr
+}
+
 // methodBindings scans one function body for method values captured into
 // local variables (h := x.M) and returns local object -> bound method.
 // The pass is flow-insensitive: a rebinding to a non-method clears the
 // entry, and the last textual binding wins — which matches every use in
 // the tree (capture once, call later).
-func methodBindings(p *Package, body *ast.BlockStmt) map[types.Object]*types.Func {
-	out := map[types.Object]*types.Func{}
+func methodBindings(p *Package, body *ast.BlockStmt) map[types.Object]methodValue {
+	out := map[types.Object]methodValue{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != len(as.Rhs) {
@@ -101,7 +108,7 @@ func methodBindings(p *Package, body *ast.BlockStmt) map[types.Object]*types.Fun
 			if sel, ok := as.Rhs[i].(*ast.SelectorExpr); ok {
 				if fn, ok := p.Info.Uses[sel.Sel].(*types.Func); ok {
 					if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-						out[obj] = fn
+						out[obj] = methodValue{fn: fn, recv: sel.X}
 						continue
 					}
 				}
@@ -115,15 +122,15 @@ func methodBindings(p *Package, body *ast.BlockStmt) map[types.Object]*types.Fun
 
 // resolveCall returns the module-declared functions a call may invoke,
 // in deterministic order. bindings may be nil.
-func (idx *moduleIndex) resolveCall(p *Package, call *ast.CallExpr, bindings map[types.Object]*types.Func) []*types.Func {
+func (idx *moduleIndex) resolveCall(p *Package, call *ast.CallExpr, bindings map[types.Object]methodValue) []*types.Func {
 	obj := calleeFunc(p, call)
 	if obj == nil {
 		// A call through a plain identifier may be a captured method
 		// value.
 		if id, ok := call.Fun.(*ast.Ident); ok && bindings != nil {
 			if v := identObj(p, id); v != nil {
-				if fn, ok := bindings[v]; ok {
-					obj = fn
+				if mv, ok := bindings[v]; ok {
+					obj = mv.fn
 				}
 			}
 		}

@@ -238,9 +238,10 @@ func TestRegionEscape(t *testing.T) {
 		[3]interface{}{"regionescape", "internal/rmem/rmem.go", 18})
 }
 
-// TestLockHeldTryLockAndMethodValues pins the lockheld gaps closed in
-// this revision: TryLock/TryRLock count as acquisitions, and mutex
-// methods captured into locals keep their transition semantics.
+// TestLockHeldTryLockAndMethodValues pins two same-function shapes of
+// lockorder's held-over-fabric finding: TryLock/TryRLock count as
+// acquisitions, and mutex methods captured into locals keep their
+// transition semantics.
 func TestLockHeldTryLockAndMethodValues(t *testing.T) {
 	mod := writeModule(t, map[string]string{
 		"internal/rdma/rdma.go": fakeRdma,
@@ -288,9 +289,9 @@ func (n *tnode) methodValueReleased(a rdma.Addr, buf []byte) error {
 }
 `,
 	})
-	wantFindings(t, runOnly(t, mod, "lockheld", "./internal/engine"),
-		[3]interface{}{"lockheld", "internal/engine/engine.go", 20},
-		[3]interface{}{"lockheld", "internal/engine/engine.go", 34})
+	wantFindings(t, runOnly(t, mod, "lockorder", "./internal/engine"),
+		[3]interface{}{"lockorder", "internal/engine/engine.go", 20},
+		[3]interface{}{"lockorder", "internal/engine/engine.go", 34})
 }
 
 // TestDirectiveAudit pins the allow-audit: a directive naming an unknown

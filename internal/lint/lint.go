@@ -9,7 +9,6 @@
 //
 //   - nosleep (nosleep.go): time.Sleep outside the latency model
 //   - layering (layering.go): the allowed package-import DAG
-//   - lockheld (lockheld.go): fabric verbs under a held sync.Mutex
 //   - errdrop (errdrop.go): discarded errors from rdma/rmem/polarfs/
 //     plog/parallelraft
 //   - pairing (pairing.go): acquire/release matching (MTR commit, page
@@ -23,7 +22,7 @@
 //     (callgraph.go), held-lock sets propagated interprocedurally — that
 //     reports cycles in the global lock-acquisition order (potential
 //     deadlocks) and fabric verbs reached while a node-local latch class
-//     is held through any call path
+//     is held, in the same body or through any call path
 //   - fabriccost (fabriccost.go): a whole-module fabric-cost analysis —
 //     per-function verb summaries with CFG-derived loop multiplicity,
 //     propagated over the call graph — that reports loop-carried RPC
@@ -46,7 +45,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -81,7 +79,7 @@ type ModuleAnalyzer interface {
 
 // Analyzers returns the full analyzer set, in reporting order.
 func Analyzers() []Analyzer {
-	return []Analyzer{NoSleep{}, Layering{}, LockHeld{}, ErrDrop{}, Pairing{}, RegionEscape{}, VerbDeadline{}, LockOrder{}, FabricCost{}}
+	return []Analyzer{NoSleep{}, Layering{}, ErrDrop{}, Pairing{}, RegionEscape{}, VerbDeadline{}, LockOrder{}, FabricCost{}}
 }
 
 // Run loads every package matching patterns and applies the analyzers,
@@ -245,17 +243,4 @@ func directives(p *Package) (allowSet, []Finding) {
 		}
 	}
 	return set, bad
-}
-
-// walkFuncs visits every function or method body in the package,
-// including file-scope init bodies, handing the enclosing declaration
-// name to fn.
-func walkFuncs(p *Package, fn func(name string, body *ast.BlockStmt)) {
-	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				fn(fd.Name.Name, fd.Body)
-			}
-		}
-	}
 }

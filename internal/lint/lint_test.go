@@ -292,9 +292,9 @@ func TestLockHeld(t *testing.T) {
 		"internal/rdma/rdma.go":     fakeRdma,
 		"internal/engine/engine.go": lockHeldSrc,
 	})
-	wantFindings(t, runOnly(t, mod, "lockheld", "./internal/engine"),
-		[3]interface{}{"lockheld", "internal/engine/engine.go", 18},
-		[3]interface{}{"lockheld", "internal/engine/engine.go", 29})
+	wantFindings(t, runOnly(t, mod, "lockorder", "./internal/engine"),
+		[3]interface{}{"lockorder", "internal/engine/engine.go", 18},
+		[3]interface{}{"lockorder", "internal/engine/engine.go", 29})
 }
 
 func TestLockHeldAllowDirective(t *testing.T) {
@@ -316,12 +316,12 @@ type node struct {
 func (n *node) audited(a rdma.Addr, buf []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	//polarvet:allow lockheld single-writer config path, never contended
+	//polarvet:allow lockorder single-writer config path, never contended
 	return n.ep.Read(a, buf)
 }
 `,
 	})
-	wantFindings(t, runOnly(t, mod, "lockheld", "./internal/engine"))
+	wantFindings(t, runOnly(t, mod, "lockorder", "./internal/engine"))
 }
 
 func TestErrDrop(t *testing.T) {

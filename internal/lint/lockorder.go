@@ -16,14 +16,17 @@ package lint
 //     with the held mode — a pure reader cycle cannot deadlock) is a
 //     potential deadlock, which `go test -race` cannot see.
 //
-//  2. Fabric verbs reached while a node-local mutex class is held
-//     through *any* call path — the interprocedural generalization of
-//     lockheld, which only sees verbs issued in the same function body
-//     as the Lock call. Holding the PL class across fabric verbs is
-//     exempt: the global page latch is *designed* to be taken and held
-//     across RDMA (CAS fast path, home-node negotiation, sticky
-//     retention), and serializing it behind fabric latency is the
-//     documented cost model, not a bug.
+//  2. Fabric verbs (Endpoint.Read/Write/CAS64/FetchAdd64/Load64/Call/
+//     CallTimeout) reached while a node-local mutex class is held, in
+//     the same function body or through *any* call path: the verbs
+//     simulate network latency, and a latch held across one serializes
+//     every other local user of it behind a simulated round trip — a
+//     performance bug and a distortion of the measured coherence cost.
+//     Holding the PL class across fabric verbs is exempt: the global
+//     page latch is *designed* to be taken and held across RDMA (CAS
+//     fast path, home-node negotiation, sticky retention), and
+//     serializing it behind fabric latency is the documented cost
+//     model, not a bug.
 //
 // The analysis is a conservative under-approximation over unknown code:
 // calls that do not resolve to a module function body (stdlib, function
@@ -44,6 +47,36 @@ import (
 	"sort"
 	"strings"
 )
+
+// fabricVerbs are the latency-bearing *rdma.Endpoint methods.
+var fabricVerbs = map[string]bool{
+	"Read": true, "Write": true, "CAS64": true, "FetchAdd64": true,
+	"Load64": true, "Call": true, "CallTimeout": true,
+}
+
+// isFabricVerb reports whether obj is a latency-bearing method on
+// *rdma.Endpoint.
+func isFabricVerb(obj *types.Func) bool {
+	if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "internal/rdma") || !fabricVerbs[obj.Name()] {
+		return false
+	}
+	sig, ok := obj.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Endpoint"
+}
+
+// lockMethods are the sync mutex transitions the analysis models.
+var lockMethods = map[string]bool{
+	"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true,
+	"Unlock": true, "RUnlock": true,
+}
 
 // LockOrder is the module-wide lock-order / held-latch analyzer.
 type LockOrder struct{}
@@ -267,28 +300,20 @@ func plSigOf(obj *types.Func) (plSig, bool) {
 
 // ---- per-function state and events ----
 
-// heldInfo is one held class at one program point. direct marks classes
-// locked by a sync mutex call in this very function body — those verbs
-// are lockheld's findings, and lockorder stays quiet to avoid doubles.
-type heldInfo struct {
-	mode   lockMode
-	direct bool
-}
-
 // loState is the dataflow fact at a program point. pend holds the
 // error-guarded acquisitions: the repo idiom releases everything before
 // an error return (`n, err := rc.acquire(no); if err != nil { return }`),
 // so classes a fallible acquisition would hold enter held only along the
 // err == nil edge (see refineEdge) and evaporate on the error edge.
 type loState struct {
-	held map[string]heldInfo
+	held map[string]lockMode
 	rel  map[string]bool                      // net releases (released while not held)
 	def  map[string]bool                      // deferred releases (run at exit)
 	pend map[types.Object]map[string]lockMode // err var -> classes held iff it is nil
 }
 
 func newLoState() *loState {
-	return &loState{held: map[string]heldInfo{}, rel: map[string]bool{}, def: map[string]bool{}}
+	return &loState{held: map[string]lockMode{}, rel: map[string]bool{}, def: map[string]bool{}}
 }
 
 func (s *loState) clone() *loState {
@@ -336,13 +361,8 @@ func (s *loState) setPend(obj types.Object, classes map[string]lockMode) {
 func (s *loState) joinInto(o *loState) bool {
 	changed := false
 	for k, ov := range o.held {
-		sv, ok := s.held[k]
-		nv := heldInfo{mode: sv.mode, direct: sv.direct || ov.direct}
-		if !ok || ov.mode > nv.mode {
-			nv.mode = ov.mode
-		}
-		if !ok || nv != sv {
-			s.held[k] = nv
+		if sv, ok := s.held[k]; !ok || ov > sv {
+			s.held[k] = ov
 			changed = true
 		}
 	}
@@ -369,8 +389,8 @@ func (s *loState) joinInto(o *loState) bool {
 	return changed
 }
 
-func copyHeld(h map[string]heldInfo) map[string]heldInfo {
-	out := make(map[string]heldInfo, len(h))
+func copyHeld(h map[string]lockMode) map[string]lockMode {
+	out := make(map[string]lockMode, len(h))
 	for k, v := range h {
 		out[k] = v
 	}
@@ -384,13 +404,13 @@ type loAcqEv struct {
 	class string
 	mode  lockMode
 	try   bool
-	held  map[string]heldInfo
+	held  map[string]lockMode
 }
 
 // loCallEv is one resolved module call with the classes held across it.
 type loCallEv struct {
 	pos     token.Pos
-	held    map[string]heldInfo
+	held    map[string]lockMode
 	targets []*types.Func
 }
 
@@ -398,7 +418,7 @@ type loCallEv struct {
 type loVerbEv struct {
 	pos  token.Pos
 	name string
-	held map[string]heldInfo
+	held map[string]lockMode
 }
 
 // loSummary is the per-function-scope result: the net effect callers
@@ -440,7 +460,7 @@ type loAnalysis struct {
 	summaries map[*types.Func]*loSummary
 	literals  []*loSummary // function-literal scopes (events only)
 	cfgs      map[*ast.BlockStmt]*funcCFG
-	bindings  map[*ast.BlockStmt]map[types.Object]*types.Func
+	bindings  map[*ast.BlockStmt]map[types.Object]methodValue
 
 	// phase-2 transitive facts
 	mayAcquire map[*types.Func]map[string]*loAcqWitness
@@ -470,7 +490,7 @@ func newLockOrderAnalysis(pkgs []*Package) *loAnalysis {
 		fset:       pkgs[0].Fset,
 		summaries:  map[*types.Func]*loSummary{},
 		cfgs:       map[*ast.BlockStmt]*funcCFG{},
-		bindings:   map[*ast.BlockStmt]map[types.Object]*types.Func{},
+		bindings:   map[*ast.BlockStmt]map[types.Object]methodValue{},
 		mayAcquire: map[*types.Func]map[string]*loAcqWitness{},
 		verbVia:    map[*types.Func]*loVerbWitness{},
 	}
@@ -485,7 +505,7 @@ func (a *loAnalysis) cfg(body *ast.BlockStmt) *funcCFG {
 	return g
 }
 
-func (a *loAnalysis) binds(p *Package, body *ast.BlockStmt) map[types.Object]*types.Func {
+func (a *loAnalysis) binds(p *Package, body *ast.BlockStmt) map[types.Object]methodValue {
 	b, ok := a.bindings[body]
 	if !ok {
 		b = methodBindings(p, body)
@@ -655,9 +675,9 @@ func (a *loAnalysis) analyzeBody(p *Package, name string, body *ast.BlockStmt, r
 		}
 	}
 	if exitSt := in[g.exit]; exitSt != nil {
-		for class, info := range exitSt.held {
+		for class, mode := range exitSt.held {
 			if !exitSt.def[class] {
-				sum.leavesHeld[class] = info.mode
+				sum.leavesHeld[class] = mode
 			}
 		}
 		for class := range exitSt.rel {
@@ -674,7 +694,7 @@ func (a *loAnalysis) analyzeBody(p *Package, name string, body *ast.BlockStmt, r
 
 // transferBlock applies every node of b to st in order; when sum is
 // non-nil, events are recorded into it.
-func (a *loAnalysis) transferBlock(p *Package, sum *loSummary, st *loState, b *cfgBlock, bindings map[types.Object]*types.Func) {
+func (a *loAnalysis) transferBlock(p *Package, sum *loSummary, st *loState, b *cfgBlock, bindings map[types.Object]methodValue) {
 	deferCalls := map[*ast.CallExpr]bool{}
 	goCalls := map[*ast.CallExpr]bool{}
 	callErr := map[*ast.CallExpr]types.Object{}
@@ -769,7 +789,7 @@ func (a *loAnalysis) refineEdge(p *Package, st *loState, e cfgEdge) *loState {
 		delete(ns.pend, obj)
 		if errIsNil {
 			for c, m := range classes {
-				a.enterHeld(ns, c, m, false)
+				a.enterHeld(ns, c, m)
 			}
 		}
 		return ns
@@ -816,21 +836,29 @@ func (a *loAnalysis) classOfExpr(p *Package, e ast.Expr) string {
 // page-latch op, or resolved module call. errObj, when non-nil, is the
 // error variable assigned from this call — fallible acquisitions are
 // held only once it proves nil.
-func (a *loAnalysis) applyCall(p *Package, sum *loSummary, st *loState, call *ast.CallExpr, deferred bool, errObj types.Object, bindings map[types.Object]*types.Func) {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if obj, ok := p.Info.Uses[sel.Sel].(*types.Func); ok && obj.Pkg() != nil {
-			if obj.Pkg().Path() == "sync" && lockMethods[obj.Name()] {
-				if class := a.classOfExpr(p, sel.X); class != "" {
-					a.mutexTransition(sum, st, class, obj.Name(), call.Pos(), deferred)
-				}
-				return
+func (a *loAnalysis) applyCall(p *Package, sum *loSummary, st *loState, call *ast.CallExpr, deferred bool, errObj types.Object, bindings map[types.Object]methodValue) {
+	// The method called, directly (mu.Lock()) or through a captured
+	// method value (unlock := mu.Unlock; defer unlock()).
+	var method methodValue
+	switch fun := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		method.fn, _ = p.Info.Uses[fun.Sel].(*types.Func)
+		method.recv = fun.X
+	case *ast.Ident:
+		method = bindings[identObj(p, fun)]
+	}
+	if fn := method.fn; fn != nil && fn.Pkg() != nil {
+		if fn.Pkg().Path() == "sync" && lockMethods[fn.Name()] {
+			if class := a.classOfExpr(p, method.recv); class != "" {
+				a.mutexTransition(sum, st, class, fn.Name(), call.Pos(), deferred)
 			}
-			if isFabricVerb(obj) {
-				if sum != nil {
-					sum.verbs = append(sum.verbs, loVerbEv{pos: call.Pos(), name: obj.Name(), held: copyHeld(st.held)})
-				}
-				return
+			return
+		}
+		if isFabricVerb(fn) {
+			if sum != nil {
+				sum.verbs = append(sum.verbs, loVerbEv{pos: call.Pos(), name: fn.Name(), held: copyHeld(st.held)})
 			}
+			return
 		}
 	}
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
@@ -857,7 +885,7 @@ func (a *loAnalysis) applyCall(p *Package, sum *loSummary, st *loState, call *as
 				if errObj != nil {
 					st.setPend(errObj, map[string]lockMode{plClass: mode})
 				} else {
-					a.enterHeld(st, plClass, mode, false)
+					a.enterHeld(st, plClass, mode)
 				}
 				return
 			case plReleases[sig]:
@@ -922,13 +950,13 @@ func (a *loAnalysis) applyEffect(sum *loSummary, st *loState, releases map[strin
 	}
 	sort.Strings(classes)
 	for _, c := range classes {
-		a.enterHeld(st, c, leavesHeld[c], false)
+		a.enterHeld(st, c, leavesHeld[c])
 	}
 }
 
 // recordCallEvent resolves a call against the module graph and, when
 // recording, snapshots the held set for the reporting phase.
-func (a *loAnalysis) recordCallEvent(p *Package, sum *loSummary, st *loState, call *ast.CallExpr, bindings map[types.Object]*types.Func) []*types.Func {
+func (a *loAnalysis) recordCallEvent(p *Package, sum *loSummary, st *loState, call *ast.CallExpr, bindings map[types.Object]methodValue) []*types.Func {
 	targets := a.idx.resolveCall(p, call, bindings)
 	if len(targets) == 0 {
 		return nil
@@ -961,27 +989,20 @@ func (a *loAnalysis) acquire(sum *loSummary, st *loState, class string, mode loc
 	if sum != nil {
 		sum.acqs = append(sum.acqs, loAcqEv{pos: pos, class: class, mode: mode, held: copyHeld(st.held)})
 	}
-	a.enterHeld(st, class, mode, true)
+	a.enterHeld(st, class, mode)
 }
 
 // enterHeld adds a class to the held set; W dominates an existing R.
-// direct marks classes locked by a sync call in this very body — verbs
-// under those are lockheld's findings, not lockorder's.
-func (a *loAnalysis) enterHeld(st *loState, class string, mode lockMode, direct bool) {
-	info := st.held[class]
-	if mode > info.mode {
-		info.mode = mode
+func (a *loAnalysis) enterHeld(st *loState, class string, mode lockMode) {
+	if mode > st.held[class] {
+		st.held[class] = mode
 	}
-	if direct {
-		info.direct = true
-	}
-	st.held[class] = info
 }
 
 // tryAcquire enters the held set (the branch refinement clears it on the
 // failure edge) but witnesses no ordering edge: a try never blocks.
 func (a *loAnalysis) tryAcquire(sum *loSummary, st *loState, class string, mode lockMode, pos token.Pos) {
-	a.enterHeld(st, class, mode, true)
+	a.enterHeld(st, class, mode)
 }
 
 // release clears a held class; a deferred release runs at exit instead,
@@ -1079,10 +1100,10 @@ func (a *loAnalysis) collectEdges() []*loEdge {
 	for _, sum := range a.allSummaries() {
 		for i := range sum.acqs {
 			ev := &sum.acqs[i]
-			for from, info := range ev.held {
+			for from, fromMode := range ev.held {
 				add(&loEdge{
 					from: from, to: ev.class,
-					fromMode: info.mode, toMode: ev.mode,
+					fromMode: fromMode, toMode: ev.mode,
 					pos: a.fset.Position(ev.pos),
 				})
 			}
@@ -1094,10 +1115,10 @@ func (a *loAnalysis) collectEdges() []*loEdge {
 			}
 			for _, t := range ev.targets {
 				for class, w := range a.mayAcquire[t] {
-					for from, info := range ev.held {
+					for from, fromMode := range ev.held {
 						add(&loEdge{
 							from: from, to: class,
-							fromMode: info.mode, toMode: w.mode,
+							fromMode: fromMode, toMode: w.mode,
 							pos:  a.fset.Position(ev.pos),
 							path: a.acquirePath(t, class),
 						})
@@ -1247,19 +1268,16 @@ func findConflictCycle(adj map[string][]*loEdge, e *loEdge) []*loEdge {
 }
 
 // verbFindings reports fabric verbs reached while a fabric-intolerant
-// mutex class is held, through call paths (and directly, when the held
-// class itself came from a callee — the one shape lockheld cannot see).
+// mutex class is held: verbs issued in the holding body and verbs reached
+// through call paths.
 func (a *loAnalysis) verbFindings(sel map[*Package]bool) []Finding {
 	var out []Finding
 	seen := map[token.Position]bool{}
-	emit := func(pos token.Pos, held map[string]heldInfo, onlyIndirect bool, path string) {
+	emit := func(pos token.Pos, held map[string]lockMode, path string) {
 		var classes []string
-		for c, info := range held {
+		for c := range held {
 			if _, ok := fabricTolerant[c]; ok {
 				continue // designed to span the fabric; see the table
-			}
-			if onlyIndirect && info.direct {
-				continue // lockheld already reports this shape
 			}
 			classes = append(classes, c)
 		}
@@ -1282,7 +1300,7 @@ func (a *loAnalysis) verbFindings(sel map[*Package]bool) []Finding {
 	for _, sum := range a.allSummaries() {
 		for i := range sum.verbs {
 			ev := &sum.verbs[i]
-			emit(ev.pos, ev.held, true, "verb issued here under a latch acquired by a callee")
+			emit(ev.pos, ev.held, "verb issued here")
 		}
 		for i := range sum.calls {
 			ev := &sum.calls[i]
@@ -1291,7 +1309,7 @@ func (a *loAnalysis) verbFindings(sel map[*Package]bool) []Finding {
 			}
 			for _, t := range ev.targets {
 				if a.verbVia[t] != nil {
-					emit(ev.pos, ev.held, false, a.verbPath(t))
+					emit(ev.pos, ev.held, a.verbPath(t))
 					break
 				}
 			}

@@ -261,7 +261,7 @@ func Rev(a *A, c *C) {
 }
 
 // TestLockOrderVerbUnderCalleeLatch covers the two held-over-fabric
-// shapes lockheld's single-function walk cannot see: a verb issued while
+// shapes that cross a function boundary: a verb issued while
 // a latch was taken by a cross-package callee, and a call whose callee
 // transitively issues the verb while the caller holds the latch.
 func TestLockOrderVerbUnderCalleeLatch(t *testing.T) {

@@ -38,10 +38,9 @@ var (
 )
 
 // Fabric is the switched network connecting all nodes. It owns the latency
-// model and global traffic statistics.
+// model and the per-node metric registries.
 type Fabric struct {
 	cfg     Config
-	stats   Stats
 	metrics *stat.NodeSet
 
 	mu    sync.RWMutex
@@ -110,12 +109,6 @@ func (f *Fabric) Detach(id NodeID) {
 	defer f.mu.Unlock()
 	delete(f.nodes, id)
 }
-
-// Stats returns a snapshot of fabric-wide traffic counters.
-func (f *Fabric) Stats() StatsSnapshot { return f.stats.snapshot() }
-
-// ResetStats zeroes all traffic counters.
-func (f *Fabric) ResetStats() { f.stats.reset() }
 
 // Config returns the fabric configuration.
 func (f *Fabric) Config() Config { return f.cfg }

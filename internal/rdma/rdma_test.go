@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"polardb/internal/stat"
 )
 
 func newTestFabric(t *testing.T) *Fabric {
@@ -212,30 +214,52 @@ func TestCallTimeout(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
+// Every verb is counted exactly once, on the issuing node's registry.
+func TestVerbMetricsCountOnIssuer(t *testing.T) {
 	f := newTestFabric(t)
 	mem := f.MustAttach("mem")
-	db := f.MustAttach("db")
 	r := mem.RegisterRegion(1024)
+	mem.RegisterHandler("echo", func(_ NodeID, req []byte) ([]byte, error) { return req, nil })
 	addr := Addr{Node: "mem", Region: r.ID(), Off: 0}
 
-	before := f.Stats()
-	_ = db.Write(addr, make([]byte, 100))
-	_ = db.Read(addr, make([]byte, 50))
-	_, _, _ = db.CAS64(addr, 0, 1)
-	d := f.Stats().Sub(before)
-	if d.Writes != 1 || d.WriteBytes != 100 {
-		t.Fatalf("writes = %d/%d, want 1/100", d.Writes, d.WriteBytes)
+	const n = 7
+	before := f.Metrics().Snapshot()
+	for _, id := range []NodeID{"db1", "db2"} {
+		ep := f.MustAttach(id)
+		for i := 0; i < n; i++ {
+			if err := ep.Write(addr, make([]byte, 100)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ep.Read(addr, make([]byte, 50)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ep.FetchAdd64(addr, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ep.Call("mem", "echo", make([]byte, 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if d.Reads != 1 || d.ReadBytes != 50 {
-		t.Fatalf("reads = %d/%d, want 1/50", d.Reads, d.ReadBytes)
+	after := f.Metrics().Snapshot()
+	d := stat.Total(after).Sub(stat.Total(before))
+	for name, want := range map[string]uint64{
+		"rdma.write.ops": 2 * n, "rdma.write.bytes": 2 * n * 100,
+		"rdma.read.ops": 2 * n, "rdma.read.bytes": 2 * n * 50,
+		"rdma.atomic.ops": 2 * n, "rdma.atomic.bytes": 2 * n * 8,
+		"rdma.rpc.ops": 2 * n, "rdma.rpc.bytes": 2 * n * 20,
+	} {
+		if got := d.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
-	if d.Atomics != 1 {
-		t.Fatalf("atomics = %d, want 1", d.Atomics)
+	for name, v := range after["mem"].Sub(before["mem"]).Counters {
+		if v != 0 {
+			t.Errorf("target registry counted %s = %d, want 0", name, v)
+		}
 	}
-	f.ResetStats()
-	if s := f.Stats(); s.Reads != 0 || s.Writes != 0 {
-		t.Fatalf("stats not reset: %+v", s)
+	if got := after["db1"].Counter("rdma.rpc.ops"); got != n {
+		t.Errorf("db1 rdma.rpc.ops = %d, want %d", got, n)
 	}
 }
 

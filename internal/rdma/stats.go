@@ -1,7 +1,6 @@
 package rdma
 
 import (
-	"sync/atomic"
 	"time"
 
 	"polardb/internal/stat"
@@ -45,65 +44,9 @@ func newVerbMetrics(r *stat.Registry) *verbMetrics {
 	return m
 }
 
-// record counts one issued verb on the endpoint (per-node metrics) and
-// on the fabric-wide totals.
+// record counts one issued verb on the issuing endpoint's registry.
 func (e *Endpoint) record(c opClass, n int, start time.Time) {
 	e.verbs.ops[c].Inc()
 	e.verbs.bytes[c].Add(uint64(n))
 	e.verbs.lat[c].Observe(time.Since(start))
-	e.fabric.stats.record(c, n)
-}
-
-// Stats accumulates fabric-wide traffic counters.
-type Stats struct {
-	ops   [numOpClasses]atomic.Uint64
-	bytes [numOpClasses]atomic.Uint64
-}
-
-func (s *Stats) record(c opClass, n int) {
-	s.ops[c].Add(1)
-	s.bytes[c].Add(uint64(n))
-}
-
-func (s *Stats) reset() {
-	for i := range s.ops {
-		s.ops[i].Store(0)
-		s.bytes[i].Store(0)
-	}
-}
-
-func (s *Stats) snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Reads:      s.ops[opRead].Load(),
-		ReadBytes:  s.bytes[opRead].Load(),
-		Writes:     s.ops[opWrite].Load(),
-		WriteBytes: s.bytes[opWrite].Load(),
-		Atomics:    s.ops[opAtomic].Load(),
-		RPCs:       s.ops[opRPC].Load(),
-		RPCBytes:   s.bytes[opRPC].Load(),
-	}
-}
-
-// StatsSnapshot is a point-in-time copy of fabric traffic counters.
-type StatsSnapshot struct {
-	Reads      uint64 // one-sided READ verbs issued
-	ReadBytes  uint64
-	Writes     uint64 // one-sided WRITE verbs issued
-	WriteBytes uint64
-	Atomics    uint64 // CAS + FETCH_ADD verbs issued
-	RPCs       uint64 // two-sided round trips
-	RPCBytes   uint64
-}
-
-// Sub returns the delta s - prev, counter-wise.
-func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot {
-	return StatsSnapshot{
-		Reads:      s.Reads - prev.Reads,
-		ReadBytes:  s.ReadBytes - prev.ReadBytes,
-		Writes:     s.Writes - prev.Writes,
-		WriteBytes: s.WriteBytes - prev.WriteBytes,
-		Atomics:    s.Atomics - prev.Atomics,
-		RPCs:       s.RPCs - prev.RPCs,
-		RPCBytes:   s.RPCBytes - prev.RPCBytes,
-	}
 }

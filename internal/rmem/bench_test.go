@@ -139,10 +139,10 @@ func BenchmarkPageReadRemote(b *testing.B) {
 // the per-MTR coherency cost of the disaggregated design (§3.1.4).
 func BenchmarkInvalidateFanOut(b *testing.B) {
 	rw, _, _ := benchPool(b)
-	page := types.PageID{Space: 1, No: 1}
+	pages := []types.PageID{{Space: 1, No: 1}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rw.Invalidate(page); err != nil {
+		if err := rw.InvalidateBatch(pages); err != nil {
 			b.Fatal(err)
 		}
 	}

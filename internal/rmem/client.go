@@ -209,17 +209,11 @@ func (p *Pool) PIBStale(pib rdma.Addr) (bool, error) {
 	return v != pibFresh, nil
 }
 
-// Invalidate implements page_invalidate (RW only) for a single page:
-// synchronously mark all copies stale, on the home and on every RO local
-// cache.
-func (p *Pool) Invalidate(page types.PageID) error {
-	return p.InvalidateBatch([]types.PageID{page})
-}
-
-// InvalidateBatch implements page_invalidate for every page an MTR wrote,
-// in one round trip: the home sets each page's PIB bit and notifies each
-// holder once with its whole affected-page list, so the per-commit
-// coherence cost is O(distinct holders), not O(pages × holders).
+// InvalidateBatch implements page_invalidate (RW only) for every page an
+// MTR wrote, in one round trip: the home synchronously sets each page's
+// PIB bit and notifies each holder once with its whole affected-page
+// list, so the per-commit coherence cost is O(distinct holders), not
+// O(pages × holders).
 //polarvet:fabric O(1) one batched page_invalidate round trip per call
 func (p *Pool) InvalidateBatch(pages []types.PageID) error {
 	if len(pages) == 0 {

@@ -75,7 +75,6 @@ type Home struct {
 	replDone uint64 // ops sent (or dropped)
 	replStop bool
 
-	stats   Stats
 	met     homeMetrics
 	closeCh chan struct{}
 	wg      sync.WaitGroup
@@ -235,7 +234,7 @@ func (h *Home) MetaRegionID() uint32 { return h.meta.ID() }
 func (h *Home) Stats() Stats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := h.stats
+	var s Stats
 	for _, sl := range h.slabs {
 		s.Slabs++
 		s.TotalSlots += sl.pages
@@ -554,7 +553,6 @@ func (h *Home) evictLocked(e *patEntry) {
 	h.meta.MustStore64Local(e.slotOff, 0)
 	h.meta.MustStore64Local(e.slotOff+8, pibStale)
 	h.metaFree = append(h.metaFree, e.slotOff)
-	h.stats.Evictions++
 	h.met.evictions.Inc()
 	h.replicate(replEvict(e.page))
 }
@@ -633,7 +631,6 @@ func (h *Home) handleRegister(from rdma.NodeID, req []byte) ([]byte, error) {
 	// unlock below: deferred calls run last-in first-out).
 	defer h.flushReplication()
 	h.mu.Lock()
-	h.stats.Registers++
 	h.met.registers.Inc()
 	delete(h.kicked, from) // a registering node is alive by definition
 	idx := h.nodeIndex(from)
@@ -655,7 +652,6 @@ func (h *Home) handleRegister(from rdma.NodeID, req []byte) ([]byte, error) {
 		return resp.Bytes(), nil
 	}
 	if exists {
-		h.stats.Hits++
 		h.met.hits.Inc()
 		if e.lruElem != nil {
 			h.lru.Remove(e.lruElem)
@@ -751,7 +747,6 @@ func (h *Home) handleInvalidate(from rdma.NodeID, req []byte) ([]byte, error) {
 		if !ok {
 			continue // not cached remotely: nothing to invalidate
 		}
-		h.stats.Invalidations++
 		h.met.invalidations.Inc()
 		h.meta.MustStore64Local(e.slotOff+8, pibStale)
 		for n := range e.refs {

@@ -75,12 +75,10 @@ type PLManager struct {
 	mu   sync.Mutex
 	held map[uint64]*heldPL
 
-	// FastPathAcquires / SlowPathAcquires instrument Figure 14.
-	stats PLStats
-	met   plMetrics
+	met plMetrics
 }
 
-// plMetrics mirror PLStats into the node registry (§3.2 latch paths).
+// plMetrics count latch-path outcomes in the node registry (§3.2).
 type plMetrics struct {
 	fast   *stat.Counter // latches taken by one RDMA CAS
 	slow   *stat.Counter // latches negotiated through the home
@@ -97,14 +95,6 @@ func newPLMetrics(r *stat.Registry) plMetrics {
 	}
 }
 
-// PLStats counts latch-path outcomes.
-type PLStats struct {
-	FastPath  uint64
-	SlowPath  uint64
-	StickyHit uint64
-	Revokes   uint64
-}
-
 // NewPLManager creates the node's latch manager. ownerIdx is the node
 // index assigned by the home at registration time (carried in X words so
 // other nodes can find the owner). It registers the revoke callback.
@@ -113,13 +103,6 @@ func NewPLManager(ep *rdma.Endpoint, cfg Config, home rdma.NodeID, ownerIdx uint
 	m := &PLManager{ep: ep, cfg: cfg, home: home, ownerIdx: ownerIdx, held: make(map[uint64]*heldPL), met: newPLMetrics(ep.Metrics())}
 	ep.RegisterHandler(cfg.method("cb.revoke"), m.handleRevoke)
 	return m
-}
-
-// Stats returns a copy of the latch statistics.
-func (m *PLManager) Stats() PLStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
 }
 
 // SetHome repoints the manager after a home failover. All sticky state is
@@ -140,7 +123,6 @@ func (m *PLManager) LockX(page types.PageID, plAddr rdma.Addr) error {
 		// Sticky hit: we still own the X latch from a previous SMO.
 		h.pins++
 		h.addr = plAddr
-		m.stats.StickyHit++
 		m.met.sticky.Inc()
 		m.mu.Unlock()
 		return nil
@@ -277,10 +259,8 @@ func (m *PLManager) record(k uint64, addr rdma.Addr, mode PLMode, fast bool) {
 	h.cond = sync.NewCond(&m.mu)
 	m.held[k] = h
 	if fast {
-		m.stats.FastPath++
 		m.met.fast.Inc()
 	} else {
-		m.stats.SlowPath++
 		m.met.slow.Inc()
 	}
 }
@@ -315,7 +295,6 @@ func (m *PLManager) handleRevoke(from rdma.NodeID, req []byte) ([]byte, error) {
 		m.mu.Unlock()
 		return nil, nil // already released
 	}
-	m.stats.Revokes++
 	m.met.revoke.Inc()
 	h.revokeReq = true
 	for h.pins > 0 {

@@ -96,15 +96,12 @@ func (c *Config) applyDefaults() {
 
 func (c *Config) method(op string) string { return "rmem." + c.Instance + "." + op }
 
-// Stats is a snapshot of the pool's occupancy.
+// Stats is a snapshot of the pool's occupancy, computed on demand by
+// Home.Stats. Event counts live in the home node's metric registry.
 type Stats struct {
-	Slabs         int
-	TotalSlots    int
-	UsedSlots     int
-	FreeSlots     int
-	Referenced    int // used slots with refcount > 0
-	Registers     uint64
-	Hits          uint64 // registers that found the page cached
-	Evictions     uint64
-	Invalidations uint64
+	Slabs      int
+	TotalSlots int
+	UsedSlots  int
+	FreeSlots  int
+	Referenced int // used slots with refcount > 0
 }

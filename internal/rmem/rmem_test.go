@@ -116,7 +116,7 @@ func TestPIBLifecycle(t *testing.T) {
 	if stale {
 		t.Fatal("PIB still stale after write-back")
 	}
-	if err := rw.Invalidate(pid(1)); err != nil {
+	if err := rw.InvalidateBatch([]types.PageID{pid(1)}); err != nil {
 		t.Fatal(err)
 	}
 	stale, _ = rw.PIBStale(res.PIB)
@@ -152,7 +152,7 @@ func TestInvalidationFanOut(t *testing.T) {
 	if _, err := ro2.Register(pid(7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rw.Invalidate(pid(7)); err != nil {
+	if err := rw.InvalidateBatch([]types.PageID{pid(7)}); err != nil {
 		t.Fatalf("invalidate: %v", err)
 	}
 	mu.Lock()
@@ -249,7 +249,7 @@ func TestInvalidateKicksUnresponsiveNode(t *testing.T) {
 	}
 	// RO dies; invalidation must still succeed and the node be reported.
 	ro.ep.Kill()
-	if err := rw.Invalidate(pid(1)); err != nil {
+	if err := rw.InvalidateBatch([]types.PageID{pid(1)}); err != nil {
 		t.Fatalf("invalidate with dead RO: %v", err)
 	}
 	mu.Lock()
@@ -279,9 +279,8 @@ func TestUnregisterMakesPageEvictable(t *testing.T) {
 	if _, err := rw.Register(pid(99)); err != nil {
 		t.Fatalf("register after unregister: %v", err)
 	}
-	s := tp.home.Stats()
-	if s.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", s.Evictions)
+	if n := tp.home.ep.Metrics().Snapshot().Counter("rmem.home.evictions"); n != 1 {
+		t.Fatalf("evictions = %d, want 1", n)
 	}
 }
 
@@ -393,9 +392,9 @@ func TestPLFastPathXAndS(t *testing.T) {
 	if err := ro.PL().UnlockS(pid(1)); err != nil {
 		t.Fatal(err)
 	}
-	st := rw.PL().Stats()
-	if st.FastPath != 1 || st.SlowPath != 0 {
-		t.Fatalf("rw stats = %+v, want 1 fast, 0 slow", st)
+	st := rw.ep.Metrics().Snapshot()
+	if fast, slow := st.Counter("rmem.pl.fast"), st.Counter("rmem.pl.slow"); fast != 1 || slow != 0 {
+		t.Fatalf("rw latches = %d fast, %d slow, want 1 fast, 0 slow", fast, slow)
 	}
 }
 
@@ -425,8 +424,8 @@ func TestPLStickyRevocation(t *testing.T) {
 	if err := rw.PL().UnlockX(pid(1), true); err != nil {
 		t.Fatal(err)
 	}
-	if st := rw.PL().Stats(); st.StickyHit != 1 {
-		t.Fatalf("sticky hits = %d, want 1", st.StickyHit)
+	if n := rw.ep.Metrics().Snapshot().Counter("rmem.pl.sticky"); n != 1 {
+		t.Fatalf("sticky hits = %d, want 1", n)
 	}
 	// RO's S-lock goes slow path: home revokes the sticky X from RW.
 	if err := ro.PL().LockS(pid(1), res.PL); err != nil {
@@ -435,8 +434,8 @@ func TestPLStickyRevocation(t *testing.T) {
 	if rw.PL().HeldCount() != 0 {
 		t.Fatal("sticky latch not revoked")
 	}
-	if st := rw.PL().Stats(); st.Revokes != 1 {
-		t.Fatalf("revokes = %d, want 1", st.Revokes)
+	if n := rw.ep.Metrics().Snapshot().Counter("rmem.pl.revoke"); n != 1 {
+		t.Fatalf("revokes = %d, want 1", n)
 	}
 	if err := ro.PL().UnlockS(pid(1)); err != nil {
 		t.Fatal(err)
@@ -682,10 +681,11 @@ func TestStatsCounters(t *testing.T) {
 	if _, err := rw.Register(pid(1)); err != nil {
 		t.Fatal(err)
 	}
-	s := tp.home.Stats()
-	if s.Registers != 2 || s.Hits != 1 {
-		t.Fatalf("registers=%d hits=%d, want 2,1", s.Registers, s.Hits)
+	m := tp.home.ep.Metrics().Snapshot()
+	if r, h := m.Counter("rmem.home.registers"), m.Counter("rmem.home.hits"); r != 2 || h != 1 {
+		t.Fatalf("registers=%d hits=%d, want 2,1", r, h)
 	}
+	s := tp.home.Stats()
 	if s.TotalSlots != 16 || s.UsedSlots != 1 {
 		t.Fatalf("slots total=%d used=%d", s.TotalSlots, s.UsedSlots)
 	}

@@ -188,7 +188,9 @@ func (db *DB) Failover() error {
 	return db.c.CM.Failover(false)
 }
 
-// Stats summarizes the deployment.
+// Stats summarizes the deployment. It is a view computed by DB.Stats:
+// sizes come from the pool and the RW node's cache, counters are sums
+// over DB.Metrics of every node that ever ran, crashed RW nodes included.
 type Stats struct {
 	MemoryPages     int
 	MemoryUsed      int
@@ -206,17 +208,18 @@ func (db *DB) Metrics() *stat.NodeSet { return db.c.Fabric.Metrics() }
 
 // Stats returns a snapshot of deployment counters.
 func (db *DB) Stats() Stats {
-	var s Stats
+	total := stat.Total(db.Metrics().Snapshot())
+	s := Stats{
+		LocalCachePages: db.c.RW.Engine.Cache().Stats().Capacity,
+		Commits:         total.Counter("engine.txn.commit"),
+		Aborts:          total.Counter("engine.txn.abort"),
+		RemoteReads:     total.Counter("engine.page.remote_read"),
+		StorageReads:    total.Counter("engine.page.storage_read"),
+	}
 	if db.c.Home != nil {
 		hs := db.c.Home.Stats()
 		s.MemoryPages = hs.TotalSlots
 		s.MemoryUsed = hs.UsedSlots
 	}
-	es := db.c.RW.Engine.Stats()
-	s.Commits = es.Commits.Load()
-	s.Aborts = es.Aborts.Load()
-	s.RemoteReads = es.RemoteReads.Load()
-	s.StorageReads = es.StorageReads.Load()
-	s.LocalCachePages = db.c.RW.Engine.Cache().Stats().Capacity
 	return s
 }
