@@ -117,7 +117,6 @@ func Launch(cfg Config) (*Cluster, error) {
 	// Memory pool.
 	if !cfg.NoRemoteMemory {
 		c.memCfg = rmem.Config{
-			Instance:          "pool",
 			SlabPages:         cfg.SlabPages,
 			InvalidateTimeout: time.Second,
 			LatchTimeout:      5 * time.Second,

@@ -347,6 +347,7 @@ func (e *Engine) ScanGuard() func() {
 
 // Fetch returns a pinned frame with the page's current contents, filling
 // the local cache from remote memory or storage on a miss.
+//
 //polarvet:fabric O(1) the page-fetch path is a bounded number of round trips (register, PIB probe, one-sided page read) regardless of pool size
 func (e *Engine) Fetch(id types.PageID) (*cache.Frame, error) {
 	for {
@@ -711,6 +712,7 @@ var _ btree.Mtr = (*Mtr)(nil)
 // Commit runs the §3.1.4 pipeline: invalidate every modified page's other
 // copies, then append the MTR's redo to the log buffer, stamp the frames'
 // page LSNs, and release the pins. Returns the MTR's end LSN (0 if empty).
+//
 //polarvet:fabric O(n) invalidation is one batched RPC, but releasing the SMO's deferred global latches is one one-sided CAS per latched frame
 func (mt *Mtr) Commit() (types.LSN, error) {
 	if mt.m.Empty() {

@@ -59,7 +59,6 @@ func newHarness(t *testing.T, o harnessOpts) *harness {
 
 	if !o.noPool {
 		h.memCfg = rmem.Config{
-			Instance:          "pool",
 			InvalidateTimeout: 300 * time.Millisecond,
 			LatchTimeout:      3 * time.Second,
 		}

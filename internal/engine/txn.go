@@ -66,6 +66,7 @@ func (e *Engine) Begin() (*Txn, error) {
 // BeginRO starts a read-only transaction: on the RW a local snapshot, on
 // an RO node a read-view RPC to the RW (the per-record visibility checks
 // then use one-sided CTS log reads only).
+//
 //polarvet:fabric O(1) at most one read-view RPC to the RW, independent of snapshot size
 func (e *Engine) BeginRO() (*Txn, error) {
 	if !e.cfg.ReadOnly {
@@ -103,6 +104,7 @@ func (e *Engine) activeListLocked() []types.TrxID {
 func (t *Txn) ID() types.TrxID { return t.id }
 
 // lookupCTS resolves commit status: locally on the RW, one-sided on ROs.
+//
 //polarvet:fabric O(1) visibility checks ride one one-sided CTS slot read; an RPC here would put the RW's CPU on every RO read path
 func (e *Engine) lookupCTS(trx types.TrxID) (types.Timestamp, bool, error) {
 	if !e.cfg.ReadOnly {

@@ -155,8 +155,8 @@ type fcLitEv struct {
 type fcScope struct {
 	p     *Package
 	name  string
-	fn    *types.Func   // nil for literals
-	lit   *ast.FuncLit  // nil for declarations
+	fn    *types.Func  // nil for literals
+	lit   *ast.FuncLit // nil for declarations
 	body  *ast.BlockStmt
 	verbs []fcVerbEv
 	calls []fcCallEv
@@ -282,29 +282,9 @@ func (a *fcAnalysis) scanScope(sc *fcScope) {
 // it advances a retry.Backoff, or every loop forming it is bounded by an
 // integer constant. Range loops iterate data and are never bounded here.
 func fcSCCBounded(p *Package, g *funcCFG, ids map[*cfgBlock]int, id int) bool {
-	scc := map[*cfgBlock]bool{}
-	for _, blk := range g.blocks {
-		if ids[blk] == id {
-			scc[blk] = true
-		}
-	}
-	for blk := range scc {
-		for _, n := range blk.nodes {
-			found := false
-			inspectSkipFuncLit(n, func(c ast.Node) bool {
-				if call, ok := c.(*ast.CallExpr); ok {
-					if obj := calleeFunc(p, call); obj != nil && obj.Pkg() != nil &&
-						strings.HasSuffix(obj.Pkg().Path(), "internal/retry") && recvTypeName(obj) == "Backoff" {
-						found = true
-						return false
-					}
-				}
-				return true
-			})
-			if found {
-				return true
-			}
-		}
+	scc, backoff := sccBackoff(p, g, ids, id)
+	if backoff {
+		return true
 	}
 	loops, constBounded := 0, 0
 	for stmt, head := range g.loopHeads {

@@ -208,35 +208,41 @@ func ensureBlockingFns(p *Package) {
 	}
 }
 
-// sccBounded decides whether the cycle with the given id terminates or
-// is cancellable.
-func sccBounded(p *Package, g *funcCFG, ids map[*cfgBlock]int, id int) bool {
-	scc := map[*cfgBlock]bool{}
+// sccBackoff collects the blocks of the CFG cycle with the given id and
+// reports whether the cycle advances a retry.Backoff, which bounds it by
+// the backoff's window.
+func sccBackoff(p *Package, g *funcCFG, ids map[*cfgBlock]int, id int) (scc map[*cfgBlock]bool, backoff bool) {
+	scc = map[*cfgBlock]bool{}
 	for _, blk := range g.blocks {
 		if ids[blk] == id {
 			scc[blk] = true
 		}
 	}
-
-	// A retry.Backoff advanced on the cycle bounds it by its window.
 	for blk := range scc {
 		for _, n := range blk.nodes {
-			found := false
 			inspectSkipFuncLit(n, func(c ast.Node) bool {
 				if call, ok := c.(*ast.CallExpr); ok {
-					if obj := calleeFunc(p, call); obj != nil {
-						if obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/retry") && recvTypeName(obj) == "Backoff" {
-							found = true
-							return false
-						}
+					if obj := calleeFunc(p, call); obj != nil && obj.Pkg() != nil &&
+						strings.HasSuffix(obj.Pkg().Path(), "internal/retry") && recvTypeName(obj) == "Backoff" {
+						backoff = true
 					}
 				}
-				return true
+				return !backoff
 			})
-			if found {
-				return true
+			if backoff {
+				return scc, true
 			}
 		}
+	}
+	return scc, false
+}
+
+// sccBounded decides whether the cycle with the given id terminates or
+// is cancellable.
+func sccBounded(p *Package, g *funcCFG, ids map[*cfgBlock]int, id int) bool {
+	scc, backoff := sccBackoff(p, g, ids, id)
+	if backoff {
+		return true
 	}
 
 	// A select on the cycle with a clause that escapes it (shutdown

@@ -15,7 +15,7 @@ import (
 func benchPool(b *testing.B) (*Pool, *Pool, rdma.Addr) {
 	b.Helper()
 	f := rdma.NewFabric(rdma.DefaultConfig())
-	cfg := Config{Instance: "bench"}
+	cfg := Config{}
 	homeEP := f.MustAttach("home")
 	NewSlabNode(homeEP, cfg)
 	h := NewHome(homeEP, cfg, "")

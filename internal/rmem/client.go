@@ -25,13 +25,11 @@ type RegisterResult struct {
 // are RPCs to the home node.
 type Pool struct {
 	ep  *rdma.Endpoint
-	cfg Config
 	met poolMetrics
 
-	mu       sync.Mutex
-	home     rdma.NodeID
-	ownerIdx uint16
-	pl       *PLManager
+	mu   sync.Mutex
+	home rdma.NodeID
+	pl   *PLManager
 
 	invalidateFn func(types.PageID)
 	slabFailFn   func([]types.PageID)
@@ -40,10 +38,10 @@ type Pool struct {
 // poolMetrics are the librmem client-side counters, one per §3.1 API
 // call plus the two home-initiated callbacks.
 type poolMetrics struct {
-	register   *stat.Counter // page_register round trips
-	unregister *stat.Counter // page_unregister round trips
-	pageRead   *stat.Counter // one-sided page_read verbs
-	pageWrite  *stat.Counter // one-sided page_write verbs
+	register     *stat.Counter // page_register round trips
+	unregister   *stat.Counter // page_unregister round trips
+	pageRead     *stat.Counter // one-sided page_read verbs
+	pageWrite    *stat.Counter // one-sided page_write verbs
 	pibCheck     *stat.Counter // one-sided PIB staleness probes
 	invSent      *stat.Counter // page_invalidate round trips issued (RW); one per batch
 	invSentPages *stat.Counter // pages carried by those batches
@@ -68,29 +66,25 @@ func newPoolMetrics(r *stat.Registry) poolMetrics {
 // NewPool connects a database node to the pool served by home. The first
 // round trip learns the node's owner index (used in PL latch words).
 func NewPool(ep *rdma.Endpoint, cfg Config, home rdma.NodeID) (*Pool, error) {
-	cfg.applyDefaults()
-	p := &Pool{ep: ep, cfg: cfg, met: newPoolMetrics(ep.Metrics()), home: home}
+	p := &Pool{ep: ep, met: newPoolMetrics(ep.Metrics()), home: home}
 	//polarvet:allow fabriccost the hello handshake allocates this node's owner index in the home's directory; server-side state assignment cannot be a one-sided read
-	resp, err := ep.Call(home, cfg.method("hello"), nil)
+	resp, err := ep.Call(home, method("hello"), nil)
 	if err != nil {
 		return nil, fmt.Errorf("rmem: connecting to home %s: %w", home, err)
 	}
 	rd := wire.NewReader(resp)
-	p.ownerIdx = rd.U16()
+	ownerIdx := rd.U16()
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
-	p.pl = NewPLManager(ep, cfg, home, p.ownerIdx)
-	ep.RegisterHandler(cfg.method("cb.inv"), p.handleInvalidateCB)
-	ep.RegisterHandler(cfg.method("cb.slabfail"), p.handleSlabFailCB)
+	p.pl = NewPLManager(ep, cfg, home, ownerIdx)
+	ep.RegisterHandler(method("cb.inv"), p.handleInvalidateCB)
+	ep.RegisterHandler(method("cb.slabfail"), p.handleSlabFailCB)
 	return p, nil
 }
 
 // PL returns the node's global page latch manager.
 func (p *Pool) PL() *PLManager { return p.pl }
-
-// OwnerIdx returns the node index the home assigned to this node.
-func (p *Pool) OwnerIdx() uint16 { return p.ownerIdx }
 
 // Home returns the current home node id.
 func (p *Pool) Home() rdma.NodeID {
@@ -144,7 +138,7 @@ func (p *Pool) register(page types.PageID, noAlloc bool) (RegisterResult, error)
 	w.U32(uint32(page.Space))
 	w.U32(uint32(page.No))
 	w.Bool(noAlloc)
-	resp, err := p.ep.Call(p.Home(), p.cfg.method("reg"), w.Bytes())
+	resp, err := p.ep.Call(p.Home(), method("reg"), w.Bytes())
 	if err != nil {
 		return RegisterResult{}, err
 	}
@@ -156,13 +150,10 @@ func (p *Pool) register(page types.PageID, noAlloc bool) (RegisterResult, error)
 	dataOff := rd.U64()
 	metaRegion := rd.U32()
 	slotOff := rd.U64()
-	idx := rd.U16()
+	rd.U16() // owner index: fixed at hello, the same on every home
 	if err := rd.Err(); err != nil {
 		return RegisterResult{}, err
 	}
-	p.mu.Lock()
-	p.ownerIdx = idx
-	p.mu.Unlock()
 	if noAlloc && !res.Exists {
 		return res, nil // no reference taken
 	}
@@ -176,7 +167,7 @@ func (p *Pool) register(page types.PageID, noAlloc bool) (RegisterResult, error)
 // Unregister implements page_unregister: drop this node's reference.
 func (p *Pool) Unregister(page types.PageID) error {
 	p.met.unregister.Inc()
-	_, err := p.ep.Call(p.Home(), p.cfg.method("unreg"), p.pageReq(page))
+	_, err := p.ep.Call(p.Home(), method("unreg"), p.pageReq(page))
 	return err
 }
 
@@ -199,6 +190,7 @@ func (p *Pool) WritePage(data rdma.Addr, buf []byte, pib rdma.Addr) error {
 
 // PIBStale reads the page's home PIB word with a one-sided read: true
 // means the remote copy is outdated (the RW holds a newer local version).
+//
 //polarvet:fabric O(1) exactly one one-sided load of the PIB word
 func (p *Pool) PIBStale(pib rdma.Addr) (bool, error) {
 	p.met.pibCheck.Inc()
@@ -214,6 +206,7 @@ func (p *Pool) PIBStale(pib rdma.Addr) (bool, error) {
 // PIB bit and notifies each holder once with its whole affected-page
 // list, so the per-commit coherence cost is O(distinct holders), not
 // O(pages × holders).
+//
 //polarvet:fabric O(1) one batched page_invalidate round trip per call
 func (p *Pool) InvalidateBatch(pages []types.PageID) error {
 	if len(pages) == 0 {
@@ -227,7 +220,7 @@ func (p *Pool) InvalidateBatch(pages []types.PageID) error {
 		w.U32(uint32(pg.Space))
 		w.U32(uint32(pg.No))
 	}
-	_, err := p.ep.Call(p.Home(), p.cfg.method("inv"), w.Bytes())
+	_, err := p.ep.Call(p.Home(), method("inv"), w.Bytes())
 	return err
 }
 
@@ -236,7 +229,7 @@ func (p *Pool) InvalidateBatch(pages []types.PageID) error {
 func (p *Pool) ReleaseNodeLatches(node rdma.NodeID) error {
 	w := wire.NewWriter(16)
 	w.String(string(node))
-	_, err := p.ep.Call(p.Home(), p.cfg.method("pl.releasenode"), w.Bytes())
+	_, err := p.ep.Call(p.Home(), method("pl.releasenode"), w.Bytes())
 	return err
 }
 

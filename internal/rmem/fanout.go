@@ -14,7 +14,7 @@ import (
 // eviction; the callback wire format is uniformly count + page ids.
 // Unresponsive holders are kicked so the notification always completes
 // (the copy they failed to drop dies with their references).
-func (h *Home) notifyHolders(method string, holders map[rdma.NodeID][]types.PageID) {
+func (h *Home) notifyHolders(cb string, holders map[rdma.NodeID][]types.PageID) {
 	for n, pages := range holders {
 		if h.isKicked(n) || len(pages) == 0 {
 			continue
@@ -28,7 +28,7 @@ func (h *Home) notifyHolders(method string, holders map[rdma.NodeID][]types.Page
 		// One callback per distinct destination node, already carrying that
 		// node's whole page list: batched per holder by construction.
 		//polarvet:allow fabriccost the iteration is over distinct destination nodes and each receives a single batched RPC; there is nothing left to coalesce
-		if _, err := h.ep.CallTimeout(n, h.cfg.method(method), w.Bytes(), h.cfg.InvalidateTimeout); err != nil {
+		if _, err := h.ep.CallTimeout(n, method(cb), w.Bytes(), h.cfg.InvalidateTimeout); err != nil {
 			h.kickNode(n)
 		}
 	}

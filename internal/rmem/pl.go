@@ -101,7 +101,7 @@ func newPLMetrics(r *stat.Registry) plMetrics {
 func NewPLManager(ep *rdma.Endpoint, cfg Config, home rdma.NodeID, ownerIdx uint16) *PLManager {
 	cfg.applyDefaults()
 	m := &PLManager{ep: ep, cfg: cfg, home: home, ownerIdx: ownerIdx, held: make(map[uint64]*heldPL), met: newPLMetrics(ep.Metrics())}
-	ep.RegisterHandler(cfg.method("cb.revoke"), m.handleRevoke)
+	ep.RegisterHandler(method("cb.revoke"), m.handleRevoke)
 	return m
 }
 
@@ -273,7 +273,7 @@ func (m *PLManager) slowAcquire(page types.PageID, mode PLMode) error {
 	w.U8(uint8(mode))
 	w.U16(m.ownerIdx)
 	//polarvet:allow fabriccost pl.slow must run home-side code: the home parks the request, revokes the current owner and hands the latch over — not expressible as a one-sided write
-	_, err := m.ep.CallTimeout(m.home, m.cfg.method("pl.slow"), w.Bytes(), m.cfg.LatchTimeout)
+	_, err := m.ep.CallTimeout(m.home, method("pl.slow"), w.Bytes(), m.cfg.LatchTimeout)
 	if err != nil {
 		return fmt.Errorf("%w: %s %s via home: %v", ErrLatchTimeout, mode, page, err)
 	}
@@ -358,7 +358,7 @@ func (h *Home) homeGrant(page types.PageID, mode PLMode, requester uint16) error
 	b := retry.NewBackoff(200*time.Microsecond, h.cfg.LatchTimeout)
 	for {
 		h.mu.Lock()
-		e, ok := h.pat[page.Key()]
+		e, ok := h.tab.pat[page.Key()]
 		if !ok {
 			h.mu.Unlock()
 			return fmt.Errorf("%w: latch on unregistered page %s", ErrNotRegistered, page)
@@ -366,17 +366,17 @@ func (h *Home) homeGrant(page types.PageID, mode PLMode, requester uint16) error
 		slotOff := e.slotOff
 		h.mu.Unlock()
 
-		w, err := h.meta.Load64Local(slotOff)
+		w, err := h.tab.meta.Load64Local(slotOff)
 		if err != nil {
 			return err
 		}
 		switch {
 		case mode == PLExclusive && w == 0:
-			if _, ok := h.meta.MustCAS64Local(slotOff, 0, plMakeX(requester)); ok {
+			if _, ok := h.tab.meta.MustCAS64Local(slotOff, 0, plMakeX(requester)); ok {
 				return nil
 			}
 		case mode == PLShared && !plIsX(w):
-			if _, ok := h.meta.MustCAS64Local(slotOff, w, w+1); ok {
+			if _, ok := h.tab.meta.MustCAS64Local(slotOff, w, w+1); ok {
 				return nil
 			}
 		case plIsX(w):
@@ -393,11 +393,11 @@ func (h *Home) homeGrant(page types.PageID, mode PLMode, requester uint16) error
 func (h *Home) revokeFromOwner(page types.PageID, owner uint16) {
 	h.mu.Lock()
 	var node rdma.NodeID
-	if int(owner) < len(h.nodes) {
-		node = h.nodes[owner]
+	if int(owner) < len(h.tab.nodes) {
+		node = h.tab.nodes[owner]
 	}
 	slotOff := uint64(0)
-	if e, ok := h.pat[page.Key()]; ok {
+	if e, ok := h.tab.pat[page.Key()]; ok {
 		slotOff = e.slotOff
 	}
 	h.mu.Unlock()
@@ -408,13 +408,13 @@ func (h *Home) revokeFromOwner(page types.PageID, owner uint16) {
 	w.U32(uint32(page.Space))
 	w.U32(uint32(page.No))
 	//polarvet:allow fabriccost the revoke callback must run owner-side code (drain local readers, write back, release); its completion is the handover signal
-	_, err := h.ep.CallTimeout(node, h.cfg.method("cb.revoke"), w.Bytes(), h.cfg.InvalidateTimeout)
+	_, err := h.ep.CallTimeout(node, method("cb.revoke"), w.Bytes(), h.cfg.InvalidateTimeout)
 	if err != nil {
 		// Owner unreachable (crashed): force-release so the cluster makes
 		// progress; recovery will have cleared its state.
-		cur := h.meta.MustLoad64Local(slotOff)
+		cur := h.tab.meta.MustLoad64Local(slotOff)
 		if plIsX(cur) && plOwner(cur) == owner {
-			h.meta.MustCAS64Local(slotOff, cur, 0)
+			h.tab.meta.MustCAS64Local(slotOff, cur, 0)
 		}
 		if h.cfg.OnUnresponsive != nil {
 			h.cfg.OnUnresponsive(node)
@@ -456,25 +456,17 @@ func (h *Home) handlePLReleaseNode(from rdma.NodeID, req []byte) ([]byte, error)
 // in-flight CAS retries cannot interleave half-cleared state.
 func (h *Home) ReleaseNodeLatches(node rdma.NodeID) {
 	h.mu.Lock()
-	var idx uint16
-	found := false
-	for i, n := range h.nodes {
-		if n == node {
-			idx = uint16(i)
-			found = true
-			break
-		}
-	}
+	idx, found := h.tab.nodeIdx[node]
 	if !found {
 		h.mu.Unlock()
 		return
 	}
-	offs := make([]uint64, 0, len(h.pat))
-	for _, e := range h.pat {
+	offs := make([]uint64, 0, len(h.tab.pat))
+	for _, e := range h.tab.pat {
 		offs = append(offs, e.slotOff)
 	}
 	h.mu.Unlock()
-	err := h.meta.WithBytesLocal(0, h.meta.Len(), func(b []byte) error {
+	err := h.tab.meta.WithBytesLocal(0, h.tab.meta.Len(), func(b []byte) error {
 		for _, off := range offs {
 			w := binary.LittleEndian.Uint64(b[off:])
 			if plIsX(w) && plOwner(w) == idx {

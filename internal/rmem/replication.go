@@ -1,17 +1,16 @@
 package rmem
 
-import (
-	"polardb/internal/rdma"
-	"polardb/internal/types"
-	"polardb/internal/wire"
-)
+import "polardb/internal/rdma"
 
 // Home-node metadata replication (§5.2): because the home's control
-// metadata (PAT, PIB, PRD) is essential for cross-node consistency, every
-// mutation is mirrored synchronously to a slave home replica. The slave
-// keeps the same page->slab-slot mapping (the data itself lives on slab
-// nodes and survives a home crash), so after Promote the pool's contents
-// are still addressable.
+// metadata (PAT, PIB, PRD) is essential for cross-node consistency, it is
+// one op log. Every mutation is a homeOp that the master applies to its
+// homeTable and mirrors synchronously to a slave home replica, which
+// applies the same op to its own. The slave therefore keeps the same
+// page->slab-slot mapping, metadata slot offsets and node indexes (the
+// data itself lives on slab nodes and survives a home crash), so after
+// Promote the pool's contents are still addressable and PL words written
+// by surviving nodes still name the right owner.
 //
 // Two pieces of state are deliberately NOT replicated:
 //   - PL latch words: latches die with the master; RW-node recovery
@@ -20,77 +19,16 @@ import (
 //     never observes, so the slave marks everything stale at promotion and
 //     database nodes re-validate against storage on first touch.
 
-const (
-	replOpRegister = iota + 1
-	replOpAddRef
-	replOpUnref
-	replOpEvict
-	replOpInvalidate
-	replOpAddSlab
-	replOpFreeSlab
-)
-
-func replHeader(op uint8, page types.PageID) *wire.Writer {
-	w := wire.NewWriter(64)
-	w.U8(op)
-	w.U32(uint32(page.Space))
-	w.U32(uint32(page.No))
-	return w
-}
-
-func replRegister(page types.PageID, slab slabKey, slot int, ref rdma.NodeID) []byte {
-	w := replHeader(replOpRegister, page)
-	w.String(string(slab.node))
-	w.U32(slab.region)
-	w.U32(uint32(slot))
-	w.String(string(ref))
-	return w.Bytes()
-}
-
-func replAddRef(page types.PageID, ref rdma.NodeID) []byte {
-	w := replHeader(replOpAddRef, page)
-	w.String(string(ref))
-	return w.Bytes()
-}
-
-func replUnref(page types.PageID, ref rdma.NodeID) []byte {
-	w := replHeader(replOpUnref, page)
-	w.String(string(ref))
-	return w.Bytes()
-}
-
-func replEvict(page types.PageID) []byte {
-	return replHeader(replOpEvict, page).Bytes()
-}
-
-func replInvalidate(page types.PageID) []byte {
-	return replHeader(replOpInvalidate, page).Bytes()
-}
-
-func replAddSlab(node rdma.NodeID, region uint32, pages int) []byte {
-	w := replHeader(replOpAddSlab, types.PageID{})
-	w.String(string(node))
-	w.U32(region)
-	w.U32(uint32(pages))
-	return w.Bytes()
-}
-
-func replFreeSlab(node rdma.NodeID, region uint32) []byte {
-	w := replHeader(replOpFreeSlab, types.PageID{})
-	w.String(string(node))
-	w.U32(region)
-	return w.Bytes()
-}
-
-// replicate enqueues a metadata mutation for mirroring to the slave home,
-// if configured. The fabric call itself happens on the replication sender
-// goroutine with no Home lock held — the enqueue is what call sites under
-// h.mu perform, so home metadata operations never serialize behind slave
-// fabric latency (and can never deadlock against a slave calling back).
-// Call sites that must not reply before the slave is current follow up
-// with flushReplication once h.mu is released. Queue order is mutation
-// order: every mutating call site enqueues while still holding h.mu.
-func (h *Home) replicate(op []byte) {
+// mutate performs one metadata mutation: it applies op to the table and,
+// if a slave is configured, enqueues the same op for mirroring. Callers
+// hold h.mu, so queue order is mutation order. The fabric call itself
+// happens on the replication sender goroutine with no Home lock held —
+// home metadata operations never serialize behind slave fabric latency
+// (and can never deadlock against a slave calling back). Call sites that
+// must not reply before the slave is current follow up with
+// flushReplication once h.mu is released.
+func (h *Home) mutate(op homeOp) {
+	h.tab.apply(op)
 	h.slaveMu.Lock()
 	slave := h.slave
 	h.slaveMu.Unlock()
@@ -144,14 +82,14 @@ func (h *Home) replSender() {
 // sendReplicate performs the actual mirror call. Failure is tolerated
 // (the slave is then stale; the DBaaS would replace it); the master
 // never blocks on a dead slave beyond the call timeout.
-func (h *Home) sendReplicate(op []byte) {
+func (h *Home) sendReplicate(op homeOp) {
 	h.slaveMu.Lock()
 	slave := h.slave
 	h.slaveMu.Unlock()
 	if slave == "" {
 		return
 	}
-	if _, err := h.ep.CallTimeout(slave, h.cfg.method("repl"), op, h.cfg.InvalidateTimeout); err != nil {
+	if _, err := h.ep.CallTimeout(slave, method("repl"), op.encode(), h.cfg.InvalidateTimeout); err != nil {
 		h.slaveMu.Lock()
 		h.slave = "" // drop the dead slave
 		h.slaveMu.Unlock()
@@ -160,85 +98,12 @@ func (h *Home) sendReplicate(op []byte) {
 
 // handleReplicate applies a mirrored mutation on the slave home.
 func (h *Home) handleReplicate(from rdma.NodeID, req []byte) ([]byte, error) {
-	rd := wire.NewReader(req)
-	op := rd.U8()
-	page := types.PageID{Space: types.SpaceID(rd.U32()), No: types.PageNo(rd.U32())}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	switch op {
-	case replOpRegister:
-		slab := slabKey{node: rdma.NodeID(rd.String()), region: rd.U32()}
-		slot := int(rd.U32())
-		ref := rdma.NodeID(rd.String())
-		if err := rd.Err(); err != nil {
-			return nil, err
-		}
-		if len(h.metaFree) == 0 {
-			return nil, ErrMetaFull
-		}
-		slotOff := h.metaFree[len(h.metaFree)-1]
-		h.metaFree = h.metaFree[:len(h.metaFree)-1]
-		h.pat[page.Key()] = &patEntry{page: page, slab: slab, slot: slot,
-			slotOff: slotOff, refs: map[rdma.NodeID]bool{ref: true}}
-		if sl, ok := h.slabs[slab]; ok {
-			for i, s := range sl.free {
-				if s == slot {
-					sl.free = append(sl.free[:i], sl.free[i+1:]...)
-					break
-				}
-			}
-		}
-		h.meta.MustStore64Local(slotOff, 0)
-		h.meta.MustStore64Local(slotOff+8, pibStale)
-	case replOpAddRef:
-		ref := rdma.NodeID(rd.String())
-		if e, ok := h.pat[page.Key()]; ok {
-			e.refs[ref] = true
-			if e.lruElem != nil {
-				h.lru.Remove(e.lruElem)
-				e.lruElem = nil
-			}
-		}
-	case replOpUnref:
-		ref := rdma.NodeID(rd.String())
-		if e, ok := h.pat[page.Key()]; ok {
-			delete(e.refs, ref)
-			if len(e.refs) == 0 && e.lruElem == nil {
-				e.lruElem = h.lru.PushBack(e)
-			}
-		}
-	case replOpEvict:
-		if e, ok := h.pat[page.Key()]; ok {
-			if e.lruElem != nil {
-				h.lru.Remove(e.lruElem)
-				e.lruElem = nil
-			}
-			delete(h.pat, page.Key())
-			if sl, ok := h.slabs[e.slab]; ok {
-				sl.free = append(sl.free, e.slot)
-			}
-			h.metaFree = append(h.metaFree, e.slotOff)
-		}
-	case replOpInvalidate:
-		if e, ok := h.pat[page.Key()]; ok {
-			h.meta.MustStore64Local(e.slotOff+8, pibStale)
-		}
-	case replOpAddSlab:
-		node := rdma.NodeID(rd.String())
-		region := rd.U32()
-		pages := int(rd.U32())
-		h.addSlabLocked(slabKey{node, region}, pages)
-	case replOpFreeSlab:
-		node := rdma.NodeID(rd.String())
-		region := rd.U32()
-		key := slabKey{node, region}
-		delete(h.slabs, key)
-		for i, sl := range h.slabList {
-			if sl.key == key {
-				h.slabList = append(h.slabList[:i], h.slabList[i+1:]...)
-				break
-			}
-		}
+	op, err := decodeHomeOp(req)
+	if err != nil {
+		return nil, err
 	}
-	return nil, rd.Err()
+	h.mu.Lock()
+	h.tab.apply(op)
+	h.mu.Unlock()
+	return nil, nil
 }

@@ -30,7 +30,7 @@ func TestReplicationStallDoesNotBlockHomeMetadata(t *testing.T) {
 	var stall atomic.Bool
 	release := make(chan struct{})
 	ops := make(chan []byte, 16)
-	slaveEP.RegisterHandler(cfg.method("repl"), func(from rdma.NodeID, req []byte) ([]byte, error) {
+	slaveEP.RegisterHandler(method("repl"), func(from rdma.NodeID, req []byte) ([]byte, error) {
 		ops <- req
 		if stall.Load() {
 			<-release
@@ -44,16 +44,17 @@ func TestReplicationStallDoesNotBlockHomeMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-ops // the AddSlab mirror, sent unstalled
+	rw, err := NewPool(fabric.MustAttach("rw"), cfg, "home")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ops // the hello's node-index mirror
 
 	stall.Store(true)
 	var releaseOnce sync.Once
 	unblock := func() { releaseOnce.Do(func() { close(release) }) }
 	defer unblock()
 
-	rw, err := NewPool(fabric.MustAttach("rw"), cfg, "home")
-	if err != nil {
-		t.Fatal(err)
-	}
 	regDone := make(chan error, 1)
 	go func() {
 		_, err := rw.Register(pid(1))

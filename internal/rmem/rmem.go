@@ -40,14 +40,9 @@ var (
 
 // Config parameterizes a remote memory pool instance.
 type Config struct {
-	// Instance namespaces the pool's RPC methods, so several pools can
-	// share a fabric.
-	Instance string
 	// SlabPages is the number of pages per slab (the paper's slabs are
 	// 1 GB of 16 KB pages; we default to 256 4 KB pages = 1 MB).
 	SlabPages int
-	// MetaSlots caps the number of pages the home can track at once.
-	MetaSlots int
 	// InvalidateTimeout bounds the per-node invalidation fan-out; an RO
 	// that does not respond in time is reported to OnUnresponsive and
 	// kicked out of the reference directory so the invalidation succeeds.
@@ -71,14 +66,8 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.Instance == "" {
-		c.Instance = "pool"
-	}
 	if c.SlabPages == 0 {
 		c.SlabPages = 256
-	}
-	if c.MetaSlots == 0 {
-		c.MetaSlots = 1 << 16
 	}
 	if c.InvalidateTimeout == 0 {
 		c.InvalidateTimeout = time.Second
@@ -94,7 +83,8 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-func (c *Config) method(op string) string { return "rmem." + c.Instance + "." + op }
+// method names one of the pool's RPC methods.
+func method(op string) string { return "rmem.pool." + op }
 
 // Stats is a snapshot of the pool's occupancy, computed on demand by
 // Home.Stats. Event counts live in the home node's metric registry.

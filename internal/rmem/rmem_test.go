@@ -618,6 +618,12 @@ func TestHomeReplicationAndPromotion(t *testing.T) {
 	masterEP.Kill()
 	slave.Promote()
 	rw.SwitchHome("home2")
+	// A node the master never met reaches the promoted home before the
+	// RW's first call there; it must not be given the RW's owner index.
+	late, err := NewPool(fabric.MustAttach("ro"), cfg, "home2")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	res2, err := rw.Register(pid(1))
 	if err != nil {
@@ -641,6 +647,25 @@ func TestHomeReplicationAndPromotion(t *testing.T) {
 	stale, err := rw.PIBStale(res2.PIB)
 	if err != nil || !stale {
 		t.Fatalf("PIB after promotion stale=%v err=%v, want true", stale, err)
+	}
+	// The RW's X word carries the index the master gave it. The promoted
+	// home must resolve that index to the RW, or the revoke goes to the
+	// wrong node and the RO's S latch times out.
+	if err := rw.PL().LockX(pid(1), res2.PL); err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.PL().UnlockX(pid(1), true); err != nil {
+		t.Fatal(err)
+	}
+	lateRes, err := late.Register(pid(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := late.PL().LockS(pid(1), lateRes.PL); err != nil {
+		t.Fatalf("S latch against the RW's sticky X on the promoted home: %v", err)
+	}
+	if err := late.PL().UnlockS(pid(1)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -20,12 +20,12 @@ type ScanEntry struct {
 func (h *Home) Scan() []ScanEntry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]ScanEntry, 0, len(h.pat))
-	for _, e := range h.pat {
-		pib := h.meta.MustLoad64Local(e.slotOff + 8)
+	out := make([]ScanEntry, 0, len(h.tab.pat))
+	for _, e := range h.tab.pat {
+		pib := h.tab.meta.MustLoad64Local(e.slotOff + 8)
 		out = append(out, ScanEntry{
 			Page:  e.page,
-			Data:  rdma.Addr{Node: e.slab.node, Region: e.slab.region, Off: uint64(e.slot) * types.PageSize},
+			Data:  e.slab.addr(e.slot),
 			Stale: pib != pibFresh,
 		})
 	}
@@ -37,7 +37,7 @@ func (h *Home) Scan() []ScanEntry {
 // recovery to purge pages that are stale or ahead of the durable redo.
 func (h *Home) ForceEvict(page types.PageID) {
 	h.mu.Lock()
-	e, ok := h.pat[page.Key()]
+	e, ok := h.tab.pat[page.Key()]
 	if !ok {
 		h.mu.Unlock()
 		return
@@ -46,7 +46,6 @@ func (h *Home) ForceEvict(page types.PageID) {
 	for n := range e.refs {
 		holders = append(holders, n)
 	}
-	e.refs = map[rdma.NodeID]bool{}
 	h.evictLocked(e)
 	h.mu.Unlock()
 	h.flushReplication()
@@ -79,7 +78,7 @@ func (h *Home) handleDropRefs(from rdma.NodeID, req []byte) ([]byte, error) {
 func (p *Pool) DropNodeRefs(node rdma.NodeID) error {
 	w := wire.NewWriter(16)
 	w.String(string(node))
-	_, err := p.ep.Call(p.Home(), p.cfg.method("droprefs"), w.Bytes())
+	_, err := p.ep.Call(p.Home(), method("droprefs"), w.Bytes())
 	return err
 }
 
@@ -112,7 +111,7 @@ func (h *Home) handleForceEvict(from rdma.NodeID, req []byte) ([]byte, error) {
 
 // ScanRemote lists the pool contents from a database node.
 func (p *Pool) ScanRemote() ([]ScanEntry, error) {
-	resp, err := p.ep.Call(p.Home(), p.cfg.method("scan"), nil)
+	resp, err := p.ep.Call(p.Home(), method("scan"), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -129,6 +128,6 @@ func (p *Pool) ScanRemote() ([]ScanEntry, error) {
 
 // ForceEvict purges a page from the pool from a database node.
 func (p *Pool) ForceEvict(page types.PageID) error {
-	_, err := p.ep.Call(p.Home(), p.cfg.method("forceevict"), p.pageReq(page))
+	_, err := p.ep.Call(p.Home(), method("forceevict"), p.pageReq(page))
 	return err
 }

@@ -24,9 +24,9 @@ type SlabNode struct {
 func NewSlabNode(ep *rdma.Endpoint, cfg Config) *SlabNode {
 	cfg.applyDefaults()
 	n := &SlabNode{ep: ep, cfg: cfg, slabs: make(map[uint32]*rdma.Region)}
-	ep.RegisterHandler(cfg.method("slab.create"), n.handleCreate)
-	ep.RegisterHandler(cfg.method("slab.free"), n.handleFree)
-	ep.RegisterHandler(cfg.method("slab.ping"), func(rdma.NodeID, []byte) ([]byte, error) {
+	ep.RegisterHandler(method("slab.create"), n.handleCreate)
+	ep.RegisterHandler(method("slab.free"), n.handleFree)
+	ep.RegisterHandler(method("slab.ping"), func(rdma.NodeID, []byte) ([]byte, error) {
 		return []byte{1}, nil
 	})
 	return n
