@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"polardb/internal/cache"
 	"polardb/internal/types"
@@ -24,6 +25,11 @@ type memStore struct {
 	readOnly bool
 
 	plX, plS atomic.Int64
+
+	fetchNew        atomic.Int64 // FetchNew calls
+	fetchNewWritten atomic.Int64 // ... that named a page the store already held
+
+	onFetch func(types.PageID) // test hook, called before each Fetch
 }
 
 func newMemStore() *memStore {
@@ -31,6 +37,9 @@ func newMemStore() *memStore {
 }
 
 func (s *memStore) Fetch(id types.PageID) (*cache.Frame, error) {
+	if s.onFetch != nil {
+		s.onFetch(id)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, ok := s.frames[id.Key()]
@@ -40,6 +49,19 @@ func (s *memStore) Fetch(id types.PageID) (*cache.Frame, error) {
 	}
 	f.Pin()
 	return f, nil
+}
+
+// FetchNew checks the caller's side of the contract: the page must be one
+// the store has never seen.
+func (s *memStore) FetchNew(id types.PageID) (*cache.Frame, error) {
+	s.fetchNew.Add(1)
+	s.mu.Lock()
+	_, ok := s.frames[id.Key()]
+	s.mu.Unlock()
+	if ok {
+		s.fetchNewWritten.Add(1)
+	}
+	return s.Fetch(id)
 }
 
 func (s *memStore) Unpin(f *cache.Frame)         { f.Unpin() }
@@ -275,6 +297,45 @@ func TestDeleteAllCollapsesTree(t *testing.T) {
 	_ = tr.Scan(0, ^uint64(0), Local, func(KV) bool { count++; return true })
 	if count != 100 {
 		t.Fatalf("count after drain+refill = %d", count)
+	}
+}
+
+// TestAllocFetchNewOnlyBeyondSpaceEnd pins which allocations may skip the
+// read: extending the space asks the store for a new page, exactly once
+// per page number and never for one the store has seen; a page that comes
+// back off the free list was written before and goes through Fetch.
+func TestAllocFetchNewOnlyBeyondSpaceEnd(t *testing.T) {
+	tr, s := newTestTree(t)
+	m := &memMtr{}
+	const n = 2000
+	for k := uint64(0); k < n; k++ {
+		if err := tr.Insert(m, k, val(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	extended := s.fetchNew.Load()
+	s.mu.Lock()
+	pages := int64(len(s.frames))
+	s.mu.Unlock()
+	if extended == 0 || extended != pages-2 { // all but the header and the root
+		t.Fatalf("FetchNew calls = %d with %d pages in the space", extended, pages)
+	}
+	for k := uint64(0); k < n; k++ {
+		if err := tr.Delete(m, k); err != nil {
+			t.Fatalf("delete %d: %v", k, err)
+		}
+	}
+	for k := uint64(0); k < n/2; k++ { // refill from the free list
+		if err := tr.Insert(m, k, val(k)); err != nil {
+			t.Fatalf("reinsert %d: %v", k, err)
+		}
+	}
+	checkTreeInvariants(t, tr)
+	if got := s.fetchNew.Load(); got != extended {
+		t.Fatalf("FetchNew calls grew %d -> %d while the free list had pages", extended, got)
+	}
+	if bad := s.fetchNewWritten.Load(); bad != 0 {
+		t.Fatalf("FetchNew named %d pages that had been written", bad)
 	}
 }
 
@@ -615,6 +676,64 @@ func TestPatchInPlace(t *testing.T) {
 	// Missing key.
 	if err := tr.PatchInPlace(m, 999, func([]byte) (int, []byte, bool) { return 0, nil, true }); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestPatchInPlaceSurvivesSMOBetweenLatches: PatchInPlace finds its leaf
+// under read latches, lets go, and takes the write latch. When the root —
+// still a leaf — splits in that gap, the page it latched is an internal
+// node and it has to descend again; it used to do so with the write latch
+// still held and blocked on the root it had latched itself (the backfill
+// worker hung there, and every writer of the table behind it).
+func TestPatchInPlaceSurvivesSMOBetweenLatches(t *testing.T) {
+	tr, s := newTestTree(t)
+	m := &memMtr{}
+	for k := uint64(0); k < 10; k++ {
+		if err := tr.Insert(m, k*100, val(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root := types.PageID{Space: 1, No: rootPageNo}
+	fetches := 0
+	s.onFetch = func(id types.PageID) {
+		if id != root {
+			return
+		}
+		if fetches++; fetches != 2 { // 1: the descent; 2: the re-fetch for the write latch
+			return
+		}
+		s.onFetch = nil
+		for k := uint64(1); ; k++ {
+			if err := tr.Insert(m, 10000+k, bytes.Repeat([]byte{'s'}, 200)); err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+			f, _ := s.Fetch(root)
+			split := !wrap(f).isLeaf()
+			s.Unpin(f)
+			if split {
+				return
+			}
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- tr.PatchInPlace(m, 300, func(v []byte) (int, []byte, bool) { return 0, []byte("V"), true })
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("PatchInPlace deadlocked after the root split under it")
+	}
+	if v, err := tr.Get(300, Local); err != nil || string(v) != "Value-3" {
+		t.Fatalf("after patch: %q, %v", v, err)
+	}
+	// A key that falls between two leaves is reported missing, not retried.
+	if err := tr.PatchInPlace(m, 950, func([]byte) (int, []byte, bool) { return 0, nil, true }); !errors.Is(err, ErrKeyNotFound) {
+		t.Fatalf("missing key between leaves: err = %v", err)
 	}
 }
 

@@ -52,6 +52,10 @@ type Mtr interface {
 type Store interface {
 	// Fetch returns a pinned frame holding the page's current contents.
 	Fetch(id types.PageID) (*cache.Frame, error)
+	// FetchNew is Fetch for a page number the tree has just taken from
+	// beyond the end of its space: nothing was ever written there, so the
+	// store may hand back a zeroed frame without reading anything.
+	FetchNew(id types.PageID) (*cache.Frame, error)
 	// Unpin releases a fetched frame.
 	Unpin(f *cache.Frame)
 

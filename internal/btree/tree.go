@@ -71,6 +71,7 @@ func (t *Tree) allocPage(m Mtr) (*node, error) {
 	}
 	hdr.f.Latch.Lock()
 	var no types.PageNo
+	fetch := t.store.Fetch
 	if free := types.PageNo(hdr.u32(offFreeHead)); free != 0 {
 		freed, err := t.fetch(free)
 		if err != nil {
@@ -84,13 +85,20 @@ func (t *Tree) allocPage(m Mtr) (*node, error) {
 		t.store.Unpin(freed.f)
 		no = free
 	} else {
+		// Extending the space: nothing was ever written to the page, so
+		// there is nothing to read (a page off the free list was).
 		no = types.PageNo(hdr.u32(offAllocNext))
 		hdr.setU32(offAllocNext, uint32(no)+1)
+		fetch = t.store.FetchNew
 	}
 	hdr.flush(m)
 	hdr.f.Latch.Unlock()
 	t.store.Unpin(hdr.f)
-	return t.fetch(no)
+	f, err := fetch(types.PageID{Space: t.space, No: no})
+	if err != nil {
+		return nil, err
+	}
+	return wrap(f), nil
 }
 
 // freePage returns a page to the space free list. Caller holds its latch.
@@ -143,6 +151,18 @@ func (rc *readCtx) acquire(no types.PageNo) (*node, error) {
 			rc.t.store.Unpin(n.f)
 			return nil, err
 		}
+		// The latch may have been granted only after an SMO on this page
+		// completed, and the copy fetched before the wait predates it:
+		// followed further, it would lead into the post-SMO version of a
+		// child. Fetch again now that no SMO can run on the page.
+		held, err := rc.t.fetch(no)
+		if err != nil {
+			rc.t.store.PLUnlockS(n.f)
+			rc.t.store.Unpin(n.f)
+			return nil, err
+		}
+		rc.t.store.Unpin(n.f)
+		n = held
 	}
 	n.f.Latch.RLock()
 	if rc.mode == Optimistic {
@@ -368,9 +388,24 @@ func (t *Tree) PatchInPlace(m Mtr, key uint64, fn func(val []byte) (off int, dat
 	if t.store.ReadOnly() {
 		return ErrReadOnly
 	}
+	for {
+		done, err := t.patchOnce(m, key, fn)
+		if done || err != nil {
+			return err
+		}
+	}
+}
+
+// patchOnce is one attempt of PatchInPlace: a read-coupled descent that
+// decides whether the key exists, then the write latch on its leaf.
+// done=false means an SMO moved the key between the two latches; every
+// latch is released by then, so the caller can descend again (retrying
+// with the leaf still write-latched would deadlock on that very page
+// when the descent comes back to it, as it does after a root split).
+func (t *Tree) patchOnce(m Mtr, key uint64, fn func(val []byte) (off int, data []byte, ok bool)) (done bool, err error) {
 	cur, err := t.fetch(rootPageNo)
 	if err != nil {
-		return err
+		return true, err
 	}
 	cur.f.Latch.RLock()
 	for !cur.isLeaf() {
@@ -378,7 +413,7 @@ func (t *Tree) PatchInPlace(m Mtr, key uint64, fn func(val []byte) (off int, dat
 		if err != nil {
 			cur.f.Latch.RUnlock()
 			t.store.Unpin(cur.f)
-			return err
+			return true, err
 		}
 		child.f.Latch.RLock()
 		cur.f.Latch.RUnlock()
@@ -386,40 +421,42 @@ func (t *Tree) PatchInPlace(m Mtr, key uint64, fn func(val []byte) (off int, dat
 		cur = child
 	}
 	no := cur.pageNo()
+	_, present := cur.search(key)
 	cur.f.Latch.RUnlock()
 	t.store.Unpin(cur.f)
+	if !present {
+		return true, ErrKeyNotFound
+	}
 
 	leaf, err := t.fetch(no)
 	if err != nil {
-		return err
+		return true, err
 	}
 	leaf.f.Latch.Lock()
 	defer func() {
 		leaf.f.Latch.Unlock()
 		t.store.Unpin(leaf.f)
 	}()
-	if !leaf.isLeaf() || !t.leafCovers(leaf, key) {
-		// The leaf moved under us (SMO between unlatch and relatch); a
-		// coupled pessimistic descent is overkill for a patch — retry.
-		return t.PatchInPlace(m, key, fn)
+	if !leaf.isLeaf() {
+		return false, nil
 	}
 	idx, found := leaf.search(key)
 	if !found {
-		return ErrKeyNotFound
+		return false, nil // moved or deleted since the descent; the next one tells which
 	}
 	v := leaf.value(idx)
 	off, data, ok := fn(v)
 	if !ok {
-		return nil
+		return true, nil
 	}
 	if off < 0 || off+len(data) > len(v) {
-		return fmt.Errorf("btree: patch [%d,%d) outside value of %d bytes", off, off+len(data), len(v))
+		return true, fmt.Errorf("btree: patch [%d,%d) outside value of %d bytes", off, off+len(data), len(v))
 	}
 	copy(v[off:], data)
 	cellOff, _ := leaf.slotCell(idx)
 	leaf.touch(cellOff+off, cellOff+off+len(data))
 	leaf.flush(m)
-	return nil
+	return true, nil
 }
 
 // Insert adds key -> val; ErrKeyExists if present.

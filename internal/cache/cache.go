@@ -56,7 +56,14 @@ type Frame struct {
 	pins    atomic.Int32
 	mtrPins atomic.Int32 // open mini-transactions that applied bytes here
 	dirty   atomic.Bool
-	invalid atomic.Bool // local PIB bit (set by cache-invalidation callback)
+
+	// The local PIB bit is a pair of counts, not a flag: invals counts the
+	// invalidations received, current is the value of invals the contents
+	// were read under. A refresher that cleared a flag after its read would
+	// erase an invalidation that landed in between; publishing the count it
+	// read before the read cannot.
+	invals  atomic.Uint64
+	current atomic.Uint64
 
 	lruElem *list.Element
 	evictin bool // being evicted; not in map anymore
@@ -93,11 +100,21 @@ func (f *Frame) ClearDirty() { f.dirty.Store(false) }
 // Dirty reports whether the frame holds unwritten modifications.
 func (f *Frame) Dirty() bool { return f.dirty.Load() }
 
-// SetInvalid sets the local PIB bit: the cached copy is outdated.
-func (f *Frame) SetInvalid(v bool) { f.invalid.Store(v) }
+// Invalidate sets the local PIB bit: the cached copy is outdated.
+func (f *Frame) Invalidate() { f.invals.Add(1) }
 
-// Invalid reports the local PIB bit.
-func (f *Frame) Invalid() bool { return f.invalid.Load() }
+// Invalidations returns the number of invalidations received so far. A
+// refresher reads it before it probes for the page's newest image and
+// hands it to SetCurrent once the image is in the frame.
+func (f *Frame) Invalidations() uint64 { return f.invals.Load() }
+
+// SetCurrent records that the contents are at least as new as the k-th
+// invalidation. The frame stays invalid if another one has arrived since.
+func (f *Frame) SetCurrent(k uint64) { f.current.Store(k) }
+
+// Invalid reports the local PIB bit: an invalidation arrived that the
+// contents do not yet reflect.
+func (f *Frame) Invalid() bool { return f.current.Load() != f.invals.Load() }
 
 // EvictFn is called (outside cache locks) with a victim frame removed from
 // the cache. It must write back / unregister as needed. The frame is
@@ -278,7 +295,7 @@ func (c *Cache) Invalidate(id types.PageID) bool {
 	if !ok {
 		return false
 	}
-	f.SetInvalid(true)
+	f.Invalidate()
 	return true
 }
 

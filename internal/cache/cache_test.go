@@ -122,6 +122,18 @@ func TestInvalidate(t *testing.T) {
 	if c.Invalidate(pid(9)) {
 		t.Fatal("invalidate hit non-resident frame")
 	}
+	// A refresh that read its image before a second invalidation arrived
+	// must not clear that one too.
+	seen := f.Invalidations()
+	c.Invalidate(pid(1))
+	f.SetCurrent(seen)
+	if !f.Invalid() {
+		t.Fatal("an invalidation that landed during the refresh was lost")
+	}
+	f.SetCurrent(f.Invalidations())
+	if f.Invalid() {
+		t.Fatal("frame still invalid after an undisturbed refresh")
+	}
 }
 
 func TestResizeShrinkEvicts(t *testing.T) {

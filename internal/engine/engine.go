@@ -149,9 +149,14 @@ type Engine struct {
 	undoMu   sync.Mutex
 	undoPage types.PageNo
 	undoOff  uint16
+	// undoExact: no undo record lies past the cursor. True from Bootstrap.
+	// Recover's cursor is the last replayed header write, which a crashed
+	// RW's furthest reservation may have outrun, so the first roll-over
+	// after it still reads its page from storage.
+	undoExact bool
 
 	flightMu sync.Mutex
-	flights  map[uint64]chan struct{}
+	flights  map[uint64]*flight
 
 	treesMu sync.Mutex
 	trees   map[types.SpaceID]*btree.Tree
@@ -187,6 +192,7 @@ type engineMetrics struct {
 	localHit    *stat.Counter // Fetch served from the local cache tier
 	remoteRead  *stat.Counter // pages read from the remote memory tier
 	storageRead *stat.Counter // pages read from PolarFS
+	fresh       *stat.Counter // allocated pages created in memory, no read
 	mtrCommit   *stat.Counter // non-empty mini-transactions committed
 	txnCommit   *stat.Counter // user transactions committed
 	txnAbort    *stat.Counter // user transactions rolled back
@@ -202,6 +208,7 @@ func newEngineMetrics(r *stat.Registry) engineMetrics {
 		localHit:    r.Counter("engine.page.local_hit"),
 		remoteRead:  r.Counter("engine.page.remote_read"),
 		storageRead: r.Counter("engine.page.storage_read"),
+		fresh:       r.Counter("engine.page.fresh"),
 		mtrCommit:   r.Counter("engine.mtr.commit"),
 		txnCommit:   r.Counter("engine.txn.commit"),
 		txnAbort:    r.Counter("engine.txn.abort"),
@@ -252,7 +259,7 @@ func newEngine(deps Deps, cfg Config) *Engine {
 		ep:         deps.EP,
 		pfs:        deps.PFS,
 		pool:       deps.Pool,
-		flights:    make(map[uint64]chan struct{}),
+		flights:    make(map[uint64]*flight),
 		trees:      make(map[types.SpaceID]*btree.Tree),
 		tables:     make(map[string]*Table),
 		active:     make(map[types.TrxID]*Txn),
@@ -267,12 +274,12 @@ func newEngine(deps Deps, cfg Config) *Engine {
 	e.mtrCond = sync.NewCond(&e.mtrMu)
 	e.cache = cache.New(cfg.LocalCachePages, e.onEvict)
 	if e.pool != nil {
-		e.pool.OnInvalidate(func(p types.PageID) { e.cache.Invalidate(p) })
+		e.pool.OnInvalidate(e.onInvalidate)
 		e.pool.OnSlabFailure(func(pages []types.PageID) {
 			for _, p := range pages {
 				if f := e.cache.Get(p); f != nil {
 					f.Remote = cache.RemoteInfo{}
-					f.SetInvalid(true)
+					f.Invalidate()
 					f.Unpin()
 				}
 			}
@@ -350,6 +357,37 @@ func (e *Engine) ScanGuard() func() {
 //
 //polarvet:fabric O(1) the page-fetch path is a bounded number of round trips (register, PIB probe, one-sided page read) regardless of pool size
 func (e *Engine) Fetch(id types.PageID) (*cache.Frame, error) {
+	return e.fetch(id, false)
+}
+
+// FetchNew is Fetch for a page number the caller has just allocated and
+// nothing was ever written to (a tablespace extension, the next undo
+// page): a miss creates the page in memory — registered with the pool,
+// zero-filled, LSN 0 — instead of reading zeroes back from remote memory
+// or storage. The pool slot stays PIB-stale, so whatever image a crashed
+// RW may have left there is never read, and the caller's MTR invalidates
+// the page before another node can learn its number: an RO's first fetch
+// asks this node for a write-back like for any dirty page. A cached page
+// is returned as it is. RW only.
+//
+//polarvet:fabric O(1) at most the page_register round trip; no page image crosses the fabric
+func (e *Engine) FetchNew(id types.PageID) (*cache.Frame, error) {
+	if e.cfg.ReadOnly {
+		return nil, ErrNotRW
+	}
+	return e.fetch(id, true)
+}
+
+// flight is one in-progress fill of a local cache miss. Concurrent
+// fetchers of the page wait on done; invalidated records a
+// cache-invalidation callback that arrived while the frame was not in the
+// cache yet and so had no PIB bit to set.
+type flight struct {
+	done        chan struct{}
+	invalidated bool
+}
+
+func (e *Engine) fetch(id types.PageID, fresh bool) (*cache.Frame, error) {
 	for {
 		if f := e.cache.Get(id); f != nil {
 			if !f.Invalid() {
@@ -367,20 +405,23 @@ func (e *Engine) Fetch(id types.PageID) (*cache.Frame, error) {
 		// resurrect a stale image and lose those writes. Wait it out.
 		e.cache.WaitEvicting(id)
 		e.flightMu.Lock()
-		if ch, ok := e.flights[id.Key()]; ok {
+		if fl, ok := e.flights[id.Key()]; ok {
 			e.flightMu.Unlock()
-			<-ch
+			<-fl.done
 			continue
 		}
-		ch := make(chan struct{})
-		e.flights[id.Key()] = ch
+		fl := &flight{done: make(chan struct{})}
+		e.flights[id.Key()] = fl
 		e.flightMu.Unlock()
 
-		f, err := e.loadFrame(id)
+		f, err := e.loadFrame(id, fresh)
 
 		e.flightMu.Lock()
 		delete(e.flights, id.Key())
-		close(ch)
+		if err == nil && fl.invalidated {
+			f.Invalidate()
+		}
+		close(fl.done)
 		e.flightMu.Unlock()
 		if err != nil {
 			return nil, err
@@ -389,15 +430,28 @@ func (e *Engine) Fetch(id types.PageID) (*cache.Frame, error) {
 	}
 }
 
+// onInvalidate is the cache-invalidation callback (§3.1.4): set the local
+// PIB bit of the cached copy, and of the copy a fill in flight is about to
+// insert — its image may have been read before the invalidation.
+func (e *Engine) onInvalidate(id types.PageID) {
+	e.flightMu.Lock()
+	if fl, ok := e.flights[id.Key()]; ok {
+		fl.invalidated = true
+	}
+	e.flightMu.Unlock()
+	e.cache.Invalidate(id)
+}
+
 // Unpin releases a fetched frame.
 func (e *Engine) Unpin(f *cache.Frame) { f.Unpin() }
 
-// loadFrame fills a fresh frame through the memory hierarchy.
-func (e *Engine) loadFrame(id types.PageID) (*cache.Frame, error) {
+// loadFrame fills a new frame through the memory hierarchy, or, for a
+// fresh page, registers it and leaves the frame zeroed.
+func (e *Engine) loadFrame(id types.PageID, fresh bool) (*cache.Frame, error) {
 	f := &cache.Frame{ID: id, Data: make([]byte, types.PageSize)}
 	fromRemote := false
 	allocated := false
-	guarded := e.scanGuard.Load() > 0
+	guarded := !fresh && e.scanGuard.Load() > 0
 	if e.pool != nil {
 		var res rmem.RegisterResult
 		var err error
@@ -415,7 +469,7 @@ func (e *Engine) loadFrame(id types.PageID) (*cache.Frame, error) {
 		case err == nil:
 			f.Remote = cache.RemoteInfo{Registered: true, Data: res.Data, PL: res.PL, PIB: res.PIB}
 			allocated = !res.Exists
-			if res.Exists {
+			if res.Exists && !fresh {
 				if err := e.readRemoteFresh(f); err == nil {
 					fromRemote = true
 				} else if !errors.Is(err, ErrStalePage) {
@@ -429,9 +483,12 @@ func (e *Engine) loadFrame(id types.PageID) (*cache.Frame, error) {
 			return nil, err
 		}
 	}
-	if fromRemote {
+	switch {
+	case fresh:
+		e.met.fresh.Inc()
+	case fromRemote:
 		e.adoptRemote(f)
-	} else {
+	default:
 		if err := e.fillFromStorage(f); err != nil {
 			if f.Remote.Registered {
 				_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed by DropNodeRefs
@@ -504,13 +561,17 @@ func (e *Engine) requestRWFlush(id types.PageID) (bool, error) {
 	return len(resp) == 1 && resp[0] == 1, nil
 }
 
-// refreshFrame re-reads an invalidated local copy (RO path).
+// refreshFrame re-reads an invalidated local copy (RO path). The
+// invalidation count is read before the PIB probe and published after the
+// read, so an invalidation that lands in between leaves the frame invalid
+// for the next fetch instead of being cleared with the ones it followed.
 func (e *Engine) refreshFrame(f *cache.Frame) error {
 	f.Latch.Lock()
 	defer f.Latch.Unlock()
 	if !f.Invalid() {
 		return nil // refreshed by a concurrent reader
 	}
+	seen := f.Invalidations()
 	if !f.Remote.Registered && e.pool != nil {
 		res, err := e.pool.Register(f.ID)
 		if err == nil {
@@ -520,7 +581,7 @@ func (e *Engine) refreshFrame(f *cache.Frame) error {
 	if f.Remote.Registered {
 		if err := e.readRemoteFresh(f); err == nil {
 			e.adoptRemote(f)
-			f.SetInvalid(false)
+			f.SetCurrent(seen)
 			return nil
 		} else if !errors.Is(err, ErrStalePage) {
 			return err
@@ -529,7 +590,7 @@ func (e *Engine) refreshFrame(f *cache.Frame) error {
 	if err := e.fillFromStorage(f); err != nil {
 		return err
 	}
-	f.SetInvalid(false)
+	f.SetCurrent(seen)
 	return nil
 }
 

@@ -34,6 +34,7 @@ type harnessOpts struct {
 	cachePages int
 	roMode     btree.TraverseMode
 	pageChunks int
+	latency    bool // rdma.DefaultConfig: verbs and storage reads take simulated time
 }
 
 func newHarness(t *testing.T, o harnessOpts) *harness {
@@ -47,7 +48,11 @@ func newHarness(t *testing.T, o harnessOpts) *harness {
 	if o.pageChunks == 0 {
 		o.pageChunks = 2
 	}
-	h := &harness{t: t, fabric: rdma.NewFabric(rdma.TestConfig())}
+	fcfg := rdma.TestConfig()
+	if o.latency {
+		fcfg = rdma.DefaultConfig()
+	}
+	h := &harness{t: t, fabric: rdma.NewFabric(fcfg)}
 	eps := []*rdma.Endpoint{
 		h.fabric.MustAttach("st0"), h.fabric.MustAttach("st1"), h.fabric.MustAttach("st2"),
 	}
@@ -465,23 +470,32 @@ func TestBackfillFillsCTS(t *testing.T) {
 	h := newHarness(t, harnessOpts{})
 	tbl, _ := h.rw.CreateTable("t")
 	mustCommitPut(t, h.rw, tbl, 7, "x")
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		raw, err := tbl.Primary.Get(7, btree.Local)
-		if err != nil {
-			t.Fatal(err)
+	waitBackfilled(t, tbl, []uint64{7})
+}
+
+// waitBackfilled returns once every key's newest record carries its commit
+// timestamp, i.e. the backfill worker has nothing left to do for them.
+func waitBackfilled(t *testing.T, tbl *Table, keys []uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, k := range keys {
+		for {
+			raw, err := tbl.Primary.Get(k, btree.Local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := txn.UnmarshalRecord(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.CTS != 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("cts of key %d never backfilled", k)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		rec, err := txn.UnmarshalRecord(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.CTS != 0 {
-			break // backfilled
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cts never backfilled")
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -501,6 +515,9 @@ func TestPrefetchWarmsLocalCache(t *testing.T) {
 		}
 	}
 	_ = tx.Commit()
+	// The commit-timestamp backfill fetches pages too; let it finish, or
+	// its misses are counted against the reads below.
+	waitBackfilled(t, tbl, keys)
 	// Evict everything local, then prefetch and measure.
 	h.rw.Cache().EvictAll()
 	h.rw.Cache().ResetStats()

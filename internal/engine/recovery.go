@@ -119,7 +119,7 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 	if undoOff < 8 {
 		undoOff = 8
 	}
-	e.undoPage, e.undoOff = undoPg, undoOff
+	e.undoPage, e.undoOff, e.undoExact = undoPg, undoOff, false
 
 	// Unfinished transactions stay in the active set (invisible to every
 	// read view) until their background rollback completes.
@@ -345,6 +345,6 @@ func (e *Engine) SwitchRW(rw rdma.NodeID, ctsRegion uint32) {
 	e.cfg.RWNode = rw
 	e.ctsCli.SetRW(rw, ctsRegion)
 	e.cache.EvictAll()
-	e.cache.ForEach(func(f *cache.Frame) { f.SetInvalid(true) })
+	e.cache.ForEach(func(f *cache.Frame) { f.Invalidate() })
 	e.RefreshCatalog()
 }

@@ -271,7 +271,7 @@ func (e *Engine) Bootstrap() error {
 	if err != nil {
 		return err
 	}
-	e.undoPage, e.undoOff = 1, 8
+	e.undoPage, e.undoOff, e.undoExact = 1, 8, true
 	e.nextTrx.Store(1)
 	e.start()
 	return e.DurableCommit(end)

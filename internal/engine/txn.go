@@ -1,13 +1,11 @@
 package engine
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"polardb/internal/btree"
-	"polardb/internal/polarfs"
 	"polardb/internal/txn"
 	"polardb/internal/types"
 )
@@ -184,36 +182,6 @@ func (e *Engine) readUndoPrev(pg types.PageNo, off uint16) ([]byte, bool, error)
 	}
 	f.Latch.RLock()
 	u, err := txn.UnmarshalUndo(f.Data, int(off))
-	if err == nil && u.Type != txn.UndoInsert && u.Type != txn.UndoUpdate && u.Type != txn.UndoDelete {
-		// Forensics: compare this frame against the storage and remote
-		// copies to find where the zeroed bytes came from.
-		//polarvet:allow errdrop forensic probe on an already-failing path; the caller reports the original corruption error either way
-		sData, sLSN, sExists, _ := e.pfs.GetPage(types.PageID{Space: UndoSpace, No: pg}, polarfs.MaxLSN)
-		sNZ := false
-		if sExists && int(off)+8 <= len(sData) {
-			for _, b := range sData[off : off+8] {
-				if b != 0 {
-					sNZ = true
-				}
-			}
-		}
-		rNZ := false
-		var rHdr uint64
-		if f.Remote.Registered && e.pool != nil {
-			buf := make([]byte, types.PageSize)
-			if e.pool.ReadPage(f.Remote.Data, buf) == nil {
-				rHdr = binary.LittleEndian.Uint64(buf[0:8])
-				for _, b := range buf[off : off+8] {
-					if b != 0 {
-						rNZ = true
-					}
-				}
-			}
-		}
-		err = fmt.Errorf("engine: undo %d/%d type=%d trx=%d pageLSN=%d newest=%d shipped=%d invalid=%v remote=%v storage[lsn=%d nz=%v] remoteCopy[hdr=%d nz=%v]: zeroed or torn undo record",
-			pg, off, u.Type, u.Trx, binary.LittleEndian.Uint64(f.Data[0:8]), f.NewestLSN, f.ShippedLSN, f.Invalid(), f.Remote.Registered,
-			sLSN, sNZ, rHdr, rNZ)
-	}
 	var prev []byte
 	if err == nil && u.Type != txn.UndoInsert {
 		prev = make([]byte, len(u.PrevBytes))
@@ -223,7 +191,7 @@ func (e *Engine) readUndoPrev(pg types.PageNo, off uint16) ([]byte, bool, error)
 	f.Latch.RUnlock()
 	e.Unpin(f)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("engine: undo %d/%d: %w", pg, off, err)
 	}
 	if isInsert {
 		return nil, false, nil
@@ -595,13 +563,18 @@ func (e *Engine) appendUndo(mt *Mtr, u *txn.UndoRec) (types.PageNo, uint16, erro
 		if e.undoOff < 8 {
 			e.undoOff = 8 // bytes [0,8) of every page hold the page LSN
 		}
+		// The one appender that moves the cursor onto a page creates it in
+		// memory: nothing was ever written past the cursor. Everyone else
+		// fetches, and meets that fill in the flights map.
+		fresh := false
 		if int(e.undoOff)+len(enc) > types.PageSize {
 			e.undoPage++
 			e.undoOff = 8
+			fresh, e.undoExact = e.undoExact, true
 		}
 		pg := e.undoPage
 		e.undoMu.Unlock()
-		f, err := e.Fetch(types.PageID{Space: UndoSpace, No: pg})
+		f, err := e.fetch(types.PageID{Space: UndoSpace, No: pg}, fresh)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -9,8 +9,9 @@ import "testing"
 
 // pairingSrc is a fake internal/engine exercising every pairTable shape:
 // a leaked mini-transaction, a leaked pin, a leaked global latch, a leak
-// through an intra-package constructor summary, and a fully-released
-// function using the committed-defer idiom (clean).
+// through an intra-package constructor summary, a fully-released
+// function using the committed-defer idiom (clean), and a leaked pin on
+// a page from FetchNew.
 const pairingSrc = `package engine
 
 type Frame struct{}
@@ -104,6 +105,20 @@ func committedDefer(e *Engine, f *Frame) error {
 	_, err = mt.Commit()
 	return err
 }
+
+func (e *Engine) FetchNew(id uint64) (*Frame, error) { return &Frame{}, nil }
+
+func leakNewPage(e *Engine, bad bool) error {
+	f, err := e.FetchNew(4)
+	if err != nil {
+		return err // clean: nothing was pinned
+	}
+	if bad {
+		return nil // line 103: pin on the allocated page leaked
+	}
+	e.Unpin(f)
+	return nil
+}
 `
 
 func TestPairing(t *testing.T) {
@@ -114,7 +129,8 @@ func TestPairing(t *testing.T) {
 		[3]interface{}{"pairing", "internal/engine/engine.go", 24},
 		[3]interface{}{"pairing", "internal/engine/engine.go", 36},
 		[3]interface{}{"pairing", "internal/engine/engine.go", 47},
-		[3]interface{}{"pairing", "internal/engine/engine.go", 67})
+		[3]interface{}{"pairing", "internal/engine/engine.go", 67},
+		[3]interface{}{"pairing", "internal/engine/engine.go", 103})
 }
 
 // verbDeadlineSrc is a fake internal/cluster: a bare Call, a

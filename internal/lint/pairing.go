@@ -101,6 +101,10 @@ var pairTable = []pairSpec{
 		what: "pinned frame", releases: unpinReleases},
 	{pkg: "internal/btree", recv: "Store", method: "Fetch", id: idResult, guard: guardErr,
 		what: "pinned frame", releases: unpinReleases},
+	{pkg: "internal/engine", recv: "Engine", method: "FetchNew", id: idResult, guard: guardErr,
+		what: "pinned frame", releases: unpinReleases},
+	{pkg: "internal/btree", recv: "Store", method: "FetchNew", id: idResult, guard: guardErr,
+		what: "pinned frame", releases: unpinReleases},
 	{pkg: "internal/cache", recv: "Cache", method: "Get", id: idResult, guard: guardNilResult,
 		what: "pinned frame", releases: unpinReleases},
 	{pkg: "internal/cache", recv: "Frame", method: "Pin", id: idRecv,

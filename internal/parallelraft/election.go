@@ -42,22 +42,7 @@ func (r *Replica) sendHeartbeats() {
 	}
 	term := r.term
 	r.mu.Unlock()
-	req := r.buildAppendReq(nil, term)
-	for _, p := range r.cfg.Peers {
-		if p == r.ep.ID() {
-			continue
-		}
-		peer := p
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			resp, err := r.ep.Call(peer, r.method("append"), req)
-			if err != nil {
-				return
-			}
-			r.processAppendResp(peer, 0, resp)
-		}()
-	}
+	r.sendToPeers(r.buildAppendReq(nil, term), 0)
 }
 
 // processAppendResp handles an append/heartbeat response. idx is the entry
@@ -68,6 +53,7 @@ func (r *Replica) processAppendResp(peer rdma.NodeID, idx uint64, resp []byte) {
 	ack := rd.Bool()
 	_ = rd.U64() // peer maxIndex
 	needed := rd.U64()
+	applied := rd.U64()
 	if rd.Err() != nil {
 		return
 	}
@@ -78,6 +64,9 @@ func (r *Replica) processAppendResp(peer rdma.NodeID, idx uint64, resp []byte) {
 		return
 	}
 	isLeader := r.role == Leader
+	if isLeader {
+		r.notePeerAppliedLocked(peer, applied)
+	}
 	r.mu.Unlock()
 	if !isLeader {
 		return
@@ -88,6 +77,27 @@ func (r *Replica) processAppendResp(peer rdma.NodeID, idx uint64, resp []byte) {
 	if needed != 0 {
 		r.sendCatchup(peer, needed)
 	}
+}
+
+// notePeerAppliedLocked records a peer's applyPrefix and raises truncTo to
+// the lowest prefix over all configured peers. A peer this leader has not
+// heard from counts as 0, so nothing is truncated while a replica is down:
+// the log grows until it is back, and it finds every entry it is missing.
+// Caller holds mu.
+func (r *Replica) notePeerAppliedLocked(peer rdma.NodeID, applied uint64) {
+	if applied > r.peerApplied[peer] {
+		r.peerApplied[peer] = applied
+	}
+	low := r.applyPrefix
+	for _, p := range r.others {
+		if r.peerApplied[p] < low {
+			low = r.peerApplied[p]
+		}
+	}
+	if low > r.truncTo {
+		r.truncTo = low
+	}
+	r.truncateLocked()
 }
 
 // sendCatchup pushes missing entries starting at from to a lagging peer.
@@ -220,14 +230,17 @@ func (r *Replica) startElection() {
 // missing entry from peers; if no replica has it, it was never committed
 // (an entry needs a majority to commit and this leader won a majority-vote
 // with the highest log), so write a no-op in its place. Afterwards all
-// entries up to clusterMax are re-replicated lazily via catch-up.
+// entries up to clusterMax are re-replicated lazily via catch-up. The walk
+// starts above the leader's own applyPrefix: what it has applied it needs
+// from nobody, and below truncTo no peer could serve it any more.
 func (r *Replica) mergeStage(term, clusterMax uint64) {
-	for idx := uint64(1); idx <= clusterMax; idx++ {
+	r.mu.Lock()
+	first := r.applyPrefix + 1
+	r.mu.Unlock()
+	for idx := first; idx <= clusterMax; idx++ {
 		r.mu.Lock()
 		_, have := r.log[idx]
-		if idx <= r.applyPrefix {
-			have = true
-		}
+		have = have || idx <= r.applyPrefix // applied meanwhile, perhaps truncated
 		r.mu.Unlock()
 		if have {
 			continue

@@ -1,34 +1,23 @@
 package parallelraft
 
-import (
-	"polardb/internal/rdma"
-	"polardb/internal/wire"
-)
-
-// newAppendWriter fabricates an append RPC payload for tests; it mirrors
-// buildAppendReq's wire layout.
-func newAppendWriter(term uint64, leader rdma.NodeID, commitPrefix, maxSeen uint64, extra []uint64, e *Entry) []byte {
-	w := wire.NewWriter(256)
-	w.U64(term)
-	w.String(string(leader))
-	w.U64(commitPrefix)
-	w.U64(maxSeen)
-	w.U16(uint16(len(extra)))
-	for _, i := range extra {
-		w.U64(i)
-	}
-	if e != nil {
-		w.Bool(true)
-		e.marshal(w)
-	} else {
-		w.Bool(false)
-	}
-	return w.Bytes()
-}
+import "polardb/internal/wire"
 
 // roundTripEntry marshals e and unmarshals it into out, for tests.
 func roundTripEntry(e, out *Entry) {
 	w := wire.NewWriter(256)
 	e.marshal(w)
 	out.unmarshal(wire.NewReader(w.Bytes()))
+}
+
+// logSpan reports how many entries the replica retains and the lowest
+// index among them (0 when the log is empty), for the truncation tests.
+func (r *Replica) logSpan() (n int, lowest uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.log {
+		if lowest == 0 || i < lowest {
+			lowest = i
+		}
+	}
+	return len(r.log), lowest
 }

@@ -183,9 +183,10 @@ type proposeWaiter struct {
 
 // Replica is one member of a ParallelRaft group.
 type Replica struct {
-	cfg Config
-	ep  *rdma.Endpoint
-	sm  StateMachine
+	cfg    Config
+	ep     *rdma.Endpoint
+	sm     StateMachine
+	others []rdma.NodeID // cfg.Peers without this replica
 
 	mu       sync.Mutex
 	applyMu  sync.Mutex // serializes checkApply scans (not Apply calls themselves)
@@ -202,6 +203,14 @@ type Replica struct {
 	applied      map[uint64]bool
 	applyPrefix  uint64 // all indexes <= this are applied
 
+	// Log truncation. The leader learns each peer's applyPrefix from its
+	// append replies and sends truncTo, the lowest of them, with every
+	// append; each replica then drops what it has applied itself, up to
+	// truncTo less the look-behind window (see truncateLocked).
+	truncTo     uint64                 // every replica has applied all indexes <= this; never decreases
+	logFloor    uint64                 // all indexes <= this have been dropped from log
+	peerApplied map[rdma.NodeID]uint64 // leader only: last applyPrefix each peer reported
+
 	acks    map[uint64]map[rdma.NodeID]bool // leader only
 	waiters map[uint64][]proposeWaiter      // leader only
 
@@ -213,9 +222,10 @@ type Replica struct {
 	wg      sync.WaitGroup
 	rng     *rand.Rand
 
-	metPropose *stat.Counter   // entries proposed on this replica
-	metCommit  *stat.Histogram // propose-to-majority-commit latency
-	metAppend  *stat.Counter   // follower append RPCs served
+	metPropose   *stat.Counter   // entries proposed on this replica
+	metCommit    *stat.Histogram // propose-to-majority-commit latency
+	metAppend    *stat.Counter   // follower append RPCs served
+	metTruncated *stat.Counter   // log entries dropped by truncation
 }
 
 // NewReplica creates a replica attached to ep and starts its timers.
@@ -234,9 +244,17 @@ func NewReplica(ep *rdma.Endpoint, cfg Config, sm StateMachine) *Replica {
 		closeCh:   make(chan struct{}),
 		rng:       rand.New(rand.NewSource(int64(hashNode(ep.ID())))),
 
-		metPropose: ep.Metrics().Counter("raft.propose.ops"),
-		metCommit:  ep.Metrics().Histogram("raft.propose.us"),
-		metAppend:  ep.Metrics().Counter("raft.append.served"),
+		peerApplied: make(map[rdma.NodeID]uint64),
+
+		metPropose:   ep.Metrics().Counter("raft.propose.ops"),
+		metCommit:    ep.Metrics().Histogram("raft.propose.us"),
+		metAppend:    ep.Metrics().Counter("raft.append.served"),
+		metTruncated: ep.Metrics().Counter("raft.log.truncated"),
+	}
+	for _, p := range cfg.Peers {
+		if p != ep.ID() {
+			r.others = append(r.others, p)
+		}
 	}
 	r.inflightCond = sync.NewCond(&r.mu)
 	r.lastHeartbeat = time.Now()
@@ -440,20 +458,29 @@ func (r *Replica) lookBehindLocked(idx uint64) [][]Range {
 // broadcastEntry pushes one entry to every peer (out-of-order: each entry
 // is an independent message; no ordering between broadcasts).
 func (r *Replica) broadcastEntry(e *Entry, term uint64) {
-	req := r.buildAppendReq(e, term)
-	for _, p := range r.cfg.Peers {
-		if p == r.ep.ID() {
-			continue
-		}
-		peer := p
-		r.wg.Add(1)
+	r.sendToPeers(r.buildAppendReq(e, term), e.Index)
+}
+
+// sendToPeers sends one append request to every peer, each from its own
+// goroutine, and hands the replies to processAppendResp. idx is the index
+// of the entry the request carries, 0 for a heartbeat. Once Close has
+// begun nothing is sent: Close waits on wg, which must not grow under it.
+func (r *Replica) sendToPeers(req []byte, idx uint64) {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return
+	}
+	r.wg.Add(len(r.others))
+	r.mu.Unlock()
+	for _, p := range r.others {
 		go func() {
 			defer r.wg.Done()
-			resp, err := r.ep.Call(peer, r.method("append"), req)
+			resp, err := r.ep.Call(p, r.method("append"), req)
 			if err != nil {
 				return
 			}
-			r.processAppendResp(peer, e.Index, resp)
+			r.processAppendResp(p, idx, resp)
 		}()
 	}
 }
@@ -463,13 +490,20 @@ func (r *Replica) buildAppendReq(e *Entry, term uint64) []byte {
 	cp := r.commitPrefix
 	extra := r.committedBeyondPrefixLocked()
 	ms := r.maxSeen
+	tt := r.truncTo
 	r.mu.Unlock()
+	return marshalAppendReq(term, r.ep.ID(), cp, ms, tt, extra, e)
+}
 
+// marshalAppendReq is the append/heartbeat request layout (handleAppend
+// decodes it).
+func marshalAppendReq(term uint64, leader rdma.NodeID, commitPrefix, maxSeen, truncTo uint64, extra []uint64, e *Entry) []byte {
 	w := wire.NewWriter(256)
 	w.U64(term)
-	w.String(string(r.ep.ID()))
-	w.U64(cp)
-	w.U64(ms)
+	w.String(string(leader))
+	w.U64(commitPrefix)
+	w.U64(maxSeen)
+	w.U64(truncTo)
 	w.U16(uint16(len(extra)))
 	for _, i := range extra {
 		w.U64(i)
@@ -501,6 +535,7 @@ func (r *Replica) handleAppend(from rdma.NodeID, req []byte) ([]byte, error) {
 	leaderID := rdma.NodeID(rd.String())
 	leaderCP := rd.U64()
 	leaderMax := rd.U64()
+	leaderTrunc := rd.U64()
 	nExtra := int(rd.U16())
 	extra := make([]uint64, nExtra)
 	for i := range extra {
@@ -531,7 +566,8 @@ func (r *Replica) handleAppend(from rdma.NodeID, req []byte) ([]byte, error) {
 	}
 	ack := false
 	if hasEntry {
-		if existing, ok := r.log[e.Index]; !ok || existing.Term < e.Term {
+		// A late duplicate of a truncated entry is acked but not kept.
+		if existing, ok := r.log[e.Index]; e.Index > r.logFloor && (!ok || existing.Term < e.Term) {
 			r.log[e.Index] = &e
 			if e.Index > r.maxIndex {
 				r.maxIndex = e.Index
@@ -547,10 +583,41 @@ func (r *Replica) handleAppend(from rdma.NodeID, req []byte) ([]byte, error) {
 		r.committed[i] = true
 	}
 	r.rollCommitPrefixLocked()
+	if leaderTrunc > r.truncTo {
+		r.truncTo = leaderTrunc
+	}
+	r.truncateLocked()
 	resp := r.appendRespLocked(ack)
 	r.mu.Unlock()
 	r.checkApply()
 	return resp, nil
+}
+
+// truncateLocked drops the log entries nobody can ask for again: every
+// replica has applied the indexes up to truncTo, and catch-up, fetch and
+// the merge stage only ever ask above the asker's applyPrefix. What is
+// still read below an apply prefix is the look-behind buffer of the next
+// proposal, Window entries back, so that margin stays. The replica's own
+// applyPrefix bounds the range as well: whatever a leader sends, a replica
+// never drops an entry it has yet to apply. Caller holds mu.
+func (r *Replica) truncateLocked() {
+	limit := r.truncTo
+	if r.applyPrefix < limit {
+		limit = r.applyPrefix
+	}
+	if limit <= r.logFloor+uint64(r.cfg.Window) {
+		return
+	}
+	limit -= uint64(r.cfg.Window)
+	dropped := uint64(0)
+	for i := r.logFloor + 1; i <= limit; i++ {
+		if _, ok := r.log[i]; ok {
+			delete(r.log, i)
+			dropped++
+		}
+	}
+	r.logFloor = limit
+	r.metTruncated.Add(dropped)
 }
 
 // advanceCommitTo marks all entries up to cp committed. Caller holds mu.
@@ -575,6 +642,7 @@ func (r *Replica) appendRespLocked(ack bool) []byte {
 	w.Bool(ack)
 	w.U64(r.maxIndex)
 	w.U64(r.neededIndexLocked())
+	w.U64(r.applyPrefix)
 	return w.Bytes()
 }
 

@@ -325,10 +325,9 @@ func TestConflictingEntriesApplyInOrder(t *testing.T) {
 	_ = fr
 }
 
-// buildTestAppend fabricates an append RPC payload (mirrors buildAppendReq).
+// buildTestAppend fabricates an append RPC payload that truncates nothing.
 func buildTestAppend(term uint64, leader rdma.NodeID, commitPrefix, maxSeen uint64, extra []uint64, e *Entry) []byte {
-	w := newAppendWriter(term, leader, commitPrefix, maxSeen, extra, e)
-	return w
+	return marshalAppendReq(term, leader, commitPrefix, maxSeen, 0, extra, e)
 }
 
 func TestConcurrentProposals(t *testing.T) {

@@ -137,6 +137,11 @@ func UnmarshalUndo(page []byte, off int) (UndoRec, error) {
 		PrevTxnPg:  types.PageNo(getU32(page[off+21:])),
 		PrevTxnOff: getU16(page[off+25:]),
 	}
+	if u.Type < UndoUpdate || u.Type > UndoDelete {
+		// A zeroed slot decodes as type 0: the page image is older than the
+		// record that points into it.
+		return UndoRec{}, fmt.Errorf("%w: undo type %d at %d", ErrBadRecord, u.Type, off)
+	}
 	n := int(getU16(page[off+27:]))
 	if off+undoHeaderSize+n > len(page) {
 		return UndoRec{}, fmt.Errorf("%w: undo body at %d len %d", ErrBadRecord, off, n)

@@ -80,6 +80,11 @@ func TestUndoCorrupt(t *testing.T) {
 	if _, err := UnmarshalUndo(page, 60); !errors.Is(err, ErrBadRecord) {
 		t.Fatalf("err = %v", err)
 	}
+	// A zeroed slot (an undo page older than its pointer) is an error, not
+	// an update record with an empty previous version.
+	if _, err := UnmarshalUndo(page, 8); !errors.Is(err, ErrBadRecord) {
+		t.Fatalf("zeroed record: err = %v", err)
+	}
 }
 
 // Property: record and undo encodings round-trip arbitrary payloads.
