@@ -6,21 +6,17 @@
 //
 //	go run ./cmd/polarvet ./...
 //	go run ./cmd/polarvet ./internal/engine ./internal/cluster/...
-//	go run ./cmd/polarvet -json findings.json ./...
-//	go run ./cmd/polarvet -github -lockgraph lockgraph.dot ./...
-//	go run ./cmd/polarvet -fabricreport fabric.json -fabricgraph fabric.dot ./...
+//	go run ./cmd/polarvet -github -json polarvet.json ./...
 //
 // Exit status: 0 clean, 1 findings, 2 load/usage failure. -json FILE
-// writes findings as a JSON array (machine-readable, stable order; "-"
-// means stdout); -github prints GitHub Actions workflow annotations so
-// findings appear inline on pull-request diffs; -lockgraph FILE dumps
-// the module's lock classes and observed acquisition orderings as
-// Graphviz DOT ("-" means stdout); -fabricreport FILE dumps every
-// fabric-issuing function's round-trip cost summary (verbs, loop
-// multiplicity, declared budget) as JSON, and -fabricgraph FILE the
-// same call graph as Graphviz DOT. All requested outputs are written
-// before the process exits, findings or not. Suppress an individual
-// finding with an adjacent
+// writes the run's whole report as one JSON object ("-" means stdout):
+// the findings (stable order), the module's lock classes and observed
+// acquisition orderings, and every fabric-issuing function's round-trip
+// cost summary (verbs, loop multiplicity, witness path, declared budget)
+// — all views of the one solve the findings came from. -github prints
+// GitHub Actions workflow annotations so findings appear inline on
+// pull-request diffs. The report is written before the process exits,
+// findings or not. Suppress an individual finding with an adjacent
 //
 //	//polarvet:allow <analyzer> <reason>
 //
@@ -49,14 +45,18 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
+// jsonReport is everything one run knows, as written by -json.
+type jsonReport struct {
+	Findings  []jsonFinding         `json:"findings"`
+	LockGraph *lint.LockGraph       `json:"lockgraph"`
+	Fabric    []lint.FabricFuncCost `json:"fabric"`
+}
+
 func main() {
 	root := flag.String("C", ".", "module root (directory containing go.mod)")
 	only := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default all)")
-	jsonOut := flag.String("json", "", "write findings as a JSON array to `file` (\"-\" = stdout)")
+	jsonOut := flag.String("json", "", "write findings, lock graph and fabric-cost table as one JSON object to `file` (\"-\" = stdout)")
 	asGitHub := flag.Bool("github", false, "print findings as GitHub Actions annotations")
-	lockgraph := flag.String("lockgraph", "", "write the lock acquisition-order graph as Graphviz DOT to `file` (\"-\" = stdout)")
-	fabricreport := flag.String("fabricreport", "", "write per-function fabric-cost summaries as JSON to `file` (\"-\" = stdout)")
-	fabricgraph := flag.String("fabricgraph", "", "write the fabric-cost call graph as Graphviz DOT to `file` (\"-\" = stdout)")
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -65,8 +65,7 @@ func main() {
 
 	mod, err := lint.LoadModule(*root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "polarvet:", err)
-		os.Exit(2)
+		fatal(err)
 	}
 	analyzers := lint.Analyzers()
 	if *only != "" {
@@ -82,78 +81,35 @@ func main() {
 			}
 		}
 		if len(want) > 0 || len(sel) == 0 {
-			fmt.Fprintf(os.Stderr, "polarvet: unknown analyzers in -analyzers=%s\n", *only)
-			os.Exit(2)
+			fatal(fmt.Errorf("unknown analyzers in -analyzers=%s", *only))
 		}
 		analyzers = sel
 	}
-	findings, err := lint.Run(mod, patterns, analyzers)
+	res, err := lint.Run(mod, patterns, analyzers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "polarvet:", err)
-		os.Exit(2)
+		fatal(err)
 	}
+	findings := res.Findings
 
-	absRoot, err := filepath.Abs(*root)
-	if err != nil {
-		absRoot = *root
-	}
-
-	// Requested outputs are written before the findings-driven exit so a
-	// failing CI run still produces its artifacts.
-	if *lockgraph != "" {
-		g, err := lint.BuildLockGraph(mod, patterns)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "polarvet:", err)
-			os.Exit(2)
-		}
-		if err := writeOutput(*lockgraph, []byte(g.DOT())); err != nil {
-			fmt.Fprintln(os.Stderr, "polarvet:", err)
-			os.Exit(2)
-		}
-	}
-	if *fabricreport != "" || *fabricgraph != "" {
-		rep, err := lint.BuildFabricReport(mod, patterns)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "polarvet:", err)
-			os.Exit(2)
-		}
-		if *fabricreport != "" {
-			buf, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "polarvet:", err)
-				os.Exit(2)
-			}
-			if err := writeOutput(*fabricreport, append(buf, '\n')); err != nil {
-				fmt.Fprintln(os.Stderr, "polarvet:", err)
-				os.Exit(2)
-			}
-		}
-		if *fabricgraph != "" {
-			if err := writeOutput(*fabricgraph, []byte(rep.DOT())); err != nil {
-				fmt.Fprintln(os.Stderr, "polarvet:", err)
-				os.Exit(2)
-			}
-		}
-	}
+	// The report is written before the findings-driven exit so a failing
+	// CI run still produces its artifact.
 	if *jsonOut != "" {
-		out := make([]jsonFinding, 0, len(findings))
+		rep := jsonReport{Findings: []jsonFinding{}, LockGraph: res.LockGraph(), Fabric: res.FabricReport()}
 		for _, f := range findings {
-			out = append(out, jsonFinding{
+			rep.Findings = append(rep.Findings, jsonFinding{
 				Analyzer: f.Analyzer,
-				File:     relToRoot(absRoot, f.Pos.Filename),
+				File:     relToRoot(mod.Root, f.Pos.Filename),
 				Line:     f.Pos.Line,
 				Column:   f.Pos.Column,
 				Message:  f.Message,
 			})
 		}
-		buf, err := json.MarshalIndent(out, "", "  ")
+		buf, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "polarvet:", err)
-			os.Exit(2)
+			fatal(err)
 		}
 		if err := writeOutput(*jsonOut, append(buf, '\n')); err != nil {
-			fmt.Fprintln(os.Stderr, "polarvet:", err)
-			os.Exit(2)
+			fatal(err)
 		}
 	}
 	switch {
@@ -162,7 +118,7 @@ func main() {
 			// https://docs.github.com/actions/reference/workflow-commands:
 			// newlines and a few metacharacters must be percent-escaped.
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=polarvet %s::%s\n",
-				relToRoot(absRoot, f.Pos.Filename), f.Pos.Line, f.Pos.Column,
+				relToRoot(mod.Root, f.Pos.Filename), f.Pos.Line, f.Pos.Column,
 				f.Analyzer, githubEscape(f.Message))
 		}
 	case *jsonOut != "":
@@ -177,6 +133,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "polarvet: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
+}
+
+// fatal reports a load or usage failure and exits with status 2.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "polarvet:", err)
+	os.Exit(2)
 }
 
 // writeOutput writes data to the named file, or stdout for "-".

@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"polardb/internal/lint"
@@ -86,6 +87,17 @@ func TestObservabilityDocDrift(t *testing.T) {
 	}
 }
 
+// lintResult loads and solves the module once for both lint-backed tests
+// below; neither needs an analyzer's findings, only the solved program's
+// lock graph and cost table.
+var lintResult = sync.OnceValues(func() (*lint.Result, error) {
+	mod, err := lint.LoadModule(".")
+	if err != nil {
+		return nil, err
+	}
+	return lint.Run(mod, []string{"./..."}, nil)
+})
+
 // lockClassRow matches one row of DESIGN.md's lock-class table: the
 // backticked class name and the fabric-tolerant cell.
 var lockClassRow = regexp.MustCompile("(?m)^\\| `([^`]+)` \\| ([^|]*)\\|")
@@ -123,14 +135,11 @@ func TestLockClassesDocDrift(t *testing.T) {
 		t.Fatal("no lock classes found in DESIGN.md's table")
 	}
 
-	mod, err := lint.LoadModule(".")
+	res, err := lintResult()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := lint.BuildLockGraph(mod, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := res.LockGraph()
 	known := map[string]bool{}
 	for _, c := range g.Classes {
 		known[c] = true
@@ -188,16 +197,12 @@ func TestFabricBudgetsDocDrift(t *testing.T) {
 		t.Fatal("no fabric budgets found in DESIGN.md's table")
 	}
 
-	mod, err := lint.LoadModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := lint.BuildFabricReport(mod, []string{"./..."})
+	res, err := lintResult()
 	if err != nil {
 		t.Fatal(err)
 	}
 	declared := map[string]string{}
-	for _, f := range rep.Functions {
+	for _, f := range res.FabricReport() {
 		if f.Budget != "" {
 			declared[f.Function] = f.Budget
 		}

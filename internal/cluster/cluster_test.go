@@ -123,6 +123,52 @@ func TestScanThroughProxy(t *testing.T) {
 	}
 }
 
+// TestAutocommitReadOnRWReleasesView: with no read replica, autocommit
+// reads are served by the RW, where BeginRO registers its view for the
+// purge horizon. The session must finish that read-only transaction, or
+// the horizon stays pinned at the first read and nothing deleted after
+// it is ever purged.
+func TestAutocommitReadOnRWReleasesView(t *testing.T) {
+	cfg := testConfig()
+	cfg.RONodes = 0
+	c := launch(t, cfg)
+	tbl, err := c.RW.Engine.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.Proxy.Connect()
+	defer s.Close()
+	if err := s.Exec("t", OpPut, 1, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get("t", 1); err != nil || !ok {
+		t.Fatalf("get: %v %v", ok, err)
+	}
+	if err := s.Scan("t", 0, 10, func(uint64, []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Exec("t", OpDelete, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	// The tombstone becomes purgeable once its commit timestamp is
+	// backfilled (asynchronously) — unless a leaked view holds the
+	// horizon below it.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		purged, err := c.RW.Engine.PurgeTombstones(tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if purged == 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("purged %d tombstones, want 1: an autocommit read's view still pins the purge horizon", purged)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 func TestUnplannedFailoverViaHeartbeat(t *testing.T) {
 	c := launch(t, testConfig())
 	if _, err := c.RW.Engine.CreateTable("t"); err != nil {

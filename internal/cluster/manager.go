@@ -84,7 +84,9 @@ func (m *Manager) heartbeatLoop(stop chan struct{}) {
 		if rw == nil {
 			continue
 		}
-		//polarvet:allow fabriccost the heartbeat must exercise the RW's RPC dispatch loop to prove liveness; a one-sided read would succeed against a wedged process
+		// An RPC on purpose: the heartbeat must exercise the RW's dispatch
+		// loop to prove liveness; a one-sided read would succeed against a
+		// wedged process.
 		_, err := ep.CallTimeout(rw.ID, "cm.ping", nil, m.c.cfg.HeartbeatInterval)
 		if err != nil {
 			misses++

@@ -185,12 +185,34 @@ func (s *Session) txOrErr() (*engine.Txn, error) {
 
 // txOpen reports whether the session has (or has lost) an open
 // transaction, i.e. whether the next statement belongs on the RW under
-// the gate rather than the autocommit path. Callers re-check under the
-// gate: a failover may rebind the session between peek and gate.
+// the gate rather than the autocommit path.
 func (s *Session) txOpen() bool {
 	s.txMu.Lock()
 	defer s.txMu.Unlock()
 	return s.tx != nil || s.txLost
+}
+
+// openTxn enters the open transaction for one statement: it returns the
+// transaction and the RW engine it runs on with the switchover gate
+// read-held, and the caller releases the gate when the statement is done.
+// With no transaction open it returns nil and holds nothing — the
+// statement belongs on the autocommit path. The transaction is re-read
+// under the gate: a failover may have held it and rebound, or lost, the
+// session's transaction since the peek.
+func (s *Session) openTxn() (*engine.Txn, *engine.Engine, error) {
+	if !s.txOpen() {
+		return nil, nil, nil
+	}
+	s.p.gate.RLock()
+	tx, err := s.txOrErr()
+	if err == nil && tx == nil {
+		err = ErrTxnLost
+	}
+	if err != nil {
+		s.p.gate.RUnlock()
+		return nil, nil, err
+	}
+	return tx, s.p.rwNode().Engine, nil
 }
 
 // clearTx resets the transaction state (commit/rollback epilogue).
@@ -207,21 +229,13 @@ func (s *Session) clearTx() {
 func (s *Session) Exec(table string, op WriteOp, key uint64, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tx, err := s.txOrErr()
+	tx, e, err := s.openTxn()
 	if err != nil {
 		return err
 	}
 	if tx != nil {
-		s.p.gate.RLock()
 		defer s.p.gate.RUnlock()
-		tx, err = s.txOrErr() // the gate may have been held by a failover
-		if err != nil {
-			return err
-		}
-		if tx == nil {
-			return ErrTxnLost
-		}
-		tbl, err := s.p.rwNode().Engine.OpenTable(table)
+		tbl, err := e.OpenTable(table)
 		if err != nil {
 			return err
 		}
@@ -295,17 +309,13 @@ func (s *Session) ExecIndex(table, index string, op WriteOp, key uint64, value [
 			return tx.InsertIndex(ix, key, value)
 		}
 	}
-	if s.txOpen() {
-		s.p.gate.RLock()
+	tx, e, err := s.openTxn()
+	if err != nil {
+		return err
+	}
+	if tx != nil {
 		defer s.p.gate.RUnlock()
-		tx, err := s.txOrErr()
-		if err != nil {
-			return err
-		}
-		if tx == nil {
-			return ErrTxnLost
-		}
-		if err := apply(tx, s.p.rwNode().Engine); err != nil {
+		if err := apply(tx, e); err != nil {
 			return err
 		}
 		s.savepoint++
@@ -340,25 +350,15 @@ func (s *Session) ScanIndex(table, index string, from, to uint64, fn func(key ui
 		}
 		return tx.ScanTree(ix.Tree, from, to, fn)
 	}
-	if s.txOpen() {
-		s.p.gate.RLock()
-		defer s.p.gate.RUnlock()
-		tx, err := s.txOrErr()
-		if err != nil {
-			return err
-		}
-		if tx == nil {
-			return ErrTxnLost
-		}
-		return scan(tx, s.p.rwNode().Engine)
+	tx, e, err := s.openTxn()
+	if err != nil {
+		return err
 	}
-	return s.readAuto(func(e *engine.Engine) error {
-		ro, err := e.BeginRO()
-		if err != nil {
-			return err
-		}
-		return scan(ro, e)
-	})
+	if tx != nil {
+		defer s.p.gate.RUnlock()
+		return scan(tx, e)
+	}
+	return s.readAuto(scan)
 }
 
 // Get reads a key: from the open transaction's snapshot if any, otherwise
@@ -366,17 +366,13 @@ func (s *Session) ScanIndex(table, index string, from, to uint64, fn func(key ui
 func (s *Session) Get(table string, key uint64) ([]byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.txOpen() {
-		s.p.gate.RLock()
+	tx, e, err := s.openTxn()
+	if err != nil {
+		return nil, false, err
+	}
+	if tx != nil {
 		defer s.p.gate.RUnlock()
-		tx, err := s.txOrErr() // re-read: a failover may have rebound us
-		if err != nil {
-			return nil, false, err
-		}
-		if tx == nil {
-			return nil, false, ErrTxnLost
-		}
-		tbl, err := s.p.rwNode().Engine.OpenTable(table)
+		tbl, err := e.OpenTable(table)
 		if err != nil {
 			return nil, false, err
 		}
@@ -384,12 +380,8 @@ func (s *Session) Get(table string, key uint64) ([]byte, bool, error) {
 	}
 	var val []byte
 	var ok bool
-	err := s.readAuto(func(e *engine.Engine) error {
+	err = s.readAuto(func(ro *engine.Txn, e *engine.Engine) error {
 		tbl, err := e.OpenTable(table)
-		if err != nil {
-			return err
-		}
-		ro, err := e.BeginRO()
 		if err != nil {
 			return err
 		}
@@ -403,28 +395,20 @@ func (s *Session) Get(table string, key uint64) ([]byte, bool, error) {
 func (s *Session) Scan(table string, from, to uint64, fn func(key uint64, val []byte) bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.txOpen() {
-		s.p.gate.RLock()
+	tx, e, err := s.openTxn()
+	if err != nil {
+		return err
+	}
+	if tx != nil {
 		defer s.p.gate.RUnlock()
-		tx, err := s.txOrErr()
-		if err != nil {
-			return err
-		}
-		if tx == nil {
-			return ErrTxnLost
-		}
-		tbl, err := s.p.rwNode().Engine.OpenTable(table)
+		tbl, err := e.OpenTable(table)
 		if err != nil {
 			return err
 		}
 		return tx.Scan(tbl, from, to, fn)
 	}
-	return s.readAuto(func(e *engine.Engine) error {
+	return s.readAuto(func(ro *engine.Txn, e *engine.Engine) error {
 		tbl, err := e.OpenTable(table)
-		if err != nil {
-			return err
-		}
-		ro, err := e.BeginRO()
 		if err != nil {
 			return err
 		}
@@ -432,13 +416,20 @@ func (s *Session) Scan(table string, from, to uint64, fn func(key uint64, val []
 	})
 }
 
-// readAuto routes an autocommit read to a reader node with retry.
-func (s *Session) readAuto(fn func(*engine.Engine) error) error {
+// readAuto routes an autocommit read to a reader node with retry. Each
+// attempt runs fn in a read-only transaction of its own and finishes it:
+// when the reader is the RW node, an unfinished view stays registered and
+// pins the purge horizon at its timestamp.
+func (s *Session) readAuto(fn func(ro *engine.Txn, e *engine.Engine) error) error {
 	b := retry.NewBackoff(5*time.Millisecond, retryWindow)
 	for {
 		s.p.gate.RLock()
-		node := s.p.pickReader()
-		err := fn(node.Engine)
+		e := s.p.pickReader().Engine
+		ro, err := e.BeginRO()
+		if err == nil {
+			err = fn(ro, e)
+			_ = ro.Commit() // a read-only commit only drops the view; it cannot fail
+		}
 		s.p.gate.RUnlock()
 		if err == nil {
 			return err

@@ -57,6 +57,7 @@ func (e *Engine) Prefetch(tree *btree.Tree, keys []uint64) *PrefetchHandle {
 				i := 0
 				for i < len(keys) {
 					k := keys[i]
+					//polarvet:allow verbdeadline structurally bounded: i advances on every iteration, so the loop ends after at most len(keys) leaf fetches, each of which fails fast on a dead node
 					last, ok, err := tree.LeafCoverage(k, mode)
 					if err != nil || !ok {
 						last = k

@@ -108,6 +108,13 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 	maxTrx := txn.MaxTrxID(hdrPage.Data)
 	watermark := txn.CTSWatermark(hdrPage.Data)
 	undoPg, undoOff := txn.UndoAlloc(hdrPage.Data)
+	slotByTrx := make(map[types.TrxID]int)
+	for i := 0; i < txn.SlotCount(); i++ {
+		s := txn.UnmarshalSlot(hdrPage.Data, i)
+		if s.State == txn.SlotActive || s.State == txn.SlotAborting {
+			slotByTrx[s.Trx] = i
+		}
+	}
 	hdrPage.Latch.RUnlock()
 	e.Unpin(hdrPage)
 
@@ -123,21 +130,6 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 
 	// Unfinished transactions stay in the active set (invisible to every
 	// read view) until their background rollback completes.
-	slotByTrx := make(map[types.TrxID]int)
-	hdr2, err := e.Fetch(types.PageID{Space: UndoSpace, No: 0})
-	if err != nil {
-		return err
-	}
-	hdr2.Latch.RLock()
-	for i := 0; i < txn.SlotCount(); i++ {
-		s := txn.UnmarshalSlot(hdr2.Data, i)
-		if s.State == txn.SlotActive || s.State == txn.SlotAborting {
-			slotByTrx[s.Trx] = i
-		}
-	}
-	hdr2.Latch.RUnlock()
-	e.Unpin(hdr2)
-
 	e.activeMu.Lock()
 	for _, u := range unfinished {
 		e.active[u.Trx] = &Txn{e: e, id: u.Trx}
@@ -191,14 +183,7 @@ func (e *Engine) adoptUnfinished(unfinished []txn.TxnSlot, slotByTrx map[types.T
 		// Walk the undo chain to rediscover what the txn touched.
 		pg, off := u.LastUndoPage, u.LastUndoOff
 		for pg != 0 {
-			f, err := e.Fetch(types.PageID{Space: UndoSpace, No: pg}) //polarvet:allow verbdeadline undo chain walk is bounded by the dead transaction's write count, not a retry
-			if err != nil {
-				return err
-			}
-			f.Latch.RLock()
-			ur, err := txn.UnmarshalUndo(f.Data, int(off))
-			f.Latch.RUnlock()
-			e.Unpin(f)
+			ur, err := e.readUndo(pg, off) //polarvet:allow verbdeadline undo chain walk is bounded by the dead transaction's write count, not a retry
 			if err != nil {
 				return err
 			}

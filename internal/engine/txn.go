@@ -158,14 +158,14 @@ func (t *Txn) resolveVersion(raw []byte) ([]byte, bool, error) {
 		if rec.UndoPage == 0 {
 			return nil, false, nil // created after the snapshot
 		}
-		prev, prevOK, err := t.e.readUndoPrev(rec.UndoPage, rec.UndoOff)
+		u, err := t.e.readUndo(rec.UndoPage, rec.UndoOff)
 		if err != nil {
 			return nil, false, err
 		}
-		if !prevOK {
-			return nil, false, nil // UndoInsert: record did not exist before
+		if u.Type == txn.UndoInsert {
+			return nil, false, nil // the record did not exist before
 		}
-		rec, err = txn.UnmarshalRecord(prev)
+		rec, err = txn.UnmarshalRecord(u.PrevBytes)
 		if err != nil {
 			return nil, false, err
 		}
@@ -173,30 +173,23 @@ func (t *Txn) resolveVersion(raw []byte) ([]byte, bool, error) {
 	return nil, false, fmt.Errorf("engine: version chain too deep")
 }
 
-// readUndoPrev loads the previous version bytes from an undo record.
-// ok=false means the undo record is an insert marker (no previous version).
-func (e *Engine) readUndoPrev(pg types.PageNo, off uint16) ([]byte, bool, error) {
+// readUndo loads one undo record. PrevBytes (the previous version; empty
+// for an insert marker) is copied out under the page latch, so the record
+// stays valid once the frame is unpinned.
+func (e *Engine) readUndo(pg types.PageNo, off uint16) (txn.UndoRec, error) {
 	f, err := e.Fetch(types.PageID{Space: UndoSpace, No: pg})
 	if err != nil {
-		return nil, false, err
+		return txn.UndoRec{}, err
 	}
 	f.Latch.RLock()
 	u, err := txn.UnmarshalUndo(f.Data, int(off))
-	var prev []byte
-	if err == nil && u.Type != txn.UndoInsert {
-		prev = make([]byte, len(u.PrevBytes))
-		copy(prev, u.PrevBytes)
-	}
-	isInsert := err == nil && u.Type == txn.UndoInsert
+	u.PrevBytes = append([]byte(nil), u.PrevBytes...)
 	f.Latch.RUnlock()
 	e.Unpin(f)
 	if err != nil {
-		return nil, false, fmt.Errorf("engine: undo %d/%d: %w", pg, off, err)
+		return txn.UndoRec{}, fmt.Errorf("engine: undo %d/%d: %w", pg, off, err)
 	}
-	if isInsert {
-		return nil, false, nil
-	}
-	return prev, true, nil
+	return u, nil
 }
 
 // Scan streams visible records with from <= key < to in key order.
@@ -475,26 +468,14 @@ func (e *Engine) rollbackChain(id types.TrxID, pg types.PageNo, off uint16, slot
 	// to an older one, so the chain length is the number of writes the
 	// transaction made, not a retry.
 	for pg != 0 {
-		f, err := e.Fetch(types.PageID{Space: UndoSpace, No: pg}) //polarvet:allow verbdeadline undo chain walk is bounded by the transaction's own write count, not a retry
-		if err != nil {
-			return err
-		}
-		f.Latch.RLock()
-		u, err := txn.UnmarshalUndo(f.Data, int(off))
-		var prevBytes []byte
-		if err == nil {
-			prevBytes = make([]byte, len(u.PrevBytes))
-			copy(prevBytes, u.PrevBytes)
-		}
-		f.Latch.RUnlock()
-		e.Unpin(f)
+		u, err := e.readUndo(pg, off) //polarvet:allow verbdeadline undo chain walk is bounded by the transaction's own write count, not a retry
 		if err != nil {
 			return err
 		}
 		if u.Trx != id {
 			return fmt.Errorf("engine: undo chain of %d reached record of %d", id, u.Trx)
 		}
-		if err := e.rollbackOne(&u, prevBytes); err != nil { //polarvet:allow verbdeadline undo chain walk is bounded by the transaction's own write count, not a retry
+		if err := e.rollbackOne(&u); err != nil { //polarvet:allow verbdeadline undo chain walk is bounded by the transaction's own write count, not a retry
 			return err
 		}
 		pg, off = u.PrevTxnPg, u.PrevTxnOff
@@ -516,7 +497,7 @@ func (e *Engine) rollbackChain(id types.TrxID, pg types.PageNo, off uint16, slot
 // under its own mini-transaction. The commit must happen on every path
 // — an abandoned mtr would keep its pins and deferred PL latches
 // forever — so error returns publish whatever was logged first.
-func (e *Engine) rollbackOne(u *txn.UndoRec, prevBytes []byte) error {
+func (e *Engine) rollbackOne(u *txn.UndoRec) error {
 	tree := e.tree(u.Space)
 	mt := e.BeginMtr()
 	committed := false
@@ -531,7 +512,7 @@ func (e *Engine) rollbackOne(u *txn.UndoRec, prevBytes []byte) error {
 			return err
 		}
 	default: // update / delete: restore the previous record bytes
-		if err := tree.Put(mt, u.Key, prevBytes); err != nil {
+		if err := tree.Put(mt, u.Key, u.PrevBytes); err != nil {
 			return err
 		}
 	}

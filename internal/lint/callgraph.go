@@ -12,12 +12,13 @@ package lint
 //     in the module whose method set implements the interface — the
 //     static over-approximation of dynamic dispatch.
 //
-// Function literals are deliberately not nodes: a literal is analyzed as
-// its own scope by whichever analyzer owns it, and a call through a
-// function-typed value that is not a recorded method value stays
-// unresolved (the analyses treat unresolved callees as having no
-// effects, keeping the propagation an under-approximation over unknown
-// code rather than an explosion over all of it).
+// Function literals are deliberately not call targets: a literal is
+// analyzed as its own scope (an immediately invoked one is linked from its
+// call site, see callSite.lit), and a call through a function-typed value
+// that is not a recorded method value stays unresolved (the analyses treat
+// unresolved callees as having no effects, keeping the propagation an
+// under-approximation over unknown code rather than an explosion over all
+// of it).
 
 import (
 	"go/ast"
@@ -26,39 +27,32 @@ import (
 	"strings"
 )
 
-// declSite is one declared module function body.
-type declSite struct {
-	pkg *Package
-	fd  *ast.FuncDecl
-}
-
 // moduleIndex is the module-wide resolution context: every analyzed
-// package, every declared function, and the concrete named types used to
+// package, every function body, and the concrete named types used to
 // resolve interface dispatch.
 type moduleIndex struct {
-	pkgs  []*Package // deterministic (import-path) order
-	decls map[*types.Func]*declSite
+	pkgs  []*Package                // deterministic (import-path) order
+	funcs []*funcInfo               // every body: per package, each declaration then its literals
+	decls map[*types.Func]*funcInfo // declared functions with bodies
+	lits  map[*ast.FuncLit]*funcInfo
 	named []*types.Named // concrete (non-interface) module named types
 }
 
 // buildModuleIndex indexes the given packages plus every module package
 // they pulled in as dependencies.
 func buildModuleIndex(pkgs []*Package) *moduleIndex {
-	idx := &moduleIndex{decls: map[*types.Func]*declSite{}}
+	idx := &moduleIndex{decls: map[*types.Func]*funcInfo{}, lits: map[*ast.FuncLit]*funcInfo{}}
 	if len(pkgs) == 0 {
 		return idx
 	}
 	idx.pkgs = pkgs[0].Mod.Loaded()
 	for _, p := range idx.pkgs {
-		for _, file := range p.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					idx.decls[obj] = &declSite{pkg: p, fd: fd}
-				}
+		for _, f := range funcScopes(p) {
+			idx.funcs = append(idx.funcs, f)
+			if f.lit != nil {
+				idx.lits[f.lit] = f
+			} else if f.fn != nil {
+				idx.decls[f.fn] = f
 			}
 		}
 		scope := p.Pkg.Scope()

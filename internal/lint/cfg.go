@@ -1,19 +1,20 @@
 package lint
 
 // cfg.go builds the per-function control-flow graphs that back the
-// flow-sensitive analyzers (pairing, regionescape, verbdeadline). The
-// graph is deliberately small: blocks hold statements and branch
-// conditions in execution order, edges optionally carry the condition
-// under which they are taken (so analyzers can refine facts across
-// `err != nil` branches), and loop heads / select heads are indexed so
-// cycle checks can classify the loops forming a strongly connected
-// component. Function literals are *not* inlined — each literal is a
-// separate scope with its own CFG (see funcScopes), and the enclosing
-// function sees only the literal expression itself.
+// flow-sensitive analyzers. The graph is deliberately small: blocks hold
+// statements and branch conditions in execution order, edges optionally
+// carry the condition under which they are taken (so analyzers can refine
+// facts across `err != nil` branches), and loop heads / select heads are
+// indexed so cycle checks can classify the loops forming a strongly
+// connected component. Function literals are *not* inlined — each literal
+// is a separate scope with its own CFG (see funcScopes), and the
+// enclosing function sees only the literal expression itself. The program
+// builder in flow.go builds each body's graph exactly once.
 
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // cfgBlock is one straight-line run of nodes. nodes contains simple
@@ -25,7 +26,8 @@ type cfgBlock struct {
 	nodes      []ast.Node
 	succs      []cfgEdge
 	preds      []*cfgBlock
-	selectCase bool // entry block of a select communication clause
+	selectCase bool        // entry block of a select communication clause
+	calls      []*callSite // the block's calls in evaluation order (filled by newProgram)
 }
 
 // cfgEdge is a directed edge; when cond is non-nil the edge is taken
@@ -481,33 +483,53 @@ func inspectSkipFuncLit(n ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
-// funcScope is one analyzable function body: a declared function or a
-// function literal (each literal is its own scope).
-type funcScope struct {
-	name string
+// funcInfo is one analyzable function body: a declared function or a
+// function literal (each literal is its own scope). funcScopes fills the
+// syntactic half; newProgram adds the analysis state every flow analyzer
+// shares, so each of these is computed once per run.
+type funcInfo struct {
+	pkg  *Package
+	name string        // declared name; "<decl> (func literal)" for literals
+	fn   *types.Func   // nil for literals
 	decl *ast.FuncDecl // nil for literals
 	lit  *ast.FuncLit  // nil for declarations
 	typ  *ast.FuncType
 	body *ast.BlockStmt
+
+	g      *funcCFG
+	scc    map[*cfgBlock]int            // block -> strongly connected component
+	cyclic map[int]bool                 // components that are cycles
+	binds  map[types.Object]methodValue // method values captured into locals
+	calls  []*callSite                  // every call of the body, block by block
 }
 
-// funcScopes lists every function body in the package: declarations
-// first, then each function literal (including literals nested in other
+// qualified renders "pkg.Recv.Name" for declarations and
+// "pkg.Name (func literal)" for literals.
+func (f *funcInfo) qualified() string {
+	if f.fn != nil {
+		return qualifiedFuncName(f.fn)
+	}
+	return shortPkg(f.pkg.Path) + "." + f.name
+}
+
+// funcScopes lists every function body in the package: each declaration
+// followed by its function literals (including literals nested in other
 // literals), tagged with the enclosing declaration's name.
-func funcScopes(p *Package) []funcScope {
-	var out []funcScope
+func funcScopes(p *Package) []*funcInfo {
+	var out []*funcInfo
 	for _, file := range p.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			out = append(out, funcScope{name: fd.Name.Name, decl: fd, typ: fd.Type, body: fd.Body})
+			fn, _ := p.Info.Defs[fd.Name].(*types.Func)
+			out = append(out, &funcInfo{pkg: p, name: fd.Name.Name, fn: fn, decl: fd, typ: fd.Type, body: fd.Body})
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					out = append(out, funcScope{
-						name: fd.Name.Name + " (func literal)",
-						lit:  lit, typ: lit.Type, body: lit.Body,
+					out = append(out, &funcInfo{
+						pkg: p, name: fd.Name.Name + " (func literal)",
+						lit: lit, typ: lit.Type, body: lit.Body,
 					})
 				}
 				return true

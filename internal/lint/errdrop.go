@@ -30,7 +30,9 @@ var errSourcePkgs = []string{
 func (ErrDrop) Name() string { return "errdrop" }
 
 // Check implements Analyzer.
-func (ErrDrop) Check(p *Package) []Finding {
+func (ErrDrop) Check(prog *program) []Finding { return prog.eachPackage(errDrop) }
+
+func errDrop(p *Package) []Finding {
 	var out []Finding
 	report := func(call *ast.CallExpr, how string) {
 		if f, ok := droppedErrCall(p, call); ok {

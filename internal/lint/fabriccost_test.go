@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// fakeWire mirrors internal/wire's codec surface: fixed-width field
-// methods plus the variable-length String, which is what fabriccost keys
-// on when judging one-sided convertibility.
+// fakeWire mirrors internal/wire's codec surface, for fixtures that
+// marshal a request before issuing the RPC.
 const fakeWire = `package wire
 
 type Writer struct{}
@@ -95,18 +94,15 @@ func (p *Pool) Broadcast(nodes []rdma.NodeID) {
 }
 `,
 	})
-	got := runOnly(t, mod, "fabriccost", "./...")
+	res := solve(t, mod, "fabriccost", "./...")
+	got := res.Findings
 	wantFindings(t, got, [3]interface{}{"fabriccost", "pool.go", 19})
 	if !strings.Contains(got[0].Message, "rmem.Pool.one") {
 		t.Errorf("message = %q, want the callee named", got[0].Message)
 	}
 
-	rep, err := BuildFabricReport(mod, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
 	costs := map[string]string{}
-	for _, f := range rep.Functions {
+	for _, f := range res.FabricReport() {
 		costs[f.Function] = f.RPC
 	}
 	if costs["rmem.Pool.one"] != "O(1)" {
@@ -114,15 +110,6 @@ func (p *Pool) Broadcast(nodes []rdma.NodeID) {
 	}
 	if costs["rmem.Pool.Broadcast"] != "O(n)" {
 		t.Errorf("Broadcast RPC cost = %q, want O(n) (loop-promoted through the call)", costs["rmem.Pool.Broadcast"])
-	}
-	loopEdge := false
-	for _, e := range rep.Edges {
-		if e.From == "rmem.Pool.Broadcast" && e.To == "rmem.Pool.one" && e.InLoop {
-			loopEdge = true
-		}
-	}
-	if !loopEdge {
-		t.Errorf("report edges %v lack the in-loop Broadcast -> one edge", rep.Edges)
 	}
 }
 
@@ -152,72 +139,12 @@ func (p *Pool) Batched(n rdma.NodeID, pages []uint32) error {
 }
 `,
 	})
-	got := runOnly(t, mod, "fabriccost", "./...")
-	wantFindings(t, got)
-	rep, err := BuildFabricReport(mod, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range rep.Functions {
+	res := solve(t, mod, "fabriccost", "./...")
+	wantFindings(t, res.Findings)
+	for _, f := range res.FabricReport() {
 		if f.Function == "rmem.Pool.Batched" && f.RPC != "O(1)" {
 			t.Errorf("Batched RPC cost = %q, want O(1)", f.RPC)
 		}
-	}
-}
-
-func TestFabricCostOneSidedConvertible(t *testing.T) {
-	mod := writeModule(t, map[string]string{
-		"internal/rdma/rdma.go": fakeRdma,
-		"internal/wire/wire.go": fakeWire,
-		"internal/rmem/pool.go": `package rmem
-
-import (
-	"polardb/internal/rdma"
-	"polardb/internal/wire"
-)
-
-type Pool struct{ ep *rdma.Endpoint }
-
-// Probe: fixed-width request, response ignored -> Write candidate.
-func (p *Pool) Probe(n rdma.NodeID) error {
-	w := wire.NewWriter(12)
-	w.U32(1)
-	w.U64(2)
-	_, err := p.ep.Call(n, "probe", w.Bytes())
-	return err
-}
-
-// Peek: nil request, fixed-width response decode -> Read candidate.
-func (p *Pool) Peek(n rdma.NodeID) (uint64, error) {
-	resp, err := p.ep.Call(n, "peek", nil)
-	if err != nil {
-		return 0, err
-	}
-	rd := wire.NewReader(resp)
-	v := rd.U64()
-	return v, rd.Err()
-}
-
-// Named ships a variable-length string: the layout is not fixed, so the
-// RPC genuinely needs remote marshaling and draws no finding.
-func (p *Pool) Named(n rdma.NodeID, s string) error {
-	w := wire.NewWriter(16)
-	w.String(s)
-	_, err := p.ep.Call(n, "named", w.Bytes())
-	return err
-}
-`,
-	})
-	got := runOnly(t, mod, "fabriccost", "./...")
-	wantFindings(t, got,
-		[3]interface{}{"fabriccost", "pool.go", 15},
-		[3]interface{}{"fabriccost", "pool.go", 21},
-	)
-	if !strings.Contains(got[0].Message, "one-sided Write") {
-		t.Errorf("Probe message = %q, want a Write candidate", got[0].Message)
-	}
-	if !strings.Contains(got[1].Message, "one-sided Read") {
-		t.Errorf("Peek message = %q, want a Read candidate", got[1].Message)
 	}
 }
 
@@ -253,7 +180,8 @@ func (p *Pool) Loose(n rdma.NodeID, b []byte) error {
 }
 `,
 	})
-	got := runOnly(t, mod, "fabriccost", "./...")
+	res := solve(t, mod, "fabriccost", "./...")
+	got := res.Findings
 	wantFindings(t, got,
 		[3]interface{}{"fabriccost", "pool.go", 15}, // budget violated (directive line)
 		[3]interface{}{"fabriccost", "pool.go", 18}, // the loop-carried verb itself
@@ -266,11 +194,7 @@ func (p *Pool) Loose(n rdma.NodeID, b []byte) error {
 		t.Errorf("finding 2 = %q, want a loose budget", got[2].Message)
 	}
 
-	rep, err := BuildFabricReport(mod, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range rep.Functions {
+	for _, f := range res.FabricReport() {
 		if f.Function == "rmem.Pool.Ok" && f.Budget != "O(1)" {
 			t.Errorf("Ok budget in report = %q, want O(1)", f.Budget)
 		}

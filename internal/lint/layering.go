@@ -51,7 +51,9 @@ var allowedImports = map[string][]string{
 func (Layering) Name() string { return "layering" }
 
 // Check implements Analyzer.
-func (Layering) Check(p *Package) []Finding {
+func (Layering) Check(prog *program) []Finding { return prog.eachPackage(layering) }
+
+func layering(p *Package) []Finding {
 	self, ok := internalName(p.Path)
 	if !ok {
 		return nil // cmd/pkg/examples/root: unrestricted

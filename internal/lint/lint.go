@@ -12,28 +12,28 @@
 //   - errdrop (errdrop.go): discarded errors from rdma/rmem/polarfs/
 //     plog/parallelraft
 //   - pairing (pairing.go): acquire/release matching (MTR commit, page
-//     pins, PL latches, endpoint attach) over per-function CFGs
+//     pins, PL latches, endpoint attach) along every path of a function
 //   - regionescape (regionescape.go): registered-region byte aliases
 //     must not escape the accessor scope
 //   - verbdeadline (verbdeadline.go): fabric waits in engine/cluster
 //     must be deadline- or window-bounded
-//   - lockorder (lockorder.go): a whole-module analysis — per-package
-//     function summaries linked across import edges into a call graph
-//     (callgraph.go), held-lock sets propagated interprocedurally — that
-//     reports cycles in the global lock-acquisition order (potential
-//     deadlocks) and fabric verbs reached while a node-local latch class
-//     is held, in the same body or through any call path
-//   - fabriccost (fabriccost.go): a whole-module fabric-cost analysis —
-//     per-function verb summaries with CFG-derived loop multiplicity,
-//     propagated over the call graph — that reports loop-carried RPC
-//     fan-out, RPCs convertible to one-sided verbs, and violations of
-//     declared //polarvet:fabric round-trip budgets
+//   - lockorder (lockorder.go): held-lock sets propagated
+//     interprocedurally; reports cycles in the global lock-acquisition
+//     order (potential deadlocks) and fabric verbs reached while a
+//     node-local latch class is held, in the same body or through any
+//     call path
+//   - fabriccost (fabriccost.go): per-function verb costs with
+//     CFG-derived loop multiplicity, propagated over the call graph;
+//     reports loop-carried RPC fan-out and violations of declared
+//     //polarvet:fabric round-trip budgets
 //
-// The flow-sensitive analyzers share the CFG builder in cfg.go; pairing
-// and verbdeadline additionally consume cross-package summaries, so an
-// obligation handed to an exported helper in another module package is
-// tracked through it. A finding is suppressed by an adjacent directive
-// comment
+// The last five are flow analyses, and they share one core (flow.go): a
+// run builds one program — the module call graph (callgraph.go) and each
+// function body's CFG (cfg.go) and classified call sites, computed once —
+// and each analyzer is a lattice on its one worklist (forward) and its one
+// call-graph fixpoint (summarize). Run returns one Result from that single
+// solve: the findings, plus the lock graph and the fabric-cost table as
+// views. A finding is suppressed by an adjacent directive comment
 //
 //	//polarvet:allow <analyzer> <reason>
 //
@@ -61,20 +61,13 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// Analyzer checks one loaded package.
+// Analyzer is one invariant check over the program: every loaded package
+// (the pattern selection and its dependency closure) with the shared
+// per-function analysis state of flow.go. Run keeps only the findings that
+// land in a selected package.
 type Analyzer interface {
 	Name() string
-	Check(p *Package) []Finding
-}
-
-// ModuleAnalyzer is an Analyzer that needs the whole module at once:
-// CheckModule runs a single time over every pattern-selected package
-// (reaching packages loaded as dependencies through Package.Mod), instead
-// of once per package. Its findings are suppressed by the same adjacent
-// //polarvet:allow directives as per-package findings.
-type ModuleAnalyzer interface {
-	Analyzer
-	CheckModule(pkgs []*Package) []Finding
+	Check(prog *program) []Finding
 }
 
 // Analyzers returns the full analyzer set, in reporting order.
@@ -82,9 +75,18 @@ func Analyzers() []Analyzer {
 	return []Analyzer{NoSleep{}, Layering{}, ErrDrop{}, Pairing{}, RegionEscape{}, VerbDeadline{}, LockOrder{}, FabricCost{}}
 }
 
-// Run loads every package matching patterns and applies the analyzers,
-// returning surviving (non-suppressed) findings sorted by position.
-func Run(mod *Module, patterns []string, analyzers []Analyzer) ([]Finding, error) {
+// Result is the outcome of one Run: the surviving findings, plus the lock
+// graph and the fabric-cost table as views (LockGraph, FabricReport) of
+// the same solved program.
+type Result struct {
+	Findings []Finding
+	prog     *program
+}
+
+// Run loads every package matching patterns, builds the program once and
+// applies the analyzers, returning surviving (non-suppressed) findings
+// sorted by position.
+func Run(mod *Module, patterns []string, analyzers []Analyzer) (*Result, error) {
 	paths, err := mod.Packages(patterns...)
 	if err != nil {
 		return nil, err
@@ -97,9 +99,9 @@ func Run(mod *Module, patterns []string, analyzers []Analyzer) ([]Finding, error
 	for _, a := range analyzers {
 		ran[a.Name()] = true
 	}
-	// Load everything first: module analyzers need the whole selection
-	// (and its dependency closure) before they can link summaries, and
-	// directives from every file must be known before any finding is
+	// Load everything first: the program needs the whole selection (and
+	// its dependency closure) before summaries can link across packages,
+	// and directives from every file must be known before any finding is
 	// filtered.
 	var pkgs []*Package
 	allows := allowSet{}
@@ -122,20 +124,11 @@ func Run(mod *Module, patterns []string, analyzers []Analyzer) ([]Finding, error
 			}
 		}
 	}
+	prog := newProgram(pkgs)
 	for _, a := range analyzers {
-		if ma, ok := a.(ModuleAnalyzer); ok {
-			for _, f := range ma.CheckModule(pkgs) {
-				if !allows.covers(a.Name(), f.Pos) {
-					out = append(out, f)
-				}
-			}
-			continue
-		}
-		for _, p := range pkgs {
-			for _, f := range a.Check(p) {
-				if !allows.covers(a.Name(), f.Pos) {
-					out = append(out, f)
-				}
+		for _, f := range a.Check(prog) {
+			if prog.selected(f.Pos) && !allows.covers(a.Name(), f.Pos) {
+				out = append(out, f)
 			}
 		}
 	}
@@ -156,7 +149,7 @@ func Run(mod *Module, patterns []string, analyzers []Analyzer) ([]Finding, error
 		}
 		return a.Message < b.Message
 	})
-	return out, nil
+	return &Result{Findings: out, prog: prog}, nil
 }
 
 // directivePrefix introduces an allowlist comment.

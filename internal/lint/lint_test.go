@@ -66,27 +66,36 @@ func writeModule(t *testing.T, files map[string]string) *Module {
 // run applies all analyzers to the given patterns.
 func run(t *testing.T, mod *Module, patterns ...string) []Finding {
 	t.Helper()
-	fs, err := Run(mod, patterns, Analyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fs
+	return solve(t, mod, "", patterns...).Findings
 }
 
 // runOnly applies a single analyzer by name.
 func runOnly(t *testing.T, mod *Module, name string, patterns ...string) []Finding {
 	t.Helper()
-	for _, a := range Analyzers() {
-		if a.Name() == name {
-			fs, err := Run(mod, patterns, []Analyzer{a})
-			if err != nil {
-				t.Fatal(err)
+	return solve(t, mod, name, patterns...).Findings
+}
+
+// solve runs the named analyzer (all of them for "") and returns the whole
+// result, for tests that also read the lock graph or the cost table.
+func solve(t *testing.T, mod *Module, name string, patterns ...string) *Result {
+	t.Helper()
+	analyzers := Analyzers()
+	if name != "" {
+		analyzers = nil
+		for _, a := range Analyzers() {
+			if a.Name() == name {
+				analyzers = []Analyzer{a}
 			}
-			return fs
+		}
+		if analyzers == nil {
+			t.Fatalf("no analyzer %q", name)
 		}
 	}
-	t.Fatalf("no analyzer %q", name)
-	return nil
+	res, err := Run(mod, patterns, analyzers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // wantFindings asserts the findings match (analyzer, file suffix, line)
@@ -394,11 +403,11 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := Run(mod, []string{"./..."}, Analyzers())
+	res, err := Run(mod, []string{"./..."}, Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range findings {
+	for _, f := range res.Findings {
 		t.Errorf("%s", f)
 	}
 }

@@ -27,14 +27,6 @@ type Module struct {
 	fset  *token.FileSet
 	cache map[string]*Package
 	std   types.ImporterFrom
-
-	// Cross-package analysis state, filled lazily in import order by the
-	// analyzers that link per-package summaries into module-wide facts.
-	pairSummaries map[*types.Func]*pairSummary
-	pairDone      map[string]bool
-	pairAdapted   map[*pairSpec]*pairSpec
-	blockingFns   map[*types.Func]bool
-	blockingDone  map[string]bool
 }
 
 // Package is one loaded, type-checked package (test files excluded).
@@ -72,16 +64,11 @@ func LoadModule(root string) (*Module, error) {
 	}
 	fset := token.NewFileSet()
 	return &Module{
-		Root:          abs,
-		Path:          path,
-		fset:          fset,
-		cache:         map[string]*Package{},
-		std:           importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pairSummaries: map[*types.Func]*pairSummary{},
-		pairDone:      map[string]bool{},
-		pairAdapted:   map[*pairSpec]*pairSpec{},
-		blockingFns:   map[*types.Func]bool{},
-		blockingDone:  map[string]bool{},
+		Root:  abs,
+		Path:  path,
+		fset:  fset,
+		cache: map[string]*Package{},
+		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 	}, nil
 }
 

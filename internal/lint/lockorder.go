@@ -57,19 +57,7 @@ var fabricVerbs = map[string]bool{
 // isFabricVerb reports whether obj is a latency-bearing method on
 // *rdma.Endpoint.
 func isFabricVerb(obj *types.Func) bool {
-	if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "internal/rdma") || !fabricVerbs[obj.Name()] {
-		return false
-	}
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Endpoint"
+	return fabricVerbs[obj.Name()] && methodIs(obj, "internal/rdma", "Endpoint", obj.Name())
 }
 
 // lockMethods are the sync mutex transitions the analysis models.
@@ -84,15 +72,10 @@ type LockOrder struct{}
 // Name implements Analyzer.
 func (LockOrder) Name() string { return "lockorder" }
 
-// Check implements Analyzer; lockorder only runs module-wide.
-func (LockOrder) Check(p *Package) []Finding { return nil }
-
-// CheckModule implements ModuleAnalyzer.
-func (LockOrder) CheckModule(pkgs []*Package) []Finding {
-	if len(pkgs) == 0 {
-		return nil
-	}
-	return newLockOrderAnalysis(pkgs).run(pkgs)
+// Check implements Analyzer.
+func (LockOrder) Check(prog *program) []Finding {
+	a := prog.locks()
+	return append(a.cycleFindings(), a.verbFindings()...)
 }
 
 // lockMode distinguishes shared from exclusive acquisitions.
@@ -350,7 +333,7 @@ func (s *loState) setPend(obj types.Object, classes map[string]lockMode) {
 	}
 }
 
-// joinInto merges o into s (s is a block-entry fact): held unions with W
+// join merges o into s (s is a block-entry fact): held unions with W
 // dominating, and releases (net and deferred) union too — may-release.
 // The repo's error-path idiom (`committed := false; defer func() { if
 // !committed { mt.Commit() } }()` next to a happy-path Commit) releases
@@ -358,7 +341,7 @@ func (s *loState) setPend(obj types.Object, classes map[string]lockMode) {
 // pair a leak and drown the report in held-set pollution. The cost is
 // that a class released on one path is considered off the books on all —
 // the analyzer prefers missed findings over false ones. Reports change.
-func (s *loState) joinInto(o *loState) bool {
+func (s *loState) join(o *loState) bool {
 	changed := false
 	for k, ov := range o.held {
 		if sv, ok := s.held[k]; !ok || ov > sv {
@@ -403,7 +386,6 @@ type loAcqEv struct {
 	pos   token.Pos
 	class string
 	mode  lockMode
-	try   bool
 	held  map[string]lockMode
 }
 
@@ -411,30 +393,31 @@ type loAcqEv struct {
 type loCallEv struct {
 	pos     token.Pos
 	held    map[string]lockMode
-	targets []*types.Func
+	targets []*funcInfo
 }
 
 // loVerbEv is one direct fabric verb with the classes held across it.
 type loVerbEv struct {
 	pos  token.Pos
-	name string
 	held map[string]lockMode
 }
 
-// loSummary is the per-function-scope result: the net effect callers
-// apply (leavesHeld / releases) plus the recorded events the reporting
-// phases consume.
-type loSummary struct {
-	leavesHeld map[string]lockMode
-	releases   map[string]bool
-	acqs       []loAcqEv
-	calls      []loCallEv
-	verbs      []loVerbEv
-	pkg        *Package
-	name       string
+// loEvents are the ordering-relevant events of one function scope,
+// recorded against its stabilized dataflow facts.
+type loEvents struct {
+	acqs  []loAcqEv
+	calls []loCallEv
+	verbs []loVerbEv
 }
 
-func (s *loSummary) effectEquals(o *loSummary) bool {
+// loEffect is what one function means to its callers: the classes it
+// leaves held and the classes it releases on the caller's behalf.
+type loEffect struct {
+	leavesHeld map[string]lockMode
+	releases   map[string]bool
+}
+
+func (s *loEffect) equals(o *loEffect) bool {
 	if o == nil || len(s.leavesHeld) != len(o.leavesHeld) || len(s.releases) != len(o.releases) {
 		return false
 	}
@@ -451,277 +434,143 @@ func (s *loSummary) effectEquals(o *loSummary) bool {
 	return true
 }
 
-// ---- the analysis driver ----
-
-type loAnalysis struct {
-	idx       *moduleIndex
-	classes   *loClasses
-	fset      *token.FileSet
-	summaries map[*types.Func]*loSummary
-	literals  []*loSummary // function-literal scopes (events only)
-	cfgs      map[*ast.BlockStmt]*funcCFG
-	bindings  map[*ast.BlockStmt]map[types.Object]methodValue
-
-	// phase-2 transitive facts
-	mayAcquire map[*types.Func]map[string]*loAcqWitness
-	verbVia    map[*types.Func]*loVerbWitness
-}
-
-// loAcqWitness is why fn may acquire a class: either a direct site
-// (next nil) or a call at site into next, which acquires it in turn.
+// loAcqWitness is why a function may acquire a class: a direct site, or
+// a call into a function that acquires it in turn.
 type loAcqWitness struct {
-	site token.Pos
-	next *types.Func
+	witness
 	mode lockMode
 }
 
-// loVerbWitness is why fn may issue a fabric verb.
-type loVerbWitness struct {
-	site token.Pos
-	name string // verb method name when next is nil
-	next *types.Func
+// ---- the analysis driver ----
+
+type loAnalysis struct {
+	prog    *program
+	classes *loClasses
+	decls   []*funcInfo // analyzable declared functions, position order
+	scopes  []*funcInfo // decls, then every analyzable function literal
+	effects map[*funcInfo]*loEffect
+	events  map[*funcInfo]*loEvents
+	// mayAcquire is the transitive closure of acquisitions over the call
+	// graph, per class, with the witness chain down to the site.
+	mayAcquire map[*funcInfo]map[string]*loAcqWitness
+	edges      []*loEdge
 }
 
-func newLockOrderAnalysis(pkgs []*Package) *loAnalysis {
-	idx := buildModuleIndex(pkgs)
-	return &loAnalysis{
-		idx:        idx,
-		classes:    discoverLockClasses(idx),
-		fset:       pkgs[0].Fset,
-		summaries:  map[*types.Func]*loSummary{},
-		cfgs:       map[*ast.BlockStmt]*funcCFG{},
-		bindings:   map[*ast.BlockStmt]map[types.Object]methodValue{},
-		mayAcquire: map[*types.Func]map[string]*loAcqWitness{},
-		verbVia:    map[*types.Func]*loVerbWitness{},
+// locks solves the lock analysis on first use; LockOrder's findings and
+// the result's lock graph are views of the same solve.
+func (prog *program) locks() *loAnalysis {
+	if prog.lo != nil {
+		return prog.lo
 	}
-}
-
-func (a *loAnalysis) cfg(body *ast.BlockStmt) *funcCFG {
-	g, ok := a.cfgs[body]
-	if !ok {
-		g = buildCFG(body)
-		a.cfgs[body] = g
+	a := &loAnalysis{
+		prog:       prog,
+		classes:    discoverLockClasses(prog.moduleIndex),
+		effects:    map[*funcInfo]*loEffect{},
+		events:     map[*funcInfo]*loEvents{},
+		mayAcquire: map[*funcInfo]map[string]*loAcqWitness{},
 	}
-	return g
-}
-
-func (a *loAnalysis) binds(p *Package, body *ast.BlockStmt) map[types.Object]methodValue {
-	b, ok := a.bindings[body]
-	if !ok {
-		b = methodBindings(p, body)
-		a.bindings[body] = b
-	}
-	return b
-}
-
-// sortedDecls lists the module's analyzable declared functions in
-// position order (exempt packages skipped).
-func (a *loAnalysis) sortedDecls() []*types.Func {
-	var fns []*types.Func
-	for fn, site := range a.idx.decls {
-		if exemptFromLocking(site.pkg.Path) {
-			continue
+	prog.lo = a
+	var lits []*funcInfo
+	for _, f := range prog.funcs {
+		switch {
+		case exemptFromLocking(f.pkg.Path):
+		case f.lit != nil:
+			lits = append(lits, f)
+		default:
+			a.decls = append(a.decls, f)
 		}
-		fns = append(fns, fn)
 	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i].Pos() < fns[j].Pos() })
-	return fns
-}
+	// Position order fixes which witness a first-wins fact records.
+	sort.Slice(a.decls, func(i, j int) bool { return a.decls[i].fn.Pos() < a.decls[j].fn.Pos() })
+	a.scopes = append(append(a.scopes, a.decls...), lits...)
 
-// run executes the three phases and renders findings for the selected
-// packages.
-func (a *loAnalysis) run(selected []*Package) []Finding {
-	sel := map[*Package]bool{}
-	for _, p := range selected {
-		sel[p] = true
+	// Net effects: each body's dataflow, re-run until no summary moves.
+	summarize(a.decls, a.effects, func(f *funcInfo) (*loEffect, bool) {
+		eff := a.analyzeBody(f, nil)
+		return eff, !eff.equals(a.effects[f])
+	})
+	// Events, against the final effects; every function literal is its
+	// own empty-entry scope.
+	for _, f := range a.scopes {
+		a.events[f] = &loEvents{}
+		a.analyzeBody(f, a.events[f])
 	}
-	a.solve()
-	edges, findings := a.report(sel)
-	_ = edges
-	return findings
-}
-
-// solve runs phase 1 (per-function dataflow to a module-wide fixpoint on
-// summary effects, then an event-recording pass, plus literal scopes) and
-// phase 2 (transitive may-acquire / may-verb closure).
-func (a *loAnalysis) solve() {
-	decls := a.sortedDecls()
-	// Phase 1a: effect fixpoint. The lattice is finite (held/release
-	// sets over the class universe) and the transfer is monotone, so
-	// this converges; the cap is a defensive bound.
-	for round := 0; round < 40; round++ {
+	// May-acquire: fold each function's direct acquisitions and its
+	// callees' facts. Witnesses are first-wins per class, except that a
+	// write-mode acquisition replaces a read-mode witness: the W edge
+	// exists in reality and is the one that can deadlock.
+	summarize(a.decls, a.mayAcquire, func(f *funcInfo) (map[string]*loAcqWitness, bool) {
+		acq := a.mayAcquire[f]
+		if acq == nil {
+			acq = map[string]*loAcqWitness{}
+		}
 		changed := false
-		for _, fn := range decls {
-			site := a.idx.decls[fn]
-			sum := a.analyzeBody(site.pkg, qualifiedFuncName(fn), site.fd.Body, false)
-			if !sum.effectEquals(a.summaries[fn]) {
-				changed = true
-			}
-			a.summaries[fn] = sum
-		}
-		if !changed {
-			break
-		}
-	}
-	// Phase 1b: recording pass — declared bodies with final summaries,
-	// plus every function literal as its own empty-entry scope.
-	for _, fn := range decls {
-		site := a.idx.decls[fn]
-		a.summaries[fn] = a.analyzeBody(site.pkg, qualifiedFuncName(fn), site.fd.Body, true)
-	}
-	a.literals = nil
-	for _, p := range a.idx.pkgs {
-		if exemptFromLocking(p.Path) {
-			continue
-		}
-		for _, scope := range funcScopes(p) {
-			if scope.lit == nil {
-				continue
-			}
-			a.literals = append(a.literals, a.analyzeBody(p, shortPkg(p.Path)+"."+scope.name, scope.body, true))
-		}
-	}
-	// Phase 2: transitive closure over the call graph.
-	for round := 0; round < 40; round++ {
-		changed := false
-		for _, fn := range decls {
-			if a.closeOver(fn) {
+		record := func(class string, mode lockMode, w witness) {
+			if old := acq[class]; old == nil || (old.mode == modeR && mode == modeW) {
+				acq[class] = &loAcqWitness{witness: w, mode: mode}
 				changed = true
 			}
 		}
-		if !changed {
-			break
+		ev := a.events[f]
+		for i := range ev.acqs {
+			record(ev.acqs[i].class, ev.acqs[i].mode, witness{site: ev.acqs[i].pos})
 		}
-	}
-}
-
-// closeOver folds fn's direct events and its callees' transitive facts
-// into mayAcquire/verbVia. Reports change. Witnesses are first-wins per
-// class (deterministic given the fixed iteration order), except that a
-// write-mode acquisition replaces a read-mode witness: the W edge exists
-// in reality and is the one that can deadlock.
-func (a *loAnalysis) closeOver(fn *types.Func) bool {
-	sum := a.summaries[fn]
-	if sum == nil {
-		return false
-	}
-	acq := a.mayAcquire[fn]
-	if acq == nil {
-		acq = map[string]*loAcqWitness{}
-		a.mayAcquire[fn] = acq
-	}
-	changed := false
-	record := func(class string, w *loAcqWitness) {
-		old := acq[class]
-		if old == nil || (old.mode == modeR && w.mode == modeW) {
-			acq[class] = w
-			changed = true
-		}
-	}
-	for i := range sum.acqs {
-		ev := &sum.acqs[i]
-		record(ev.class, &loAcqWitness{site: ev.pos, mode: ev.mode})
-	}
-	if a.verbVia[fn] == nil && len(sum.verbs) > 0 {
-		a.verbVia[fn] = &loVerbWitness{site: sum.verbs[0].pos, name: sum.verbs[0].name}
-		changed = true
-	}
-	for i := range sum.calls {
-		ev := &sum.calls[i]
-		for _, t := range ev.targets {
-			for class, w := range a.mayAcquire[t] {
-				record(class, &loAcqWitness{site: ev.pos, next: t, mode: w.mode})
-			}
-			if a.verbVia[fn] == nil && a.verbVia[t] != nil {
-				a.verbVia[fn] = &loVerbWitness{site: ev.pos, next: t}
-				changed = true
+		for i := range ev.calls {
+			for _, t := range ev.calls[i].targets {
+				for class, w := range a.mayAcquire[t] {
+					record(class, w.mode, witness{site: ev.calls[i].pos, next: t})
+				}
 			}
 		}
-	}
-	return changed
+		return acq, changed
+	})
+	a.edges = a.collectEdges()
+	return a
 }
 
 // ---- per-function dataflow ----
 
-// analyzeBody runs the worklist dataflow over one function body. When
-// record is true the pass replays the stabilized block-entry facts once
-// more to collect events; otherwise only the exit effect matters.
-func (a *loAnalysis) analyzeBody(p *Package, name string, body *ast.BlockStmt, record bool) *loSummary {
-	g := a.cfg(body)
-	bindings := a.binds(p, body)
-	sum := &loSummary{leavesHeld: map[string]lockMode{}, releases: map[string]bool{}, pkg: p, name: name}
-	in := map[*cfgBlock]*loState{g.entry: newLoState()}
-	work := []*cfgBlock{g.entry}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		st := in[b].clone()
-		a.transferBlock(p, nil, st, b, bindings)
-		for _, e := range b.succs {
-			ns := a.refineEdge(p, st, e)
-			if cur, ok := in[e.to]; !ok {
-				in[e.to] = ns.clone()
-				work = append(work, e.to)
-			} else if cur.joinInto(ns) {
-				work = append(work, e.to)
-			}
-		}
-	}
-	if record {
-		for _, b := range g.blocks {
+// analyzeBody runs the dataflow over one function body and returns its
+// net effect. When rec is non-nil the stabilized block-entry facts are
+// replayed once more to record events into it.
+func (a *loAnalysis) analyzeBody(f *funcInfo, rec *loEvents) *loEffect {
+	in := forward(f.g, newLoState(),
+		func(b *cfgBlock, st *loState) { a.transferBlock(f, nil, st, b) },
+		func(st *loState, e cfgEdge) *loState { return a.refineEdge(f.pkg, st, e) })
+	if rec != nil {
+		for _, b := range f.g.blocks {
 			if st, ok := in[b]; ok {
-				a.transferBlock(p, sum, st.clone(), b, bindings)
+				a.transferBlock(f, rec, st.clone(), b)
 			}
 		}
 	}
-	if exitSt := in[g.exit]; exitSt != nil {
+	eff := &loEffect{leavesHeld: map[string]lockMode{}, releases: map[string]bool{}}
+	if exitSt := in[f.g.exit]; exitSt != nil {
 		for class, mode := range exitSt.held {
 			if !exitSt.def[class] {
-				sum.leavesHeld[class] = mode
+				eff.leavesHeld[class] = mode
 			}
 		}
 		for class := range exitSt.rel {
-			sum.releases[class] = true
+			eff.releases[class] = true
 		}
 		for class := range exitSt.def {
 			if _, held := exitSt.held[class]; !held {
-				sum.releases[class] = true
+				eff.releases[class] = true
 			}
 		}
 	}
-	return sum
+	return eff
 }
 
-// transferBlock applies every node of b to st in order; when sum is
-// non-nil, events are recorded into it.
-func (a *loAnalysis) transferBlock(p *Package, sum *loSummary, st *loState, b *cfgBlock, bindings map[types.Object]methodValue) {
-	deferCalls := map[*ast.CallExpr]bool{}
-	goCalls := map[*ast.CallExpr]bool{}
-	callErr := map[*ast.CallExpr]types.Object{}
-	for _, n := range b.nodes {
-		inspectSkipFuncLit(n, func(c ast.Node) bool {
-			switch c := c.(type) {
-			case *ast.DeferStmt:
-				deferCalls[c.Call] = true
-			case *ast.GoStmt:
-				goCalls[c.Call] = true
-			case *ast.AssignStmt:
-				// `x, err := call()` — remember which variable guards
-				// the call's acquisitions (visited before the call).
-				if len(c.Rhs) == 1 {
-					if call, ok := c.Rhs[0].(*ast.CallExpr); ok && len(c.Lhs) > 0 {
-						if obj := identObj2(p, c.Lhs[len(c.Lhs)-1]); obj != nil && isErrorType(obj.Type()) {
-							callErr[call] = obj
-						}
-					}
-				}
-			case *ast.CallExpr:
-				if !goCalls[c] {
-					a.applyCall(p, sum, st, c, deferCalls[c], callErr[c], bindings)
-				}
-			}
-			return true
-		})
+// transferBlock applies every call of b to st in order; when rec is
+// non-nil, events are recorded into it. A spawned goroutine does not
+// inherit the spawner's held set.
+func (a *loAnalysis) transferBlock(f *funcInfo, rec *loEvents, st *loState, b *cfgBlock) {
+	for _, cs := range b.calls {
+		if !cs.spawned {
+			a.applyCall(f.pkg, rec, st, cs)
+		}
 	}
 }
 
@@ -734,72 +583,41 @@ func (a *loAnalysis) transferBlock(p *Package, sum *loSummary, st *loState, b *c
 //     non-nil edge they evaporate (the repo releases before error
 //     returns).
 func (a *loAnalysis) refineEdge(p *Package, st *loState, e cfgEdge) *loState {
-	cond, negate := e.cond, e.negate
-	for {
-		if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
-			cond, negate = u.X, !negate
-			continue
-		}
-		break
-	}
-	switch cond := cond.(type) {
-	case *ast.CallExpr:
-		if !negate {
-			return st
-		}
-		sel, ok := cond.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return st
-		}
-		obj, ok := p.Info.Uses[sel.Sel].(*types.Func)
-		if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "sync" ||
-			(obj.Name() != "TryLock" && obj.Name() != "TryRLock") {
-			return st
-		}
-		class := a.classOfExpr(p, sel.X)
-		if class == "" {
+	if obj, isNil, ok := nilGuard(p, e); ok {
+		classes := st.pend[obj]
+		if classes == nil {
 			return st
 		}
 		ns := st.clone()
-		delete(ns.held, class)
-		return ns
-	case *ast.BinaryExpr:
-		if cond.Op != token.EQL && cond.Op != token.NEQ {
-			return st
-		}
-		var errExpr ast.Expr
-		switch {
-		case isNilIdent(cond.Y):
-			errExpr = cond.X
-		case isNilIdent(cond.X):
-			errExpr = cond.Y
-		default:
-			return st
-		}
-		obj := identObj2(p, errExpr)
-		if obj == nil || st.pend[obj] == nil {
-			return st
-		}
-		// Edge is taken when cond == !negate; work out whether that
-		// means the error is nil on this edge.
-		condTrue := !negate
-		errIsNil := (cond.Op == token.EQL) == condTrue
-		ns := st.clone()
-		classes := ns.pend[obj]
 		delete(ns.pend, obj)
-		if errIsNil {
+		if isNil {
 			for c, m := range classes {
 				a.enterHeld(ns, c, m)
 			}
 		}
 		return ns
 	}
-	return st
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
+	cond, holds := edgeCond(e)
+	call, ok := cond.(*ast.CallExpr)
+	if !ok || holds {
+		return st
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return st
+	}
+	obj, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "sync" ||
+		(obj.Name() != "TryLock" && obj.Name() != "TryRLock") {
+		return st
+	}
+	class := a.classOfExpr(p, sel.X)
+	if class == "" {
+		return st
+	}
+	ns := st.clone()
+	delete(ns.held, class)
+	return ns
 }
 
 // classOfExpr maps the receiver expression of a sync mutex method call to
@@ -833,80 +651,74 @@ func (a *loAnalysis) classOfExpr(p *Package, e ast.Expr) string {
 }
 
 // applyCall classifies one call: sync mutex transition, fabric verb,
-// page-latch op, or resolved module call. errObj, when non-nil, is the
-// error variable assigned from this call — fallible acquisitions are
-// held only once it proves nil.
-func (a *loAnalysis) applyCall(p *Package, sum *loSummary, st *loState, call *ast.CallExpr, deferred bool, errObj types.Object, bindings map[types.Object]methodValue) {
-	// The method called, directly (mu.Lock()) or through a captured
-	// method value (unlock := mu.Unlock; defer unlock()).
-	var method methodValue
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		method.fn, _ = p.Info.Uses[fun.Sel].(*types.Func)
-		method.recv = fun.X
-	case *ast.Ident:
-		method = bindings[identObj(p, fun)]
-	}
-	if fn := method.fn; fn != nil && fn.Pkg() != nil {
-		if fn.Pkg().Path() == "sync" && lockMethods[fn.Name()] {
-			if class := a.classOfExpr(p, method.recv); class != "" {
-				a.mutexTransition(sum, st, class, fn.Name(), call.Pos(), deferred)
-			}
-			return
+// invoked literal, page-latch op, or resolved module call. When the call's
+// error result is captured (cs.errVar), fallible acquisitions are held only
+// once it proves nil.
+func (a *loAnalysis) applyCall(p *Package, rec *loEvents, st *loState, cs *callSite) {
+	pos := cs.call.Pos()
+	if fn := cs.callee; fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync" && lockMethods[fn.Name()] {
+		// Called directly (mu.Lock()) or through a captured method value
+		// (unlock := mu.Unlock; defer unlock()).
+		if class := a.classOfExpr(p, cs.recv); class != "" {
+			a.mutexTransition(rec, st, class, fn.Name(), pos, cs.deferred)
 		}
-		if isFabricVerb(fn) {
-			if sum != nil {
-				sum.verbs = append(sum.verbs, loVerbEv{pos: call.Pos(), name: fn.Name(), held: copyHeld(st.held)})
-			}
-			return
-		}
+		return
 	}
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
+	if cs.verb != "" {
+		if rec != nil {
+			rec.verbs = append(rec.verbs, loVerbEv{pos: pos, held: copyHeld(st.held)})
+		}
+		return
+	}
+	if cs.lit != nil {
 		// An immediately- or defer-invoked literal runs in this
 		// function's dynamic extent, so its net effect applies here (its
 		// ordering events are recorded separately, as a literal scope).
-		ls := a.analyzeBody(p, "", lit.Body, false)
-		a.applyEffect(sum, st, ls.releases, ls.leavesHeld, call.Pos(), deferred, nil)
+		eff := a.analyzeBody(cs.lit, nil)
+		a.applyEffect(st, eff.releases, eff.leavesHeld, cs.deferred, nil)
 		return
 	}
-	obj := calleeFunc(p, call)
-	isPL := false
-	if obj != nil {
-		if sig, ok := plSigOf(obj); ok {
+	// recordCall snapshots the held set across a resolved module call.
+	recordCall := func() {
+		if rec != nil && len(cs.targets) > 0 {
+			rec.calls = append(rec.calls, loCallEv{pos: pos, held: copyHeld(st.held), targets: cs.targets})
+		}
+	}
+	if cs.callee != nil {
+		if sig, ok := plSigOf(cs.callee); ok {
 			switch {
 			case plAcquires[sig] != 0:
-				a.recordCallEvent(p, sum, st, call, bindings)
+				recordCall()
 				mode := plAcquires[sig]
-				if sum != nil {
+				if rec != nil {
 					// The ordering edge exists even when the attempt can
 					// fail: a failed acquisition still blocked on it.
-					sum.acqs = append(sum.acqs, loAcqEv{pos: call.Pos(), class: plClass, mode: mode, held: copyHeld(st.held)})
+					rec.acqs = append(rec.acqs, loAcqEv{pos: pos, class: plClass, mode: mode, held: copyHeld(st.held)})
 				}
-				if errObj != nil {
-					st.setPend(errObj, map[string]lockMode{plClass: mode})
+				if cs.errVar != nil {
+					st.setPend(cs.errVar, map[string]lockMode{plClass: mode})
 				} else {
 					a.enterHeld(st, plClass, mode)
 				}
 				return
 			case plReleases[sig]:
-				isPL = true
-				a.release(st, plClass, deferred)
+				a.release(st, plClass, cs.deferred)
+				recordCall()
+				return
 			case plDeferrals[sig]:
-				isPL = true
 				st.def[plClass] = true
+				recordCall()
+				return
 			}
 		}
 	}
-	targets := a.recordCallEvent(p, sum, st, call, bindings)
-	if isPL {
-		return
-	}
+	recordCall()
 	// Fold callee effects over the dispatch set (unions on both sides —
 	// may-release, may-hold), then apply.
 	relAll := map[string]bool{}
 	heldAll := map[string]lockMode{}
-	for _, t := range targets {
-		ts := a.summaries[t]
+	for _, t := range cs.targets {
+		ts := a.effects[t]
 		if ts == nil {
 			continue
 		}
@@ -919,7 +731,7 @@ func (a *loAnalysis) applyCall(p *Package, sum *loSummary, st *loState, call *as
 			}
 		}
 	}
-	a.applyEffect(sum, st, relAll, heldAll, call.Pos(), deferred, errObj)
+	a.applyEffect(st, relAll, heldAll, cs.deferred, cs.errVar)
 }
 
 // applyEffect applies a callee's (or literal's) net effect at a call
@@ -927,7 +739,7 @@ func (a *loAnalysis) applyCall(p *Package, sum *loSummary, st *loState, call *as
 // releases, and anything it would leave held is ignored — it cannot be
 // held during the rest of this body. When the call's error result is
 // captured, held classes are pending on it proving nil.
-func (a *loAnalysis) applyEffect(sum *loSummary, st *loState, releases map[string]bool, leavesHeld map[string]lockMode, pos token.Pos, deferred bool, errObj types.Object) {
+func (a *loAnalysis) applyEffect(st *loState, releases map[string]bool, leavesHeld map[string]lockMode, deferred bool, errObj types.Object) {
 	if deferred {
 		for c := range releases {
 			st.def[c] = true
@@ -937,59 +749,35 @@ func (a *loAnalysis) applyEffect(sum *loSummary, st *loState, releases map[strin
 	for c := range releases {
 		a.release(st, c, false)
 	}
-	if len(leavesHeld) == 0 {
-		return
-	}
-	if errObj != nil {
+	if errObj != nil && len(leavesHeld) > 0 {
 		st.setPend(errObj, leavesHeld)
 		return
 	}
-	var classes []string
-	for c := range leavesHeld {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	for _, c := range classes {
-		a.enterHeld(st, c, leavesHeld[c])
+	for c, m := range leavesHeld {
+		a.enterHeld(st, c, m)
 	}
 }
 
-// recordCallEvent resolves a call against the module graph and, when
-// recording, snapshots the held set for the reporting phase.
-func (a *loAnalysis) recordCallEvent(p *Package, sum *loSummary, st *loState, call *ast.CallExpr, bindings map[types.Object]methodValue) []*types.Func {
-	targets := a.idx.resolveCall(p, call, bindings)
-	if len(targets) == 0 {
-		return nil
+// mutexTransition applies one sync.Mutex/RWMutex method call. An
+// acquisition event snapshots the held set before the class enters it. A
+// try enters the held set too (the branch refinement clears it on the
+// failure edge) but witnesses no ordering edge: a try never blocks.
+func (a *loAnalysis) mutexTransition(rec *loEvents, st *loState, class, method string, pos token.Pos, deferred bool) {
+	mode := modeW
+	if method == "RLock" || method == "TryRLock" {
+		mode = modeR
 	}
-	if sum != nil {
-		sum.calls = append(sum.calls, loCallEv{pos: call.Pos(), held: copyHeld(st.held), targets: targets})
-	}
-	return targets
-}
-
-// mutexTransition applies one sync.Mutex/RWMutex method call.
-func (a *loAnalysis) mutexTransition(sum *loSummary, st *loState, class, method string, pos token.Pos, deferred bool) {
 	switch method {
-	case "Lock":
-		a.acquire(sum, st, class, modeW, pos)
-	case "RLock":
-		a.acquire(sum, st, class, modeR, pos)
-	case "TryLock":
-		a.tryAcquire(sum, st, class, modeW, pos)
-	case "TryRLock":
-		a.tryAcquire(sum, st, class, modeR, pos)
+	case "Lock", "RLock":
+		if rec != nil {
+			rec.acqs = append(rec.acqs, loAcqEv{pos: pos, class: class, mode: mode, held: copyHeld(st.held)})
+		}
+		a.enterHeld(st, class, mode)
+	case "TryLock", "TryRLock":
+		a.enterHeld(st, class, mode)
 	case "Unlock", "RUnlock":
 		a.release(st, class, deferred)
 	}
-}
-
-// acquire records an acquisition event (held snapshot taken before the
-// class enters the set) and marks the class held.
-func (a *loAnalysis) acquire(sum *loSummary, st *loState, class string, mode lockMode, pos token.Pos) {
-	if sum != nil {
-		sum.acqs = append(sum.acqs, loAcqEv{pos: pos, class: class, mode: mode, held: copyHeld(st.held)})
-	}
-	a.enterHeld(st, class, mode)
 }
 
 // enterHeld adds a class to the held set; W dominates an existing R.
@@ -997,12 +785,6 @@ func (a *loAnalysis) enterHeld(st *loState, class string, mode lockMode) {
 	if mode > st.held[class] {
 		st.held[class] = mode
 	}
-}
-
-// tryAcquire enters the held set (the branch refinement clears it on the
-// failure edge) but witnesses no ordering edge: a try never blocks.
-func (a *loAnalysis) tryAcquire(sum *loSummary, st *loState, class string, mode lockMode, pos token.Pos) {
-	a.enterHeld(st, class, mode)
 }
 
 // release clears a held class; a deferred release runs at exit instead,
@@ -1047,29 +829,6 @@ func (e *loEdge) less(o *loEdge) bool {
 	return e.to < o.to
 }
 
-// report builds the deduplicated edge set and the findings for the
-// selected packages.
-func (a *loAnalysis) report(sel map[*Package]bool) ([]*loEdge, []Finding) {
-	edges := a.collectEdges()
-	var findings []Finding
-	findings = append(findings, a.cycleFindings(edges, sel)...)
-	findings = append(findings, a.verbFindings(sel)...)
-	return edges, findings
-}
-
-// allSummaries lists declared summaries (position order) then literal
-// summaries.
-func (a *loAnalysis) allSummaries() []*loSummary {
-	var out []*loSummary
-	for _, fn := range a.sortedDecls() {
-		if s := a.summaries[fn]; s != nil {
-			out = append(out, s)
-		}
-	}
-	out = append(out, a.literals...)
-	return out
-}
-
 // collectEdges turns recorded events into the deduplicated global
 // acquisition-order edge set, sorted by witness position.
 func (a *loAnalysis) collectEdges() []*loEdge {
@@ -1097,30 +856,43 @@ func (a *loAnalysis) collectEdges() []*loEdge {
 			*old = *e
 		}
 	}
-	for _, sum := range a.allSummaries() {
-		for i := range sum.acqs {
-			ev := &sum.acqs[i]
-			for from, fromMode := range ev.held {
+	fset := a.prog.fset
+	// path renders the call chain from a callee down to the witnessed
+	// acquisition of class, for humans reading the finding.
+	path := func(t *funcInfo, class string) string {
+		link := func(f *funcInfo) *witness {
+			if w := a.mayAcquire[f][class]; w != nil {
+				return &w.witness
+			}
+			return nil
+		}
+		return a.prog.via(t, link(t), link, token.Position.String)
+	}
+	for _, f := range a.scopes {
+		ev := a.events[f]
+		for i := range ev.acqs {
+			acq := &ev.acqs[i]
+			for from, fromMode := range acq.held {
 				add(&loEdge{
-					from: from, to: ev.class,
-					fromMode: fromMode, toMode: ev.mode,
-					pos: a.fset.Position(ev.pos),
+					from: from, to: acq.class,
+					fromMode: fromMode, toMode: acq.mode,
+					pos: fset.Position(acq.pos),
 				})
 			}
 		}
-		for i := range sum.calls {
-			ev := &sum.calls[i]
-			if len(ev.held) == 0 {
+		for i := range ev.calls {
+			call := &ev.calls[i]
+			if len(call.held) == 0 {
 				continue
 			}
-			for _, t := range ev.targets {
+			for _, t := range call.targets {
 				for class, w := range a.mayAcquire[t] {
-					for from, fromMode := range ev.held {
+					for from, fromMode := range call.held {
 						add(&loEdge{
 							from: from, to: class,
 							fromMode: fromMode, toMode: w.mode,
-							pos:  a.fset.Position(ev.pos),
-							path: a.acquirePath(t, class),
+							pos:  fset.Position(call.pos),
+							path: path(t, class),
 						})
 					}
 				}
@@ -1135,77 +907,35 @@ func (a *loAnalysis) collectEdges() []*loEdge {
 	return out
 }
 
-// acquirePath renders the call chain from a callee down to the witnessed
-// acquisition, for humans reading the finding.
-func (a *loAnalysis) acquirePath(fn *types.Func, class string) string {
-	var parts []string
-	cur := fn
-	for hops := 0; cur != nil && hops < 12; hops++ {
-		parts = append(parts, qualifiedFuncName(cur))
-		w := a.mayAcquire[cur][class]
-		if w == nil || w.next == nil {
-			if w != nil {
-				parts = append(parts, a.fset.Position(w.site).String())
-			}
-			break
-		}
-		cur = w.next
-	}
-	return "via " + strings.Join(parts, " → ")
-}
-
-// verbPath renders the call chain from a callee down to the fabric verb.
-func (a *loAnalysis) verbPath(fn *types.Func) string {
-	var parts []string
-	cur := fn
-	for hops := 0; cur != nil && hops < 12; hops++ {
-		parts = append(parts, qualifiedFuncName(cur))
-		w := a.verbVia[cur]
-		if w == nil || w.next == nil {
-			if w != nil {
-				parts = append(parts, fmt.Sprintf("%s at %s", w.name, a.fset.Position(w.site)))
-			}
-			break
-		}
-		cur = w.next
-	}
-	return "via " + strings.Join(parts, " → ")
-}
-
 // cycleFindings inserts edges in deterministic order and reports each
 // cycle the moment its closing edge arrives, provided every consecutive
 // acquisition around the cycle can actually block (a pure reader ring is
 // not a deadlock). Self-edges — latch coupling on one class, ordered by
 // instance (tree level), not by class — are excluded from cycle logic.
-func (a *loAnalysis) cycleFindings(edges []*loEdge, sel map[*Package]bool) []Finding {
+func (a *loAnalysis) cycleFindings() []Finding {
 	adj := map[string][]*loEdge{}
 	var out []Finding
-	for _, e := range edges {
+	for _, e := range a.edges {
 		if e.from == e.to {
 			continue
 		}
 		if cyc := findConflictCycle(adj, e); cyc != nil && !cycleIsPageOrdered(cyc) {
-			if a.posSelected(e.pos, sel) {
-				var desc []string
-				for _, ce := range cyc {
-					step := fmt.Sprintf("%s(%s) acquired at %s while holding %s(%s)", ce.to, ce.toMode, ce.pos, ce.from, ce.fromMode)
-					if ce.path != "" {
-						step += " " + ce.path
-					}
-					desc = append(desc, step)
+			var desc, ring []string
+			for _, ce := range cyc {
+				step := fmt.Sprintf("%s(%s) acquired at %s while holding %s(%s)", ce.to, ce.toMode, ce.pos, ce.from, ce.fromMode)
+				if ce.path != "" {
+					step += " " + ce.path
 				}
-				var ring []string
-				for _, ce := range cyc {
-					ring = append(ring, ce.from)
-				}
-				ring = append(ring, cyc[0].from)
-				out = append(out, Finding{
-					Analyzer: "lockorder",
-					Pos:      e.pos,
-					Message: fmt.Sprintf("lock-order cycle %s: %s; pick one global acquisition order",
-						strings.Join(ring, " → "), strings.Join(desc, "; ")),
-				})
+				desc = append(desc, step)
+				ring = append(ring, ce.from)
 			}
+			ring = append(ring, cyc[0].from)
+			out = append(out, Finding{
+				Analyzer: "lockorder",
+				Pos:      e.pos,
+				Message: fmt.Sprintf("lock-order cycle %s: %s; pick one global acquisition order",
+					strings.Join(ring, " → "), strings.Join(desc, "; ")),
+			})
 		}
 		adj[e.from] = append(adj[e.from], e)
 	}
@@ -1269,10 +999,11 @@ func findConflictCycle(adj map[string][]*loEdge, e *loEdge) []*loEdge {
 
 // verbFindings reports fabric verbs reached while a fabric-intolerant
 // mutex class is held: verbs issued in the holding body and verbs reached
-// through call paths.
-func (a *loAnalysis) verbFindings(sel map[*Package]bool) []Finding {
+// through call paths (which functions reach the fabric, and how, is the
+// program's cost facts).
+func (a *loAnalysis) verbFindings() []Finding {
 	var out []Finding
-	seen := map[token.Position]bool{}
+	seen := map[token.Pos]bool{}
 	emit := func(pos token.Pos, held map[string]lockMode, path string) {
 		var classes []string
 		for c := range held {
@@ -1281,65 +1012,38 @@ func (a *loAnalysis) verbFindings(sel map[*Package]bool) []Finding {
 			}
 			classes = append(classes, c)
 		}
-		if len(classes) == 0 {
+		if len(classes) == 0 || seen[pos] {
 			return
 		}
+		seen[pos] = true
 		sort.Strings(classes)
-		p := a.fset.Position(pos)
-		if seen[p] || !a.posSelected(p, sel) {
-			return
-		}
-		seen[p] = true
 		out = append(out, Finding{
 			Analyzer: "lockorder",
-			Pos:      p,
+			Pos:      a.prog.fset.Position(pos),
 			Message: fmt.Sprintf("fabric verb reached while holding %s (%s); release node-local latches before simulated network latency",
 				strings.Join(classes, ", "), path),
 		})
 	}
-	for _, sum := range a.allSummaries() {
-		for i := range sum.verbs {
-			ev := &sum.verbs[i]
-			emit(ev.pos, ev.held, "verb issued here")
+	for _, f := range a.scopes {
+		ev := a.events[f]
+		for i := range ev.verbs {
+			emit(ev.verbs[i].pos, ev.verbs[i].held, "verb issued here")
 		}
-		for i := range sum.calls {
-			ev := &sum.calls[i]
-			if len(ev.held) == 0 {
+		for i := range ev.calls {
+			call := &ev.calls[i]
+			if len(call.held) == 0 {
 				continue
 			}
-			for _, t := range ev.targets {
-				if a.verbVia[t] != nil {
-					emit(ev.pos, ev.held, a.verbPath(t))
+			for _, t := range call.targets {
+				if a.prog.fabric.reaches(t) {
+					_, verb := worstCost(a.prog.fabric.cost[t])
+					emit(call.pos, call.held, a.prog.fabric.path(t, t, verb))
 					break
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		return a.Pos.Line < b.Pos.Line
-	})
 	return out
-}
-
-// posSelected reports whether a position lies inside one of the
-// pattern-selected packages (findings in dependency-only packages are
-// suppressed: their directives were not loaded, and a narrower run should
-// not police files it was not pointed at).
-func (a *loAnalysis) posSelected(pos token.Position, sel map[*Package]bool) bool {
-	dir := pos.Filename
-	if i := strings.LastIndexByte(dir, '/'); i >= 0 {
-		dir = dir[:i]
-	}
-	for p := range sel {
-		if p.Dir == dir {
-			return true
-		}
-	}
-	return false
 }
 
 // qualifiedFuncName renders "pkg.Recv.Name" / "pkg.Name" for findings.
@@ -1354,94 +1058,46 @@ func qualifiedFuncName(fn *types.Func) string {
 	return name
 }
 
-// ---- public lock-graph API (polarvet -lockgraph) ----
+// ---- the lock graph, as a view of the result ----
 
 // LockGraphEdge is one acquisition-order edge of the module.
 type LockGraphEdge struct {
-	From, To         string
-	FromMode, ToMode string // "R" or "W"
-	Witness          token.Position
-	Path             string // call chain for interprocedural edges, "" for direct
+	From     string `json:"from"`
+	To       string `json:"to"`
+	FromMode string `json:"fromMode"` // "R" or "W"
+	ToMode   string `json:"toMode"`
+	Witness  string `json:"witness"`        // file:line:col of the acquisition or call
+	Path     string `json:"path,omitempty"` // call chain for interprocedural edges
 }
 
 // LockGraph is the module's lock universe and observed acquisition
-// orderings, as dumped by polarvet -lockgraph.
+// orderings. Nodes are every discovered lock class (edge-less classes
+// included).
 type LockGraph struct {
-	Classes []string
+	Classes []string `json:"classes"`
 	// FabricTolerant maps the classes designed to span fabric latency to
 	// their rationale (the analyzer's fabricTolerant table, restricted to
 	// classes that exist in this module).
-	FabricTolerant map[string]string
-	Edges          []LockGraphEdge
+	FabricTolerant map[string]string `json:"fabricTolerant"`
+	Edges          []LockGraphEdge   `json:"edges"`
 }
 
-// BuildLockGraph loads the packages matching patterns and returns the
-// acquisition-order graph the lockorder analyzer reasons over. Nodes are
-// every discovered lock class (edge-less classes included).
-func BuildLockGraph(mod *Module, patterns []string) (*LockGraph, error) {
-	paths, err := mod.Packages(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, path := range paths {
-		p, err := mod.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	if len(pkgs) == 0 {
-		return &LockGraph{}, nil
-	}
-	a := newLockOrderAnalysis(pkgs)
-	a.solve()
-	edges := a.collectEdges()
+// LockGraph returns the acquisition-order graph the lockorder analyzer
+// reasons over, from the run's one lock solve.
+func (r *Result) LockGraph() *LockGraph {
+	a := r.prog.locks()
 	g := &LockGraph{Classes: append([]string(nil), a.classes.all...), FabricTolerant: map[string]string{}}
 	for _, c := range g.Classes {
 		if why, ok := fabricTolerant[c]; ok {
 			g.FabricTolerant[c] = why
 		}
 	}
-	for _, e := range edges {
+	for _, e := range a.edges {
 		g.Edges = append(g.Edges, LockGraphEdge{
 			From: e.from, To: e.to,
 			FromMode: e.fromMode.String(), ToMode: e.toMode.String(),
-			Witness: e.pos, Path: e.path,
+			Witness: e.pos.String(), Path: e.path,
 		})
 	}
-	return g, nil
-}
-
-// DOT renders the graph in Graphviz dot syntax: one node per lock class,
-// one edge per ordered acquisition pair, labeled with the witness site.
-func (g *LockGraph) DOT() string {
-	var b strings.Builder
-	b.WriteString("digraph lockorder {\n")
-	b.WriteString("  rankdir=LR;\n")
-	b.WriteString("  node [shape=box, fontname=\"monospace\"];\n")
-	for _, c := range g.Classes {
-		if _, ok := g.FabricTolerant[c]; ok {
-			fmt.Fprintf(&b, "  %q [peripheries=2];\n", c) // fabric-tolerant by design
-			continue
-		}
-		fmt.Fprintf(&b, "  %q;\n", c)
-	}
-	for _, e := range g.Edges {
-		label := fmt.Sprintf("%s→%s %s:%d", e.FromMode, e.ToMode, baseName(e.Witness.Filename), e.Witness.Line)
-		attrs := ""
-		if e.From == e.To {
-			attrs = ", style=dashed" // instance-ordered coupling on one class
-		}
-		fmt.Fprintf(&b, "  %q -> %q [label=%q%s];\n", e.From, e.To, label, attrs)
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
-func baseName(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
+	return g
 }

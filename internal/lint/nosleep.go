@@ -21,7 +21,9 @@ type NoSleep struct{}
 func (NoSleep) Name() string { return "nosleep" }
 
 // Check implements Analyzer.
-func (NoSleep) Check(p *Package) []Finding {
+func (NoSleep) Check(prog *program) []Finding { return prog.eachPackage(noSleep) }
+
+func noSleep(p *Package) []Finding {
 	if p.Path == "polardb/internal/bench" || strings.HasSuffix(p.Path, "/internal/bench") {
 		return nil
 	}

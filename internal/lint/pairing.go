@@ -161,6 +161,17 @@ func (s pairState) clone() pairState {
 	return out
 }
 
+func (s pairState) join(from pairState) bool {
+	changed := false
+	for k, v := range from {
+		if _, ok := s[k]; !ok {
+			s[k] = v
+			changed = true
+		}
+	}
+	return changed
+}
+
 // pairSummary is what one module function means to its callers.
 type pairSummary struct {
 	releases map[int]bool        // parameter index -> released on every path
@@ -168,90 +179,45 @@ type pairSummary struct {
 	returned map[int][]*pairSpec // result index -> acquired resources it hands back
 }
 
-// Check implements Analyzer.
-func (Pairing) Check(p *Package) []Finding {
-	if strings.HasSuffix(p.Path, "internal/rdma") {
-		return nil
-	}
-	ensurePairSummaries(p)
-	scopes := funcScopes(p)
-	var out []Finding
-	for _, sc := range scopes {
-		a := &pairAnalysis{p: p, scope: sc, g: buildCFG(sc.body),
-			summaries: p.Mod.pairSummaries, adapted: p.Mod.pairAdapted, report: true}
+// Check implements Analyzer. Summaries come first, as one module-wide
+// fixpoint: an obligation handed to a helper — in this package or an
+// exported one in another — is tracked through that helper's summary. (The
+// shared type-check universe means a cross-package callee is the same
+// *types.Func that indexes its body.) rdma's own functions are not
+// summarized, so calls into the fabric stay conservatively treated.
+func (Pairing) Check(prog *program) []Finding {
+	summaries := map[*funcInfo]*pairSummary{}
+	adapted := map[*pairSpec]*pairSpec{}
+	analyze := func(f *funcInfo, report bool) *pairAnalysis {
+		a := &pairAnalysis{prog: prog, p: f.pkg, scope: f, summaries: summaries, adapted: adapted, report: report}
 		a.run()
-		out = append(out, a.findings...)
+		return a
+	}
+	summarize(prog.funcs, summaries, func(f *funcInfo) (*pairSummary, bool) {
+		if f.fn == nil || isFabricPkg(f.pkg) {
+			return nil, false
+		}
+		ns := analyze(f, false).summary()
+		// An empty summary is still knowledge — "borrows all its
+		// parameters" — and must land in the map so callers don't fall
+		// back to the conservative unknown-callee treatment.
+		old := summaries[f]
+		return ns, old == nil || !samePairSummary(old, ns)
+	})
+	var out []Finding
+	for _, f := range prog.funcs {
+		if !isFabricPkg(f.pkg) {
+			out = append(out, analyze(f, true).findings...)
+		}
 	}
 	return out
 }
 
-// ensurePairSummaries computes, once per package, the pair summaries of
-// p and of every module package it imports — dependencies first, so an
-// obligation handed to an exported helper in another package is tracked
-// through that helper's (already computed) summary. The shared module
-// type-check universe means a cross-package callee is the same
-// *types.Func object that keyed the summary when its home package was
-// summarized. rdma is skipped: the fabric's own functions summarize as
-// unknown and stay conservatively treated.
-func ensurePairSummaries(p *Package) {
-	m := p.Mod
-	if m.pairDone[p.Path] {
-		return
-	}
-	m.pairDone[p.Path] = true // Go forbids import cycles; set-first is just cheap reentry protection
-	for _, imp := range p.Pkg.Imports() {
-		path := imp.Path()
-		if path != m.Path && !strings.HasPrefix(path, m.Path+"/") {
-			continue
-		}
-		if dp, err := m.Load(path); err == nil {
-			ensurePairSummaries(dp)
-		}
-	}
-	if strings.HasSuffix(p.Path, "internal/rdma") {
-		return
-	}
-	scopes := funcScopes(p)
-	cfgs := make([]*funcCFG, len(scopes))
-	for i, sc := range scopes {
-		cfgs[i] = buildCFG(sc.body)
-	}
-	// Intra-package fixpoint (imports are already summarized above), so
-	// helpers that delegate to other helpers still summarize.
-	for round := 0; round < 5; round++ {
-		changed := false
-		for i, sc := range scopes {
-			if sc.decl == nil {
-				continue
-			}
-			fobj, ok := p.Info.Defs[sc.decl.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			a := &pairAnalysis{p: p, scope: sc, g: cfgs[i], summaries: m.pairSummaries, adapted: m.pairAdapted}
-			a.run()
-			ns := a.summary()
-			// An empty summary is still knowledge — "borrows all its
-			// parameters" — and must land in the map so callers don't
-			// fall back to the conservative unknown-callee treatment.
-			if old := m.pairSummaries[fobj]; old == nil || !samePairSummary(old, ns) {
-				m.pairSummaries[fobj] = ns
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
+// isFabricPkg reports internal/rdma, which implements the fabric the
+// pairing and regionescape invariants protect and is exempt from both.
+func isFabricPkg(p *Package) bool { return strings.HasSuffix(p.Path, "internal/rdma") }
 
 func samePairSummary(a, b *pairSummary) bool {
-	if a == nil {
-		return b == nil || (len(b.releases) == 0 && len(b.stores) == 0 && len(b.returned) == 0)
-	}
-	if b == nil {
-		return len(a.releases) == 0 && len(a.stores) == 0 && len(a.returned) == 0
-	}
 	if len(a.releases) != len(b.releases) || len(a.stores) != len(b.stores) || len(a.returned) != len(b.returned) {
 		return false
 	}
@@ -287,10 +253,10 @@ func samePairSummary(a, b *pairSummary) bool {
 
 // pairAnalysis runs the dataflow over one function scope.
 type pairAnalysis struct {
+	prog      *program
 	p         *Package
-	scope     funcScope
-	g         *funcCFG
-	summaries map[*types.Func]*pairSummary
+	scope     *funcInfo
+	summaries map[*funcInfo]*pairSummary
 	adapted   map[*pairSpec]*pairSpec // interned result-position variants of specs
 	report    bool
 
@@ -302,6 +268,11 @@ type pairAnalysis struct {
 	paramLeaked map[int]bool
 	paramStored map[int]bool
 	returned    map[int][]*pairSpec
+}
+
+// summaryOf is what a callee means to this scope, nil when unknown.
+func (a *pairAnalysis) summaryOf(obj *types.Func) *pairSummary {
+	return a.summaries[a.prog.decls[obj]]
 }
 
 func (a *pairAnalysis) run() {
@@ -333,45 +304,14 @@ func (a *pairAnalysis) run() {
 		}
 	}
 
-	in := map[*cfgBlock]pairState{a.g.entry: entry}
-	work := []*cfgBlock{a.g.entry}
-	inWork := map[*cfgBlock]bool{a.g.entry: true}
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		inWork[blk] = false
-		st := in[blk].clone()
-		for _, n := range blk.nodes {
-			a.applyNode(st, n)
-		}
-		for _, e := range blk.succs {
-			next := a.refine(st, e)
-			cur, seen := in[e.to]
-			changed := !seen // first visit: propagate even an empty state
-			if cur == nil {
-				cur = pairState{}
-				in[e.to] = cur
-			}
-			for k, v := range next {
-				if _, ok := cur[k]; !ok {
-					cur[k] = v
-					changed = true
-				}
-			}
-			if changed && !inWork[e.to] {
-				work = append(work, e.to)
-				inWork[e.to] = true
-			}
-		}
-	}
+	g := a.scope.g
+	in := forward(g, entry, a.applyBlock, a.refine)
 
 	// A function body that falls off its closing brace is an exit too.
-	if a.g.fallsOff != nil {
-		if st0 := in[a.g.fallsOff]; st0 != nil {
+	if g.fallsOff != nil {
+		if st0 := in[g.fallsOff]; st0 != nil {
 			st := st0.clone()
-			for _, n := range a.g.fallsOff.nodes {
-				a.applyNode(st, n)
-			}
+			a.applyBlock(g.fallsOff, st)
 			a.checkExit(st, a.scope.body.End())
 		}
 	}
@@ -388,7 +328,13 @@ func (a *pairAnalysis) summary() *pairSummary {
 	return s
 }
 
-// applyNode is the transfer function for one CFG node.
+// applyBlock is the transfer function for one CFG block.
+func (a *pairAnalysis) applyBlock(blk *cfgBlock, st pairState) {
+	for _, n := range blk.nodes {
+		a.applyNode(st, n)
+	}
+}
+
 func (a *pairAnalysis) applyNode(st pairState, n ast.Node) {
 	switch s := n.(type) {
 	case *ast.DeferStmt:
@@ -494,7 +440,7 @@ func (a *pairAnalysis) releaseHits(call *ast.CallExpr) []relHit {
 				}
 			}
 		}
-		if sum := a.summaries[obj]; sum != nil {
+		if sum := a.summaryOf(obj); sum != nil {
 			for i := range call.Args {
 				if sum.releases[i] {
 					out = append(out, relHit{key: types.ExprString(call.Args[i])})
@@ -587,7 +533,7 @@ func (a *pairAnalysis) applyTransfers(st pairState, n ast.Node) {
 			// obligation: `retained.push(cur)` moves cur into the
 			// container that releaseAll later drains.
 			if obj := calleeFunc(a.p, c); obj != nil {
-				if sum := a.summaries[obj]; sum != nil {
+				if sum := a.summaryOf(obj); sum != nil {
 					for i, arg := range c.Args {
 						if !sum.stores[i] {
 							continue
@@ -733,7 +679,7 @@ func (a *pairAnalysis) applyAcquire(st pairState, n ast.Node) {
 		}
 	}
 	// Module constructor that hands back acquired resources.
-	if sum := a.summaries[obj]; sum != nil {
+	if sum := a.summaryOf(obj); sum != nil {
 		sig, _ := obj.Type().(*types.Signature)
 		for j, specs := range sum.returned {
 			guard := guardNone
@@ -832,7 +778,7 @@ func (a *pairAnalysis) rootIdents(e ast.Expr) []*ast.Ident {
 		case *ast.CallExpr:
 			var sum *pairSummary
 			if obj := calleeFunc(a.p, e); obj != nil {
-				sum = a.summaries[obj]
+				sum = a.summaryOf(obj)
 			}
 			for i, arg := range e.Args {
 				if sum == nil || sum.stores[i] || sum.releases[i] {
@@ -885,76 +831,55 @@ func (a *pairAnalysis) checkExit(st pairState, pos token.Pos) {
 
 // refine narrows facts along a conditional edge: `err != nil` kills an
 // err-guarded fact on its true edge and discharges the guard on its
-// false edge; `f == nil` does the reverse for nil-guarded facts; and
-// comparing an err-guard against a (necessarily non-nil) sentinel error
-// kills the fact on the equal edge.
+// false edge; `f == nil` does the reverse for nil-guarded facts; and an
+// err-guard equal to a (necessarily non-nil) sentinel error is a non-nil
+// edge like any other.
 func (a *pairAnalysis) refine(st pairState, e cfgEdge) pairState {
-	if e.cond == nil {
-		return st
-	}
-	bin, ok := e.cond.(*ast.BinaryExpr)
-	if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
-		return st
-	}
-	classify := func(x, y ast.Expr) (types.Object, int) {
-		o := identObj2(a.p, x)
-		if o == nil {
-			return nil, 0
+	obj, isNil, ok := nilGuard(a.p, e)
+	if !ok {
+		if obj = a.equalsSentinel(e); obj == nil {
+			return st
 		}
-		if yi, ok := y.(*ast.Ident); ok && yi.Name == "nil" {
-			return o, 1 // compared against nil
-		}
-		if tv, ok := a.p.Info.Types[y]; ok && tv.Type != nil && isErrorType(tv.Type) {
-			return o, 2 // compared against an error sentinel
-		}
-		return nil, 0
 	}
-	obj, mode := classify(bin.X, bin.Y)
-	if obj == nil {
-		obj, mode = classify(bin.Y, bin.X)
-	}
-	if obj == nil {
-		return st
-	}
-	// truth of the comparison on this edge:
-	taken := !e.negate
-	eq := (bin.Op == token.EQL) == taken // the two operands are equal on this edge
-
 	out := st.clone()
-	// A binding proven nil on this edge cannot hold a resource: kill
-	// facts rooted at it. This is what connects `var prev *node` set
-	// only inside `if prevNo != 0` with the later `if prev != nil {
-	// release(prev) }` — on the nil edge the acquire never happened.
-	if mode == 1 && (bin.Op == token.EQL) == !e.negate {
-		for id, f := range out {
-			if (f.obj != nil && f.obj == obj) || keyUnder(f.key, obj.Name()) {
-				delete(out, id)
-			}
-		}
-	}
 	for id, f := range out {
-		if f.guard == guardNone || f.guardObj == nil || f.guardObj != obj {
-			continue
-		}
 		switch {
-		case mode == 1 && f.guard == guardErr:
+		case isNil && ((f.obj != nil && f.obj == obj) || keyUnder(f.key, obj.Name())):
+			// A binding proven nil on this edge cannot hold a resource.
+			// This is what connects `var prev *node` set only inside `if
+			// prevNo != 0` with the later `if prev != nil { release(prev)
+			// }` — on the nil edge the acquire never happened.
 			delete(out, id)
-			if eq { // err == nil: definitely acquired
-				f.guard = guardNone
-				out[f.id()] = f
-			} // err != nil: never acquired — drop
-		case mode == 1 && f.guard == guardNilResult:
+		case f.guard == guardNone || f.guardObj != obj:
+		case (f.guard == guardErr) == isNil:
+			// err == nil / f != nil: definitely acquired.
 			delete(out, id)
-			if !eq { // f != nil: definitely acquired
-				f.guard = guardNone
-				out[f.id()] = f
-			}
-		case mode == 2 && f.guard == guardErr && eq:
-			// err == someSentinelErr implies err != nil: not acquired.
-			delete(out, id)
+			f.guard = guardNone
+			out[f.id()] = f
+		default:
+			delete(out, id) // err != nil / f == nil: never acquired
 		}
 	}
 	return out
+}
+
+// equalsSentinel parses an edge along which an identifier equals an
+// error-typed operand (`err == ErrBusy`, or the false edge of `!=`) and
+// returns the identifier's object, nil for any other edge.
+func (a *pairAnalysis) equalsSentinel(e cfgEdge) types.Object {
+	cond, holds := edgeCond(e)
+	bin, ok := cond.(*ast.BinaryExpr)
+	if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) || (bin.Op == token.EQL) != holds {
+		return nil
+	}
+	for _, xy := range [2][2]ast.Expr{{bin.X, bin.Y}, {bin.Y, bin.X}} {
+		if tv, ok := a.p.Info.Types[xy[1]]; ok && tv.Type != nil && isErrorType(tv.Type) {
+			if obj := identObj2(a.p, xy[0]); obj != nil {
+				return obj
+			}
+		}
+	}
+	return nil
 }
 
 // ---- shared type helpers ----

@@ -34,85 +34,79 @@ type RegionEscape struct{}
 func (RegionEscape) Name() string { return "regionescape" }
 
 // Check implements Analyzer.
-func (RegionEscape) Check(p *Package) []Finding {
-	if strings.HasSuffix(p.Path, "internal/rdma") {
-		return nil
-	}
-	scopes := funcScopes(p)
-	cfgs := make([]*funcCFG, len(scopes))
-	for i, sc := range scopes {
-		cfgs[i] = buildCFG(sc.body)
-	}
-	callbackLits := withBytesCallbacks(p)
-
-	tainted := map[*types.Func]bool{}
-	for round := 0; round < 5; round++ {
-		changed := false
-		for i, sc := range scopes {
-			if sc.decl == nil || ast.IsExported(sc.decl.Name.Name) {
-				continue
-			}
-			fobj, ok := p.Info.Defs[sc.decl.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			a := &regionAnalysis{p: p, scope: sc, g: cfgs[i], taintedFns: tainted, callbacks: callbackLits}
-			a.run()
-			if a.returnsTaint && !tainted[fobj] {
-				tainted[fobj] = true
-				changed = true
+func (RegionEscape) Check(prog *program) []Finding {
+	// Func literals passed to Region WithBytes* methods: their []byte
+	// parameters alias region memory.
+	callbacks := map[*ast.FuncLit]bool{}
+	for _, f := range prog.funcs {
+		for _, cs := range f.calls {
+			if cs.callee != nil && isRegionMethod(cs.callee, "WithBytes") {
+				for _, arg := range cs.call.Args {
+					if lit, ok := arg.(*ast.FuncLit); ok {
+						callbacks[lit] = true
+					}
+				}
 			}
 		}
-		if !changed {
-			break
-		}
 	}
-
-	var out []Finding
-	for i, sc := range scopes {
-		a := &regionAnalysis{p: p, scope: sc, g: cfgs[i], taintedFns: tainted, callbacks: callbackLits, report: true}
+	tainted := map[*funcInfo]bool{}
+	analyze := func(f *funcInfo, report bool) *regionAnalysis {
+		a := &regionAnalysis{prog: prog, p: f.pkg, scope: f, taintedFns: tainted, callbacks: callbacks, report: report}
 		a.run()
-		out = append(out, a.findings...)
+		return a
+	}
+	// Unexported functions may hand aliases around inside their package;
+	// which of them return one is the interprocedural fact.
+	summarize(prog.funcs, tainted, func(f *funcInfo) (bool, bool) {
+		if f.decl == nil || ast.IsExported(f.name) || isFabricPkg(f.pkg) || tainted[f] {
+			return false, false
+		}
+		rt := analyze(f, false).returnsTaint
+		return rt, rt
+	})
+	var out []Finding
+	for _, f := range prog.funcs {
+		if !isFabricPkg(f.pkg) {
+			out = append(out, analyze(f, true).findings...)
+		}
 	}
 	return out
 }
 
-// withBytesCallbacks maps func literals passed to Region WithBytes*
-// methods to true; their []byte parameters alias region memory.
-func withBytesCallbacks(p *Package) map[*ast.FuncLit]bool {
-	out := map[*ast.FuncLit]bool{}
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			obj := calleeFunc(p, call)
-			if obj == nil || obj.Pkg() == nil ||
-				!strings.HasSuffix(obj.Pkg().Path(), "internal/rdma") ||
-				recvTypeName(obj) != "Region" ||
-				!strings.HasPrefix(obj.Name(), "WithBytes") {
-				return true
-			}
-			for _, arg := range call.Args {
-				if lit, ok := arg.(*ast.FuncLit); ok {
-					out[lit] = true
-				}
-			}
-			return true
-		})
-	}
-	return out
+// isRegionMethod reports an rdma.Region method whose name starts with
+// prefix.
+func isRegionMethod(obj *types.Func, prefix string) bool {
+	return obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/rdma") &&
+		recvTypeName(obj) == "Region" && strings.HasPrefix(obj.Name(), prefix)
 }
 
 // regionTaint is the flow state: the set of locally tainted objects.
 type regionTaint map[types.Object]bool
 
+func (s regionTaint) clone() regionTaint {
+	out := make(regionTaint, len(s))
+	for o := range s {
+		out[o] = true
+	}
+	return out
+}
+
+func (s regionTaint) join(from regionTaint) bool {
+	changed := false
+	for o := range from {
+		if !s[o] {
+			s[o] = true
+			changed = true
+		}
+	}
+	return changed
+}
+
 type regionAnalysis struct {
+	prog       *program
 	p          *Package
-	scope      funcScope
-	g          *funcCFG
-	taintedFns map[*types.Func]bool
+	scope      *funcInfo
+	taintedFns map[*funcInfo]bool
 	callbacks  map[*ast.FuncLit]bool
 	report     bool
 
@@ -136,42 +130,11 @@ func (a *regionAnalysis) run() {
 			}
 		}
 	}
-
-	in := map[*cfgBlock]regionTaint{a.g.entry: entry}
-	work := []*cfgBlock{a.g.entry}
-	inWork := map[*cfgBlock]bool{a.g.entry: true}
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		inWork[blk] = false
-		st := regionTaint{}
-		for o, v := range in[blk] {
-			if v {
-				st[o] = true
-			}
-		}
+	forward(a.scope.g, entry, func(blk *cfgBlock, st regionTaint) {
 		for _, n := range blk.nodes {
 			a.applyNode(st, n)
 		}
-		for _, e := range blk.succs {
-			cur, seen := in[e.to]
-			changed := !seen // first visit: propagate even an empty state
-			if cur == nil {
-				cur = regionTaint{}
-				in[e.to] = cur
-			}
-			for o := range st {
-				if !cur[o] {
-					cur[o] = true
-					changed = true
-				}
-			}
-			if changed && !inWork[e.to] {
-				work = append(work, e.to)
-				inWork[e.to] = true
-			}
-		}
-	}
+	}, nil)
 }
 
 func (a *regionAnalysis) applyNode(st regionTaint, n ast.Node) {
@@ -288,11 +251,10 @@ func (a *regionAnalysis) exprTainted(st regionTaint, e ast.Expr) bool {
 		if obj == nil {
 			return false
 		}
-		if obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/rdma") &&
-			recvTypeName(obj) == "Region" && strings.HasPrefix(obj.Name(), "Bytes") {
+		if isRegionMethod(obj, "Bytes") {
 			return true
 		}
-		return obj.Pkg() == a.p.Pkg && a.taintedFns[obj]
+		return obj.Pkg() == a.p.Pkg && a.taintedFns[a.prog.decls[obj]]
 	}
 	return false
 }

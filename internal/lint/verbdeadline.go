@@ -50,197 +50,105 @@ var fabricClients = map[string]map[string]bool{
 }
 
 // Check implements Analyzer.
-func (VerbDeadline) Check(p *Package) []Finding {
-	watched := false
-	for _, suffix := range verbDeadlinePkgs {
-		if strings.HasSuffix(p.Path, suffix) {
-			watched = true
-		}
-	}
-	if !watched {
-		return nil
-	}
-
-	ensureBlockingFns(p)
-	isBlocking := func(call *ast.CallExpr) bool {
-		obj := calleeFunc(p, call)
-		if obj == nil {
-			return false
-		}
-		if isFabricVerb(obj) {
-			return true
-		}
-		if obj.Pkg() != nil {
-			for pkg, recvs := range fabricClients {
-				if strings.HasSuffix(obj.Pkg().Path(), pkg) && recvs[recvTypeName(obj)] {
-					return true
-				}
+func (VerbDeadline) Check(prog *program) []Finding {
+	var out []Finding
+	for _, f := range prog.funcs {
+		watched := false
+		for _, suffix := range verbDeadlinePkgs {
+			if strings.HasSuffix(f.pkg.Path, suffix) {
+				watched = true
 			}
 		}
-		return p.Mod.blockingFns[obj]
-	}
-
-	var out []Finding
-	for _, sc := range funcScopes(p) {
-		g := buildCFG(sc.body)
-		ids, cyclic := g.sccMap()
+		if !watched {
+			continue
+		}
 		boundedCache := map[int]bool{}
-		for _, blk := range g.blocks {
-			for _, n := range blk.nodes {
-				inspectSkipFuncLit(n, func(c ast.Node) bool {
-					call, ok := c.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					obj := calleeFunc(p, call)
-					if obj == nil {
-						return true
-					}
-					if methodIs(obj, "internal/rdma", "Endpoint", "Call") {
-						out = append(out, Finding{
-							Analyzer: "verbdeadline",
-							Pos:      p.Fset.Position(call.Pos()),
-							Message: fmt.Sprintf("%s: Endpoint.Call has no deadline and can wedge forever on a dead handler; use CallTimeout",
-								sc.name),
-						})
-						return true
-					}
-					if !isBlocking(call) {
-						return true
-					}
-					id := ids[blk]
-					if !cyclic[id] {
-						return true
-					}
-					bounded, seen := boundedCache[id]
-					if !seen {
-						bounded = sccBounded(p, g, ids, id)
-						boundedCache[id] = bounded
-					}
-					if !bounded {
-						out = append(out, Finding{
-							Analyzer: "verbdeadline",
-							Pos:      p.Fset.Position(call.Pos()),
-							Message: fmt.Sprintf("%s: fabric-waiting call %s retried on an unbounded loop; bound it with a retry.Backoff window, a counted loop, or a cancellable select",
-								sc.name, callName(call)),
-						})
-					}
-					return true
-				})
+		for _, blk := range f.g.blocks {
+			for _, cs := range blk.calls {
+				if cs.callee == nil {
+					continue
+				}
+				if methodIs(cs.callee, "internal/rdma", "Endpoint", "Call") {
+					out = append(out, Finding{
+						Analyzer: "verbdeadline",
+						Pos:      prog.fset.Position(cs.call.Pos()),
+						Message: fmt.Sprintf("%s: Endpoint.Call has no deadline and can wedge forever on a dead handler; use CallTimeout",
+							f.name),
+					})
+					continue
+				}
+				id := f.scc[blk]
+				if !f.cyclic[id] || !prog.fabricWaiting(cs) {
+					continue
+				}
+				bounded, seen := boundedCache[id]
+				if !seen {
+					bounded = sccBounded(f, id)
+					boundedCache[id] = bounded
+				}
+				if !bounded {
+					out = append(out, Finding{
+						Analyzer: "verbdeadline",
+						Pos:      prog.fset.Position(cs.call.Pos()),
+						Message: fmt.Sprintf("%s: fabric-waiting call %s retried on an unbounded loop; bound it with a retry.Backoff window, a counted loop, or a cancellable select",
+							f.name, types.ExprString(cs.call.Fun)),
+					})
+				}
 			}
 		}
 	}
 	return out
 }
 
-// ensureBlockingFns computes, once per package, which of p's functions
-// (and, recursively, its module dependencies') transitively issue a
-// fabric verb or remote-tier client call on some path, into the
-// module-wide map — so a cluster loop retrying an exported engine
-// helper is recognized as fabric-waiting. rdma is skipped: its methods
-// are the verbs themselves, matched by isFabricVerb.
-func ensureBlockingFns(p *Package) {
-	m := p.Mod
-	if m.blockingDone[p.Path] {
-		return
+// fabricWaiting reports whether a call waits on the fabric: a verb, a
+// remote-tier client method, or a module function that transitively
+// issues a verb (in this package or another — the program's cost facts
+// answer that, so a cluster loop retrying an exported engine helper is
+// recognized).
+func (prog *program) fabricWaiting(cs *callSite) bool {
+	if cs.verb != "" {
+		return true
 	}
-	m.blockingDone[p.Path] = true
-	for _, imp := range p.Pkg.Imports() {
-		path := imp.Path()
-		if path != m.Path && !strings.HasPrefix(path, m.Path+"/") {
-			continue
-		}
-		if dp, err := m.Load(path); err == nil {
-			ensureBlockingFns(dp)
-		}
-	}
-	if strings.HasSuffix(p.Path, "internal/rdma") {
-		return
-	}
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					decls[obj] = fd
-				}
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for fobj, fd := range decls {
-			if m.blockingFns[fobj] {
-				continue
-			}
-			hit := false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if hit {
-					return false
-				}
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				obj := calleeFunc(p, call)
-				if obj == nil {
-					return true
-				}
-				if isFabricVerb(obj) || m.blockingFns[obj] {
-					hit = true
-					return false
-				}
-				if obj.Pkg() != nil {
-					for pkg, recvs := range fabricClients {
-						if strings.HasSuffix(obj.Pkg().Path(), pkg) && recvs[recvTypeName(obj)] {
-							hit = true
-							return false
-						}
-					}
-				}
+	if pkg := cs.callee.Pkg(); pkg != nil {
+		for suffix, recvs := range fabricClients {
+			if strings.HasSuffix(pkg.Path(), suffix) && recvs[recvTypeName(cs.callee)] {
 				return true
-			})
-			if hit {
-				m.blockingFns[fobj] = true
-				changed = true
 			}
 		}
 	}
+	for _, t := range cs.targets {
+		if prog.fabric.reaches(t) {
+			return true
+		}
+	}
+	return false
 }
 
-// sccBackoff collects the blocks of the CFG cycle with the given id and
+// sccBackoff collects the blocks of f's CFG cycle with the given id and
 // reports whether the cycle advances a retry.Backoff, which bounds it by
 // the backoff's window.
-func sccBackoff(p *Package, g *funcCFG, ids map[*cfgBlock]int, id int) (scc map[*cfgBlock]bool, backoff bool) {
+func sccBackoff(f *funcInfo, id int) (scc map[*cfgBlock]bool, backoff bool) {
 	scc = map[*cfgBlock]bool{}
-	for _, blk := range g.blocks {
-		if ids[blk] == id {
-			scc[blk] = true
+	for _, blk := range f.g.blocks {
+		if f.scc[blk] != id {
+			continue
 		}
-	}
-	for blk := range scc {
-		for _, n := range blk.nodes {
-			inspectSkipFuncLit(n, func(c ast.Node) bool {
-				if call, ok := c.(*ast.CallExpr); ok {
-					if obj := calleeFunc(p, call); obj != nil && obj.Pkg() != nil &&
-						strings.HasSuffix(obj.Pkg().Path(), "internal/retry") && recvTypeName(obj) == "Backoff" {
-						backoff = true
-					}
-				}
-				return !backoff
-			})
-			if backoff {
-				return scc, true
+		scc[blk] = true
+		for _, cs := range blk.calls {
+			if obj := cs.callee; obj != nil && obj.Pkg() != nil &&
+				strings.HasSuffix(obj.Pkg().Path(), "internal/retry") && recvTypeName(obj) == "Backoff" {
+				backoff = true
 			}
 		}
 	}
-	return scc, false
+	return scc, backoff
 }
 
-// sccBounded decides whether the cycle with the given id terminates or
+// sccBounded decides whether f's cycle with the given id terminates or
 // is cancellable.
-func sccBounded(p *Package, g *funcCFG, ids map[*cfgBlock]int, id int) bool {
-	scc, backoff := sccBackoff(p, g, ids, id)
+func sccBounded(f *funcInfo, id int) bool {
+	g := f.g
+	scc, backoff := sccBackoff(f, id)
 	if backoff {
 		return true
 	}
@@ -276,9 +184,4 @@ func sccBounded(p *Package, g *funcCFG, ids map[*cfgBlock]int, id int) bool {
 		}
 	}
 	return loops > 0 && counted == loops
-}
-
-// callName renders the callee of a call for messages.
-func callName(call *ast.CallExpr) string {
-	return types.ExprString(call.Fun)
 }

@@ -67,7 +67,9 @@ func newPoolMetrics(r *stat.Registry) poolMetrics {
 // round trip learns the node's owner index (used in PL latch words).
 func NewPool(ep *rdma.Endpoint, cfg Config, home rdma.NodeID) (*Pool, error) {
 	p := &Pool{ep: ep, met: newPoolMetrics(ep.Metrics()), home: home}
-	//polarvet:allow fabriccost the hello handshake allocates this node's owner index in the home's directory; server-side state assignment cannot be a one-sided read
+	// An RPC on purpose: the hello handshake allocates this node's owner
+	// index in the home's directory, and server-side state assignment
+	// cannot be a one-sided read.
 	resp, err := ep.Call(home, method("hello"), nil)
 	if err != nil {
 		return nil, fmt.Errorf("rmem: connecting to home %s: %w", home, err)

@@ -238,7 +238,9 @@ func (h *Home) AddSlab(node rdma.NodeID, pages int) (int, error) {
 	}
 	w := wire.NewWriter(8)
 	w.U32(uint32(pages))
-	//polarvet:allow fabriccost slab.create mutates the slab node's allocator (mmap + region registration); the response layout is fixed but the work is remote-CPU by nature
+	// slab.create mutates the slab node's allocator (mmap + region
+	// registration): the response layout is fixed, but the work is
+	// remote-CPU by nature.
 	resp, err := h.ep.Call(node, method("slab.create"), w.Bytes())
 	if err != nil {
 		return 0, fmt.Errorf("rmem: creating slab on %s: %w", node, err)
@@ -272,8 +274,10 @@ func (h *Home) freeSlabRemote(key slabKey) {
 	go func() {
 		w := wire.NewWriter(8)
 		w.U32(key.region)
+		// slab.free tears down the slab node's allocator state; a one-sided
+		// write cannot unregister a region.
 		//polarvet:allow errdrop best-effort free to a possibly-dead slab node; its memory dies with it and the PAT no longer references the region
-		_, _ = h.ep.Call(key.node, method("slab.free"), w.Bytes()) //polarvet:allow fabriccost slab.free tears down the slab node's allocator state; a one-sided write cannot unregister a region
+		_, _ = h.ep.Call(key.node, method("slab.free"), w.Bytes())
 	}()
 }
 

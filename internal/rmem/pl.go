@@ -272,7 +272,9 @@ func (m *PLManager) slowAcquire(page types.PageID, mode PLMode) error {
 	w.U32(uint32(page.No))
 	w.U8(uint8(mode))
 	w.U16(m.ownerIdx)
-	//polarvet:allow fabriccost pl.slow must run home-side code: the home parks the request, revokes the current owner and hands the latch over — not expressible as a one-sided write
+	// pl.slow must run home-side code: the home parks the request, revokes
+	// the current owner and hands the latch over — not expressible as a
+	// one-sided write.
 	_, err := m.ep.CallTimeout(m.home, method("pl.slow"), w.Bytes(), m.cfg.LatchTimeout)
 	if err != nil {
 		return fmt.Errorf("%w: %s %s via home: %v", ErrLatchTimeout, mode, page, err)
@@ -407,7 +409,8 @@ func (h *Home) revokeFromOwner(page types.PageID, owner uint16) {
 	w := wire.NewWriter(8)
 	w.U32(uint32(page.Space))
 	w.U32(uint32(page.No))
-	//polarvet:allow fabriccost the revoke callback must run owner-side code (drain local readers, write back, release); its completion is the handover signal
+	// The revoke callback must run owner-side code (drain local readers,
+	// write back, release); its completion is the handover signal.
 	_, err := h.ep.CallTimeout(node, method("cb.revoke"), w.Bytes(), h.cfg.InvalidateTimeout)
 	if err != nil {
 		// Owner unreachable (crashed): force-release so the cluster makes
