@@ -64,14 +64,14 @@ func (s *memStore) FetchNew(id types.PageID) (*cache.Frame, error) {
 	return s.Fetch(id)
 }
 
-func (s *memStore) Unpin(f *cache.Frame)         { f.Unpin() }
-func (s *memStore) PLLockX(f *cache.Frame) error { s.plX.Add(1); return nil }
-func (s *memStore) PLUnlockX(f *cache.Frame)     {}
-func (s *memStore) PLLockS(f *cache.Frame) error { s.plS.Add(1); return nil }
-func (s *memStore) PLUnlockS(f *cache.Frame)     {}
-func (s *memStore) SMOStamp() uint64             { return s.smo.Add(1) }
-func (s *memStore) SMOClock() (uint64, error)    { return s.smo.Load(), nil }
-func (s *memStore) ReadOnly() bool               { return s.readOnly }
+func (s *memStore) Unpin(f *cache.Frame)          { f.Unpin() }
+func (s *memStore) PLLockX(f *cache.Frame) error  { s.plX.Add(1); return nil }
+func (s *memStore) PLUnlockX(f *cache.Frame)      {}
+func (s *memStore) PLLockS(f *cache.Frame) error  { s.plS.Add(1); return nil }
+func (s *memStore) PLUnlockS(f *cache.Frame)      {}
+func (s *memStore) SMOStamp() uint64              { return s.smo.Add(1) }
+func (s *memStore) SMOClock(bool) (uint64, error) { return s.smo.Load(), nil }
+func (s *memStore) ReadOnly() bool                { return s.readOnly }
 
 // memMtr applies writes directly (they already hit the frame).
 type memMtr struct{ records int }

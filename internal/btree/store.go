@@ -73,7 +73,11 @@ type Store interface {
 	SMOStamp() uint64
 	// SMOClock returns the optimistic traversal snapshot: any SMO that
 	// completes after this call stamps pages with a strictly greater value.
-	SMOClock() (uint64, error)
+	// The store may answer from an earlier observation — an older clock
+	// only turns more stamps into conflicts — unless fresh is set, as it is
+	// on the retry after a conflict: that clock must be taken now, or the
+	// retry meets the same stamp again.
+	SMOClock(fresh bool) (uint64, error)
 
 	// ReadOnly reports whether this node may modify pages.
 	ReadOnly() bool

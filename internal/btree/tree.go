@@ -128,10 +128,12 @@ type readCtx struct {
 	clock uint64
 }
 
-func (t *Tree) newReadCtx(mode TraverseMode) (*readCtx, error) {
+// newReadCtx starts a traversal; retry says the previous attempt ended in
+// an SMO conflict.
+func (t *Tree) newReadCtx(mode TraverseMode, retry bool) (*readCtx, error) {
 	rc := &readCtx{t: t, mode: mode}
 	if mode == Optimistic {
-		clock, err := t.store.SMOClock()
+		clock, err := t.store.SMOClock(retry)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +212,7 @@ func (rc *readCtx) descendToLeaf(key uint64) (*node, error) {
 func (t *Tree) Get(key uint64, mode TraverseMode) ([]byte, error) {
 	const optimisticRetries = 3
 	for attempt := 0; ; attempt++ {
-		val, err := t.getOnce(key, mode)
+		val, err := t.getOnce(key, mode, attempt > 0)
 		if err == nil || !isSMOConflict(err) {
 			return val, err
 		}
@@ -234,8 +236,8 @@ func isSMOConflict(err error) bool {
 	return false
 }
 
-func (t *Tree) getOnce(key uint64, mode TraverseMode) ([]byte, error) {
-	rc, err := t.newReadCtx(mode)
+func (t *Tree) getOnce(key uint64, mode TraverseMode, retry bool) ([]byte, error) {
+	rc, err := t.newReadCtx(mode, retry)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +262,7 @@ func (t *Tree) getOnce(key uint64, mode TraverseMode) ([]byte, error) {
 func (t *Tree) LeafCoverage(key uint64, mode TraverseMode) (lastKey uint64, ok bool, err error) {
 	const optimisticRetries = 3
 	for attempt := 0; ; attempt++ {
-		lastKey, ok, err = t.leafCoverageOnce(key, mode)
+		lastKey, ok, err = t.leafCoverageOnce(key, mode, attempt > 0)
 		if err == nil || !isSMOConflict(err) {
 			return lastKey, ok, err
 		}
@@ -270,8 +272,8 @@ func (t *Tree) LeafCoverage(key uint64, mode TraverseMode) (lastKey uint64, ok b
 	}
 }
 
-func (t *Tree) leafCoverageOnce(key uint64, mode TraverseMode) (uint64, bool, error) {
-	rc, err := t.newReadCtx(mode)
+func (t *Tree) leafCoverageOnce(key uint64, mode TraverseMode, retry bool) (uint64, bool, error) {
+	rc, err := t.newReadCtx(mode, retry)
 	if err != nil {
 		return 0, false, err
 	}
@@ -299,8 +301,10 @@ func (t *Tree) Scan(from, to uint64, mode TraverseMode, fn func(KV) bool) error 
 	const optimisticRetries = 3
 	cursor := from
 	attempt := 0
+	retry := false
 	for {
-		done, err := t.scanChunk(&cursor, to, mode, fn)
+		done, err := t.scanChunk(&cursor, to, mode, retry, fn)
+		retry = err != nil
 		if err == nil {
 			if done {
 				return nil
@@ -319,8 +323,8 @@ func (t *Tree) Scan(from, to uint64, mode TraverseMode, fn func(KV) bool) error 
 
 // scanChunk collects one leaf's worth of entries (hopping empty coverage
 // with left-to-right latch coupling) and delivers them outside latches.
-func (t *Tree) scanChunk(cursor *uint64, to uint64, mode TraverseMode, fn func(KV) bool) (bool, error) {
-	rc, err := t.newReadCtx(mode)
+func (t *Tree) scanChunk(cursor *uint64, to uint64, mode TraverseMode, retry bool, fn func(KV) bool) (bool, error) {
+	rc, err := t.newReadCtx(mode, retry)
 	if err != nil {
 		return false, err
 	}

@@ -227,8 +227,16 @@ func (c *Cluster) GrowMemory(slabs int) (int, error) {
 }
 
 // ShrinkMemory shrinks the pool to at most targetPages (Figure 8's
-// scale-in events); unreferenced pages are evicted at once.
+// scale-in events); unreferenced pages are evicted at once. Every node
+// first sends the unregisters its librmem has queued, so that pages no
+// node uses any more count as unreferenced.
 func (c *Cluster) ShrinkMemory(targetPages int) (int, error) {
+	for _, n := range append([]*DBNode{c.RW}, c.ROs...) {
+		//polarvet:allow fabriccost one per database node: each sends its own queue, already batched into one round trip
+		if err := n.Pool.Flush(); err != nil {
+			return 0, err
+		}
+	}
 	return c.Home.Shrink(targetPages)
 }
 

@@ -156,8 +156,14 @@ func (m *Manager) failover(planned, traditional bool) error {
 	trace("old node handled")
 	target := c.ROs[0]
 	rest := append([]*DBNode(nil), c.ROs[1:]...)
-	// Drop the target's RO-cached pool references before the engine swap.
+	// Drop the target's RO-cached pool references before the engine swap:
+	// the evictions queue in librmem, one round trip sends them.
 	target.Engine.Cache().EvictAll()
+	if target.Pool != nil {
+		if err := target.Pool.Flush(); err != nil {
+			return err
+		}
+	}
 	trace("target cache dropped")
 	if err := target.promoteToRW(old.ID, planned, traditional); err != nil {
 		return err
@@ -166,6 +172,7 @@ func (m *Manager) failover(planned, traditional bool) error {
 	c.RW = target
 	c.ROs = rest
 	for _, ro := range rest {
+		//polarvet:allow fabriccost one per surviving RO node: each repoints itself and sends its own queued unregisters, already batched into one round trip
 		ro.Engine.SwitchRW(target.ID, target.Engine.CTSRegionID())
 	}
 	c.Proxy.setNodes(target, rest)

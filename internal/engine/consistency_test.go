@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"polardb/internal/btree"
-	"polardb/internal/txn"
 )
 
 // TestCrossNodeConsistencyOracle runs random committed operations on the
@@ -186,24 +185,7 @@ func TestPurgeTombstones(t *testing.T) {
 	if err := del.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	waitBackfilled := func(k uint64) {
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			raw, err := tbl.Primary.Get(k, btree.Local)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec, _ := txn.UnmarshalRecord(raw)
-			if rec.CTS != 0 {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("tombstone cts never backfilled")
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	waitBackfilled(0)
+	waitBackfilled(t, tbl, []uint64{0})
 	// While the old snapshot is open, its version chain must survive:
 	// purge is held back by the read-view horizon.
 	if purged, err := h.rw.PurgeTombstones(tbl); err != nil || purged != 0 {

@@ -70,7 +70,7 @@ type Config struct {
 	// ReadOnly marks an RO node.
 	ReadOnly bool
 	// RWNode is the current RW node id (needed by RO nodes for the CTS
-	// region, read views and flush-page requests).
+	// region, purge-horizon leases and flush-page requests).
 	RWNode rdma.NodeID
 	// CTSRegionID is the RW node's CTS region (RO nodes).
 	CTSRegionID uint32
@@ -93,8 +93,6 @@ const (
 	// flushPageTimeout bounds an RO node's eng.flushpage request to the
 	// RW (asking it to write a stale page back to remote memory).
 	flushPageTimeout = 2 * time.Second
-	// viewTimeout bounds an RO node's read-view RPC to the RW at BeginRO.
-	viewTimeout = 2 * time.Second
 )
 
 func (c *Config) applyDefaults() {
@@ -130,18 +128,26 @@ type Engine struct {
 
 	// RO-only state.
 	ctsCli *txn.Client
+	// smoClock is the newest published redo LSN this node has seen: every
+	// read view carries one, and a traversal that meets a newer stamp reads
+	// the word again. SMOClock answers from it without touching the fabric.
+	smoClock atomic.Uint64
+	lease    atomic.Pointer[heldLease] // newest acknowledged purge-horizon lease
+	leaseCh  chan leaseReq             // renewals for leaseKeeper; one waiting is enough
 
-	activeMu sync.Mutex
-	active   map[types.TrxID]*Txn
+	// activeMu guards the in-flight read-write transactions and, among
+	// them, the owners of an undo slot. The owners are what the CTS region's
+	// view block publishes: every change to slotOwner is followed by
+	// publishViewLocked under the same hold.
+	activeMu  sync.Mutex
+	active    map[types.TrxID]*Txn
+	slotOwner map[int]types.TrxID
 
-	// Read-view horizon tracking for purge: local read-only views, plus a
-	// lease window covering views handed to RO nodes over RPC.
+	// Read-view horizon tracking for purge: local read-only views, plus the
+	// leases RO nodes take out for the views they read one-sided.
 	roViewsMu sync.Mutex
 	roViews   map[*Txn]types.Timestamp
-	roLeases  []roLease
-
-	slotMu    sync.Mutex
-	slotOwner map[int]types.TrxID
+	roLeases  []roLease // in expiry order
 
 	adoptedMu sync.Mutex
 	adopted   map[types.TrxID]*Txn
@@ -230,7 +236,7 @@ func NewRW(deps Deps, cfg Config) (*Engine, error) {
 	e.cts = txn.NewService(e.ctsReg, cfg.CTSSlots)
 	e.locks = txn.NewLockTable(cfg.LockWait)
 	e.ep.RegisterHandler("eng.flushpage", e.handleFlushPage)
-	e.ep.RegisterHandler(txn.ViewRPCMethod, e.handleViewRPC)
+	e.ep.RegisterHandler(leaseMethod, e.handleLease)
 	return e, nil
 }
 
@@ -249,9 +255,17 @@ type roLease struct {
 	expires time.Time
 }
 
-// roLeaseWindow is how long a view handed to an RO node holds back the
-// purge horizon (RO transactions are expected to be shorter than this).
-const roLeaseWindow = 10 * time.Second
+const (
+	// roLeaseWindow is how long one lease from an RO node holds back the
+	// purge horizon (RO transactions are expected to be shorter than this).
+	roLeaseWindow = 10 * time.Second
+	// roLeaseRenew is how often an RO node with read traffic sends the next.
+	roLeaseRenew = time.Second
+	// leaseMethod is the RPC an RO node takes a lease out with: 8 bytes,
+	// the cts_read of the view the lease is for.
+	leaseMethod  = "cts.lease"
+	leaseTimeout = 2 * time.Second
+)
 
 func newEngine(deps Deps, cfg Config) *Engine {
 	e := &Engine{
@@ -266,6 +280,7 @@ func newEngine(deps Deps, cfg Config) *Engine {
 		roViews:    make(map[*Txn]types.Timestamp),
 		slotOwner:  make(map[int]types.TrxID),
 		nudge:      make(chan struct{}, 1),
+		leaseCh:    make(chan leaseReq, 1),
 		backfillCh: make(chan backfillItem, 4096),
 		closeCh:    make(chan struct{}),
 		met:        newEngineMetrics(deps.EP.Metrics()),
@@ -275,15 +290,7 @@ func newEngine(deps Deps, cfg Config) *Engine {
 	e.cache = cache.New(cfg.LocalCachePages, e.onEvict)
 	if e.pool != nil {
 		e.pool.OnInvalidate(e.onInvalidate)
-		e.pool.OnSlabFailure(func(pages []types.PageID) {
-			for _, p := range pages {
-				if f := e.cache.Get(p); f != nil {
-					f.Remote = cache.RemoteInfo{}
-					f.Invalidate()
-					f.Unpin()
-				}
-			}
-		})
+		e.pool.OnSlabFailure(e.onAddressesGone)
 	}
 	return e
 }
@@ -298,6 +305,9 @@ func (e *Engine) start() {
 			e.wg.Add(1)
 			go e.checkpointer()
 		}
+	} else {
+		e.wg.Add(1)
+		go e.leaseKeeper()
 	}
 }
 
@@ -379,12 +389,13 @@ func (e *Engine) FetchNew(id types.PageID) (*cache.Frame, error) {
 }
 
 // flight is one in-progress fill of a local cache miss. Concurrent
-// fetchers of the page wait on done; invalidated records a
-// cache-invalidation callback that arrived while the frame was not in the
-// cache yet and so had no PIB bit to set.
+// fetchers of the page wait on done; invalidated and addressesGone record
+// a callback that arrived while the frame was not in the cache yet and so
+// had no PIB bit to set, no addresses to forget.
 type flight struct {
-	done        chan struct{}
-	invalidated bool
+	done          chan struct{}
+	invalidated   bool
+	addressesGone bool
 }
 
 func (e *Engine) fetch(id types.PageID, fresh bool) (*cache.Frame, error) {
@@ -418,6 +429,9 @@ func (e *Engine) fetch(id types.PageID, fresh bool) (*cache.Frame, error) {
 
 		e.flightMu.Lock()
 		delete(e.flights, id.Key())
+		if err == nil && fl.addressesGone {
+			f.Remote = cache.RemoteInfo{}
+		}
 		if err == nil && fl.invalidated {
 			f.Invalidate()
 		}
@@ -440,6 +454,25 @@ func (e *Engine) onInvalidate(id types.PageID) {
 	}
 	e.flightMu.Unlock()
 	e.cache.Invalidate(id)
+}
+
+// onAddressesGone is the pool's other callback: the home took these
+// pages' slots away (slab crash, Shrink migration, forced eviction at RW
+// recovery), and librmem has already forgotten the registrations. The
+// cached copy forgets its addresses too and re-registers on next use.
+func (e *Engine) onAddressesGone(pages []types.PageID) {
+	for _, id := range pages {
+		e.flightMu.Lock()
+		if fl, ok := e.flights[id.Key()]; ok {
+			fl.invalidated, fl.addressesGone = true, true
+		}
+		e.flightMu.Unlock()
+		if f := e.cache.Get(id); f != nil {
+			f.Remote = cache.RemoteInfo{}
+			f.Invalidate()
+			f.Unpin()
+		}
+	}
 }
 
 // Unpin releases a fetched frame.
@@ -709,14 +742,36 @@ func (e *Engine) SMOStamp() uint64 {
 	return uint64(e.buf.CurrentLSN()) + 1
 }
 
-// SMOClock returns the optimistic traversal snapshot: local LSN on the
-// RW, the RW's published LSN via one-sided RDMA on RO nodes.
-func (e *Engine) SMOClock() (uint64, error) {
+// SMOClock returns the optimistic traversal snapshot: the local LSN on
+// the RW; on an RO node the newest published LSN it has seen, which the
+// statement's read view brought along — no fabric access. An older clock
+// only makes more stamps look concurrent, so a conflict can be false but
+// never missed; fresh (the retry after a conflict) reads the RW's word
+// again, so that the retry's clock postdates the SMO it ran into.
+func (e *Engine) SMOClock(fresh bool) (uint64, error) {
 	if !e.cfg.ReadOnly {
 		return uint64(e.buf.CurrentLSN()), nil
 	}
-	lsn, err := e.ctsCli.ReadLSN()
-	return uint64(lsn), err
+	if fresh {
+		lsn, err := e.ctsCli.ReadLSN()
+		if err != nil {
+			return 0, err
+		}
+		e.observeSMOClock(lsn)
+	}
+	return e.smoClock.Load(), nil
+}
+
+// observeSMOClock advances the node's SMO clock to a published LSN it has
+// just read. One RW's published LSN never decreases, so the maximum is
+// the most recent observation; SwitchRW starts over.
+func (e *Engine) observeSMOClock(lsn types.LSN) {
+	for {
+		cur := e.smoClock.Load()
+		if uint64(lsn) <= cur || e.smoClock.CompareAndSwap(cur, uint64(lsn)) {
+			return
+		}
+	}
 }
 
 // ReadOnly reports whether this engine may modify pages.

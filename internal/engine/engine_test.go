@@ -13,6 +13,7 @@ import (
 	"polardb/internal/rdma"
 	"polardb/internal/rmem"
 	"polardb/internal/txn"
+	"polardb/internal/types"
 )
 
 // harness is a full in-process PolarDB Serverless cluster: three storage
@@ -726,6 +727,56 @@ func TestFailoverKeepsRemoteMemoryWarm(t *testing.T) {
 	}
 	if storage > remote {
 		t.Fatalf("storage reads (%d) exceed remote reads (%d): pool not warm", storage, remote)
+	}
+}
+
+// TestRecoveryWarmsPurgedPages: the pages the crashed RW left dirty are
+// PIB-stale in the pool, recovery purges them, and the new RW fetches them
+// back from storage on its own — no statement asks for them here — so the
+// rows that were being written are read afterwards without a storage read.
+func TestRecoveryWarmsPurgedPages(t *testing.T) {
+	h := newHarness(t, harnessOpts{poolPages: 2048, cachePages: 512})
+	tbl, _ := h.rw.CreateTable("t")
+	insertRows(t, h.rw, tbl, 0, 600)
+	h.rw.WaitAllShipped() // so that no pooled page is ahead of the durable redo: what recovery purges is what is stale
+	h.rw.EP().Kill()
+	h.rw.Close()
+	var stale []types.PageID
+	ofTable := 0
+	for _, en := range h.home.Scan() {
+		if en.Stale {
+			stale = append(stale, en.Page)
+			if en.Page.Space == tbl.Space {
+				ofTable++
+			}
+		}
+	}
+	if ofTable < 2 {
+		t.Fatalf("%d of the table's pages are stale in the pool; the test needs some", ofTable)
+	}
+
+	newRW := h.newEngine(t, "rw2", Config{LocalCachePages: 512}, false, "")
+	if err := newRW.Recover("rw", false); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, id := range stale {
+		for {
+			if f := newRW.Cache().Get(id); f != nil {
+				f.Unpin()
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s, purged by recovery, is not in the new RW's cache 5 s later (%d purged)", id, len(stale))
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	tbl2 := mustOpen(t, newRW, "t")
+	before := newRW.EP().Metrics().Snapshot()
+	checkRows(t, newRW, tbl2, 0, 600)
+	if n := newRW.EP().Metrics().Snapshot().Sub(before).Counter("engine.page.storage_read"); n != 0 {
+		t.Fatalf("reading the rows after the warm-up: engine.page.storage_read +%d, want 0", n)
 	}
 }
 

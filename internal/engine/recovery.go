@@ -34,7 +34,8 @@ func (e *Engine) newBufferAt(start types.LSN) *plog.Buffer {
 //	6.   force-release every PL latch the old RW held.
 //	7.   scan the undo header to rebuild the active transaction table.
 //	8.   start serving.
-//	9.   roll back unfinished transactions in the background.
+//	9.   in the background: roll back unfinished transactions, and fetch
+//	     the pages step 5 purged back from storage (warmPurged).
 func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 	if e.cfg.ReadOnly {
 		return ErrNotRW
@@ -57,6 +58,7 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 	e.cts.PublishLSN(tail)
 	trace("parallel redo")
 
+	var purged []types.PageID // what step 5 took out of the pool
 	if e.pool != nil && !planned {
 		// The crashed node's page references must not pin pages or stall
 		// invalidation fan-outs.
@@ -66,27 +68,23 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 		// Step 5: purge remote-memory pages that are stale (PIB set) or
 		// ahead of the durable redo (written back before their redo
 		// flushed). Everything that survives is byte-consistent with
-		// storage, so the hot working set stays warm.
+		// storage, so the hot working set stays warm; what does not is the
+		// part of it the old RW was writing, and is fetched again in the
+		// background once this node serves (warmPurged).
 		entries, err := e.pool.ScanRemote()
 		if err != nil {
 			return fmt.Errorf("engine: scanning remote memory: %w", err)
 		}
 		for _, en := range entries {
-			if en.Stale {
-				//polarvet:allow fabriccost recovery-only purge: runs once per RW failover, and each evicted page is a distinct home-side state change
-				_ = e.pool.ForceEvict(en.Page) //polarvet:allow errdrop best-effort purge; a page that survives eviction is re-validated against storage on next fetch
-				continue
+			if !en.Stale {
+				var hdr [8]byte
+				if err := e.ep.Read(en.Data, hdr[:]); err == nil && types.LSN(binary.LittleEndian.Uint64(hdr[:])) <= tail {
+					continue
+				}
 			}
-			var hdr [8]byte
-			if err := e.ep.Read(en.Data, hdr[:]); err != nil {
-				//polarvet:allow fabriccost recovery-only purge: runs once per RW failover, and each evicted page is a distinct home-side state change
-				_ = e.pool.ForceEvict(en.Page) //polarvet:allow errdrop best-effort purge; a page that survives eviction is re-validated against storage on next fetch
-				continue
-			}
-			if types.LSN(binary.LittleEndian.Uint64(hdr[:])) > tail {
-				//polarvet:allow fabriccost recovery-only purge: runs once per RW failover, and each evicted page is a distinct home-side state change
-				_ = e.pool.ForceEvict(en.Page) //polarvet:allow errdrop best-effort purge; a page that survives eviction is re-validated against storage on next fetch
-			}
+			purged = append(purged, en.Page)
+			//polarvet:allow fabriccost recovery-only purge: runs once per RW failover, and each evicted page is a distinct home-side state change
+			_ = e.pool.ForceEvict(en.Page) //polarvet:allow errdrop best-effort purge; a page that survives eviction is re-validated against storage on next fetch
 		}
 		trace("pool scan + evict")
 		// Step 6: release the crashed RW's global latches.
@@ -128,18 +126,19 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 	}
 	e.undoPage, e.undoOff, e.undoExact = undoPg, undoOff, false
 
-	// Unfinished transactions stay in the active set (invisible to every
-	// read view) until their background rollback completes.
+	// Unfinished transactions stay in the active set and, as slot owners,
+	// in the published view (invisible to every read view) until their
+	// background rollback completes, or, adopted, until they finish. This is
+	// the region's first view: no RO node is pointed here before it.
 	e.activeMu.Lock()
 	for _, u := range unfinished {
 		e.active[u.Trx] = &Txn{e: e, id: u.Trx}
 	}
-	e.activeMu.Unlock()
-	e.slotMu.Lock()
 	for trx, slot := range slotByTrx {
 		e.slotOwner[slot] = trx
 	}
-	e.slotMu.Unlock()
+	e.publishViewLocked()
+	e.activeMu.Unlock()
 
 	trace("undo scan")
 	// Step 8: serve.
@@ -153,6 +152,8 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 		return e.adoptUnfinished(unfinished, slotByTrx)
 	}
 
+	e.warmPurged(purged)
+
 	// Step 9: background rollback.
 	if len(unfinished) > 0 {
 		e.wg.Add(1)
@@ -161,14 +162,54 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 			for _, u := range unfinished {
 				slot := slotByTrx[u.Trx]
 				_ = e.rollbackChain(u.Trx, u.LastUndoPage, u.LastUndoOff, slot)
-				e.activeMu.Lock()
-				delete(e.active, u.Trx)
-				e.activeMu.Unlock()
-				e.releaseSlot(slot, u.Trx)
+				e.retire(u.Trx, slot)
 			}
 		}()
 	}
 	return nil
+}
+
+// recoveryWarmers is how many purged pages warmPurged fetches at a time.
+const recoveryWarmers = 32
+
+// warmPurged fetches, in the background, the pages recovery purged from
+// the pool. They are the pages the crashed RW had modified and not written
+// back — the rows the clients were writing, which their retried
+// transactions ask for first — and storage is the only place left to read
+// them from, a PolarFS read each. Left to the transactions, those reads
+// happen one after the other inside the first statements the new RW
+// serves; here they overlap each other and the proxy's retry pause. A
+// transaction that wants a page already being fetched joins that fetch
+// (Engine.fetch admits one fill per page). At most half the local cache is
+// warmed, so a small cache is not churned by a large purge.
+func (e *Engine) warmPurged(pages []types.PageID) {
+	if limit := e.cache.Capacity() / 2; len(pages) > limit {
+		pages = pages[:limit]
+	}
+	next := make(chan types.PageID, len(pages))
+	for _, id := range pages {
+		next <- id
+	}
+	close(next)
+	for i := 0; i < recoveryWarmers && i < len(pages); i++ {
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			for id := range next {
+				select {
+				case <-e.closeCh:
+					return
+				default:
+				}
+				// A failed fetch costs nothing: the page is read when a
+				// transaction asks for it, as it would have been anyway.
+				//polarvet:allow fabriccost recovery-only warm-up, once per RW failover: each page is its own PolarFS read, and overlapping them is the point
+				if f, err := e.Fetch(id); err == nil {
+					e.Unpin(f)
+				}
+			}
+		}()
+	}
 }
 
 // adoptUnfinished rebuilds live Txn handles for the unfinished
@@ -321,15 +362,22 @@ func (e *Engine) PlannedHandover() error {
 }
 
 // SwitchRW repoints an RO node at a new RW after failover: new CTS
-// region, flushed table cache, and a cold-ish local cache (every cached
-// page is revalidated against the recovered pool on next use).
+// region (its published LSN starts from the durable redo tail, which the
+// old RW's may have outrun, so the SMO clock starts over; the lease held
+// names the old RW and lapses with it), flushed table cache, and a
+// cold-ish local cache (every cached page is revalidated against the
+// recovered pool on next use).
 func (e *Engine) SwitchRW(rw rdma.NodeID, ctsRegion uint32) {
 	if !e.cfg.ReadOnly {
 		return
 	}
 	e.cfg.RWNode = rw
 	e.ctsCli.SetRW(rw, ctsRegion)
+	e.smoClock.Store(0)
 	e.cache.EvictAll()
+	if e.pool != nil {
+		_ = e.pool.Flush() //polarvet:allow errdrop best-effort deref like every eviction; an unreachable home node means recovery reclaims the refs wholesale
+	}
 	e.cache.ForEach(func(f *cache.Frame) { f.Invalidate() })
 	e.RefreshCatalog()
 }

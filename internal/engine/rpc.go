@@ -60,15 +60,3 @@ func (e *Engine) handleFlushPage(from rdma.NodeID, req []byte) ([]byte, error) {
 	f.ClearDirty()
 	return []byte{1}, nil
 }
-
-// handleViewRPC serves read-view snapshots to RO nodes: the current
-// timestamp plus the in-flight transaction list, taken atomically under
-// the active-transaction lock.
-func (e *Engine) handleViewRPC(from rdma.NodeID, req []byte) ([]byte, error) {
-	e.activeMu.Lock()
-	readTS := e.cts.CurrentTS() + 1
-	active := e.activeListLocked()
-	e.activeMu.Unlock()
-	e.noteROLease(readTS)
-	return txn.MarshalView(readTS, active), nil
-}

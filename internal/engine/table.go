@@ -273,6 +273,9 @@ func (e *Engine) Bootstrap() error {
 	}
 	e.undoPage, e.undoOff, e.undoExact = 1, 8, true
 	e.nextTrx.Store(1)
+	e.activeMu.Lock()
+	e.publishViewLocked() // the region's first view: nothing in flight
+	e.activeMu.Unlock()
 	e.start()
 	return e.DurableCommit(end)
 }

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"polardb/internal/btree"
+	"polardb/internal/rdma"
 	"polardb/internal/txn"
 	"polardb/internal/types"
 )
@@ -62,10 +64,11 @@ func (e *Engine) Begin() (*Txn, error) {
 }
 
 // BeginRO starts a read-only transaction: on the RW a local snapshot, on
-// an RO node a read-view RPC to the RW (the per-record visibility checks
-// then use one-sided CTS log reads only).
+// an RO node the view the RW publishes in its CTS region, fetched with
+// one one-sided read (the per-record visibility checks then use one-sided
+// CTS log reads only, so no RO statement runs on the RW's CPU, §3.3).
 //
-//polarvet:fabric O(1) at most one read-view RPC to the RW, independent of snapshot size
+//polarvet:fabric O(1) one one-sided read of the published view, no RPC; the purge-horizon lease is renewed at most once a second, off this path unless none is held
 func (e *Engine) BeginRO() (*Txn, error) {
 	if !e.cfg.ReadOnly {
 		e.activeMu.Lock()
@@ -78,15 +81,15 @@ func (e *Engine) BeginRO() (*Txn, error) {
 		e.roViewsMu.Unlock()
 		return t, nil
 	}
-	resp, err := e.ep.CallTimeout(e.cfg.RWNode, txn.ViewRPCMethod, nil, viewTimeout)
+	view, lsn, err := e.ctsCli.ReadView()
 	if err != nil {
 		return nil, fmt.Errorf("engine: read view from RW: %w", err)
 	}
-	readTS, active, err := txn.UnmarshalView(resp)
-	if err != nil {
+	e.observeSMOClock(lsn)
+	if err := e.holdHorizon(view.ReadTS); err != nil {
 		return nil, err
 	}
-	return &Txn{e: e, view: txn.NewReadView(readTS, 0, active)}, nil
+	return &Txn{e: e, view: view}, nil
 }
 
 // activeListLocked snapshots in-flight read-write transactions.
@@ -96,6 +99,23 @@ func (e *Engine) activeListLocked() []types.TrxID {
 		out = append(out, id)
 	}
 	return out
+}
+
+// publishViewLocked rewrites the view RO nodes read one-sided. Its list is
+// the slot owners, not everything in e.active, which keeps it within the
+// block's fixed size, and it is enough: a transaction without a slot has
+// written no record; one that joined after a view was taken commits with a
+// timestamp above that view's (it joined at its first write, under this
+// lock, and takes its commit timestamp later), and until then its CTS-log
+// slot says "uncommitted"; one listed leaves only after its outcome is in
+// the CTS log (retire), so a view either lists it or reads its final
+// timestamp — never first one, then the other.
+func (e *Engine) publishViewLocked() {
+	owners := make([]types.TrxID, 0, len(e.slotOwner))
+	for _, id := range e.slotOwner {
+		owners = append(owners, id)
+	}
+	e.cts.PublishView(owners)
 }
 
 // ID returns the transaction id (0 for read-only transactions).
@@ -330,7 +350,7 @@ func (t *Txn) writeTree(tree *btree.Tree, key uint64, payload []byte, kind write
 		}
 	}()
 	if t.slot < 0 {
-		slot, err := e.claimSlot(mt, t.id)
+		slot, err := e.claimSlot(t.id)
 		if err != nil {
 			return err
 		}
@@ -378,15 +398,7 @@ func (t *Txn) Commit() error {
 		e.dropROView(t)
 		return nil // read-only
 	}
-	defer func() {
-		e.activeMu.Lock()
-		delete(e.active, t.id)
-		e.activeMu.Unlock()
-		e.locks.ReleaseAll(t.id, t.locks)
-		if t.slot >= 0 {
-			e.releaseSlot(t.slot, t.id)
-		}
-	}()
+	defer e.finish(t)
 	if t.writes == 0 {
 		e.cts.ClearSlot(t.id)
 		e.met.txnCommit.Inc()
@@ -445,17 +457,9 @@ func (t *Txn) Rollback() error {
 		e.dropROView(t)
 		return nil
 	}
-	defer func() {
-		e.activeMu.Lock()
-		delete(e.active, t.id)
-		e.activeMu.Unlock()
-		e.locks.ReleaseAll(t.id, t.locks)
-		if t.slot >= 0 {
-			e.releaseSlot(t.slot, t.id)
-		}
-	}()
+	defer e.finish(t)
 	err := e.rollbackChain(t.id, t.lastPg, t.lastOff, t.slot)
-	e.cts.ClearSlot(t.id)
+	e.cts.RecordAbort(t.id)
 	e.met.txnAbort.Inc()
 	return err
 }
@@ -585,30 +589,41 @@ func (e *Engine) appendUndo(mt *Mtr, u *txn.UndoRec) (types.PageNo, uint16, erro
 	return 0, 0, fmt.Errorf("engine: undo append cursor kept moving under fetch; giving up")
 }
 
-// claimSlot assigns a persistent transaction slot (first write).
-func (e *Engine) claimSlot(mt *Mtr, id types.TrxID) (int, error) {
-	e.slotMu.Lock()
-	slot := -1
+// claimSlot assigns a persistent transaction slot (first write) and, with
+// it, a place in the published view — before any record of the
+// transaction exists.
+func (e *Engine) claimSlot(id types.TrxID) (int, error) {
+	e.activeMu.Lock()
+	defer e.activeMu.Unlock()
 	for i := 0; i < txn.SlotCount(); i++ {
 		if _, taken := e.slotOwner[i]; !taken {
-			slot = i
 			e.slotOwner[i] = id
-			break
+			e.publishViewLocked()
+			return i, nil
 		}
 	}
-	e.slotMu.Unlock()
-	if slot < 0 {
-		return -1, txn.ErrTooManyTxns
-	}
-	return slot, nil
+	return -1, txn.ErrTooManyTxns
 }
 
-func (e *Engine) releaseSlot(slot int, id types.TrxID) {
-	e.slotMu.Lock()
-	if e.slotOwner[slot] == id {
+// retire takes a read-write transaction out of the active set and, if it
+// owned a slot, out of the published view. Callers have put its outcome
+// into the CTS log first (RecordCommit, or RecordAbort after the rollback).
+func (e *Engine) retire(id types.TrxID, slot int) {
+	e.activeMu.Lock()
+	delete(e.active, id)
+	if slot >= 0 && e.slotOwner[slot] == id {
 		delete(e.slotOwner, slot)
+		e.publishViewLocked()
 	}
-	e.slotMu.Unlock()
+	e.activeMu.Unlock()
+}
+
+// finish ends a transaction on every path out of Commit and Rollback. Row
+// locks go after the view: the next writer of these rows must not become
+// visible to a view that still lists this transaction.
+func (e *Engine) finish(t *Txn) {
+	e.retire(t.id, t.slot)
+	e.locks.ReleaseAll(t.id, t.locks)
 }
 
 // writeSlot logs a transaction slot update on the undo header page.
@@ -668,8 +683,8 @@ func (e *Engine) dropROView(t *Txn) {
 }
 
 // purgeHorizon computes the oldest timestamp any snapshot may still
-// need: active read-write views, local read-only views, and a lease
-// window for views handed to RO nodes.
+// need: active read-write views, local read-only views, and the leases RO
+// nodes hold for theirs.
 func (e *Engine) purgeHorizon() types.Timestamp {
 	e.activeMu.Lock()
 	horizon := e.cts.CurrentTS() + 1
@@ -686,25 +701,105 @@ func (e *Engine) purgeHorizon() types.Timestamp {
 		}
 	}
 	now := time.Now()
-	live := e.roLeases[:0]
 	for _, l := range e.roLeases {
-		if now.Before(l.expires) {
-			live = append(live, l)
-			if l.ts < horizon {
-				horizon = l.ts
-			}
+		if now.Before(l.expires) && l.ts < horizon {
+			horizon = l.ts
 		}
 	}
-	e.roLeases = live
 	e.roViewsMu.Unlock()
 	return horizon
 }
 
-// noteROLease records a view handed to an RO node (purge-horizon lease).
-func (e *Engine) noteROLease(ts types.Timestamp) {
+// noteROLease records an RO node's lease: views from ts on hold the purge
+// horizon until now+roLeaseWindow. Expired leases leave as new ones
+// arrive; all have the same window, so the slice is in expiry order.
+func (e *Engine) noteROLease(ts types.Timestamp, now time.Time) {
 	e.roViewsMu.Lock()
-	e.roLeases = append(e.roLeases, roLease{ts: ts, expires: time.Now().Add(roLeaseWindow)})
+	expired := 0
+	for expired < len(e.roLeases) && !now.Before(e.roLeases[expired].expires) {
+		expired++
+	}
+	e.roLeases = append(e.roLeases[expired:], roLease{ts: ts, expires: now.Add(roLeaseWindow)})
 	e.roViewsMu.Unlock()
+}
+
+// heldLease is the newest lease an RO node knows the RW has acknowledged.
+type heldLease struct {
+	rw    rdma.NodeID
+	until time.Time // counted from before the request left, so no later than the RW's expiry
+}
+
+type leaseReq struct {
+	rw rdma.NodeID
+	ts types.Timestamp
+}
+
+// holdHorizon makes sure the RW's purge horizon stays at or below a view
+// this RO node has just read. Published timestamps never decrease, so a
+// lease taken out for an earlier view covers this one for as long as it
+// runs. With more than half a window left the view goes ahead, and past
+// roLeaseRenew a renewal is handed to leaseKeeper; with less — the first
+// view, the first after a pause or after SwitchRW — it waits for its own.
+func (e *Engine) holdHorizon(readTS types.Timestamp) error {
+	req := leaseReq{rw: e.cfg.RWNode, ts: readTS}
+	switch left := e.leaseLeft(req.rw); {
+	case left < roLeaseWindow/2:
+		return e.takeLease(req)
+	case left < roLeaseWindow-roLeaseRenew:
+		select {
+		case e.leaseCh <- req:
+		default: // a renewal is already waiting
+		}
+	}
+	return nil
+}
+
+// leaseLeft is how long the lease this node holds from rw still runs.
+func (e *Engine) leaseLeft(rw rdma.NodeID) time.Duration {
+	if l := e.lease.Load(); l != nil && l.rw == rw {
+		return time.Until(l.until)
+	}
+	return 0
+}
+
+func (e *Engine) takeLease(req leaseReq) error {
+	until := time.Now().Add(roLeaseWindow)
+	var msg [8]byte
+	binary.LittleEndian.PutUint64(msg[:], uint64(req.ts))
+	if _, err := e.ep.CallTimeout(req.rw, leaseMethod, msg[:], leaseTimeout); err != nil {
+		return fmt.Errorf("engine: purge-horizon lease from RW: %w", err)
+	}
+	e.lease.Store(&heldLease{rw: req.rw, until: until})
+	return nil
+}
+
+// leaseKeeper sends an RO node's lease renewals, so that no statement
+// waits for one while an older lease still holds the horizon.
+func (e *Engine) leaseKeeper() {
+	defer e.wg.Done()
+	for {
+		select {
+		case <-e.closeCh:
+			return
+		case req := <-e.leaseCh:
+			if e.leaseLeft(req.rw) >= roLeaseWindow-roLeaseRenew {
+				continue // queued while the previous renewal was on the wire
+			}
+			// A failed renewal is not retried here: the lease in force runs
+			// down to half its window, and the next BeginRO takes one out
+			// itself and reports the error.
+			_ = e.takeLease(req)
+		}
+	}
+}
+
+// handleLease serves cts.lease on the RW.
+func (e *Engine) handleLease(from rdma.NodeID, req []byte) ([]byte, error) {
+	if len(req) < 8 {
+		return nil, txn.ErrBadRecord
+	}
+	e.noteROLease(types.Timestamp(binary.LittleEndian.Uint64(req)), time.Now())
+	return nil, nil
 }
 
 // PurgeTombstones physically removes delete-marked records that are no

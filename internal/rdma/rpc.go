@@ -70,10 +70,15 @@ func (e *Endpoint) CallTimeout(target NodeID, method string, req []byte, timeout
 		resp, err := e.Call(target, method, req)
 		ch <- result{resp, err}
 	}()
+	// Not time.After: under this module's go 1.22 line its timer stays live
+	// until it fires, and the timeouts here are seconds on calls that take
+	// microseconds, thousands of times a second.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case r := <-ch:
 		return r.resp, r.err
-	case <-time.After(timeout):
+	case <-timer.C:
 		return nil, fmt.Errorf("%w: %s (rpc %s timed out)", ErrUnreachable, target, method)
 	}
 }

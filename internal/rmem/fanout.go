@@ -20,11 +20,7 @@ func (h *Home) notifyHolders(cb string, holders map[rdma.NodeID][]types.PageID) 
 			continue
 		}
 		w := wire.NewWriter(4 + 8*len(pages))
-		w.U32(uint32(len(pages)))
-		for _, pg := range pages {
-			w.U32(uint32(pg.Space))
-			w.U32(uint32(pg.No))
-		}
+		writePages(w, pages)
 		// One callback per distinct destination node, already carrying that
 		// node's whole page list: batched per holder by construction.
 		//polarvet:allow fabriccost the iteration is over distinct destination nodes and each receives a single batched RPC; there is nothing left to coalesce

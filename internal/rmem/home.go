@@ -412,22 +412,25 @@ func (h *Home) handleRegister(from rdma.NodeID, req []byte) ([]byte, error) {
 	return resp.Bytes(), nil
 }
 
-// handleUnregister implements page_unregister: drop the caller's reference;
-// at refcount 0 the page becomes evictable (LRU).
+// handleUnregister implements page_unregister for the batch of pages a
+// node's librmem queued up: drop the caller's reference on each, in queue
+// order; at refcount 0 a page becomes evictable (LRU).
 func (h *Home) handleUnregister(from rdma.NodeID, req []byte) ([]byte, error) {
 	if err := h.activeErr(); err != nil {
 		return nil, err
 	}
 	rd := wire.NewReader(req)
-	page := types.PageID{Space: types.SpaceID(rd.U32()), No: types.PageNo(rd.U32())}
+	pages := readPages(rd)
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	defer h.flushReplication() // after the unlock below (LIFO)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, ok := h.tab.pat[page.Key()]; ok { // else already evicted
-		h.mutate(homeOp{kind: replOpUnref, page: page, node: from})
+	for _, page := range pages {
+		if _, ok := h.tab.pat[page.Key()]; ok { // else already evicted
+			h.mutate(homeOp{kind: replOpUnref, page: page, node: from})
+		}
 	}
 	return nil, nil
 }
@@ -445,10 +448,7 @@ func (h *Home) handleInvalidate(from rdma.NodeID, req []byte) ([]byte, error) {
 		return nil, err
 	}
 	rd := wire.NewReader(req)
-	pages := make([]types.PageID, int(rd.U32()))
-	for i := range pages {
-		pages[i] = types.PageID{Space: types.SpaceID(rd.U32()), No: types.PageNo(rd.U32())}
-	}
+	pages := readPages(rd)
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}

@@ -325,6 +325,11 @@ func TestElasticGrowShrink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Queued unregisters still pin their pages; scale-in flushes first
+	// (cluster.ShrinkMemory does it for every node).
+	if err := rw.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	total, err := tp.home.Shrink(8)
 	if err != nil {
 		t.Fatal(err)
@@ -688,6 +693,9 @@ func TestConcurrentRegisterUnregister(t *testing.T) {
 					return
 				}
 			}
+			if err := c.Flush(); err != nil {
+				t.Errorf("flush: %v", err)
+			}
 		}(c)
 	}
 	wg.Wait()
@@ -703,7 +711,9 @@ func TestStatsCounters(t *testing.T) {
 	if _, err := rw.Register(pid(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rw.Register(pid(1)); err != nil {
+	// From a second node: the first one's librmem would answer its own
+	// second Register from its table, and the home would not hear of it.
+	if _, err := tp.client(t, "ro").Register(pid(1)); err != nil {
 		t.Fatal(err)
 	}
 	m := tp.home.ep.Metrics().Snapshot()
@@ -727,6 +737,9 @@ func TestBackgroundEvictorKeepsFreeSlots(t *testing.T) {
 		if err := rw.Unregister(pid(i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := rw.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {

@@ -33,7 +33,7 @@ func (h *Home) Scan() []ScanEntry {
 }
 
 // ForceEvict removes a page from the pool regardless of references,
-// notifying reference holders so they drop their local copies. Used by RW
+// telling reference holders that its addresses are gone. Used by RW
 // recovery to purge pages that are stale or ahead of the durable redo.
 func (h *Home) ForceEvict(page types.PageID) {
 	h.mu.Lock()
@@ -50,9 +50,12 @@ func (h *Home) ForceEvict(page types.PageID) {
 	h.mu.Unlock()
 	h.flushReplication()
 
-	// Reuse the invalidation callback: holders mark their local copy
-	// stale and will re-register on next access.
-	h.notifyHolders("cb.inv", holdersOf(holders, page))
+	// Not cb.inv: the slot and its PIB word are back on the free lists, and
+	// both are LIFO, so the next registration of any page takes them and
+	// clears that PIB. A holder that kept the addresses would then probe
+	// "fresh" and read another page's bytes. Holders forget the addresses
+	// and re-register on next access.
+	h.notifyHolders("cb.slabfail", holdersOf(holders, page))
 }
 
 // DropNodeRefs removes a (dead) node from every page's reference

@@ -58,7 +58,9 @@ func tableDiff(a, b *homeTable) string {
 // TestMasterSlaveTablesStayEqual drives a master and its slave through
 // seeded random sequences of every call that changes home metadata and
 // checks after each one that the slave's table equals the master's: the
-// slave applies the master's ops, it re-decides nothing.
+// slave applies the master's ops, it re-decides nothing. Unrefs reach the
+// master in batches (a full queue, a Flush, a register that found the pool
+// full); the slave must follow a batch like any single op.
 func TestMasterSlaveTablesStayEqual(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { driveTablePair(t, seed, 400) })
@@ -119,7 +121,7 @@ func driveTablePair(t *testing.T, seed int64, steps int) {
 				held[c][page] = true
 			}
 			return fmt.Sprintf("register-if-cached %s", page)
-		case r < 70:
+		case r < 66: // queued in the node's librmem; every 16th sends a batch of unrefs
 			for pg := range held[c] {
 				page = pg
 				break
@@ -129,6 +131,11 @@ func driveTablePair(t *testing.T, seed int64, steps int) {
 			}
 			delete(held[c], page)
 			return fmt.Sprintf("unregister %s", page)
+		case r < 70:
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			return "flush " + string(c.ep.ID())
 		case r < 78:
 			if err := c.InvalidateBatch([]types.PageID{page, pid(uint32(rng.Intn(24)))}); err != nil {
 				t.Fatal(err)

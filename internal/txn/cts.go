@@ -1,28 +1,54 @@
 package txn
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"polardb/internal/rdma"
 	"polardb/internal/stat"
 	"polardb/internal/types"
-	"polardb/internal/wire"
 )
 
 // CTS region layout on the RW node. The whole region is registered with
-// the RDMA NIC so RO nodes can read timestamps and look up the CTS log
+// the RDMA NIC so RO nodes can take read views and look up the CTS log
 // with one-sided verbs, never consuming RW CPU (§3.3).
 //
 //	word 0: CTS counter (fetch-and-add)
 //	word 1: published redo LSN (the SMO clock for optimistic traversals)
-//	word 2: min active trx id (advisory; see ReadView)
+//	view block (see PublishView):
+//	  [version][viewTS][n][ids × SlotCount()][version]
 //	16-byte slots from ctsLogBase: CTS log — (trxID, cts_commit) of the
 //	most recent read-write transactions, indexed by trxID % slots.
+//
+// The header — both words and the view block — is what one ReadView
+// fetches, in one read.
 const (
 	ctsCounterOff = 0
 	ctsLSNOff     = 8
-	ctsMinActOff  = 16
-	ctsLogBase    = 64
+	viewHeadOff   = 16
+	viewTSOff     = viewHeadOff + 8
+	viewCountOff  = viewTSOff + 8
+	viewIDsOff    = viewCountOff + 8
+	viewTailOff   = viewIDsOff + 8*viewSlots
+	ctsHeaderSize = viewTailOff + 8
+	ctsLogBase    = (ctsHeaderSize + 63) &^ 63
+)
+
+// viewReadRetries bounds how often ReadView fetches the header again
+// after catching a publish half done. On hardware a publish is a few
+// local stores and a retry a fabric read, thousands of times longer; here
+// a publish holds the region's lock, so only a test can tear the block.
+const viewReadRetries = 8
+
+// Errors of the published read view.
+var (
+	// ErrViewUnpublished: the region's owner has not published a view yet
+	// (it is still bootstrapping or recovering). Never an empty view.
+	ErrViewUnpublished = errors.New("txn: read view not published yet")
+	// ErrViewTorn: every one of viewReadRetries reads caught the block
+	// between its two version words.
+	ErrViewTorn = errors.New("txn: published read view kept changing under the read")
 )
 
 // DefaultCTSSlots is the default CTS log capacity (the paper keeps the
@@ -85,9 +111,37 @@ func (s *Service) PublishedLSN() types.LSN {
 	return types.LSN(v)
 }
 
-// SetMinActive publishes the oldest active transaction id.
-func (s *Service) SetMinActive(trx types.TrxID) {
-	s.region.MustStore64Local(ctsMinActOff, uint64(trx))
+// PublishView rewrites the view block: the read view every RO statement
+// starts from. active is the set of in-flight transactions that own an
+// undo slot — the only ones that can have written a record — and the
+// block's timestamp is the counter as it stands during the call, so a
+// caller that holds one lock across "change the set" and PublishView
+// publishes the set as of a moment its timestamp belongs to. Calls must
+// be serialized by that lock: the last call wins.
+//
+// A real NIC's READ is not atomic across cache lines, so the block is
+// bracketed by its version, written back to front (tail, body, head)
+// against a reader that takes it front to back: a read whose two versions
+// agree lies wholly after one publish's last store and before the next
+// one's first.
+func (s *Service) PublishView(active []types.TrxID) {
+	if len(active) > viewSlots {
+		panic(fmt.Sprintf("txn: %d slot owners, the slot table holds %d", len(active), viewSlots))
+	}
+	err := s.region.WithBytesLocal(0, ctsHeaderSize, func(hdr []byte) error {
+		version := getU64(hdr[viewHeadOff:]) + 1
+		putU64(hdr[viewTailOff:], version)
+		copy(hdr[viewTSOff:viewCountOff], hdr[ctsCounterOff:])
+		putU64(hdr[viewCountOff:], uint64(len(active)))
+		for i, t := range active {
+			putU64(hdr[viewIDsOff+8*i:], uint64(t))
+		}
+		putU64(hdr[viewHeadOff:], version)
+		return nil
+	})
+	if err != nil {
+		panic("txn: cts region misconfigured: " + err.Error())
+	}
 }
 
 func (s *Service) slotOff(trx types.TrxID) uint64 {
@@ -124,7 +178,18 @@ func (s *Service) RecordCommit(trx types.TrxID, cts types.Timestamp) {
 	s.region.MustWriteLocal(s.slotOff(trx), buf[:])
 }
 
-// ClearSlot marks an aborted transaction's slot free (after rollback).
+// abortedCTS is the commit timestamp RecordAbort writes: above every
+// cts_read there will ever be.
+const abortedCTS = ^types.Timestamp(0)
+
+// RecordAbort publishes that the transaction rolled back. A reader may
+// still hold a record of it, read before the rollback restored the row;
+// to a view that does not list the transaction a cleared slot would say
+// "older than everything in the log, hence committed", where this says
+// "committed after every view": invisible, and the slot reusable.
+func (s *Service) RecordAbort(trx types.TrxID) { s.RecordCommit(trx, abortedCTS) }
+
+// ClearSlot frees the slot of a transaction that wrote no record.
 func (s *Service) ClearSlot(trx types.TrxID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -163,9 +228,9 @@ type Client struct {
 // ctsMetrics count the one-sided CTS accesses an RO issues (§3.3: all
 // timestamp traffic bypasses the RW CPU).
 type ctsMetrics struct {
-	readTS  *stat.Counter // cts_read fetches of the counter word
+	readTS  *stat.Counter // cts_read fetches: reads of the header (view block)
 	nextTS  *stat.Counter // remote FETCH_ADD timestamp allocations
-	readLSN *stat.Counter // SMO-clock (published LSN) reads
+	readLSN *stat.Counter // SMO-clock refreshes: reads of the LSN word alone
 	lookup  *stat.Counter // CTS log slot reads (commit-status checks)
 }
 
@@ -193,12 +258,36 @@ func (c *Client) addr(off uint64) rdma.Addr {
 	return rdma.Addr{Node: c.rw, Region: c.region, Off: off}
 }
 
-// ReadTS reads the current timestamp (a read-only transaction's cts_read)
-// with a single one-sided read.
-func (c *Client) ReadTS() (types.Timestamp, error) {
-	c.met.readTS.Inc()
-	v, err := c.ep.Load64(c.addr(ctsCounterOff))
-	return types.Timestamp(v), err
+// ReadView takes a read-only transaction's snapshot — cts_read (the
+// published timestamp + 1) with the in-flight list, and the published
+// redo LSN beside them — with one one-sided read of the region header
+// (§3.3), again if the read caught a publish half done.
+func (c *Client) ReadView() (*ReadView, types.LSN, error) {
+	var hdr [ctsHeaderSize]byte
+	for try := 0; try < viewReadRetries; try++ {
+		c.met.readTS.Inc()
+		if err := c.ep.Read(c.addr(0), hdr[:]); err != nil {
+			return nil, 0, err
+		}
+		version := getU64(hdr[viewHeadOff:])
+		if version != getU64(hdr[viewTailOff:]) {
+			continue
+		}
+		if version == 0 {
+			return nil, 0, ErrViewUnpublished
+		}
+		n := getU64(hdr[viewCountOff:])
+		if n > viewSlots {
+			return nil, 0, fmt.Errorf("%w: view block lists %d transactions", ErrBadRecord, n)
+		}
+		active := make([]types.TrxID, n)
+		for i := range active {
+			active[i] = types.TrxID(getU64(hdr[viewIDsOff+8*i:]))
+		}
+		readTS := types.Timestamp(getU64(hdr[viewTSOff:])) + 1
+		return NewReadView(readTS, 0, active), types.LSN(getU64(hdr[ctsLSNOff:])), nil
+	}
+	return nil, 0, ErrViewTorn
 }
 
 // NextTS allocates a timestamp remotely via RDMA fetch-and-add (used when
@@ -209,7 +298,9 @@ func (c *Client) NextTS() (types.Timestamp, error) {
 	return types.Timestamp(v + 1), err
 }
 
-// ReadLSN reads the published redo LSN (SMO clock) one-sided.
+// ReadLSN reads the published redo LSN (SMO clock) alone, one-sided: the
+// refresh after an optimistic traversal met a stamp newer than the clock
+// its statement's view carried.
 func (c *Client) ReadLSN() (types.LSN, error) {
 	c.met.readLSN.Inc()
 	v, err := c.ep.Load64(c.addr(ctsLSNOff))
@@ -227,30 +318,4 @@ func (c *Client) Lookup(trx types.TrxID) (cts types.Timestamp, known bool, err e
 	}
 	cts, known = decodeSlot(trx, buf[:])
 	return cts, known, nil
-}
-
-// ViewRPCMethod is the RPC the RW node serves for read-view snapshots.
-const ViewRPCMethod = "cts.view"
-
-// MarshalView encodes a read-view snapshot for the view RPC.
-func MarshalView(readTS types.Timestamp, active []types.TrxID) []byte {
-	w := wire.NewWriter(16 + 8*len(active))
-	w.U64(uint64(readTS))
-	w.U32(uint32(len(active)))
-	for _, t := range active {
-		w.U64(uint64(t))
-	}
-	return w.Bytes()
-}
-
-// UnmarshalView decodes a read-view snapshot.
-func UnmarshalView(buf []byte) (types.Timestamp, []types.TrxID, error) {
-	rd := wire.NewReader(buf)
-	ts := types.Timestamp(rd.U64())
-	n := int(rd.U32())
-	active := make([]types.TrxID, n)
-	for i := range active {
-		active[i] = types.TrxID(rd.U64())
-	}
-	return ts, active, rd.Err()
 }

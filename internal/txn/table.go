@@ -52,9 +52,14 @@ func CTSWatermark(page []byte) types.Timestamp {
 	return types.Timestamp(getU64(page[ctsWatermarkOff:]))
 }
 
+// viewSlots is the number of transaction slots in the header page, and
+// therefore the fixed capacity of the published view block (cts.go).
+const viewSlots = (types.PageSize - slotBase) / slotBytes
+
 // SlotCount is the number of transaction slots in the header page — the
-// maximum number of concurrently open read-write transactions.
-func SlotCount() int { return (types.PageSize - slotBase) / slotBytes }
+// maximum number of concurrently open read-write transactions that have
+// written.
+func SlotCount() int { return viewSlots }
 
 // SlotOffset returns the byte offset of slot i within the header page.
 func SlotOffset(i int) int { return slotBase + i*slotBytes }

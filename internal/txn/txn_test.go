@@ -3,6 +3,7 @@ package txn
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -121,12 +122,13 @@ func TestCTSMonotonic(t *testing.T) {
 	if b <= a {
 		t.Fatalf("timestamps not monotonic: %d then %d", a, b)
 	}
-	remote, err := cli.ReadTS()
+	svc.PublishView(nil)
+	remote, _, err := cli.ReadView()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remote != b {
-		t.Fatalf("remote read = %d, want %d", remote, b)
+	if remote.ReadTS != b+1 {
+		t.Fatalf("remote cts_read = %d, want %d", remote.ReadTS, b+1)
 	}
 	c, err := cli.NextTS()
 	if err != nil || c != b+1 {
@@ -206,6 +208,23 @@ func TestCTSClearSlot(t *testing.T) {
 	}
 }
 
+// TestAbortedTxnStaysInvisible: a record of a rolled-back transaction that
+// a reader still holds must not resolve to "slot reused, so it committed
+// long ago" for a view that does not list the transaction.
+func TestAbortedTxnStaysInvisible(t *testing.T) {
+	svc, cli := newCTSPair(t)
+	svc.BeginInLog(7)
+	svc.RecordAbort(7)
+	view := NewReadView(1<<40, 0, nil)
+	vis, err := view.Judge(&Record{Trx: 7}, cli.Lookup)
+	if err != nil || vis != Invisible {
+		t.Fatalf("record of an aborted transaction: %v %v, want Invisible", vis, err)
+	}
+	if !svc.BeginInLog(7 + 64) {
+		t.Fatal("slot of an aborted transaction is not reusable")
+	}
+}
+
 func TestPublishLSN(t *testing.T) {
 	svc, cli := newCTSPair(t)
 	svc.PublishLSN(12345)
@@ -216,6 +235,130 @@ func TestPublishLSN(t *testing.T) {
 	if svc.PublishedLSN() != 12345 {
 		t.Fatal("local published lsn mismatch")
 	}
+}
+
+// activeOf lists a view's in-flight transactions in ascending order.
+func activeOf(v *ReadView) []types.TrxID {
+	var ids []types.TrxID
+	for id := range v.Active {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestViewRoundTrip: an unpublished region is an error, never an empty
+// view; a published one comes back as timestamp+1, the list and the LSN in
+// one read.
+func TestViewRoundTrip(t *testing.T) {
+	svc, cli := newCTSPair(t)
+	if _, _, err := cli.ReadView(); !errors.Is(err, ErrViewUnpublished) {
+		t.Fatalf("view of an unpublished region: err = %v, want ErrViewUnpublished", err)
+	}
+	svc.SetCounter(41)
+	svc.PublishLSN(777)
+	full := make([]types.TrxID, SlotCount())
+	for i := range full {
+		full[i] = types.TrxID(1000 + i)
+	}
+	for _, active := range [][]types.TrxID{nil, {9}, full, {3, 4}} {
+		svc.NextTS()
+		svc.PublishView(active)
+		reads := cli.ep.Metrics().Snapshot()
+		v, lsn, err := cli.ReadView()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := cli.ep.Metrics().Snapshot().Sub(reads)
+		if n, ts := d.Counter("rdma.read.ops"), d.Counter("txn.cts.read_ts.ops"); n != 1 || ts != 1 {
+			t.Fatalf("view cost %d reads (%d counted as cts_read), want 1 and 1", n, ts)
+		}
+		if v.ReadTS != svc.CurrentTS()+1 || lsn != 777 || !slices.Equal(activeOf(v), active) {
+			t.Fatalf("view = %+v at lsn %d, want cts_read %d, lsn 777, active %v", v, lsn, svc.CurrentTS()+1, active)
+		}
+	}
+	// The timestamp is the one at the last publish, not the counter's.
+	svc.NextTS()
+	if v, _, _ := cli.ReadView(); v.ReadTS != svc.CurrentTS() {
+		t.Fatalf("cts_read %d moved with the counter (%d) without a publish", v.ReadTS, svc.CurrentTS())
+	}
+}
+
+// TestViewTornBlockIsNeverReturned: a block whose two version words
+// disagree — what a reader gets when its READ overlaps a publish on a NIC
+// that is not atomic across cache lines — is read again, a bounded number
+// of times, and then reported; it is never decoded.
+func TestViewTornBlockIsNeverReturned(t *testing.T) {
+	svc, cli := newCTSPair(t)
+	svc.PublishView([]types.TrxID{5})
+	// Tear it by hand the way a publisher caught between its first and last
+	// store leaves it: new tail, half-new body, old head.
+	svc.region.MustStore64Local(viewTailOff, 2)
+	svc.region.MustStore64Local(viewCountOff, 2)
+	before := cli.ep.Metrics().Snapshot()
+	if v, _, err := cli.ReadView(); !errors.Is(err, ErrViewTorn) {
+		t.Fatalf("torn block: view %+v, err %v, want ErrViewTorn", v, err)
+	}
+	if n := cli.ep.Metrics().Snapshot().Sub(before).Counter("txn.cts.read_ts.ops"); n != viewReadRetries {
+		t.Fatalf("torn block read %d times, want %d", n, viewReadRetries)
+	}
+	// The publisher gets to its last store: the next read succeeds.
+	svc.region.MustStore64Local(viewIDsOff+8, 6)
+	svc.region.MustStore64Local(viewHeadOff, 2)
+	v, _, err := cli.ReadView()
+	if err != nil || !slices.Equal(activeOf(v), []types.TrxID{5, 6}) {
+		t.Fatalf("after the publish completed: view %+v, err %v", v, err)
+	}
+}
+
+// TestViewConsistentUnderRepublishing: readers racing a publisher only
+// ever see a (timestamp, list) pair that one publish wrote.
+func TestViewConsistentUnderRepublishing(t *testing.T) {
+	svc, cli := newCTSPair(t)
+	svc.PublishView(nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// The publish at timestamp ts lists ts%7 transactions, ids 8*ts+i.
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ts := svc.NextTS()
+			active := make([]types.TrxID, int(ts)%7)
+			for i := range active {
+				active[i] = types.TrxID(8*int(ts) + i)
+			}
+			svc.PublishView(active)
+		}
+	}()
+	for i := 0; i < 20000; i++ {
+		v, _, err := cli.ReadView()
+		if errors.Is(err, ErrViewTorn) {
+			continue // bounded retries may run out against a publisher that never pauses
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := v.ReadTS - 1
+		if ts == 1 {
+			continue // the initial empty view
+		}
+		if len(v.Active) != int(ts)%7 {
+			t.Fatalf("view at %d lists %d transactions, its publish wrote %d", ts, len(v.Active), int(ts)%7)
+		}
+		for id := range v.Active {
+			if id/8 != types.TrxID(ts) {
+				t.Fatalf("view at %d lists %v: ids of another publish", ts, activeOf(v))
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func judgeWith(t *testing.T, v *ReadView, rec Record, svc *Service) Visibility {
