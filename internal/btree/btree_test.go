@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,6 +32,14 @@ type memStore struct {
 	fetchNewWritten atomic.Int64 // ... that named a page the store already held
 
 	onFetch func(types.PageID) // test hook, called before each Fetch
+
+	// A store that records what the tree does to pages marked cold: the
+	// Warm calls that named any (cold ids only, like the engine's warmer
+	// skips what it holds) and the Fetches that met one no hint had named.
+	// A page stops being cold when either happens.
+	cold         map[uint64]bool
+	warmed       [][]types.PageID
+	unhintedMiss []types.PageID
 }
 
 func newMemStore() *memStore {
@@ -42,6 +52,10 @@ func (s *memStore) Fetch(id types.PageID) (*cache.Frame, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.cold[id.Key()] {
+		delete(s.cold, id.Key())
+		s.unhintedMiss = append(s.unhintedMiss, id)
+	}
 	f, ok := s.frames[id.Key()]
 	if !ok {
 		f = &cache.Frame{ID: id, Data: make([]byte, types.PageSize)}
@@ -62,6 +76,32 @@ func (s *memStore) FetchNew(id types.PageID) (*cache.Frame, error) {
 		s.fetchNewWritten.Add(1)
 	}
 	return s.Fetch(id)
+}
+
+func (s *memStore) Warm(ids []types.PageID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var named []types.PageID
+	for _, id := range ids {
+		if s.cold[id.Key()] {
+			delete(s.cold, id.Key())
+			named = append(named, id)
+		}
+	}
+	if named != nil {
+		s.warmed = append(s.warmed, named)
+	}
+}
+
+// chill marks every page the store holds cold and forgets what it recorded.
+func (s *memStore) chill() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cold = make(map[uint64]bool, len(s.frames))
+	for k := range s.frames {
+		s.cold[k] = true
+	}
+	s.warmed, s.unhintedMiss = nil, nil
 }
 
 func (s *memStore) Unpin(f *cache.Frame)          { f.Unpin() }
@@ -317,7 +357,7 @@ func TestAllocFetchNewOnlyBeyondSpaceEnd(t *testing.T) {
 	s.mu.Lock()
 	pages := int64(len(s.frames))
 	s.mu.Unlock()
-	if extended == 0 || extended != pages-2 { // all but the header and the root
+	if extended == 0 || extended != pages { // Create's header and root included
 		t.Fatalf("FetchNew calls = %d with %d pages in the space", extended, pages)
 	}
 	for k := uint64(0); k < n; k++ {
@@ -426,10 +466,32 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 			}
 		}(uint64(w))
 	}
-	// A reader scans continuously while writers run.
+	// A reader scans continuously while writers run, and a batch walk
+	// resolves keys to leaves: it visits pages without latch coupling, so
+	// this is where it meets pointers gone stale under a split.
 	stop := make(chan struct{})
 	var scanWG sync.WaitGroup
-	scanWG.Add(1)
+	scanWG.Add(2)
+	go func() {
+		defer scanWG.Done()
+		batch := make([]uint64, 0, writers*8)
+		for w := uint64(0); w < writers; w++ {
+			for i := uint64(0); i < 8; i++ {
+				batch = append(batch, w*1_000_000+i*perWriter/8)
+			}
+		}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := tr.Leaves(batch, Local); err != nil {
+				t.Errorf("concurrent batch walk: %v", err)
+				return
+			}
+		}
+	}()
 	go func() {
 		defer scanWG.Done()
 		for {
@@ -737,30 +799,189 @@ func TestPatchInPlaceSurvivesSMOBetweenLatches(t *testing.T) {
 	}
 }
 
-func TestLeafCoverage(t *testing.T) {
-	tr, _ := newTestTree(t)
+// deepTree builds a three-level tree (root, level-1 nodes, leaves) over
+// keys 0..n-1 and returns it with n.
+func deepTree(t *testing.T) (*Tree, *memStore, uint64) {
+	t.Helper()
+	tr, s := newTestTree(t)
 	m := &memMtr{}
-	for k := uint64(0); k < 2000; k++ {
-		if err := tr.Insert(m, k, val(k)); err != nil {
+	const n = 6000
+	wide := bytes.Repeat([]byte{'w'}, 200) // ~19 rows to a leaf
+	for k := uint64(0); k < n; k++ {
+		if err := tr.Insert(m, k, wide); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Coverage must be >= the probed key and keys within it must land on
-	// the same leaf (checked via transitivity of coverage).
-	last, ok, err := tr.LeafCoverage(100, Local)
-	if err != nil || !ok {
-		t.Fatalf("coverage: %v %v", ok, err)
+	root, err := tr.fetch(rootPageNo)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if last < 100 {
-		t.Fatalf("coverage %d < probe 100", last)
+	defer s.Unpin(root.f)
+	if root.level() != 2 {
+		t.Fatalf("root level = %d, the tests want a three-level tree", root.level())
 	}
-	last2, ok, err := tr.LeafCoverage(last, Local)
-	if err != nil || !ok || last2 != last {
-		t.Fatalf("coverage of last key %d -> %d (%v %v)", last, last2, ok, err)
+	return tr, s, n
+}
+
+// leafOf is the reference the batch walk is checked against: one ordinary
+// descent per key.
+func leafOf(t *testing.T, tr *Tree, key uint64) *node {
+	t.Helper()
+	rc, err := tr.newReadCtx(Local, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Empty tree: coverage of the root leaf reports no keys.
-	tr2, _ := newTestTree(t)
-	if _, ok, err := tr2.LeafCoverage(5, Local); err != nil || ok {
-		t.Fatalf("empty tree coverage ok=%v err=%v", ok, err)
+	leaf, err := rc.descendToLeaf(key, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.release(leaf)
+	return leaf
+}
+
+// TestLeavesWalksLevelByLevel: a 64-key batch over a three-level tree
+// comes back as exactly the leaves one descent per key would reach, each
+// once and in key order; the walk reads no leaf, and every cold page below
+// the root was named to the store, in one call per level, before the walk
+// fetched it.
+func TestLeavesWalksLevelByLevel(t *testing.T) {
+	tr, s, n := deepTree(t)
+	root := tr.pageID(rootPageNo)
+	rng := rand.New(rand.NewSource(7))
+	keys := []uint64{n + 5, n + 1000} // beyond the last row: the last leaf covers them
+	for len(keys) < 60 {
+		keys = append(keys, uint64(rng.Int63n(int64(n))))
+	}
+	keys = append(keys, keys[10], keys[10], keys[20], keys[30]) // duplicates
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var want []types.PageID
+	for _, k := range keys {
+		if id := leafOf(t, tr, k).id(); len(want) == 0 || want[len(want)-1] != id {
+			want = append(want, id)
+		}
+	}
+	if len(want) < 30 {
+		t.Fatalf("the batch covers %d leaves; the test wants a wide one", len(want))
+	}
+
+	for _, mode := range []TraverseMode{Local, Optimistic, PessimisticS} {
+		s.chill()
+		latches := s.plS.Load()
+		got, err := tr.Leaves(keys, mode)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: leaves = %v, want %v", mode, got, want)
+		}
+		if len(s.warmed) != 1 || len(s.warmed[0]) < 2 {
+			t.Fatalf("%v: Warm calls that named a cold page = %v, want one naming the level-1 nodes", mode, s.warmed)
+		}
+		if !reflect.DeepEqual(s.unhintedMiss, []types.PageID{root}) {
+			t.Fatalf("%v: pages fetched cold without a hint = %v, want only the root", mode, s.unhintedMiss)
+		}
+		for _, id := range want {
+			if !s.cold[id.Key()] {
+				t.Fatalf("%v: the walk touched leaf %v", mode, id)
+			}
+		}
+		if took := s.plS.Load() - latches; mode == PessimisticS && took != int64(1+len(s.warmed[0])) {
+			t.Fatalf("plock: %d S-latches for the root and %d level-1 nodes", took, len(s.warmed[0]))
+		}
+		// Everything above the leaves is warm now: the same batch again
+		// names nothing and misses nothing.
+		again, err := tr.Leaves(keys, mode)
+		if err != nil || !reflect.DeepEqual(again, want) || len(s.warmed) != 1 || len(s.unhintedMiss) != 1 {
+			t.Fatalf("%v: second walk: %v, err %v, warmed %v, misses %v", mode, again, err, s.warmed, s.unhintedMiss)
+		}
+	}
+
+	s.chill()
+	if got, err := tr.Leaves(nil, Local); err != nil || got != nil || len(s.unhintedMiss) != 0 {
+		t.Fatalf("empty batch: %v, %v, fetched %v", got, err, s.unhintedMiss)
+	}
+	small, _ := newTestTree(t) // the root is the only leaf
+	if got, err := small.Leaves([]uint64{1, 2, 3}, Local); err != nil || !reflect.DeepEqual(got, []types.PageID{small.pageID(rootPageNo)}) {
+		t.Fatalf("single-leaf tree: %v, %v", got, err)
+	}
+}
+
+// TestLeavesGivesUpOnPersistentConflict: the walk is a hint, so where a
+// read falls back to S-latches it stops and says why.
+func TestLeavesGivesUpOnPersistentConflict(t *testing.T) {
+	tr, s, _ := deepTree(t)
+	f, _ := s.Fetch(tr.pageID(rootPageNo))
+	wrap(f).setSMOStamp(^uint64(0))
+	s.Unpin(f)
+	got, err := tr.Leaves([]uint64{1, 2000, 4000}, Optimistic)
+	if !isSMOConflict(err) || got != nil {
+		t.Fatalf("leaves = %v, err = %v, want an SMO conflict", got, err)
+	}
+	if s.plS.Load() != 0 {
+		t.Fatal("the walk fell back to S-latches")
+	}
+}
+
+// TestScanReadsAhead: a range scan names to the store the leaves it is
+// about to read — never more than the window, never one that starts at or
+// past the end of the range, nothing at all for a point read — and
+// delivers what it delivered before.
+func TestScanReadsAhead(t *testing.T) {
+	tr, s, n := deepTree(t)
+	for _, r := range [][2]uint64{{0, n}, {0, ^uint64(0)}, {100, 101}, {1234, 1300}, {2500, 4100}, {n - 3, n + 50}, {n + 1, n + 9}, {700, 700}} {
+		from, to := r[0], r[1]
+		s.chill()
+		var got []uint64
+		if err := tr.Scan(from, to, Local, func(kv KV) bool { got = append(got, kv.Key); return true }); err != nil {
+			t.Fatal(err)
+		}
+		var want []uint64
+		for k := from; k < to && k < n; k++ {
+			want = append(want, k)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scan [%d,%d): %d keys (first %v), want %d", from, to, len(got), got[:min(len(got), 3)], len(want))
+		}
+		named := map[types.PageID]bool{}
+		for _, ids := range s.warmed {
+			if len(ids) > scanReadAhead {
+				t.Fatalf("scan [%d,%d): one hint names %d pages, the window is %d", from, to, len(ids), scanReadAhead)
+			}
+			for _, id := range ids {
+				f, _ := s.Fetch(id)
+				leaf := wrap(f)
+				if !leaf.isLeaf() || leaf.slotKey(0) >= to || leaf.slotKey(0) <= from || named[id] {
+					t.Fatalf("scan [%d,%d): hint names page %v (leaf %v, first key %d, named before %v)",
+						from, to, id, leaf.isLeaf(), leaf.slotKey(0), named[id])
+				}
+				s.Unpin(f)
+				named[id] = true
+			}
+		}
+		// Every leaf but the first under each level-1 node was named
+		// before the scan fetched it.
+		level1 := map[types.PageNo]bool{}
+		for _, id := range s.unhintedMiss[1:] {
+			f, _ := s.Fetch(id)
+			if nd := wrap(f); !nd.isLeaf() {
+				level1[id.No] = true
+			}
+			s.Unpin(f)
+		}
+		if leaves := len(s.unhintedMiss) - 1 - len(level1); leaves > len(level1) {
+			t.Fatalf("scan [%d,%d): %d leaves fetched cold without a hint under %d level-1 nodes: %v",
+				from, to, leaves, len(level1), s.unhintedMiss)
+		}
+	}
+
+	// An early stop has asked for one window at most.
+	s.chill()
+	_ = tr.Scan(0, ^uint64(0), Local, func(KV) bool { return false })
+	if len(s.warmed) != 1 || len(s.warmed[0]) != scanReadAhead {
+		t.Fatalf("early stop: hints %v, want one window of %d", s.warmed, scanReadAhead)
+	}
+	s.chill()
+	if _, err := tr.Get(3000, Local); err != nil || len(s.warmed) != 0 {
+		t.Fatalf("point read: err %v, hints %v", err, s.warmed)
 	}
 }

@@ -146,14 +146,48 @@ func (n *node) search(k uint64) (idx int, found bool) {
 	return idx, found
 }
 
-// descendChild picks the child page covering key k in an internal node.
-func (n *node) descendChild(k uint64) types.PageNo {
-	// Children: leftmost covers k < key[0]; child(i) covers key[i] <= k < key[i+1].
-	idx := sort.Search(n.nkeys(), func(i int) bool { return n.slotKey(i) > k })
+// childIndex numbers an internal node's children left to right: 0 is the
+// leftmost, covering k < key[0]; child i > 0 covers key[i-1] <= k < key[i].
+// It returns the number of the child covering k.
+func (n *node) childIndex(k uint64) int {
+	return sort.Search(n.nkeys(), func(i int) bool { return n.slotKey(i) > k })
+}
+
+// childAt returns child number idx (see childIndex).
+func (n *node) childAt(idx int) types.PageNo {
 	if idx == 0 {
 		return n.leftmost()
 	}
 	return n.child(idx - 1)
+}
+
+// descendChild picks the child page covering key k in an internal node.
+func (n *node) descendChild(k uint64) types.PageNo { return n.childAt(n.childIndex(k)) }
+
+// route splits keys (ascending, duplicates allowed) among an internal
+// node's children: fn is called once per child that covers at least one
+// of them, left to right, with the keys it covers.
+func (n *node) route(keys []uint64, fn func(child types.PageNo, keys []uint64)) {
+	for len(keys) > 0 {
+		idx, covered := n.childIndex(keys[0]), len(keys)
+		if idx < n.nkeys() {
+			bound := n.slotKey(idx)
+			covered = sort.Search(len(keys), func(i int) bool { return keys[i] >= bound })
+		}
+		fn(n.childAt(idx), keys[:covered])
+		keys = keys[covered:]
+	}
+}
+
+// childrenAfter lists, left to right, up to max children of an internal
+// node that follow the one covering k and cover some key below to — a
+// child whose separator is at or past to holds nothing a scan to `to` reads.
+func (n *node) childrenAfter(k, to uint64, max int) []types.PageID {
+	var out []types.PageID
+	for i := n.childIndex(k); i < n.nkeys() && len(out) < max && n.slotKey(i) < to; i++ {
+		out = append(out, types.PageID{Space: n.id().Space, No: n.childAt(i + 1)})
+	}
+	return out
 }
 
 // freeSpace returns contiguous free bytes between slots and cell data.

@@ -58,6 +58,12 @@ type Store interface {
 	FetchNew(id types.PageID) (*cache.Frame, error)
 	// Unpin releases a fetched frame.
 	Unpin(f *cache.Frame)
+	// Warm is a hint: the tree is about to read these pages, and the store
+	// may start fetching the ones it does not hold. It returns at once and
+	// nothing depends on it — the traversal that follows fetches and
+	// validates every page it visits, so a stale or ignored hint only costs
+	// the overlap. The slice is the caller's.
+	Warm(ids []types.PageID)
 
 	// PLLockX latches a page exclusively for an SMO; the release goes
 	// through Mtr.DeferPLUnlockX and may remain sticky on the node.

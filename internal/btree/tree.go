@@ -20,9 +20,11 @@ type Tree struct {
 }
 
 // Create formats a new tree in space (header + empty leaf root) inside m.
+// The space is the caller's to vouch for: nothing was ever written to it,
+// so neither page is read.
 func Create(store Store, m Mtr, space types.SpaceID) (*Tree, error) {
 	t := &Tree{store: store, space: space}
-	hdr, err := t.fetch(headerPageNo)
+	hdr, err := t.fetchNew(headerPageNo)
 	if err != nil {
 		return nil, err
 	}
@@ -33,7 +35,7 @@ func Create(store Store, m Mtr, space types.SpaceID) (*Tree, error) {
 	hdr.f.Latch.Unlock()
 	t.store.Unpin(hdr.f)
 
-	root, err := t.fetch(rootPageNo)
+	root, err := t.fetchNew(rootPageNo)
 	if err != nil {
 		return nil, err
 	}
@@ -53,8 +55,21 @@ func Open(store Store, space types.SpaceID) *Tree {
 // Space returns the tree's tablespace id.
 func (t *Tree) Space() types.SpaceID { return t.space }
 
+func (t *Tree) pageID(no types.PageNo) types.PageID {
+	return types.PageID{Space: t.space, No: no}
+}
+
 func (t *Tree) fetch(no types.PageNo) (*node, error) {
-	f, err := t.store.Fetch(types.PageID{Space: t.space, No: no})
+	f, err := t.store.Fetch(t.pageID(no))
+	if err != nil {
+		return nil, err
+	}
+	return wrap(f), nil
+}
+
+// fetchNew is fetch for a page nothing was ever written to (Store.FetchNew).
+func (t *Tree) fetchNew(no types.PageNo) (*node, error) {
+	f, err := t.store.FetchNew(t.pageID(no))
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +86,7 @@ func (t *Tree) allocPage(m Mtr) (*node, error) {
 	}
 	hdr.f.Latch.Lock()
 	var no types.PageNo
-	fetch := t.store.Fetch
+	fetch := t.fetch
 	if free := types.PageNo(hdr.u32(offFreeHead)); free != 0 {
 		freed, err := t.fetch(free)
 		if err != nil {
@@ -89,16 +104,12 @@ func (t *Tree) allocPage(m Mtr) (*node, error) {
 		// there is nothing to read (a page off the free list was).
 		no = types.PageNo(hdr.u32(offAllocNext))
 		hdr.setU32(offAllocNext, uint32(no)+1)
-		fetch = t.store.FetchNew
+		fetch = t.fetchNew
 	}
 	hdr.flush(m)
 	hdr.f.Latch.Unlock()
 	t.store.Unpin(hdr.f)
-	f, err := fetch(types.PageID{Space: t.space, No: no})
-	if err != nil {
-		return nil, err
-	}
-	return wrap(f), nil
+	return fetch(no)
 }
 
 // freePage returns a page to the space free list. Caller holds its latch.
@@ -188,14 +199,26 @@ func (rc *readCtx) release(n *node) {
 	rc.t.store.Unpin(n.f)
 }
 
+// scanReadAhead is how many leaves past the one it is about to read a
+// range scan asks the store to warm. Their reads then overlap the first
+// one instead of following it; an early stop wastes at most this many.
+const scanReadAhead = 16
+
 // descendToLeaf walks root-to-leaf with read coupling, returning the
-// latched leaf covering key.
-func (rc *readCtx) descendToLeaf(key uint64) (*node, error) {
+// latched leaf covering key. to > key marks a range scan of [key, to): on
+// its way past the level-1 node the descent hints the leaves that node
+// names for the rest of the range (Store.Warm).
+func (rc *readCtx) descendToLeaf(key, to uint64) (*node, error) {
 	cur, err := rc.acquire(rootPageNo)
 	if err != nil {
 		return nil, err
 	}
 	for !cur.isLeaf() {
+		if to > key && cur.level() == 1 {
+			if ahead := cur.childrenAfter(key, to, scanReadAhead); len(ahead) > 0 {
+				rc.t.store.Warm(ahead)
+			}
+		}
 		childNo := cur.descendChild(key)
 		child, err := rc.acquire(childNo)
 		if err != nil {
@@ -241,7 +264,7 @@ func (t *Tree) getOnce(key uint64, mode TraverseMode, retry bool) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	leaf, err := rc.descendToLeaf(key)
+	leaf, err := rc.descendToLeaf(key, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -256,37 +279,77 @@ func (t *Tree) getOnce(key uint64, mode TraverseMode, retry bool) ([]byte, error
 	return out, nil
 }
 
-// LeafCoverage descends to the leaf covering key and returns the largest
-// key stored on it (ok=false for an empty leaf). Prefetchers use it to
-// warm one leaf per descent instead of one descent per key.
-func (t *Tree) LeafCoverage(key uint64, mode TraverseMode) (lastKey uint64, ok bool, err error) {
+// Leaves resolves a key batch (ascending; duplicates allowed) to the
+// distinct leaf pages covering it, in key order, without reading any of
+// them: the walk takes the whole batch down the tree one level at a time,
+// visiting each inner page once under mode's protocol and hinting each
+// level's pages to the store before it visits them (Store.Warm), so a
+// level costs one round of fetches however many pages it has. It is the
+// index half of Batched Key PrePare (§4.2); the caller warms what it
+// returns. Pages are visited without latch coupling — nothing is returned
+// but page numbers, and a number gone stale under a concurrent SMO is a
+// wasted hint — so the walk only follows a pointer to the level it
+// expects. An SMO conflict is retried with a fresh clock a few times and
+// then given up: a prefetch never fails the query it runs ahead of.
+func (t *Tree) Leaves(keys []uint64, mode TraverseMode) ([]types.PageID, error) {
 	const optimisticRetries = 3
 	for attempt := 0; ; attempt++ {
-		lastKey, ok, err = t.leafCoverageOnce(key, mode, attempt > 0)
-		if err == nil || !isSMOConflict(err) {
-			return lastKey, ok, err
-		}
-		if attempt >= optimisticRetries {
-			mode = PessimisticS
+		leaves, err := t.leavesOnce(keys, mode, attempt > 0)
+		if err == nil || !isSMOConflict(err) || attempt >= optimisticRetries {
+			return leaves, err
 		}
 	}
 }
 
-func (t *Tree) leafCoverageOnce(key uint64, mode TraverseMode, retry bool) (uint64, bool, error) {
+func (t *Tree) leavesOnce(keys []uint64, mode TraverseMode, retry bool) ([]types.PageID, error) {
+	if len(keys) == 0 {
+		return nil, nil
+	}
 	rc, err := t.newReadCtx(mode, retry)
 	if err != nil {
-		return 0, false, err
+		return nil, err
 	}
-	leaf, err := rc.descendToLeaf(key)
-	if err != nil {
-		return 0, false, err
+	// part is a page of the level being visited and the keys routed to it.
+	type part struct {
+		no   types.PageNo
+		keys []uint64
 	}
-	defer rc.release(leaf)
-	nk := leaf.nkeys()
-	if nk == 0 {
-		return 0, false, nil
+	var leaves []types.PageID
+	level := []part{{rootPageNo, keys}}
+	for height := -1; len(level) > 0; height-- { // the level's number; the root says what it is
+		var next []part
+		var nextIDs []types.PageID
+		for _, p := range level {
+			//polarvet:allow fabriccost the level's pages went to Store.Warm in one call when their parents were read, so these fetches find them cached or join fills already running side by side; what is left per page is its validation
+			n, err := rc.acquire(p.no)
+			if err != nil {
+				return nil, err
+			}
+			if height < 0 {
+				height = int(n.level())
+			}
+			switch {
+			case height == 0 && n.isLeaf(): // the root is the whole tree
+				leaves = append(leaves, n.id())
+			case height > 0 && n.nodeType() == pageInternal && int(n.level()) == height:
+				// (Anything else was freed or reused since its parent was read.)
+				n.route(p.keys, func(child types.PageNo, keys []uint64) {
+					if height == 1 {
+						leaves = append(leaves, t.pageID(child))
+					} else {
+						next = append(next, part{child, keys})
+						nextIDs = append(nextIDs, t.pageID(child))
+					}
+				})
+			}
+			rc.release(n)
+		}
+		if len(nextIDs) > 0 {
+			t.store.Warm(nextIDs)
+		}
+		level = next
 	}
-	return leaf.slotKey(nk - 1), true, nil
+	return leaves, nil
 }
 
 // KV is one key/value pair delivered by Scan.
@@ -328,7 +391,7 @@ func (t *Tree) scanChunk(cursor *uint64, to uint64, mode TraverseMode, retry boo
 	if err != nil {
 		return false, err
 	}
-	leaf, err := rc.descendToLeaf(*cursor)
+	leaf, err := rc.descendToLeaf(*cursor, to)
 	if err != nil {
 		return false, err
 	}
@@ -372,11 +435,9 @@ func (t *Tree) scanChunk(cursor *uint64, to uint64, mode TraverseMode, retry boo
 		}
 		*cursor = kv.Key + 1
 	}
-	if exhausted {
-		return true, nil
-	}
-	// More chunks remain; the caller re-descends from the updated cursor.
-	return false, nil
+	// More chunks remain unless the range ended with this one; the caller
+	// re-descends from the updated cursor.
+	return exhausted || *cursor >= to, nil
 }
 
 // ---------------------------------------------------------------------------

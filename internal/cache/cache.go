@@ -187,6 +187,15 @@ func (c *Cache) Get(id types.PageID) *Frame {
 	return f
 }
 
+// Probe reports whether id is resident and, if it is, whether the copy is
+// valid. It is not an access: no pin, no LRU move, no hit or miss counted.
+func (c *Cache) Probe(id types.PageID) (resident, valid bool) {
+	c.mu.Lock()
+	f, ok := c.frames[id.Key()]
+	c.mu.Unlock()
+	return ok, ok && !f.Invalid()
+}
+
 // Insert adds a freshly fetched frame (pinned once on return), evicting
 // LRU unpinned frames as needed. If id is already resident (a racing fill)
 // the existing frame is returned instead and the argument is discarded.

@@ -161,6 +161,8 @@ type Engine struct {
 	// after it still reads its page from storage.
 	undoExact bool
 
+	// flightMu guards the fills in progress, and the admission of the
+	// warmer's workers against Close (see warm).
 	flightMu sync.Mutex
 	flights  map[uint64]*flight
 
@@ -199,6 +201,8 @@ type engineMetrics struct {
 	remoteRead  *stat.Counter // pages read from the remote memory tier
 	storageRead *stat.Counter // pages read from PolarFS
 	fresh       *stat.Counter // allocated pages created in memory, no read
+	warmCalls   *stat.Counter // warm calls that found something to fetch
+	warmPages   *stat.Counter // pages those calls set out to fetch
 	mtrCommit   *stat.Counter // non-empty mini-transactions committed
 	txnCommit   *stat.Counter // user transactions committed
 	txnAbort    *stat.Counter // user transactions rolled back
@@ -215,6 +219,8 @@ func newEngineMetrics(r *stat.Registry) engineMetrics {
 		remoteRead:  r.Counter("engine.page.remote_read"),
 		storageRead: r.Counter("engine.page.storage_read"),
 		fresh:       r.Counter("engine.page.fresh"),
+		warmCalls:   r.Counter("engine.warm.calls"),
+		warmPages:   r.Counter("engine.warm.pages"),
 		mtrCommit:   r.Counter("engine.mtr.commit"),
 		txnCommit:   r.Counter("engine.txn.commit"),
 		txnAbort:    r.Counter("engine.txn.abort"),
@@ -314,7 +320,10 @@ func (e *Engine) start() {
 // Close stops background workers. It does not flush state: use
 // PlannedHandover for a clean shutdown.
 func (e *Engine) Close() {
-	if e.closed.Swap(true) {
+	e.flightMu.Lock() // warm admits its workers under it
+	was := e.closed.Swap(true)
+	e.flightMu.Unlock()
+	if was {
 		return
 	}
 	close(e.closeCh)
@@ -419,6 +428,14 @@ func (e *Engine) fetch(id types.PageID, fresh bool) (*cache.Frame, error) {
 		if fl, ok := e.flights[id.Key()]; ok {
 			e.flightMu.Unlock()
 			<-fl.done
+			continue
+		}
+		// A fill inserts its frame before it leaves the flights map, so with
+		// no flight here the page is nobody's — or it is resident, a fill
+		// having finished since the miss above: filling it again would cost a
+		// second read and hand back the first fill's frame unexamined.
+		if resident, _ := e.cache.Probe(id); resident {
+			e.flightMu.Unlock()
 			continue
 		}
 		fl := &flight{done: make(chan struct{})}

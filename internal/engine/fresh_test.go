@@ -68,18 +68,29 @@ func insertUntilUndoRolls(t *testing.T, e *Engine, tbl *Table, next *uint64) sta
 }
 
 // TestAllocatedPagesAreBornInMemory: on a warm RW whose working set fits
-// the local cache, inserts that split leaves and roll the undo page read
+// the local cache, creating a table or an index, and inserts that split
+// leaves and roll the undo page, read
 // nothing from storage — every allocated page is created in memory — and
 // the rows on those pages, which were never written back anywhere, are
 // readable from an RO (through eng.flushpage) and from the node promoted
 // after a crash (storage materializes their redo over a zero base).
 func TestAllocatedPagesAreBornInMemory(t *testing.T) {
 	h := newHarness(t, harnessOpts{poolPages: 2048, cachePages: 1024})
+	created := h.rw.EP().Metrics().Snapshot()
 	tbl, err := h.rw.CreateTable("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	insertRows(t, h.rw, tbl, 0, 100) // warm: space header, root, undo header and cursor page
+	if _, err := h.rw.CreateIndex(tbl, "by_x"); err != nil {
+		t.Fatal(err)
+	}
+	// The new spaces' header and root pages are born in memory too: their
+	// space id was allocated by the MTR that formats them.
+	if d := h.rw.EP().Metrics().Snapshot().Sub(created); d.Counter("engine.page.storage_read") != 0 || d.Counter("pfs.get_page.ops") != 0 || d.Counter("engine.page.fresh") != 4 {
+		t.Fatalf("creating a table and an index: engine.page.storage_read +%d, pfs.get_page.ops +%d, engine.page.fresh +%d; want 0, 0 and 4",
+			d.Counter("engine.page.storage_read"), d.Counter("pfs.get_page.ops"), d.Counter("engine.page.fresh"))
+	}
+	insertRows(t, h.rw, tbl, 0, 100) // warm: undo header and cursor page
 	startUndo := undoCursorPage(h.rw)
 
 	before := h.rw.EP().Metrics().Snapshot()
@@ -110,6 +121,12 @@ func TestAllocatedPagesAreBornInMemory(t *testing.T) {
 
 	// (c) Crash right after more inserts: nothing but redo ever left the node.
 	insertRows(t, h.rw, tbl, 2100, 2600)
+	// ... and a table whose creating MTR may or may not have become durable:
+	// its space id and its two pages are one MTR, so the new RW either
+	// finds the table or hands the same id out again, over nothing.
+	if _, err := h.rw.CreateTable("maybe"); err != nil {
+		t.Fatal(err)
+	}
 	h.rw.EP().Kill()
 	h.rw.Close()
 	newRW := h.newEngine(t, "rw2", Config{LocalCachePages: 1024}, false, "")
@@ -137,6 +154,22 @@ func TestAllocatedPagesAreBornInMemory(t *testing.T) {
 		t.Fatalf("second roll-over after recovery: engine.page.storage_read +%d, want 0", d.Counter("engine.page.storage_read"))
 	}
 	checkRows(t, newRW, tbl2, 2600, next)
+
+	after, err := newRW.CreateTable("after")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertRows(t, newRW, after, 0, 200)
+	checkRows(t, newRW, after, 0, 200)
+	if maybe, err := newRW.OpenTable("maybe"); err == nil {
+		if maybe.Space == after.Space {
+			t.Fatalf("tables maybe and after share space %d", after.Space)
+		}
+		insertRows(t, newRW, maybe, 0, 50)
+		checkRows(t, newRW, maybe, 0, 50)
+	} else if !errors.Is(err, ErrNoSuchTable) {
+		t.Fatal(err)
+	}
 }
 
 // TestFetchNewContract: RW only, and a page that is cached comes back as

@@ -35,7 +35,7 @@ func (e *Engine) newBufferAt(start types.LSN) *plog.Buffer {
 //	7.   scan the undo header to rebuild the active transaction table.
 //	8.   start serving.
 //	9.   in the background: roll back unfinished transactions, and fetch
-//	     the pages step 5 purged back from storage (warmPurged).
+//	     the pages step 5 purged back from storage.
 func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 	if e.cfg.ReadOnly {
 		return ErrNotRW
@@ -70,7 +70,7 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 		// flushed). Everything that survives is byte-consistent with
 		// storage, so the hot working set stays warm; what does not is the
 		// part of it the old RW was writing, and is fetched again in the
-		// background once this node serves (warmPurged).
+		// background once this node serves (step 9).
 		entries, err := e.pool.ScanRemote()
 		if err != nil {
 			return fmt.Errorf("engine: scanning remote memory: %w", err)
@@ -152,9 +152,16 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 		return e.adoptUnfinished(unfinished, slotByTrx)
 	}
 
-	e.warmPurged(purged)
+	// Step 9: what step 5 purged is what the crashed RW had modified and
+	// not written back — the rows the clients were writing, which their
+	// retried transactions ask for first — and storage is the only place
+	// left to read it from, a PolarFS read per page. Left to the
+	// transactions, those reads happen one after the other inside the first
+	// statements this node serves; handed to the warmer they overlap each
+	// other and the proxy's retry pause.
+	e.warm(purged)
 
-	// Step 9: background rollback.
+	// Step 9, continued: background rollback.
 	if len(unfinished) > 0 {
 		e.wg.Add(1)
 		go func() {
@@ -167,49 +174,6 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 		}()
 	}
 	return nil
-}
-
-// recoveryWarmers is how many purged pages warmPurged fetches at a time.
-const recoveryWarmers = 32
-
-// warmPurged fetches, in the background, the pages recovery purged from
-// the pool. They are the pages the crashed RW had modified and not written
-// back — the rows the clients were writing, which their retried
-// transactions ask for first — and storage is the only place left to read
-// them from, a PolarFS read each. Left to the transactions, those reads
-// happen one after the other inside the first statements the new RW
-// serves; here they overlap each other and the proxy's retry pause. A
-// transaction that wants a page already being fetched joins that fetch
-// (Engine.fetch admits one fill per page). At most half the local cache is
-// warmed, so a small cache is not churned by a large purge.
-func (e *Engine) warmPurged(pages []types.PageID) {
-	if limit := e.cache.Capacity() / 2; len(pages) > limit {
-		pages = pages[:limit]
-	}
-	next := make(chan types.PageID, len(pages))
-	for _, id := range pages {
-		next <- id
-	}
-	close(next)
-	for i := 0; i < recoveryWarmers && i < len(pages); i++ {
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			for id := range next {
-				select {
-				case <-e.closeCh:
-					return
-				default:
-				}
-				// A failed fetch costs nothing: the page is read when a
-				// transaction asks for it, as it would have been anyway.
-				//polarvet:allow fabriccost recovery-only warm-up, once per RW failover: each page is its own PolarFS read, and overlapping them is the point
-				if f, err := e.Fetch(id); err == nil {
-					e.Unpin(f)
-				}
-			}
-		}()
-	}
 }
 
 // adoptUnfinished rebuilds live Txn handles for the unfinished

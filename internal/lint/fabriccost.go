@@ -470,14 +470,15 @@ type FabricFuncCost struct {
 
 // FabricReport returns the cost table the fabriccost analyzer reasons
 // over: every declared module function that transitively issues a fabric
-// verb, its per-verb cost and witness path, and its declared budget when
-// one exists.
+// verb or declares a budget (a `none` budget has no verb to show), its
+// per-verb cost and witness path, and its declared budget when one exists.
 func (r *Result) FabricReport() []FabricFuncCost {
 	fab := r.prog.fabric
 	var out []FabricFuncCost
 	for _, f := range r.prog.funcs {
 		m := fab.cost[f]
-		if f.fn == nil || len(m) == 0 {
+		b, budgeted := fab.budgets[f]
+		if f.fn == nil || (len(m) == 0 && !budgeted) {
 			continue
 		}
 		entry := FabricFuncCost{
@@ -485,7 +486,7 @@ func (r *Result) FabricReport() []FabricFuncCost {
 			Package:  f.pkg.Path,
 			Pos:      r.prog.fset.Position(f.fn.Pos()).String(),
 		}
-		if b, ok := fab.budgets[f]; ok {
+		if budgeted {
 			entry.Budget = b.level.String()
 		}
 		rpcWorst, osWorst := fcNone, fcNone
