@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"polardb/internal/btree"
-	"polardb/internal/engine"
 	"polardb/internal/parallelraft"
 	"polardb/internal/polarfs"
 	"polardb/internal/rdma"
@@ -123,24 +122,18 @@ func Launch(cfg Config) (*Cluster, error) {
 			SlabHeartbeat:     cfg.HeartbeatInterval,
 		}
 		c.MemNode = "mem0"
-		memEP := c.Fabric.MustAttach(c.MemNode)
-		rmem.NewSlabNode(memEP, c.memCfg)
 		var slaveID rdma.NodeID
 		if cfg.SlaveHome {
 			slaveID = "mem0b"
-			slaveEP := c.Fabric.MustAttach(slaveID)
-			c.SlaveHome = rmem.NewSlaveHome(slaveEP, c.memCfg)
+			c.SlaveHome = rmem.NewSlaveHome(c.Fabric.MustAttach(slaveID), c.memCfg)
 		}
-		c.Home = rmem.NewHome(memEP, c.memCfg, slaveID)
-		for i := 0; i < cfg.MemorySlabs; i++ {
-			if _, err := c.Home.AddSlab(c.MemNode, cfg.SlabPages); err != nil {
-				return nil, err
-			}
+		if err := c.startPool(slaveID); err != nil {
+			return nil, err
 		}
 	}
 
 	// RW node.
-	rw, err := c.newDBNode("rw0", false, "", 0)
+	rw, err := c.newDBNode("rw0", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -151,8 +144,7 @@ func Launch(cfg Config) (*Cluster, error) {
 
 	// RO nodes.
 	for i := 0; i < cfg.RONodes; i++ {
-		ro, err := c.newDBNode(rdma.NodeID(fmt.Sprintf("ro%d", i)), true,
-			rw.ID, rw.Engine.CTSRegionID())
+		ro, err := c.newDBNode(rdma.NodeID(fmt.Sprintf("ro%d", i)), rw)
 		if err != nil {
 			return nil, err
 		}
@@ -165,45 +157,21 @@ func Launch(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// newDBNode builds a database node on a fresh endpoint.
-func (c *Cluster) newDBNode(id rdma.NodeID, ro bool, rwNode rdma.NodeID, ctsRegion uint32) (*DBNode, error) {
-	ep := c.Fabric.MustAttach(id)
-	n := &DBNode{ID: id, EP: ep, cluster: c}
-	n.PFS = polarfs.NewClient(ep, c.Storage.Cfg, c.Storage.Peers)
-	if !c.cfg.NoRemoteMemory {
-		pool, err := rmem.NewPool(ep, c.memCfg, c.MemNode)
-		if err != nil {
-			return nil, err
-		}
-		n.Pool = pool
-	}
-	ep.RegisterHandler("cm.ping", func(rdma.NodeID, []byte) ([]byte, error) { return []byte{1}, nil })
-	cfg := engine.Config{
-		LocalCachePages:    c.cfg.LocalCachePages,
-		ROMode:             c.cfg.ROMode,
-		CheckpointInterval: c.cfg.CheckpointInterval,
-		LockWait:           c.cfg.LockWait,
-	}
-	var err error
-	if ro {
-		cfg.RWNode = rwNode
-		cfg.CTSRegionID = ctsRegion
-		n.Engine, err = engine.NewRO(engine.Deps{EP: ep, PFS: n.PFS, Pool: n.Pool}, cfg)
-		n.ReadOnly = true
-	} else {
-		n.Engine, err = engine.NewRW(engine.Deps{EP: ep, PFS: n.PFS, Pool: n.Pool}, cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return n, nil
+// startPool brings the memory pool up on MemNode: a slab node and the home
+// (mirrored to slave, if named) on its endpoint, and MemorySlabs slabs.
+func (c *Cluster) startPool(slave rdma.NodeID) error {
+	ep := c.Fabric.MustAttachOrGet(c.MemNode)
+	rmem.NewSlabNode(ep, c.memCfg)
+	c.Home = rmem.NewHome(ep, c.memCfg, slave)
+	_, err := c.GrowMemory(c.cfg.MemorySlabs)
+	return err
 }
 
 // AddRO attaches a new read replica to the running cluster.
 func (c *Cluster) AddRO() (*DBNode, error) {
 	c.nextNodeID++
 	id := rdma.NodeID(fmt.Sprintf("ro-x%d", c.nextNodeID))
-	ro, err := c.newDBNode(id, true, c.RW.ID, c.RW.Engine.CTSRegionID())
+	ro, err := c.newDBNode(id, c.RW)
 	if err != nil {
 		return nil, err
 	}

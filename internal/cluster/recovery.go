@@ -1,10 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
-
-	"polardb/internal/engine"
-	"polardb/internal/rmem"
+	"sync"
 )
 
 // FailoverHome handles a memory home-node crash (§5.2): the slave home —
@@ -71,54 +70,34 @@ func (c *Cluster) FullRestart() error {
 	// Fresh memory pool on the same memory node (handlers replace the old
 	// ones; slab data is abandoned and rebuilt on demand from storage).
 	if !c.cfg.NoRemoteMemory {
-		memEP := c.Fabric.MustAttachOrGet(c.MemNode)
-		rmem.NewSlabNode(memEP, c.memCfg)
-		c.Home = rmem.NewHome(memEP, c.memCfg, "")
-		for i := 0; i < c.cfg.MemorySlabs; i++ {
-			if _, err := c.Home.AddSlab(c.MemNode, c.cfg.SlabPages); err != nil {
-				return err
-			}
+		if err := c.startPool(""); err != nil {
+			return err
 		}
 	}
 
-	// Rebuild every database node's engine against the fresh pool.
-	rebuild := func(n *DBNode, ro bool, rwNode *DBNode) error {
-		if n.Pool != nil {
-			pool, err := rmem.NewPool(n.EP, c.memCfg, c.MemNode)
-			if err != nil {
-				return err
-			}
-			n.Pool = pool
-		}
-		cfg := engine.Config{
-			LocalCachePages:    c.cfg.LocalCachePages,
-			ROMode:             c.cfg.ROMode,
-			CheckpointInterval: c.cfg.CheckpointInterval,
-			LockWait:           c.cfg.LockWait,
-		}
-		var err error
-		if ro {
-			cfg.RWNode = rwNode.ID
-			cfg.CTSRegionID = rwNode.Engine.CTSRegionID()
-			n.Engine, err = engine.NewRO(engine.Deps{EP: n.EP, PFS: n.PFS, Pool: n.Pool}, cfg)
-			n.ReadOnly = true
-		} else {
-			n.Engine, err = engine.NewRW(engine.Deps{EP: n.EP, PFS: n.PFS, Pool: n.Pool}, cfg)
-		}
+	// Rebuild every database node against the fresh pool. The RW recovers
+	// from storage alone: parallel REDO + undo scan; the remote memory pool
+	// is empty, so this is the cold-cache path.
+	if err := oldRW.restart(nil); err != nil {
 		return err
 	}
-	if err := rebuild(oldRW, false, nil); err != nil {
-		return err
-	}
-	// The RW recovers from storage alone: parallel REDO + undo scan; the
-	// remote memory pool is empty, so this is the cold-cache path.
 	if err := oldRW.Engine.Recover("", false); err != nil {
 		return err
 	}
-	for _, ro := range c.ROs {
-		if err := rebuild(ro, true, oldRW); err != nil {
-			return err
-		}
+	// The ROs restart side by side: each connects itself to the new home,
+	// one round trip, and none waits on another.
+	errs := make([]error, len(c.ROs))
+	var wg sync.WaitGroup
+	for i, ro := range c.ROs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = ro.restart(oldRW)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
 	c.Proxy.setNodes(c.RW, c.ROs)
 	c.Proxy.rebindAll(nil) // every open transaction is lost

@@ -162,9 +162,11 @@ type Engine struct {
 	undoExact bool
 
 	// flightMu guards the fills in progress, and the admission of the
-	// warmer's workers against Close (see warm).
+	// warmer's workers against Close and against the ones still running
+	// (see warm).
 	flightMu sync.Mutex
 	flights  map[uint64]*flight
+	warmers  int
 
 	treesMu sync.Mutex
 	trees   map[types.SpaceID]*btree.Tree
@@ -420,10 +422,6 @@ func (e *Engine) fetch(id types.PageID, fresh bool) (*cache.Frame, error) {
 			}
 			return f, nil
 		}
-		// A detached dirty frame may still be writing back (its write-back
-		// waits for redo shipping); loading from storage meanwhile would
-		// resurrect a stale image and lose those writes. Wait it out.
-		e.cache.WaitEvicting(id)
 		e.flightMu.Lock()
 		if fl, ok := e.flights[id.Key()]; ok {
 			e.flightMu.Unlock()
@@ -442,6 +440,14 @@ func (e *Engine) fetch(id types.PageID, fresh bool) (*cache.Frame, error) {
 		e.flights[id.Key()] = fl
 		e.flightMu.Unlock()
 
+		// A detached dirty frame may still be writing back (its write-back
+		// waits for redo shipping); loading from storage meanwhile would
+		// resurrect a stale image and lose those writes. Wait it out, with
+		// the flight in place: only this fill can make the page resident
+		// again, so no eviction of it can start unseen between the wait and
+		// the insert (and mark the page evicting a second time, orphaning
+		// the first eviction's waiters).
+		e.cache.WaitEvicting(id)
 		f, err := e.loadFrame(id, fresh)
 
 		e.flightMu.Lock()
@@ -523,7 +529,7 @@ func (e *Engine) loadFrame(id types.PageID, fresh bool) (*cache.Frame, error) {
 				if err := e.readRemoteFresh(f); err == nil {
 					fromRemote = true
 				} else if !errors.Is(err, ErrStalePage) {
-					_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed by DropNodeRefs
+					_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed when the node is kicked
 					return nil, err
 				}
 			}
@@ -541,7 +547,7 @@ func (e *Engine) loadFrame(id types.PageID, fresh bool) (*cache.Frame, error) {
 	default:
 		if err := e.fillFromStorage(f); err != nil {
 			if f.Remote.Registered {
-				_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed by DropNodeRefs
+				_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed when the node is kicked
 			}
 			return nil, err
 		}
@@ -562,7 +568,7 @@ func (e *Engine) loadFrame(id types.PageID, fresh bool) (*cache.Frame, error) {
 	inserted, err := e.cache.Insert(f)
 	if err != nil {
 		if f.Remote.Registered {
-			_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed by DropNodeRefs
+			_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed when the node is kicked
 		}
 		return nil, err
 	}
@@ -730,7 +736,7 @@ func (e *Engine) PLUnlockX(f *cache.Frame) {
 	if e.pool == nil || !f.Remote.Registered {
 		return
 	}
-	_ = e.pool.PL().UnlockX(f.ID, true) //polarvet:allow errdrop latch release to a possibly-dead home node; ReleaseNodeLatches force-clears our latches on recovery
+	_ = e.pool.PL().UnlockX(f.ID, true) //polarvet:allow errdrop latch release to a possibly-dead home node; the next RW's takeover force-clears our latches
 }
 
 // PLLockS takes the global latch shared (RO pessimistic traversals).
@@ -747,7 +753,7 @@ func (e *Engine) PLUnlockS(f *cache.Frame) {
 	if e.pool == nil || !f.Remote.Registered {
 		return
 	}
-	_ = e.pool.PL().UnlockS(f.ID) //polarvet:allow errdrop latch release to a possibly-dead home node; ReleaseNodeLatches force-clears our latches on recovery
+	_ = e.pool.PL().UnlockS(f.ID) //polarvet:allow errdrop latch release to a possibly-dead home node; the next RW's takeover force-clears our latches
 }
 
 // SMOStamp returns the value SMOs stamp onto modified pages. It is
@@ -895,7 +901,7 @@ func (mt *Mtr) release() {
 	// node until another node asks).
 	for _, f := range mt.deferred {
 		if mt.e.pool != nil && f.Remote.Registered {
-			_ = mt.e.pool.PL().UnlockX(f.ID, true) //polarvet:allow errdrop latch release to a possibly-dead home node; ReleaseNodeLatches force-clears our latches on recovery
+			_ = mt.e.pool.PL().UnlockX(f.ID, true) //polarvet:allow errdrop latch release to a possibly-dead home node; the next RW's takeover force-clears our latches
 		}
 		f.Unpin()
 	}

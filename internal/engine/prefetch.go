@@ -16,9 +16,13 @@ import (
 // scan's read-ahead (Warm, the btree.Store hint) and RW recovery
 // (Recover step 9, §5.1).
 
-// warmParallelism bounds the fills one warm call keeps in flight: a join
-// buffer's worth (64 keys touch at most 64 leaves), so a BKP batch is one
-// round of latency however its keys are spread.
+// warmParallelism bounds the warm-up fills an engine keeps in flight, all
+// calls together: a join buffer's worth (64 keys touch at most 64 leaves),
+// so a BKP batch is one round of latency however its keys are spread. The
+// bound is per engine because the hints come faster than fills finish — a
+// range scan names up to 16 leaves at every leaf it reads — and each fill
+// pins its frame for a moment: unbounded, the workers outnumber the cache's
+// frames and pin all of them.
 const warmParallelism = 64
 
 // warm starts filling the local cache with ids in the background and
@@ -30,7 +34,9 @@ const warmParallelism = 64
 // A failed fill is dropped: the page is read when it is asked for, as it
 // would have been. At most half the local cache is asked for, so a small
 // cache is not churned by a large batch. The fills run under e.wg and none
-// starts once the engine is closed.
+// starts once the engine is closed; a call gets the workers that the
+// engine's other warm-ups leave of warmParallelism, and warms nothing if
+// they leave none — it is a hint.
 //
 //polarvet:fabric none the fills run on their own goroutines; the caller's path issues no verb
 func (e *Engine) warm(ids []types.PageID) *PrefetchHandle {
@@ -57,7 +63,8 @@ func (e *Engine) warm(ids []types.PageID) *PrefetchHandle {
 		_, filling := e.flights[id.Key()]
 		return filling
 	})
-	workers := min(len(cold), warmParallelism)
+	workers := min(len(cold), warmParallelism-e.warmers)
+	e.warmers += workers
 	e.wg.Add(workers)
 	e.flightMu.Unlock()
 	if workers == 0 {
@@ -71,6 +78,11 @@ func (e *Engine) warm(ids []types.PageID) *PrefetchHandle {
 		go func() {
 			defer e.wg.Done()
 			defer h.wg.Done()
+			defer func() {
+				e.flightMu.Lock()
+				e.warmers--
+				e.flightMu.Unlock()
+			}()
 			for i := w; i < len(cold) && !e.closed.Load(); i += workers {
 				// Each page is its own register + read (remote memory or
 				// PolarFS): measured, those round trips overlap across

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"time"
@@ -20,18 +19,21 @@ func (e *Engine) newBufferAt(start types.LSN) *plog.Buffer {
 }
 
 // Recover turns this engine into the serving RW after a failover (§5.1).
-// oldRW is the failed node (for latch release); planned skips the steps a
-// clean handover already performed. The cluster manager has already fenced
-// the old RW (steps 1-2) before calling this.
+// oldRW is the failed node ("" after a cluster restart: there is none);
+// planned skips the steps a clean handover already performed. The cluster
+// manager has already fenced the old RW (steps 1-2) before calling this.
 //
 // Steps (unplanned):
 //
 //	3-4. parallel REDO: collect the checkpoint from the page chunks, read
 //	     redo from the log chunks and distribute it — the REDO phase runs
 //	     concurrently on all page chunk nodes, not on this node.
-//	5.   scan the remote memory pool and evict pages whose invalidation
-//	     bit is set or whose version exceeds the durable redo tail.
-//	6.   force-release every PL latch the old RW held.
+//	5-6. one takeover call to the memory pool's home (rmem.Pool.Takeover):
+//	     it drops the old RW's page references, force-releases every PL
+//	     latch it held, and evicts the pages whose invalidation bit is set
+//	     or whose version exceeds the durable redo tail. An error fails
+//	     recovery: a page left in the pool ahead of the tail would read as
+//	     current.
 //	7.   scan the undo header to rebuild the active transaction table.
 //	8.   start serving.
 //	9.   in the background: roll back unfinished transactions, and fetch
@@ -60,40 +62,16 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 
 	var purged []types.PageID // what step 5 took out of the pool
 	if e.pool != nil && !planned {
-		// The crashed node's page references must not pin pages or stall
-		// invalidation fan-outs.
-		if oldRW != "" {
-			_ = e.pool.DropNodeRefs(oldRW) //polarvet:allow errdrop best-effort purge of the dead node's refs; a failure leaves pins that only delay eviction, never correctness
+		// Steps 5-6, one round trip: the home drops the crashed RW's page
+		// references and latches, and purges the pages that are stale or
+		// ahead of the durable redo. Everything that survives is
+		// byte-consistent with storage, so the hot working set stays warm;
+		// what does not is the part of it the old RW was writing, and is
+		// fetched again in the background once this node serves (step 9).
+		if purged, err = e.pool.Takeover(oldRW, tail); err != nil {
+			return fmt.Errorf("engine: taking over the remote memory pool: %w", err)
 		}
-		// Step 5: purge remote-memory pages that are stale (PIB set) or
-		// ahead of the durable redo (written back before their redo
-		// flushed). Everything that survives is byte-consistent with
-		// storage, so the hot working set stays warm; what does not is the
-		// part of it the old RW was writing, and is fetched again in the
-		// background once this node serves (step 9).
-		entries, err := e.pool.ScanRemote()
-		if err != nil {
-			return fmt.Errorf("engine: scanning remote memory: %w", err)
-		}
-		for _, en := range entries {
-			if !en.Stale {
-				var hdr [8]byte
-				if err := e.ep.Read(en.Data, hdr[:]); err == nil && types.LSN(binary.LittleEndian.Uint64(hdr[:])) <= tail {
-					continue
-				}
-			}
-			purged = append(purged, en.Page)
-			//polarvet:allow fabriccost recovery-only purge: runs once per RW failover, and each evicted page is a distinct home-side state change
-			_ = e.pool.ForceEvict(en.Page) //polarvet:allow errdrop best-effort purge; a page that survives eviction is re-validated against storage on next fetch
-		}
-		trace("pool scan + evict")
-		// Step 6: release the crashed RW's global latches.
-		if oldRW != "" {
-			if err := e.pool.ReleaseNodeLatches(oldRW); err != nil {
-				return fmt.Errorf("engine: releasing old RW latches: %w", err)
-			}
-		}
-		trace("latch release")
+		trace("takeover")
 	}
 
 	// Step 7: rebuild transaction state from the undo header.

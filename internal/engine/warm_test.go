@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -158,6 +159,40 @@ func TestRangeScanReadsAhead(t *testing.T) {
 	t.Logf("one cold leaf %v, a scan over %d of them %v", single, span, took)
 	if took >= time.Duration(span)*single/2 {
 		t.Fatalf("a scan over %d cold leaves took %v; one after the other they take %v", span, took, time.Duration(span)*single)
+	}
+}
+
+// TestWarmWorkersAreBounded: hints that come faster than fills finish — a
+// range scan names up to 16 leaves at every leaf it reads — share the
+// engine's warmParallelism workers instead of each starting its own. They
+// used to pile up by the thousand and, pinning a frame each for a moment,
+// pin every frame of a small cache.
+func TestWarmWorkersAreBounded(t *testing.T) {
+	h, tbl := coldTable(t, 6000)
+	e := h.rw
+	keys := make([]uint64, 0, 600)
+	for k := uint64(0); k < 6000; k += 10 {
+		keys = append(keys, k)
+	}
+	leaves, err := tbl.Primary.Leaves(keys, btree.Local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := e.Cache().Capacity() / 4
+	if len(leaves) < 2*window || window < warmParallelism {
+		t.Fatalf("%d leaves, hints of %d; the test wants hints of at least %d cold pages", len(leaves), window, warmParallelism)
+	}
+	base := runtime.NumGoroutine()
+	peak := 0
+	for i := 0; i < 40; i++ {
+		at := i * 7 % (len(leaves) - window)
+		e.Warm(leaves[at : at+window])
+		peak = max(peak, runtime.NumGoroutine()-base)
+	}
+	// Each fill may hold a CallTimeout goroutine too; unbounded, 40 hints
+	// start 40 × warmParallelism workers.
+	if peak > 3*warmParallelism {
+		t.Fatalf("40 hints of %d cold pages ran up %d goroutines", window, peak)
 	}
 }
 

@@ -34,8 +34,8 @@ type RegisterResult struct {
 // page costs no round trip; registering one that is in flight, or that
 // another goroutine is registering, waits for that round trip first. An
 // entry leaves when its batch is answered, when the home says its
-// addresses are gone (cb.slabfail: slab crash, Shrink migration,
-// ForceEvict) and when the node changes home. So an entry always means
+// addresses are gone (cb.slabfail: slab crash, Shrink migration, RW
+// takeover) and when the node changes home. So an entry always means
 // "the home counts this node as a holder", and the home never evicts
 // under it; up to unregisterBatch unregistered pages per node stay pinned
 // in the pool for that — the most recently evicted here, the last the
@@ -163,15 +163,8 @@ func (p *Pool) OnInvalidate(fn func(types.PageID)) { p.invalidateFn = fn }
 // node crash.
 func (p *Pool) OnSlabFailure(fn func([]types.PageID)) { p.slabFailFn = fn }
 
-func (p *Pool) pageReq(page types.PageID) []byte {
-	w := wire.NewWriter(8)
-	w.U32(uint32(page.Space))
-	w.U32(uint32(page.No))
-	return w.Bytes()
-}
-
 // writePages / readPages are the one page-list wire format (count + ids)
-// of unreg, inv and the two callbacks.
+// of unreg, inv, the takeover reply and the two callbacks.
 func writePages(w *wire.Writer, pages []types.PageID) {
 	w.U32(uint32(len(pages)))
 	for _, pg := range pages {
@@ -364,7 +357,8 @@ func (p *Pool) takeQueueLocked() *unregBatch {
 // sendUnregister performs a batch's round trip (p.mu released: it is a
 // fabric call) and retires its entries. On an error the home may or may
 // not have applied it; the entries go either way, and a reference left
-// behind is reclaimed with the node's others (DropNodeRefs).
+// behind is reclaimed with the node's others when it is kicked (failed
+// callback, RW takeover).
 func (p *Pool) sendUnregister(b *unregBatch) error {
 	if b == nil {
 		return nil
@@ -454,15 +448,6 @@ func (p *Pool) InvalidateBatch(pages []types.PageID) error {
 	return err
 }
 
-// ReleaseNodeLatches asks the home to force-release all PL latches held by
-// node (recovery step 6).
-func (p *Pool) ReleaseNodeLatches(node rdma.NodeID) error {
-	w := wire.NewWriter(16)
-	w.String(string(node))
-	_, err := p.ep.Call(p.Home(), method("pl.releasenode"), w.Bytes())
-	return err
-}
-
 // handleInvalidateCB serves the home's batched invalidation callback:
 // count + page ids, every page this node holds that the commit stalled.
 func (p *Pool) handleInvalidateCB(from rdma.NodeID, req []byte) ([]byte, error) {
@@ -481,8 +466,8 @@ func (p *Pool) handleInvalidateCB(from rdma.NodeID, req []byte) ([]byte, error) 
 }
 
 // handleSlabFailCB serves the home's "addresses gone" callback: the
-// pages' slots were lost to a slab crash, moved by a Shrink, or evicted by
-// force. The table forgets them before the node's caches are told.
+// pages' slots were lost to a slab crash, moved by a Shrink, or purged by
+// an RW takeover. The table forgets them before the node's caches are told.
 func (p *Pool) handleSlabFailCB(from rdma.NodeID, req []byte) ([]byte, error) {
 	rd := wire.NewReader(req)
 	pages := readPages(rd)

@@ -10,8 +10,9 @@ import (
 // reference holders, batched per destination: each node receives one RPC
 // carrying every affected page it holds, instead of one round trip per
 // (page, holder) pair. This is the single implementation behind the
-// §3.1.4 invalidation fan-out, slab-failure notification and forced
-// eviction; the callback wire format is uniformly count + page ids.
+// §3.1.4 invalidation fan-out, slab-failure notification, Shrink
+// migration and RW takeover's purge; the callback wire format is uniformly
+// count + page ids.
 // Unresponsive holders are kicked so the notification always completes
 // (the copy they failed to drop dies with their references).
 func (h *Home) notifyHolders(cb string, holders map[rdma.NodeID][]types.PageID) {
@@ -28,13 +29,4 @@ func (h *Home) notifyHolders(cb string, holders map[rdma.NodeID][]types.PageID) 
 			h.kickNode(n)
 		}
 	}
-}
-
-// holdersOf builds a single-page holder map for notifyHolders.
-func holdersOf(nodes []rdma.NodeID, page types.PageID) map[rdma.NodeID][]types.PageID {
-	out := make(map[rdma.NodeID][]types.PageID, len(nodes))
-	for _, n := range nodes {
-		out[n] = []types.PageID{page}
-	}
-	return out
 }

@@ -82,15 +82,10 @@ func NewHome(ep *rdma.Endpoint, cfg Config, slave rdma.NodeID) *Home {
 	ep.RegisterHandler(method("unreg"), h.handleUnregister)
 	ep.RegisterHandler(method("inv"), h.handleInvalidate)
 	ep.RegisterHandler(method("pl.slow"), h.handlePLSlow)
-	ep.RegisterHandler(method("pl.releasenode"), h.handlePLReleaseNode)
 	ep.RegisterHandler(method("repl"), h.handleReplicate)
-	ep.RegisterHandler(method("scan"), h.handleScan)
-	ep.RegisterHandler(method("droprefs"), h.handleDropRefs)
-	ep.RegisterHandler(method("forceevict"), h.handleForceEvict)
+	ep.RegisterHandler(method("takeover"), h.handleTakeover)
 	h.wg.Add(1)
 	go h.replSender()
-	h.wg.Add(1)
-	go h.backgroundEvictor()
 	if cfg.SlabHeartbeat > 0 {
 		h.wg.Add(1)
 		go h.slabHeartbeat()
@@ -99,7 +94,7 @@ func NewHome(ep *rdma.Endpoint, cfg Config, slave rdma.NodeID) *Home {
 }
 
 // slabHeartbeat detects slab node failures (§5.2): the home pings every
-// node hosting slabs; after SlabHeartbeatMisses consecutive misses the
+// node hosting slabs; after slabHeartbeatMisses consecutive misses the
 // node's pages are dropped and holders notified.
 func (h *Home) slabHeartbeat() {
 	defer h.wg.Done()
@@ -126,7 +121,7 @@ func (h *Home) slabHeartbeat() {
 			//polarvet:allow fabriccost liveness probes are inherently one per slab node per tick; batching across destinations is impossible
 			if _, err := h.ep.CallTimeout(n, method("slab.ping"), nil, h.cfg.SlabHeartbeat); err != nil {
 				misses[n]++
-				if misses[n] >= h.cfg.SlabHeartbeatMisses {
+				if misses[n] >= slabHeartbeatMisses {
 					delete(misses, n)
 					h.HandleSlabFailure(n)
 				}
@@ -212,9 +207,6 @@ func (h *Home) kickNode(n rdma.NodeID) {
 	h.mutate(homeOp{kind: replOpDropNode, node: n})
 	h.mu.Unlock()
 	h.flushReplication()
-	if h.cfg.OnUnresponsive != nil {
-		h.cfg.OnUnresponsive(n)
-	}
 }
 
 // nodeIndexLocked assigns (or returns) the small integer index for a node
@@ -302,30 +294,6 @@ func (h *Home) allocateLocked() (slabKey, int, error) {
 func (h *Home) evictLocked(e *patEntry) {
 	h.mutate(homeOp{kind: replOpEvict, page: e.page})
 	h.met.evictions.Inc()
-}
-
-// backgroundEvictor keeps free slots above the low-water mark so that
-// foreground registrations rarely pay eviction cost.
-func (h *Home) backgroundEvictor() {
-	defer h.wg.Done()
-	if h.cfg.FreeLowWater <= 0 {
-		return
-	}
-	for {
-		select {
-		case <-h.closeCh:
-			return
-		case <-time.After(h.cfg.EvictInterval):
-		}
-		h.mu.Lock()
-		total, free := h.tab.capacity()
-		// A passive slave only follows the master's evictions.
-		for !h.passive && total > 0 && float64(free)/float64(total) < h.cfg.FreeLowWater && h.tab.oldest() != nil {
-			h.evictLocked(h.tab.oldest())
-			free++
-		}
-		h.mu.Unlock()
-	}
 }
 
 var errPassive = fmt.Errorf("rmem: home is a passive slave replica")

@@ -419,9 +419,6 @@ func (h *Home) revokeFromOwner(page types.PageID, owner uint16) {
 		if plIsX(cur) && plOwner(cur) == owner {
 			h.tab.meta.MustCAS64Local(slotOff, cur, 0)
 		}
-		if h.cfg.OnUnresponsive != nil {
-			h.cfg.OnUnresponsive(node)
-		}
 	}
 }
 
@@ -440,24 +437,13 @@ func (h *Home) handlePLSlow(from rdma.NodeID, req []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// handlePLReleaseNode force-releases every latch owned by a crashed node
-// (recovery step 6 of §5.1).
-func (h *Home) handlePLReleaseNode(from rdma.NodeID, req []byte) ([]byte, error) {
-	rd := wire.NewReader(req)
-	node := rdma.NodeID(rd.String())
-	if err := rd.Err(); err != nil {
-		return nil, err
-	}
-	h.ReleaseNodeLatches(node)
-	return nil, nil
-}
-
-// ReleaseNodeLatches clears every X latch owned by node in the PLT. The
-// sweep runs in place under the region write lock (WithBytesLocal), so
-// it is one atomic pass: no survivor can grab a latch word between the
-// scan of one slot and the clear of the next, and the crashed owner's
-// in-flight CAS retries cannot interleave half-cleared state.
-func (h *Home) ReleaseNodeLatches(node rdma.NodeID) {
+// releaseNodeLatches clears every X latch owned by node in the PLT
+// (recovery step 6 of §5.1, part of takeover). The sweep runs in place
+// under the region write lock (WithBytesLocal), so it is one atomic pass:
+// no survivor can grab a latch word between the scan of one slot and the
+// clear of the next, and the crashed owner's in-flight CAS retries cannot
+// interleave half-cleared state.
+func (h *Home) releaseNodeLatches(node rdma.NodeID) {
 	h.mu.Lock()
 	idx, found := h.tab.nodeIdx[node]
 	if !found {

@@ -335,11 +335,12 @@ func TestTableDropsWhatTheHomeTakesAway(t *testing.T) {
 	}
 }
 
-// TestForceEvictDropsRegistration: a forced eviction returns the page's
-// slot and PIB word to LIFO free lists, so the next registration of any
-// page reuses both. A node that kept the evicted page's addresses — its
-// unregister only queued — would then read the other page's PIB ("fresh")
-// and bytes. The home tells holders with the address-dropping callback.
+// TestForceEvictDropsRegistration: a page an RW takeover purges — here a
+// stale one — goes regardless of references, and its slot and PIB word
+// return to LIFO free lists, so the next registration of any page reuses
+// both. A node that kept the purged page's addresses — its unregister only
+// queued — would then read the other page's PIB ("fresh") and bytes. The
+// home tells holders with the address-dropping callback.
 func TestForceEvictDropsRegistration(t *testing.T) {
 	tp := newTestPool(t, Config{}, 16)
 	db := tp.client(t, "db")
@@ -349,10 +350,19 @@ func TestForceEvictDropsRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := db.WritePage(first.Data, make([]byte, types.PageSize), first.PIB); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Unregister(pid(1)); err != nil { // queued
 		t.Fatal(err)
 	}
-	tp.home.ForceEvict(pid(1))
+	rw := tp.client(t, "rw")
+	if err := rw.InvalidateBatch([]types.PageID{pid(1)}); err != nil { // stale
+		t.Fatal(err)
+	}
+	if purged, err := rw.Takeover("", 1<<62); err != nil || len(purged) != 1 || purged[0] != pid(1) {
+		t.Fatalf("takeover purged %v (err %v), want [%s]", purged, err, pid(1))
+	}
 	select {
 	case pages := <-lost:
 		if len(pages) != 1 || pages[0] != pid(1) {
@@ -374,7 +384,7 @@ func TestForceEvictDropsRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := counter(db, "rmem.register.ops"); got != ops+1 {
-		t.Fatal("re-register of a force-evicted page was answered from the table")
+		t.Fatal("re-register of a purged page was answered from the table")
 	}
 	if again.Exists || again.Data == first.Data || again.PIB == first.PIB {
 		t.Fatalf("re-register = %+v: the dead addresses %v/%v came back", again, first.Data, first.PIB)

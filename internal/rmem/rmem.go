@@ -11,7 +11,7 @@
 // interface: page_register / page_unregister / page_read / page_write /
 // page_invalidate. Page data moves exclusively through one-sided verbs;
 // only control operations (registration, invalidation fan-out, latch slow
-// path) are RPCs to the home node.
+// path, RW takeover) are RPCs to the home node.
 //
 // The home node's metadata is synchronously replicated to a slave home
 // (§5.2) so a home crash does not lose the pool.
@@ -20,8 +20,6 @@ package rmem
 import (
 	"errors"
 	"time"
-
-	"polardb/internal/rdma"
 )
 
 // Errors returned by the pool.
@@ -44,26 +42,20 @@ type Config struct {
 	// 1 GB of 16 KB pages; we default to 256 4 KB pages = 1 MB).
 	SlabPages int
 	// InvalidateTimeout bounds the per-node invalidation fan-out; an RO
-	// that does not respond in time is reported to OnUnresponsive and
-	// kicked out of the reference directory so the invalidation succeeds.
+	// that does not respond in time is kicked out of the reference
+	// directory so the invalidation succeeds.
 	InvalidateTimeout time.Duration
 	// LatchTimeout bounds slow-path global latch acquisition.
 	LatchTimeout time.Duration
-	// FreeLowWater triggers the background evictor when the fraction of
-	// free slots drops below it (0 disables).
-	FreeLowWater float64
-	// EvictInterval is the background evictor period.
-	EvictInterval time.Duration
 	// SlabHeartbeat is how often the home pings its slab nodes; a node
-	// missing SlabHeartbeatMisses pings is declared failed and its pages
-	// dropped (§5.2). 0 disables detection (tests drive it manually).
-	SlabHeartbeat       time.Duration
-	SlabHeartbeatMisses int
-	// OnUnresponsive is invoked (outside pool locks) when a database node
-	// fails to acknowledge an invalidation; the cluster manager uses it to
-	// kick the node.
-	OnUnresponsive func(node rdma.NodeID)
+	// missing slabHeartbeatMisses pings in a row is declared failed and its
+	// pages dropped (§5.2). 0 disables detection (tests drive it manually).
+	SlabHeartbeat time.Duration
 }
+
+// slabHeartbeatMisses is how many slab pings in a row a slab node may miss
+// before the home declares it failed.
+const slabHeartbeatMisses = 3
 
 func (c *Config) applyDefaults() {
 	if c.SlabPages == 0 {
@@ -74,12 +66,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.LatchTimeout == 0 {
 		c.LatchTimeout = 5 * time.Second
-	}
-	if c.EvictInterval == 0 {
-		c.EvictInterval = 50 * time.Millisecond
-	}
-	if c.SlabHeartbeatMisses == 0 {
-		c.SlabHeartbeatMisses = 3
 	}
 }
 

@@ -2,7 +2,10 @@ package rmem
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -228,17 +231,7 @@ func TestInvalidateBatchSingleRoundTrip(t *testing.T) {
 }
 
 func TestInvalidateKicksUnresponsiveNode(t *testing.T) {
-	var kicked []rdma.NodeID
-	var mu sync.Mutex
-	cfg := Config{
-		InvalidateTimeout: 50 * time.Millisecond,
-		OnUnresponsive: func(n rdma.NodeID) {
-			mu.Lock()
-			kicked = append(kicked, n)
-			mu.Unlock()
-		},
-	}
-	tp := newTestPool(t, cfg, 16)
+	tp := newTestPool(t, Config{InvalidateTimeout: 50 * time.Millisecond}, 16)
 	rw := tp.client(t, "rw")
 	ro := tp.client(t, "ro")
 	if _, err := rw.Register(pid(1)); err != nil {
@@ -247,15 +240,16 @@ func TestInvalidateKicksUnresponsiveNode(t *testing.T) {
 	if _, err := ro.Register(pid(1)); err != nil {
 		t.Fatal(err)
 	}
-	// RO dies; invalidation must still succeed and the node be reported.
+	// RO dies; invalidation must still succeed and the node be kicked.
 	ro.ep.Kill()
 	if err := rw.InvalidateBatch([]types.PageID{pid(1)}); err != nil {
 		t.Fatalf("invalidate with dead RO: %v", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(kicked) != 1 || kicked[0] != "ro" {
-		t.Fatalf("kicked = %v, want [ro]", kicked)
+	if !tp.home.isKicked("ro") || tp.home.isKicked("rw") {
+		t.Fatalf("kicked: ro %v, rw %v; want only ro", tp.home.isKicked("ro"), tp.home.isKicked("rw"))
+	}
+	if refs := homeRefs(tp.home, "ro"); len(refs) != 0 {
+		t.Fatalf("the kicked node still holds %v", refs)
 	}
 }
 
@@ -507,24 +501,121 @@ func TestPLPinnedXBlocksRevokeUntilUnpin(t *testing.T) {
 	}
 }
 
+// TestReleaseNodeLatches: a takeover releases the crashed RW's X latch on
+// a page it keeps in the pool, so the next S latch is one CAS, not a
+// negotiation with a dead owner, and drops the crashed RW's references.
 func TestReleaseNodeLatches(t *testing.T) {
 	tp := newTestPool(t, Config{}, 16)
 	rw := tp.client(t, "rw")
 	ro := tp.client(t, "ro")
 	res, _ := rw.Register(pid(1))
+	if err := rw.WritePage(res.Data, make([]byte, types.PageSize), res.PIB); err != nil { // fresh, LSN 0
+		t.Fatal(err)
+	}
 	if _, err := ro.Register(pid(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := rw.PL().LockX(pid(1), res.PL); err != nil {
 		t.Fatal(err)
 	}
-	// RW crashes; recovery force-releases its latches.
+	// RW crashes; the RO taking over releases its latches.
 	rw.ep.Kill()
-	if err := ro.ReleaseNodeLatches("rw"); err != nil {
+	purged, err := ro.Takeover("rw", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(purged) != 0 {
+		t.Fatalf("takeover purged %v; a fresh page at the tail stays", purged)
+	}
+	if !tp.home.isKicked("rw") || len(homeRefs(tp.home, "rw")) != 0 {
+		t.Fatalf("the crashed RW is not kicked: kicked %v, refs %v", tp.home.isKicked("rw"), homeRefs(tp.home, "rw"))
+	}
+	before := ro.ep.Metrics().Snapshot()
 	if err := ro.PL().LockS(pid(1), res.PL); err != nil {
 		t.Fatalf("S after force release: %v", err)
+	}
+	d := ro.ep.Metrics().Snapshot().Sub(before)
+	if fast, slow := d.Counter("rmem.pl.fast"), d.Counter("rmem.pl.slow"); fast != 1 || slow != 0 {
+		t.Fatalf("S latch after takeover: %d fast, %d slow; want the CAS fast path (the X word is cleared)", fast, slow)
+	}
+}
+
+// TestTakeoverTellsEachHolderOnce: a takeover purges exactly the pages
+// that are stale or ahead of the tail, and each holder hears of all of its
+// purged pages in one cb.slabfail.
+func TestTakeoverTellsEachHolderOnce(t *testing.T) {
+	tp := newTestPool(t, Config{}, 16)
+	rw := tp.client(t, "rw")
+	const tail = 50
+	lsns := map[uint32]uint64{1: 10, 2: 50, 3: 0, 4: 51, 5: 900, 6: 10}
+	for no, lsn := range lsns {
+		res, err := rw.Register(pid(no))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := make([]byte, types.PageSize)
+		binary.LittleEndian.PutUint64(img, lsn)
+		if err := rw.WritePage(res.Data, img, res.PIB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rw.InvalidateBatch([]types.PageID{pid(6)}); err != nil {
+		t.Fatal(err)
+	}
+	holders := map[*Pool][]uint32{tp.client(t, "ro1"): {1, 2, 4, 5, 6}, tp.client(t, "ro2"): {3, 4, 6}}
+	told := map[*Pool][][]types.PageID{}
+	var mu sync.Mutex
+	for c, pages := range holders {
+		c.OnSlabFailure(func(lost []types.PageID) {
+			mu.Lock()
+			told[c] = append(told[c], lost)
+			mu.Unlock()
+		})
+		for _, no := range pages {
+			if _, err := c.Register(pid(no)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rw.ep.Kill()
+	taker := tp.client(t, "rw2")
+	purged, err := taker.Takeover("rw", tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPurged := map[uint32]bool{4: true, 5: true, 6: true}
+	slices.SortFunc(purged, func(a, b types.PageID) int { return cmp.Compare(a.No, b.No) })
+	if want := []types.PageID{pid(4), pid(5), pid(6)}; !slices.Equal(purged, want) {
+		t.Fatalf("purged %v, want %v (stale or ahead of tail %d)", purged, want, tail)
+	}
+	tp.home.mu.Lock()
+	for no := range lsns {
+		if mapped := tp.home.tab.pat[pid(no).Key()] != nil; mapped == wantPurged[no] {
+			t.Errorf("%s: still mapped = %v after the takeover", pid(no), mapped)
+		}
+	}
+	tp.home.mu.Unlock()
+	mu.Lock()
+	defer mu.Unlock()
+	for c, pages := range holders {
+		var want []types.PageID
+		for _, no := range pages {
+			if wantPurged[no] {
+				want = append(want, pid(no))
+			}
+		}
+		if len(told[c]) != 1 {
+			t.Fatalf("%s got %d cb.slabfail calls %v, want one", c.ep.ID(), len(told[c]), told[c])
+		}
+		got := told[c][0]
+		slices.SortFunc(got, func(a, b types.PageID) int { return cmp.Compare(a.No, b.No) })
+		if !slices.Equal(got, want) {
+			t.Errorf("%s was told %v, want %v", c.ep.ID(), got, want)
+		}
+		if n := counter(c, "rmem.slabfail.pages"); n != uint64(len(want)) {
+			t.Errorf("%s: rmem.slabfail.pages = %d, want %d", c.ep.ID(), n, len(want))
+		}
+		checkTableMatchesHome(t, tp, c)
 	}
 }
 
@@ -726,39 +817,10 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestBackgroundEvictorKeepsFreeSlots(t *testing.T) {
-	cfg := Config{FreeLowWater: 0.5, EvictInterval: 5 * time.Millisecond}
-	tp := newTestPool(t, cfg, 8)
-	rw := tp.client(t, "rw")
-	for i := uint32(0); i < 8; i++ {
-		if _, err := rw.Register(pid(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := rw.Unregister(pid(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s := tp.home.Stats()
-		if float64(s.FreeSlots)/float64(s.TotalSlots) >= 0.5 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background evictor did not run: %+v", s)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 func TestSlabHeartbeatAutoDetection(t *testing.T) {
 	cfg := Config{
-		SlabHeartbeat:       10 * time.Millisecond,
-		SlabHeartbeatMisses: 2,
-		InvalidateTimeout:   100 * time.Millisecond,
+		SlabHeartbeat:     10 * time.Millisecond,
+		InvalidateTimeout: 100 * time.Millisecond,
 	}
 	tp := newTestPool(t, cfg, 4)
 	tp.addSlabNode(t, "slab1", 4)

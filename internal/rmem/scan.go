@@ -1,22 +1,25 @@
 package rmem
 
 import (
+	"encoding/binary"
+
 	"polardb/internal/rdma"
 	"polardb/internal/types"
 	"polardb/internal/wire"
 )
 
 // ScanEntry describes one page resident in the remote memory pool, as
-// reported to a recovering RW node (§5.1 step 5: the new RW scans the
-// pool, evicting pages whose invalidation bit is set and pages newer than
-// the redo tail).
+// RW takeover sees it (§5.1 step 5: the new RW purges pages whose
+// invalidation bit is set and pages newer than the redo tail).
 type ScanEntry struct {
 	Page  types.PageID
 	Data  rdma.Addr // one-sided address of the page data
 	Stale bool      // home PIB bit
+
+	entry *patEntry // the PAT entry described, to tell later whether it is still the one
 }
 
-// Scan lists every page in the pool (home-side; also exposed via RPC).
+// Scan lists every page in the pool.
 func (h *Home) Scan() []ScanEntry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -27,110 +30,94 @@ func (h *Home) Scan() []ScanEntry {
 			Page:  e.page,
 			Data:  e.slab.addr(e.slot),
 			Stale: pib != pibFresh,
+			entry: e,
 		})
 	}
 	return out
 }
 
-// ForceEvict removes a page from the pool regardless of references,
-// telling reference holders that its addresses are gone. Used by RW
-// recovery to purge pages that are stale or ahead of the durable redo.
-func (h *Home) ForceEvict(page types.PageID) {
-	h.mu.Lock()
-	e, ok := h.tab.pat[page.Key()]
-	if !ok {
-		h.mu.Unlock()
-		return
-	}
-	holders := make([]rdma.NodeID, 0, len(e.refs))
-	for n := range e.refs {
-		holders = append(holders, n)
-	}
-	h.evictLocked(e)
-	h.mu.Unlock()
-	h.flushReplication()
-
-	// Not cb.inv: the slot and its PIB word are back on the free lists, and
-	// both are LIFO, so the next registration of any page takes them and
-	// clears that PIB. A holder that kept the addresses would then probe
-	// "fresh" and read another page's bytes. Holders forget the addresses
-	// and re-register on next access.
-	h.notifyHolders("cb.slabfail", holdersOf(holders, page))
-}
-
-// DropNodeRefs removes a (dead) node from every page's reference
-// directory, so its references neither pin pages nor cause invalidation
-// fan-out timeouts. RW recovery calls this for the crashed node before
-// scanning the pool (§5.1 step 5).
-func (h *Home) DropNodeRefs(node rdma.NodeID) {
-	h.kickNode(node)
-}
-
-// handleDropRefs serves DropNodeRefs over RPC.
-func (h *Home) handleDropRefs(from rdma.NodeID, req []byte) ([]byte, error) {
-	rd := wire.NewReader(req)
-	node := rdma.NodeID(rd.String())
-	if err := rd.Err(); err != nil {
-		return nil, err
-	}
-	h.DropNodeRefs(node)
-	return nil, nil
-}
-
-// DropNodeRefs (client side) tells the home a database node is gone.
-func (p *Pool) DropNodeRefs(node rdma.NodeID) error {
-	w := wire.NewWriter(16)
-	w.String(string(node))
-	_, err := p.ep.Call(p.Home(), method("droprefs"), w.Bytes())
-	return err
-}
-
-// handleScan serves the pool scan over RPC for a remote recovery driver.
-func (h *Home) handleScan(from rdma.NodeID, req []byte) ([]byte, error) {
-	entries := h.Scan()
-	w := wire.NewWriter(32 * len(entries))
-	w.U32(uint32(len(entries)))
-	for _, e := range entries {
-		w.U32(uint32(e.Page.Space))
-		w.U32(uint32(e.Page.No))
-		w.String(string(e.Data.Node))
-		w.U32(e.Data.Region)
-		w.U64(e.Data.Off)
-		w.Bool(e.Stale)
-	}
-	return w.Bytes(), nil
-}
-
-// handleForceEvict serves ForceEvict over RPC.
-func (h *Home) handleForceEvict(from rdma.NodeID, req []byte) ([]byte, error) {
-	rd := wire.NewReader(req)
-	page := types.PageID{Space: types.SpaceID(rd.U32()), No: types.PageNo(rd.U32())}
-	if err := rd.Err(); err != nil {
-		return nil, err
-	}
-	h.ForceEvict(page)
-	return nil, nil
-}
-
-// ScanRemote lists the pool contents from a database node.
-func (p *Pool) ScanRemote() ([]ScanEntry, error) {
-	resp, err := p.ep.Call(p.Home(), method("scan"), nil)
+// Takeover is §5.1 steps 5–6 for a node becoming the RW, in one round trip
+// to the home, where all the state they need lives: the crashed RW oldRW
+// ("" when there is none, as in a cluster restart) is kicked out of every
+// reference directory and its PL latches are released, and every pooled
+// page that is stale or whose image is newer than tail, the durable redo
+// tail, is purged, its holders told. It returns the purged pages, which
+// only storage holds now.
+//
+//polarvet:fabric O(1) one takeover round trip; the pool scan, the LSN reads and the purge run at the home
+func (p *Pool) Takeover(oldRW rdma.NodeID, tail types.LSN) ([]types.PageID, error) {
+	w := wire.NewWriter(16 + len(oldRW))
+	w.String(string(oldRW))
+	w.U64(uint64(tail))
+	resp, err := p.ep.Call(p.Home(), method("takeover"), w.Bytes())
 	if err != nil {
 		return nil, err
 	}
 	rd := wire.NewReader(resp)
-	n := int(rd.U32())
-	out := make([]ScanEntry, n)
-	for i := range out {
-		out[i].Page = types.PageID{Space: types.SpaceID(rd.U32()), No: types.PageNo(rd.U32())}
-		out[i].Data = rdma.Addr{Node: rdma.NodeID(rd.String()), Region: rd.U32(), Off: rd.U64()}
-		out[i].Stale = rd.Bool()
-	}
-	return out, rd.Err()
+	purged := readPages(rd)
+	return purged, rd.Err()
 }
 
-// ForceEvict purges a page from the pool from a database node.
-func (p *Pool) ForceEvict(page types.PageID) error {
-	_, err := p.ep.Call(p.Home(), method("forceevict"), p.pageReq(page))
-	return err
+// handleTakeover serves Pool.Takeover.
+func (h *Home) handleTakeover(from rdma.NodeID, req []byte) ([]byte, error) {
+	if err := h.activeErr(); err != nil {
+		return nil, err
+	}
+	rd := wire.NewReader(req)
+	oldRW := rdma.NodeID(rd.String())
+	tail := types.LSN(rd.U64())
+	if err := rd.Err(); err != nil {
+		return nil, err
+	}
+	purged := h.takeover(oldRW, tail)
+	w := wire.NewWriter(4 + 8*len(purged))
+	writePages(w, purged)
+	return w.Bytes(), nil
+}
+
+// takeover kicks oldRW, sweeps its latches and purges the pool (see
+// Pool.Takeover). A PIB-fresh page can still be ahead of tail — the RW
+// writes a page back to serve an RO's eng.flushpage before its redo is
+// flushed — so each fresh page's LSN word (its first 8 bytes) is read from
+// its slab, with h.mu released like Shrink's copy; a page that cannot be
+// read is purged. The eviction skips an entry that left the pool
+// meanwhile: a page registered again is stale from birth.
+func (h *Home) takeover(oldRW rdma.NodeID, tail types.LSN) []types.PageID {
+	if oldRW != "" {
+		h.kickNode(oldRW)
+		h.releaseNodeLatches(oldRW)
+	}
+	entries := h.Scan()
+	doomed := entries[:0]
+	var hdr [8]byte
+	for _, en := range entries {
+		if !en.Stale {
+			if err := h.ep.Read(en.Data, hdr[:]); err == nil && types.LSN(binary.LittleEndian.Uint64(hdr[:])) <= tail {
+				continue
+			}
+		}
+		doomed = append(doomed, en)
+	}
+	h.mu.Lock()
+	purged := make([]types.PageID, 0, len(doomed))
+	holders := map[rdma.NodeID][]types.PageID{}
+	for _, en := range doomed {
+		if h.tab.pat[en.Page.Key()] != en.entry {
+			continue
+		}
+		for n := range en.entry.refs {
+			holders[n] = append(holders[n], en.Page)
+		}
+		h.evictLocked(en.entry)
+		purged = append(purged, en.Page)
+	}
+	h.mu.Unlock()
+	h.flushReplication()
+	// Not cb.inv: the slots and their PIB words are back on the free lists,
+	// and both are LIFO, so the next registrations take them and clear those
+	// PIBs. A holder that kept the addresses would then probe "fresh" and
+	// read another page's bytes. Holders forget the addresses and
+	// re-register on next access.
+	h.notifyHolders("cb.slabfail", holders)
+	return purged
 }

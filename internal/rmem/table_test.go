@@ -1,6 +1,7 @@
 package rmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -83,8 +84,10 @@ func driveTablePair(t *testing.T, seed int64, steps int) {
 
 	var clients []*Pool
 	held := map[*Pool]map[types.PageID]bool{}
+	nodes := 0
 	hello := func() string {
-		id := rdma.NodeID(fmt.Sprintf("db%d", len(clients)))
+		id := rdma.NodeID(fmt.Sprintf("db%d", nodes))
+		nodes++
 		p, err := NewPool(fabric.MustAttach(id), cfg, "home")
 		if err != nil {
 			t.Fatal(err)
@@ -108,10 +111,18 @@ func driveTablePair(t *testing.T, seed int64, steps int) {
 		page := pid(uint32(rng.Intn(24)))
 		switch r := rng.Intn(100); {
 		case r < 40: // evicts the LRU page once the pool is full
-			if _, err := c.Register(page); err == nil {
-				held[c][page] = true
-			} else if !errors.Is(err, ErrOutOfMemory) {
+			res, err := c.Register(page)
+			if err != nil && !errors.Is(err, ErrOutOfMemory) {
 				t.Fatalf("register: %v", err)
+			}
+			if err == nil {
+				held[c][page] = true
+				// An image with a random LSN, for the takeover's tail to judge.
+				img := make([]byte, types.PageSize)
+				binary.LittleEndian.PutUint64(img, uint64(rng.Intn(100)))
+				if err := c.WritePage(res.Data, img, res.PIB); err != nil {
+					t.Fatal(err)
+				}
 			}
 			return fmt.Sprintf("register %s", page)
 		case r < 45:
@@ -156,13 +167,21 @@ func driveTablePair(t *testing.T, seed int64, steps int) {
 			node := slabNodes[rng.Intn(len(slabNodes))]
 			master.HandleSlabFailure(node)
 			return "HandleSlabFailure " + string(node)
-		case r < 97:
-			master.DropNodeRefs(c.ep.ID())
-			held[c] = map[types.PageID]bool{}
-			return "kick " + string(c.ep.ID())
-		default:
-			master.ForceEvict(page)
-			return fmt.Sprintf("ForceEvict %s", page)
+		default: // c takes over from a random other node, which dies, or from none
+			var old rdma.NodeID
+			if i := rng.Intn(len(clients)); clients[i] != c {
+				dead := clients[i]
+				dead.ep.Kill()
+				old = dead.ep.ID()
+				clients = slices.Delete(clients, i, i+1)
+				delete(held, dead)
+			}
+			tail := types.LSN(rng.Intn(100))
+			purged, err := c.Takeover(old, tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprintf("takeover from %q at tail %d: %d purged", old, tail, len(purged))
 		}
 	}
 
