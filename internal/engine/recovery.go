@@ -166,7 +166,7 @@ func (e *Engine) adoptUnfinished(unfinished []txn.TxnSlot, slotByTrx map[types.T
 		// Walk the undo chain to rediscover what the txn touched.
 		pg, off := u.LastUndoPage, u.LastUndoOff
 		for pg != 0 {
-			ur, err := e.readUndo(pg, off) //polarvet:allow verbdeadline undo chain walk is bounded by the dead transaction's write count, not a retry
+			ur, err := e.readUndo(pg, off) //polarvet:allow fabriccost undo chain walk is bounded by the dead transaction's write count, not a retry
 			if err != nil {
 				return err
 			}
@@ -231,7 +231,7 @@ func (e *Engine) RecoverTraditional(oldRW rdma.NodeID, fromLSN types.LSN) (int, 
 	replayed := make(map[types.PageID][]plog.Record)
 	after := cp
 	for after < tail {
-		recs, err := e.pfs.ReadRedo(after, 512) //polarvet:allow verbdeadline bounded by the redo tail snapshot: after advances every iteration and the loop breaks on an empty batch
+		recs, err := e.pfs.ReadRedo(after, 512) //polarvet:allow fabriccost bounded by the redo tail snapshot: after advances every iteration and the loop breaks on an empty batch
 		if err != nil {
 			return 0, err
 		}

@@ -472,14 +472,14 @@ func (e *Engine) rollbackChain(id types.TrxID, pg types.PageNo, off uint16, slot
 	// to an older one, so the chain length is the number of writes the
 	// transaction made, not a retry.
 	for pg != 0 {
-		u, err := e.readUndo(pg, off) //polarvet:allow verbdeadline undo chain walk is bounded by the transaction's own write count, not a retry
+		u, err := e.readUndo(pg, off) //polarvet:allow fabriccost undo chain walk is bounded by the transaction's own write count, not a retry
 		if err != nil {
 			return err
 		}
 		if u.Trx != id {
 			return fmt.Errorf("engine: undo chain of %d reached record of %d", id, u.Trx)
 		}
-		if err := e.rollbackOne(&u); err != nil { //polarvet:allow verbdeadline undo chain walk is bounded by the transaction's own write count, not a retry
+		if err := e.rollbackOne(&u); err != nil { //polarvet:allow fabriccost undo chain walk is bounded by the transaction's own write count, not a retry
 			return err
 		}
 		pg, off = u.PrevTxnPg, u.PrevTxnOff

@@ -498,7 +498,7 @@ type funcInfo struct {
 
 	g      *funcCFG
 	scc    map[*cfgBlock]int            // block -> strongly connected component
-	cyclic map[int]bool                 // components that are cycles
+	cycles map[int]cycleBound           // components that are cycles -> what bounds them
 	binds  map[types.Object]methodValue // method values captured into locals
 	calls  []*callSite                  // every call of the body, block by block
 }

@@ -133,127 +133,6 @@ func TestPairing(t *testing.T) {
 		[3]interface{}{"pairing", "internal/engine/engine.go", 103})
 }
 
-// verbDeadlineSrc is a fake internal/cluster: a bare Call, a
-// data-dependent verb spin, and a spin through a package-local helper are
-// reported; the counted, Backoff-bounded and select-cancellable loops are
-// not, and neither is CallTimeout.
-const verbDeadlineSrc = `package cluster
-
-import (
-	"polardb/internal/rdma"
-	"polardb/internal/retry"
-)
-
-func ask(ep *rdma.Endpoint, b []byte) ([]byte, error) {
-	return ep.Call("x", "m", b) // line 9: no deadline
-}
-
-func askBounded(ep *rdma.Endpoint, b []byte) ([]byte, error) {
-	return ep.CallTimeout("x", "m", b, 1000)
-}
-
-func spin(ep *rdma.Endpoint, a rdma.Addr) {
-	v, _ := ep.Load64(a)
-	for v != 0 {
-		v, _ = ep.Load64(a) // line 19: unbounded retry
-	}
-}
-
-func probe(ep *rdma.Endpoint, a rdma.Addr) uint64 {
-	v, _ := ep.Load64(a)
-	return v
-}
-
-func spinViaHelper(ep *rdma.Endpoint, a rdma.Addr) {
-	for probe(ep, a) != 0 { // line 29: blocks through the helper
-	}
-}
-
-func counted(ep *rdma.Endpoint, a rdma.Addr) {
-	for i := 0; i < 8; i++ {
-		_, _ = ep.Load64(a)
-	}
-}
-
-func backedOff(ep *rdma.Endpoint, a rdma.Addr, b *retry.Backoff) {
-	for b.Next() {
-		_, _ = ep.Load64(a)
-	}
-}
-
-func cancellable(ep *rdma.Endpoint, a rdma.Addr, stop chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		_, _ = ep.Load64(a)
-	}
-}
-`
-
-func TestVerbDeadline(t *testing.T) {
-	mod := writeModule(t, map[string]string{
-		"internal/rdma/rdma.go": fakeRdma,
-		"internal/retry/retry.go": `package retry
-
-type Backoff struct{}
-
-func (b *Backoff) Next() bool { return false }
-`,
-		"internal/cluster/cluster.go": verbDeadlineSrc,
-	})
-	wantFindings(t, runOnly(t, mod, "verbdeadline", "./internal/cluster"),
-		[3]interface{}{"verbdeadline", "internal/cluster/cluster.go", 9},
-		[3]interface{}{"verbdeadline", "internal/cluster/cluster.go", 19},
-		[3]interface{}{"verbdeadline", "internal/cluster/cluster.go", 29})
-}
-
-// regionEscapeSrc is a fake internal/rmem: returning an alias from an
-// exported function, storing it into a struct field, and sending it on a
-// channel from a WithBytes callback all escape; copying out does not.
-const regionEscapeSrc = `package rmem
-
-import "polardb/internal/rdma"
-
-type holder struct{ buf []byte }
-
-func Leak(r *rdma.Region) []byte {
-	return r.BytesAt(0, 8) // line 8: alias returned across the boundary
-}
-
-func Stash(h *holder, r *rdma.Region) {
-	b := r.BytesAt(0, 8)
-	h.buf = b // line 13: alias stored past the call
-}
-
-func LeakCallback(r *rdma.Region, ch chan []byte) {
-	_ = r.WithBytesLocal(0, 8, func(b []byte) error {
-		ch <- b // line 18: alias escapes the accessor scope
-		return nil
-	})
-}
-
-func Copies(r *rdma.Region) []byte {
-	b := r.BytesAt(0, 8)
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-`
-
-func TestRegionEscape(t *testing.T) {
-	mod := writeModule(t, map[string]string{
-		"internal/rdma/rdma.go": fakeRdma,
-		"internal/rmem/rmem.go": regionEscapeSrc,
-	})
-	wantFindings(t, runOnly(t, mod, "regionescape", "./internal/rmem"),
-		[3]interface{}{"regionescape", "internal/rmem/rmem.go", 8},
-		[3]interface{}{"regionescape", "internal/rmem/rmem.go", 13},
-		[3]interface{}{"regionescape", "internal/rmem/rmem.go", 18})
-}
-
 // TestLockHeldTryLockAndMethodValues pins two same-function shapes of
 // lockorder's held-over-fabric finding: TryLock/TryRLock count as
 // acquisitions, and mutex methods captured into locals keep their

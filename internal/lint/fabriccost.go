@@ -39,13 +39,23 @@ package lint
 //     cost is reported too, so the declared table (mirrored in DESIGN.md
 //     and pinned by docdrift_test.go) never drifts from reality.
 //
+//   - Deadline findings, in the layers that must stay responsive while a
+//     peer is dead (internal/engine and internal/cluster; §5: an RO
+//     promotion cannot wait on the crashed RW). A bare Endpoint.Call has
+//     no deadline and can wedge on a dead handler; CallTimeout is the
+//     bounded form. A fabric-waiting call — a verb, or a call whose
+//     target reaches one — on a CFG cycle that neither terminates nor can
+//     be cancelled (see cycleBound) is an unbounded retry. A single
+//     one-sided verb fails fast on a dead node, so straight-line code
+//     needs no deadline.
+//
 // Like every module analysis, propagation under-approximates unknown
 // code: calls that do not resolve to a module body contribute nothing,
 // and goroutines spawned with `go` do not bill the spawner (their cost is
 // not on the caller's latency path). The cost facts belong to the program
-// (flow.go): lockorder's held-across-fabric findings and verbdeadline's
-// fabric-waiting calls read "does this function reach a verb" from them,
-// and polarvet -json dumps the full per-function table.
+// (flow.go): lockorder's held-across-fabric findings and the deadline
+// rule read "does this function reach a verb" from them, and polarvet
+// -json dumps the full per-function table.
 
 import (
 	"fmt"
@@ -63,7 +73,8 @@ type FabricCost struct{}
 func (FabricCost) Name() string { return "fabriccost" }
 
 // Check implements Analyzer: malformed budget directives, loop-carried
-// fan-out sites, and budgets that disagree with the computed cost.
+// fan-out sites, budgets that disagree with the computed cost, and
+// fabric waits without a deadline.
 func (FabricCost) Check(prog *program) []Finding {
 	fab := prog.fabric
 	out := append([]Finding(nil), fab.bad...)
@@ -71,8 +82,16 @@ func (FabricCost) Check(prog *program) []Finding {
 		if !exemptFromLocking(f.pkg.Path) {
 			out = append(out, fab.fanOutFindings(f)...)
 		}
+		if mustStayResponsive(f.pkg.Path) {
+			out = append(out, fab.deadlineFindings(f)...)
+		}
 	}
 	return append(out, fab.budgetFindings()...)
+}
+
+// mustStayResponsive reports the layers the deadline findings police.
+func mustStayResponsive(path string) bool {
+	return strings.HasSuffix(path, "internal/engine") || strings.HasSuffix(path, "internal/cluster")
 }
 
 // fcCost is the loop-multiplicity lattice: none < O(1) < O(n).
@@ -210,42 +229,6 @@ func (fab *fabricFacts) path(head, f *funcInfo, verb string) string {
 	})
 }
 
-// fcSCCBounded reports whether a CFG cycle is a retry, not data fan-out:
-// it advances a retry.Backoff, or every loop forming it is bounded by an
-// integer constant. Range loops iterate data and are never bounded here.
-func fcSCCBounded(f *funcInfo, id int) bool {
-	scc, backoff := sccBackoff(f, id)
-	if backoff {
-		return true
-	}
-	loops, constBounded := 0, 0
-	for stmt, head := range f.g.loopHeads {
-		if !scc[head] {
-			continue
-		}
-		loops++
-		fs, ok := stmt.(*ast.ForStmt)
-		if !ok || fs.Cond == nil {
-			continue
-		}
-		if bin, ok := fs.Cond.(*ast.BinaryExpr); ok {
-			switch bin.Op {
-			case token.LSS, token.LEQ, token.GTR, token.GEQ:
-				if isConstExpr(f.pkg, bin.X) || isConstExpr(f.pkg, bin.Y) {
-					constBounded++
-				}
-			}
-		}
-	}
-	return loops > 0 && constBounded == loops
-}
-
-// isConstExpr reports whether go/types folded e to a constant.
-func isConstExpr(p *Package, e ast.Expr) bool {
-	tv, ok := p.Info.Types[e]
-	return ok && tv.Value != nil
-}
-
 // worstCost is the scope-wide worst level and the verb witnessing it.
 func worstCost(m map[string]*fcFact) (fcCost, string) {
 	worst, verb := fcNone, ""
@@ -367,15 +350,17 @@ func (fab *fabricFacts) budgetFindings() []Finding {
 	return out
 }
 
+// at is a fabriccost finding at a call site.
+func (fab *fabricFacts) at(cs *callSite, msg string) Finding {
+	return Finding{Analyzer: "fabriccost", Pos: fab.prog.fset.Position(cs.call.Pos()), Message: msg}
+}
+
 // fanOutFindings reports the scope's loop-carried fan-out sites: an RPC
 // issued per iteration of a range loop, directly or through a helper whose
 // whole transitive cost is one RPC round trip — n round trips in a trench
 // coat, the batchable shape.
 func (fab *fabricFacts) fanOutFindings(f *funcInfo) []Finding {
 	var out []Finding
-	report := func(cs *callSite, msg string) {
-		out = append(out, Finding{Analyzer: "fabriccost", Pos: fab.prog.fset.Position(cs.call.Pos()), Message: msg})
-	}
 	ranges := enclosingRanges(f.body)
 	for _, cs := range f.calls {
 		rng := ranges[cs.call]
@@ -386,7 +371,7 @@ func (fab *fabricFacts) fanOutFindings(f *funcInfo) []Finding {
 		if cs.verb != "" {
 			// One-sided verbs are the cheap currency; no finding.
 			if rpcVerbs[cs.verb] {
-				report(cs, fmt.Sprintf("loop-carried fan-out: RPC %s issued per-iteration of range over %s; batch the requests per destination or hoist the round trip out of the loop", cs.verb, over))
+				out = append(out, fab.at(cs, fmt.Sprintf("loop-carried fan-out: RPC %s issued per-iteration of range over %s; batch the requests per destination or hoist the round trip out of the loop", cs.verb, over)))
 			}
 			continue
 		}
@@ -398,12 +383,46 @@ func (fab *fabricFacts) fanOutFindings(f *funcInfo) []Finding {
 				}
 			}
 			if rpcWorst == fcOne {
-				report(cs, fmt.Sprintf("loop-carried fan-out: %s (one fabric round trip per call) invoked per-iteration of range over %s; batch the requests into one RPC", t.qualified(), over))
+				out = append(out, fab.at(cs, fmt.Sprintf("loop-carried fan-out: %s (one fabric round trip per call) invoked per-iteration of range over %s; batch the requests into one RPC", t.qualified(), over)))
 				break
 			}
 		}
 	}
 	return out
+}
+
+// deadlineFindings reports the scope's fabric waits that can wedge it on
+// a dead peer: every bare Endpoint.Call, and every fabric-waiting call on
+// a cycle that neither terminates nor can be cancelled.
+func (fab *fabricFacts) deadlineFindings(f *funcInfo) []Finding {
+	var out []Finding
+	for _, blk := range f.g.blocks {
+		bound, cyclic := f.cycles[f.scc[blk]]
+		for _, cs := range blk.calls {
+			switch {
+			case cs.verb == "Call":
+				out = append(out, fab.at(cs, fmt.Sprintf("%s: Endpoint.Call has no deadline and can wedge forever on a dead handler; use CallTimeout", f.name)))
+			case cyclic && !bound.terminates() && fab.waits(cs):
+				out = append(out, fab.at(cs, fmt.Sprintf("%s: fabric-waiting call %s retried on an unbounded loop; bound it with a retry.Backoff window, a counted loop, or a cancellable select",
+					f.name, types.ExprString(cs.call.Fun))))
+			}
+		}
+	}
+	return out
+}
+
+// waits reports whether a call waits on the fabric: it is a verb, or a
+// module function it may enter transitively issues one.
+func (fab *fabricFacts) waits(cs *callSite) bool {
+	if cs.verb != "" {
+		return true
+	}
+	for _, t := range cs.targets {
+		if fab.reaches(t) {
+			return true
+		}
+	}
+	return false
 }
 
 // enclosingRanges maps each call of body (function literals excluded: they

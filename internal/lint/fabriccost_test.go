@@ -233,3 +233,80 @@ var placeholder = 1
 		t.Errorf("finding 1 = %q, want dangling directive", got[1].Message)
 	}
 }
+
+// deadlineSrc is a fake internal/cluster for the deadline findings: a
+// bare Call, a data-dependent verb spin, and a spin through a
+// package-local helper are reported; the counted, Backoff-bounded and
+// select-cancellable loops are not, and neither is CallTimeout.
+const deadlineSrc = `package cluster
+
+import (
+	"polardb/internal/rdma"
+	"polardb/internal/retry"
+)
+
+func ask(ep *rdma.Endpoint, b []byte) ([]byte, error) {
+	return ep.Call("x", "m", b) // line 9: no deadline
+}
+
+func askBounded(ep *rdma.Endpoint, b []byte) ([]byte, error) {
+	return ep.CallTimeout("x", "m", b, 1000)
+}
+
+func spin(ep *rdma.Endpoint, a rdma.Addr) {
+	v, _ := ep.Load64(a)
+	for v != 0 {
+		v, _ = ep.Load64(a) // line 19: unbounded retry
+	}
+}
+
+func probe(ep *rdma.Endpoint, a rdma.Addr) uint64 {
+	v, _ := ep.Load64(a)
+	return v
+}
+
+func spinViaHelper(ep *rdma.Endpoint, a rdma.Addr) {
+	for probe(ep, a) != 0 { // line 29: blocks through the helper
+	}
+}
+
+func counted(ep *rdma.Endpoint, a rdma.Addr) {
+	for i := 0; i < 8; i++ {
+		_, _ = ep.Load64(a)
+	}
+}
+
+func backedOff(ep *rdma.Endpoint, a rdma.Addr, b *retry.Backoff) {
+	for b.Next() {
+		_, _ = ep.Load64(a)
+	}
+}
+
+func cancellable(ep *rdma.Endpoint, a rdma.Addr, stop chan struct{}) {
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		_, _ = ep.Load64(a)
+	}
+}
+`
+
+func TestFabricCostDeadlines(t *testing.T) {
+	mod := writeModule(t, map[string]string{
+		"internal/rdma/rdma.go": fakeRdma,
+		"internal/retry/retry.go": `package retry
+
+type Backoff struct{}
+
+func (b *Backoff) Next() bool { return false }
+`,
+		"internal/cluster/cluster.go": deadlineSrc,
+	})
+	wantFindings(t, runOnly(t, mod, "fabriccost", "./internal/cluster"),
+		[3]interface{}{"fabriccost", "internal/cluster/cluster.go", 9},
+		[3]interface{}{"fabriccost", "internal/cluster/cluster.go", 19},
+		[3]interface{}{"fabriccost", "internal/cluster/cluster.go", 29})
+}

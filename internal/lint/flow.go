@@ -7,11 +7,11 @@ package lint
 //
 //   - forward is the one intraprocedural worklist. An analyzer supplies a
 //     state type (clone, join), a block transfer and optionally an edge
-//     refinement; pairing, regionescape and lockorder are instances.
+//     refinement; pairing and lockorder are instances.
 //   - summarize is the one interprocedural fixpoint: one fact per function,
 //     recomputed from the callees' facts until a round changes nothing.
-//     Pair summaries, returns-taint, lock effects, may-acquire and fabric
-//     cost are instances.
+//     Pair summaries, lock effects, may-acquire and fabric cost are
+//     instances.
 //   - witness is the one explanation chain ("via A → B → verb at
 //     file:line") and via its one renderer.
 //
@@ -63,9 +63,11 @@ func newProgram(selected []*Package) *program {
 	}
 	for _, f := range prog.funcs {
 		f.g = buildCFG(f.body)
-		f.scc, f.cyclic = f.g.sccMap()
+		var cyclic map[int]bool
+		f.scc, cyclic = f.g.sccMap()
 		f.binds = methodBindings(f.pkg, f.body)
 		prog.scanCalls(f)
+		f.boundCycles(cyclic)
 	}
 	prog.fabric = solveFabric(prog)
 	return prog
@@ -124,9 +126,35 @@ func (prog *program) scanCalls(f *funcInfo) {
 			})
 		}
 	}
-	for id := range f.cyclic {
-		if fcSCCBounded(f, id) {
-			continue // a retry, not fan-out
+}
+
+// cycleBound is what bounds one CFG cycle. It is classified once per
+// strongly connected component and read by both of fabriccost's loop
+// questions: is the cycle a retry or data fan-out (the O(1)/O(n)
+// transfer), and can a fabric wait on it spin forever (the deadline rule)?
+type cycleBound struct {
+	backoff     bool // advances a retry.Backoff, so the backoff's window bounds it
+	constant    bool // every loop forming it is bounded by an integer constant
+	counted     bool // every loop forming it is a counted `for init; cond; post` or a range
+	cancellable bool // a select clause leaves it (shutdown channel, cancellation)
+}
+
+// retry reports a cycle that only retries: its verbs stay O(1). Range
+// loops iterate data and never make a cycle a retry.
+func (c cycleBound) retry() bool { return c.backoff || c.constant }
+
+// terminates reports a cycle a fabric wait cannot spin on forever.
+func (c cycleBound) terminates() bool { return c.backoff || c.counted || c.cancellable }
+
+// boundCycles classifies each of f's CFG cycles and marks the calls on a
+// cycle that is data fan-out, not a retry, as loop-carried.
+func (f *funcInfo) boundCycles(cyclic map[int]bool) {
+	f.cycles = map[int]cycleBound{}
+	for id := range cyclic {
+		c := f.classifyCycle(id)
+		f.cycles[id] = c
+		if c.retry() {
+			continue
 		}
 		for _, blk := range f.g.blocks {
 			if f.scc[blk] == id {
@@ -136,6 +164,66 @@ func (prog *program) scanCalls(f *funcInfo) {
 			}
 		}
 	}
+}
+
+// classifyCycle computes the bound of f's CFG cycle with the given id.
+func (f *funcInfo) classifyCycle(id int) cycleBound {
+	var c cycleBound
+	scc := map[*cfgBlock]bool{}
+	for _, blk := range f.g.blocks {
+		if f.scc[blk] != id {
+			continue
+		}
+		scc[blk] = true
+		for _, cs := range blk.calls {
+			if obj := cs.callee; obj != nil && obj.Pkg() != nil &&
+				strings.HasSuffix(obj.Pkg().Path(), "internal/retry") && recvTypeName(obj) == "Backoff" {
+				c.backoff = true
+			}
+		}
+	}
+	loops, constant, counted := 0, 0, 0
+	for stmt, head := range f.g.loopHeads {
+		if !scc[head] {
+			continue
+		}
+		loops++
+		switch s := stmt.(type) {
+		case *ast.RangeStmt:
+			counted++
+		case *ast.ForStmt:
+			if s.Cond != nil && s.Post != nil {
+				counted++
+			}
+			if bin, ok := s.Cond.(*ast.BinaryExpr); ok {
+				switch bin.Op {
+				case token.LSS, token.LEQ, token.GTR, token.GEQ:
+					if isConstExpr(f.pkg, bin.X) || isConstExpr(f.pkg, bin.Y) {
+						constant++
+					}
+				}
+			}
+		}
+	}
+	c.constant = loops > 0 && constant == loops
+	c.counted = loops > 0 && counted == loops
+	for _, head := range f.g.selects {
+		if !scc[head] {
+			continue
+		}
+		for _, e := range head.succs {
+			if !scc[e.to] && reachesAvoiding(e.to, f.g.exit, scc) {
+				c.cancellable = true
+			}
+		}
+	}
+	return c
+}
+
+// isConstExpr reports whether go/types folded e to a constant.
+func isConstExpr(p *Package, e ast.Expr) bool {
+	tv, ok := p.Info.Types[e]
+	return ok && tv.Value != nil
 }
 
 // eachPackage runs a syntactic, package-at-a-time check over the program.

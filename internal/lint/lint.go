@@ -5,7 +5,10 @@
 // internal/rdma (never shared Go pointers), all simulated delay flows
 // through the fabric latency model, and node-local latches are never held
 // across simulated network latency. Nothing in the compiler enforces any
-// of that, so this package does. One file per analyzer:
+// of that, so this package does. Where a type can state an invariant
+// instead, the API does: no rdma.Region method returns or lends a slice
+// of the registered buffer, so no analyzer has to chase aliases of it.
+// One file per analyzer:
 //
 //   - nosleep (nosleep.go): time.Sleep outside the latency model
 //   - layering (layering.go): the allowed package-import DAG
@@ -13,10 +16,6 @@
 //     plog/parallelraft
 //   - pairing (pairing.go): acquire/release matching (MTR commit, page
 //     pins, PL latches, endpoint attach) along every path of a function
-//   - regionescape (regionescape.go): registered-region byte aliases
-//     must not escape the accessor scope
-//   - verbdeadline (verbdeadline.go): fabric waits in engine/cluster
-//     must be deadline- or window-bounded
 //   - lockorder (lockorder.go): held-lock sets propagated
 //     interprocedurally; reports cycles in the global lock-acquisition
 //     order (potential deadlocks) and fabric verbs reached while a
@@ -24,10 +23,12 @@
 //     call path
 //   - fabriccost (fabriccost.go): per-function verb costs with
 //     CFG-derived loop multiplicity, propagated over the call graph;
-//     reports loop-carried RPC fan-out and violations of declared
-//     //polarvet:fabric round-trip budgets
+//     reports loop-carried RPC fan-out, violations of declared
+//     //polarvet:fabric round-trip budgets, and, in engine/cluster,
+//     fabric waits with no deadline (a bare Endpoint.Call, or a retry
+//     loop that neither terminates nor can be cancelled)
 //
-// The last five are flow analyses, and they share one core (flow.go): a
+// The last three are flow analyses, and they share one core (flow.go): a
 // run builds one program — the module call graph (callgraph.go) and each
 // function body's CFG (cfg.go) and classified call sites, computed once —
 // and each analyzer is a lattice on its one worklist (forward) and its one
@@ -72,7 +73,7 @@ type Analyzer interface {
 
 // Analyzers returns the full analyzer set, in reporting order.
 func Analyzers() []Analyzer {
-	return []Analyzer{NoSleep{}, Layering{}, ErrDrop{}, Pairing{}, RegionEscape{}, VerbDeadline{}, LockOrder{}, FabricCost{}}
+	return []Analyzer{NoSleep{}, Layering{}, ErrDrop{}, Pairing{}, LockOrder{}, FabricCost{}}
 }
 
 // Result is the outcome of one Run: the surviving findings, plus the lock

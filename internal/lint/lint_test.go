@@ -35,10 +35,6 @@ func (e *Endpoint) ID() NodeID { return "" }
 type Region struct{}
 
 func (r *Region) Store64Local(off, v uint64) error { return nil }
-func (r *Region) BytesAt(off uint64, n int) []byte { return nil }
-func (r *Region) WithBytesLocal(off uint64, n int, fn func(b []byte) error) error {
-	return fn(nil)
-}
 `
 
 // writeModule materializes files (module-relative path -> contents) as a
@@ -365,8 +361,8 @@ func (e *Endpoint) flush(a Addr, b []byte) {
 }
 `,
 	})
-	// errdrop only: the fixture's bare ep.Call is verbdeadline's problem,
-	// pinned in its own test.
+	// errdrop only: the fixture's bare ep.Call is fabriccost's deadline
+	// problem, pinned in its own test.
 	wantFindings(t, runOnly(t, mod, "errdrop", "./..."),
 		[3]interface{}{"errdrop", "internal/engine/engine.go", 6},
 		[3]interface{}{"errdrop", "internal/engine/engine.go", 7},

@@ -214,7 +214,7 @@ func (Pairing) Check(prog *program) []Finding {
 }
 
 // isFabricPkg reports internal/rdma, which implements the fabric the
-// pairing and regionescape invariants protect and is exempt from both.
+// pairing invariants protect and is exempt from them.
 func isFabricPkg(p *Package) bool { return strings.HasSuffix(p.Path, "internal/rdma") }
 
 func samePairSummary(a, b *pairSummary) bool {

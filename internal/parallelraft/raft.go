@@ -223,7 +223,7 @@ type Replica struct {
 	rng     *rand.Rand
 
 	metPropose   *stat.Counter   // entries proposed on this replica
-	metCommit    *stat.Histogram // propose-to-majority-commit latency
+	metCommit    *stat.Histogram // propose-to-commit-and-local-apply latency
 	metAppend    *stat.Counter   // follower append RPCs served
 	metTruncated *stat.Counter   // log entries dropped by truncation
 }
@@ -380,8 +380,9 @@ func (r *Replica) MaxIndex() uint64 {
 func (r *Replica) majority() int { return len(r.cfg.Peers)/2 + 1 }
 
 // Propose replicates cmd with the given write ranges. It blocks until the
-// entry is committed (majority-durable) or the replica loses leadership.
-// Returns the entry's index.
+// entry is committed (majority-durable) and applied to this replica's
+// state machine, or the replica loses leadership. Returns the entry's
+// index.
 func (r *Replica) Propose(cmd []byte, ranges []Range) (uint64, error) {
 	if len(ranges) == 0 {
 		ranges = FullRange
@@ -700,10 +701,6 @@ func (r *Replica) tryCommitLocked() {
 			continue // wait for conflicting predecessors to commit first
 		}
 		r.committed[idx] = true
-		for _, w := range r.waiters[idx] {
-			w.ch <- nil
-		}
-		delete(r.waiters, idx)
 		delete(r.acks, idx)
 	}
 	r.rollCommitPrefixLocked()
@@ -786,6 +783,12 @@ func (r *Replica) checkApply() {
 			delete(r.applied, r.applyPrefix+1)
 			r.applyPrefix++
 		}
+		// The proposer returns only now: whatever it acknowledges is
+		// visible to a read of this replica's state machine.
+		for _, w := range r.waiters[toApply.Index] {
+			w.ch <- nil
+		}
+		delete(r.waiters, toApply.Index)
 		r.mu.Unlock()
 	}
 }

@@ -147,6 +147,52 @@ func TestProposeCommitsAndAppliesEverywhere(t *testing.T) {
 	}
 }
 
+// slowSM is a recordingSM whose Apply takes a while, so a proposer that
+// returns before its entry is applied gets caught.
+type slowSM struct{ *recordingSM }
+
+func (s slowSM) Apply(index uint64, cmd []byte) {
+	time.Sleep(20 * time.Millisecond)
+	s.recordingSM.Apply(index, cmd)
+}
+
+// Propose returns only once the leader has applied the entry: a caller
+// that acknowledges on its return (a page chunk acking a redo batch) must
+// not answer before a read of its own state machine sees the entry.
+func TestProposeReturnsAfterLeaderApply(t *testing.T) {
+	fabric := rdma.NewFabric(rdma.TestConfig())
+	peers := []rdma.NodeID{"s0", "s1", "s2"}
+	cfg := Config{
+		Group:             "g",
+		Peers:             peers,
+		Window:            8,
+		HeartbeatInterval: 10 * time.Millisecond,
+		ElectionTimeout:   time.Second,
+		Bootstrap:         true,
+	}
+	sm := slowSM{newRecordingSM()}
+	var leader *Replica
+	for _, p := range peers {
+		var r *Replica
+		if p == peers[0] {
+			r = NewReplica(fabric.MustAttach(p), cfg, sm)
+			leader = r
+		} else {
+			r = NewReplica(fabric.MustAttach(p), cfg, newRecordingSM())
+		}
+		t.Cleanup(r.Close)
+	}
+	for i := 0; i < 3; i++ {
+		idx, err := leader.Propose([]byte{byte(i)}, nil)
+		if err != nil {
+			t.Fatalf("propose %d: %v", i, err)
+		}
+		if got := sm.cmd(idx); len(got) != 1 || got[0] != byte(i) {
+			t.Fatalf("Propose %d returned before the leader applied entry %d (leader has %v)", i, idx, got)
+		}
+	}
+}
+
 func TestProposeOnFollowerFails(t *testing.T) {
 	g := newTestGroup(t, 3, true)
 	f := g.replicas[g.peers[1]]

@@ -19,11 +19,10 @@ import (
 // node. It locates chunk leaders, retries across leader changes, and
 // exposes the volume operations the engine needs.
 type Client struct {
-	ep      *rdma.Endpoint
-	cfg     VolumeConfig
-	peers   []rdma.NodeID
-	timeout time.Duration
-	met     pfsMetrics
+	ep    *rdma.Endpoint
+	cfg   VolumeConfig
+	peers []rdma.NodeID
+	met   pfsMetrics
 
 	mu      sync.Mutex
 	leaders map[string]rdma.NodeID
@@ -61,7 +60,6 @@ func NewClient(ep *rdma.Endpoint, cfg VolumeConfig, peers []rdma.NodeID) *Client
 		ep:      ep,
 		cfg:     cfg,
 		peers:   peers,
-		timeout: 5 * time.Second,
 		met:     newPFSMetrics(ep.Metrics()),
 		leaders: make(map[string]rdma.NodeID),
 	}
@@ -75,9 +73,13 @@ func (c *Client) Partition(id types.PageID) int {
 	return int(id.Key() % uint64(c.cfg.PageChunks))
 }
 
+// callTimeout bounds one volume operation, leader changes and retries
+// included.
+const callTimeout = 5 * time.Second
+
 // call issues an RPC to the chunk group's leader, re-locating on failure.
 func (c *Client) call(group, op string, req []byte) ([]byte, error) {
-	deadline := time.Now().Add(c.timeout)
+	deadline := time.Now().Add(callTimeout)
 	b := retry.Until(deadline, 2*time.Millisecond)
 	method := "pfs." + group + "." + op
 	var lastErr error

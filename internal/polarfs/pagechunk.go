@@ -252,8 +252,10 @@ func (pc *pageChunk) materializer(interval time.Duration) {
 }
 
 // handleAdd ingests a batch of redo records (step 3-6 of Figure 7): persist
-// via raft, insert into the redo hash, then acknowledge. After the ack the
-// RW node may evict the covered dirty pages anywhere in the hierarchy.
+// via raft, insert into the redo hash, then acknowledge. Propose returns
+// once this leader has applied the batch, so a MaxLSN read that follows
+// the ack sees it; after the ack the RW node may evict the covered dirty
+// pages anywhere in the hierarchy.
 func (pc *pageChunk) handleAdd(from rdma.NodeID, req []byte) ([]byte, error) {
 	pc.metAdds.Inc()
 	rd := wire.NewReader(req)

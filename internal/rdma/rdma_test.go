@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -136,6 +137,95 @@ func TestFetchAdd64Concurrent(t *testing.T) {
 	v, _ := r.Load64Local(0)
 	if v != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", v, workers*perWorker)
+	}
+}
+
+// UpdateLocal's writes land in the region, but the slice fn sees is a
+// copy: keeping it past the return and writing through it changes nothing,
+// and an fn that fails leaves the region untouched.
+func TestUpdateLocalWritesBackACopy(t *testing.T) {
+	f := newTestFabric(t)
+	r := f.MustAttach("mem").RegisterRegion(64)
+	var kept []byte
+	if err := r.UpdateLocal(8, 16, func(b []byte) error {
+		copy(b, "0123456789abcdef")
+		kept = b
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 16)
+	r.MustReadLocal(8, got)
+	if string(got) != "0123456789abcdef" {
+		t.Fatalf("region after update = %q, want the bytes fn wrote", got)
+	}
+	copy(kept, "XXXXXXXXXXXXXXXX")
+	r.MustReadLocal(8, got)
+	if string(got) != "0123456789abcdef" {
+		t.Fatalf("writing through the kept slice changed the region to %q", got)
+	}
+
+	boom := errors.New("boom")
+	if err := r.UpdateLocal(8, 16, func(b []byte) error {
+		copy(b, "YYYYYYYYYYYYYYYY")
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want fn's error", err)
+	}
+	r.MustReadLocal(8, got)
+	if string(got) != "0123456789abcdef" {
+		t.Fatalf("a failed update wrote %q", got)
+	}
+	if err := r.UpdateLocal(60, 8, func([]byte) error { return nil }); !errors.Is(err, ErrOutOfBounds) {
+		t.Fatalf("err = %v, want ErrOutOfBounds", err)
+	}
+}
+
+// A remote Read of a block never sees an UpdateLocal half applied, though
+// fn writes the block one word at a time.
+func TestUpdateLocalIsAtomicToRemoteReads(t *testing.T) {
+	f := newTestFabric(t)
+	mem := f.MustAttach("mem")
+	db := f.MustAttach("db")
+	const words = 8
+	r := mem.RegisterRegion(8 * words)
+	addr := Addr{Node: "mem", Region: r.ID()}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			if err := r.UpdateLocal(0, 8*words, func(b []byte) error {
+				v := binary.LittleEndian.Uint64(b) + 1
+				for w := words - 1; w >= 0; w-- {
+					binary.LittleEndian.PutUint64(b[8*w:], v)
+				}
+				return nil
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	buf := make([]byte, 8*words)
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			if v := r.MustLoad64Local(0); v != 500 {
+				t.Fatalf("final version %d, want 500", v)
+			}
+			return
+		default:
+		}
+		if err := db.Read(addr, buf); err != nil {
+			t.Fatal(err)
+		}
+		first := binary.LittleEndian.Uint64(buf)
+		for w := 1; w < words; w++ {
+			if v := binary.LittleEndian.Uint64(buf[8*w:]); v != first {
+				t.Fatalf("read %d: word %d = %d, word 0 = %d: update seen half applied", reads, w, v, first)
+			}
+		}
 	}
 }
 

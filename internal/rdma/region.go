@@ -175,21 +175,27 @@ func (r *Region) MustCAS64Local(off uint64, old, new uint64) (uint64, bool) {
 	return cur, ok
 }
 
-// WithBytesLocal runs fn over n bytes of the region starting at off, in
-// place and under the region's write lock: no remote verb or local
-// accessor can interleave with fn, so a multi-word read-modify-write
-// sweep (recovery force-releasing a crashed node's latches) is atomic
-// without paying a lock round-trip per word. The slice aliases the
-// registered buffer and is valid only inside fn — keeping it past the
-// return would smuggle fabric memory past the region lock, which the
-// regionescape analyzer rejects; copy anything that must outlive fn.
-func (r *Region) WithBytesLocal(off uint64, n int, fn func(b []byte) error) error {
+// UpdateLocal is an atomic multi-word read-modify-write of n bytes of the
+// region starting at off: it copies them out, runs fn on the copy and, if
+// fn returns nil, copies the result back, all under one hold of the
+// region's write lock. No remote verb or local accessor can interleave, so
+// a sweep (recovery force-releasing a crashed node's latches) or a
+// bracketed publish is one atomic step without a lock round-trip per
+// word. fn's slice is a private copy: no Region method returns or lends a
+// slice of the registered buffer, so every cross-node byte still moves
+// through a verb.
+func (r *Region) UpdateLocal(off uint64, n int, fn func(b []byte) error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if n < 0 || int(off) < 0 || int(off)+n > len(r.buf) {
 		return ErrOutOfBounds
 	}
-	return fn(r.buf[off : int(off)+n])
+	b := append([]byte(nil), r.buf[off:int(off)+n]...)
+	if err := fn(b); err != nil {
+		return err
+	}
+	copy(r.buf[off:], b)
+	return nil
 }
 
 // RegisterRegion registers size bytes of node memory with the NIC and
@@ -295,18 +301,10 @@ func (e *Endpoint) FetchAdd64(a Addr, delta uint64) (uint64, error) {
 	}
 	start := time.Now()
 	e.fabric.delay(e.fabric.cfg.Atomic, 8)
-	r.mu.Lock()
-	if a.Off%8 != 0 {
-		r.mu.Unlock()
-		return 0, ErrMisaligned
+	prev, err := r.FetchAdd64Local(a.Off, delta)
+	if err != nil {
+		return 0, err
 	}
-	if int(a.Off)+8 > len(r.buf) {
-		r.mu.Unlock()
-		return 0, ErrOutOfBounds
-	}
-	prev := binary.LittleEndian.Uint64(r.buf[a.Off:])
-	binary.LittleEndian.PutUint64(r.buf[a.Off:], prev+delta)
-	r.mu.Unlock()
 	e.record(opAtomic, 8, start)
 	return prev, nil
 }

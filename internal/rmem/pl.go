@@ -438,34 +438,37 @@ func (h *Home) handlePLSlow(from rdma.NodeID, req []byte) ([]byte, error) {
 }
 
 // releaseNodeLatches clears every X latch owned by node in the PLT
-// (recovery step 6 of §5.1, part of takeover). The sweep runs in place
-// under the region write lock (WithBytesLocal), so it is one atomic pass:
-// no survivor can grab a latch word between the scan of one slot and the
-// clear of the next, and the crashed owner's in-flight CAS retries cannot
-// interleave half-cleared state.
+// (recovery step 6 of §5.1, part of takeover). The sweep is one
+// read-modify-write of the span the PAT's slots occupy, under the region
+// write lock (UpdateLocal), so it is one atomic pass: no survivor can grab
+// a latch word between the scan of one slot and the clear of the next,
+// and the crashed owner's in-flight CAS retries cannot interleave
+// half-cleared state.
 func (h *Home) releaseNodeLatches(node rdma.NodeID) {
 	h.mu.Lock()
 	idx, found := h.tab.nodeIdx[node]
-	if !found {
+	if !found || len(h.tab.pat) == 0 {
 		h.mu.Unlock()
 		return
 	}
 	offs := make([]uint64, 0, len(h.tab.pat))
+	lo, hi := ^uint64(0), uint64(0)
 	for _, e := range h.tab.pat {
 		offs = append(offs, e.slotOff)
+		lo, hi = min(lo, e.slotOff), max(hi, e.slotOff)
 	}
 	h.mu.Unlock()
-	err := h.tab.meta.WithBytesLocal(0, h.tab.meta.Len(), func(b []byte) error {
+	err := h.tab.meta.UpdateLocal(lo, int(hi-lo)+8, func(b []byte) error {
 		for _, off := range offs {
-			w := binary.LittleEndian.Uint64(b[off:])
+			w := binary.LittleEndian.Uint64(b[off-lo:])
 			if plIsX(w) && plOwner(w) == idx {
-				binary.LittleEndian.PutUint64(b[off:], 0)
+				binary.LittleEndian.PutUint64(b[off-lo:], 0)
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		// The bounds come from the region's own length: failure is an
+		// The bounds come from the PAT's own slot offsets: failure is an
 		// addressing bug, same contract as the Must*Local accessors.
 		panic(fmt.Sprintf("rmem: PLT sweep: %v", err))
 	}

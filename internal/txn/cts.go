@@ -128,7 +128,7 @@ func (s *Service) PublishView(active []types.TrxID) {
 	if len(active) > viewSlots {
 		panic(fmt.Sprintf("txn: %d slot owners, the slot table holds %d", len(active), viewSlots))
 	}
-	err := s.region.WithBytesLocal(0, ctsHeaderSize, func(hdr []byte) error {
+	err := s.region.UpdateLocal(0, ctsHeaderSize, func(hdr []byte) error {
 		version := getU64(hdr[viewHeadOff:]) + 1
 		putU64(hdr[viewTailOff:], version)
 		copy(hdr[viewTSOff:viewCountOff], hdr[ctsCounterOff:])
