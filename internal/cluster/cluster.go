@@ -103,8 +103,7 @@ func Launch(cfg Config) (*Cluster, error) {
 		eps[i] = c.Fabric.MustAttach(rdma.NodeID(fmt.Sprintf("st%d", i)))
 	}
 	c.Storage = polarfs.Deploy(polarfs.VolumeConfig{
-		PageChunks:          cfg.PageChunks,
-		MaterializeInterval: 10 * time.Millisecond,
+		PageChunks: cfg.PageChunks,
 		// Generous raft timing: storage leadership must stay stable even
 		// when the simulation is CPU-saturated on small machines.
 		Raft: parallelraft.Config{

@@ -94,7 +94,7 @@ func (n *DBNode) promoteToRW(oldRW rdma.NodeID, planned, traditional bool) error
 		return err
 	}
 	if traditional {
-		_, err = e.RecoverTraditional(oldRW, 0)
+		_, err = e.RecoverTraditional(oldRW)
 	} else {
 		err = e.Recover(oldRW, planned)
 	}

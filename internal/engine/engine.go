@@ -186,8 +186,6 @@ type Engine struct {
 
 	backfillCh chan backfillItem
 
-	scanGuard atomic.Int32 // >0: storage misses skip remote-memory population
-
 	closed  atomic.Bool
 	closeCh chan struct{}
 	wg      sync.WaitGroup
@@ -360,16 +358,6 @@ func (e *Engine) FlushedLSN() types.LSN {
 // ResizeLocalCache changes the local cache tier's capacity live.
 func (e *Engine) ResizeLocalCache(pages int) error { return e.cache.Resize(pages) }
 
-// ScanGuard marks the start of a large scan: while any guard is active,
-// pages loaded from storage are NOT promoted into the remote memory pool,
-// so full-table scans do not pollute the shared cache (§3.1.3). Release
-// the guard with the returned func.
-func (e *Engine) ScanGuard() func() {
-	e.scanGuard.Add(1)
-	var once sync.Once
-	return func() { once.Do(func() { e.scanGuard.Add(-1) }) }
-}
-
 // ---------------------------------------------------------------------------
 // Page access (btree.Store implementation)
 
@@ -507,20 +495,8 @@ func (e *Engine) loadFrame(id types.PageID, fresh bool) (*cache.Frame, error) {
 	f := &cache.Frame{ID: id, Data: make([]byte, types.PageSize)}
 	fromRemote := false
 	allocated := false
-	guarded := !fresh && e.scanGuard.Load() > 0
 	if e.pool != nil {
-		var res rmem.RegisterResult
-		var err error
-		if guarded {
-			// Scan-pollution guard (§3.1.3): use the remote copy if one
-			// exists, but never allocate one for scan traffic.
-			res, err = e.pool.RegisterIfCached(id)
-			if err == nil && !res.Exists {
-				err = rmem.ErrOutOfMemory // storage-direct below, no pool refs
-			}
-		} else {
-			res, err = e.pool.Register(id)
-		}
+		res, err := e.pool.Register(id)
 		switch {
 		case err == nil:
 			f.Remote = cache.RemoteInfo{Registered: true, Data: res.Data, PL: res.PL, PIB: res.PIB}

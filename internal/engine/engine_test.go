@@ -57,10 +57,7 @@ func newHarness(t *testing.T, o harnessOpts) *harness {
 	eps := []*rdma.Endpoint{
 		h.fabric.MustAttach("st0"), h.fabric.MustAttach("st1"), h.fabric.MustAttach("st2"),
 	}
-	h.dep = polarfs.Deploy(polarfs.VolumeConfig{
-		PageChunks:          o.pageChunks,
-		MaterializeInterval: 5 * time.Millisecond,
-	}, eps)
+	h.dep = polarfs.Deploy(polarfs.VolumeConfig{PageChunks: o.pageChunks}, eps)
 	t.Cleanup(h.dep.Close)
 
 	if !o.noPool {
@@ -827,37 +824,5 @@ func TestROSwitchRWAfterFailover(t *testing.T) {
 	mustCommitPut(t, newRW, mustOpen(t, newRW, "t"), 2, "v2")
 	if got, ok := roGet(t, ro, roTbl2, 2); !ok || got != "v2" {
 		t.Fatalf("RO read of post-failover write: %q %v", got, ok)
-	}
-}
-
-func TestScanGuardAvoidsPoolPollution(t *testing.T) {
-	h := newHarness(t, harnessOpts{poolPages: 256, cachePages: 64})
-	tbl, _ := h.rw.CreateTable("t")
-	for k := uint64(0); k < 200; k++ {
-		mustCommitPut(t, h.rw, tbl, k, string(bytes.Repeat([]byte("s"), 200)))
-	}
-	h.rw.WaitAllShipped()
-	h.rw.Cache().EvictAll()
-	// Force the pool empty so reloads are observable.
-	if _, err := h.home.Shrink(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.home.AddSlab("mem0", 256); err != nil {
-		t.Fatal(err)
-	}
-	used := func() int { return h.home.Stats().UsedSlots }
-	base := used()
-	release := h.rw.ScanGuard()
-	ro, _ := h.rw.BeginRO()
-	n := 0
-	if err := ro.Scan(tbl, 0, ^uint64(0), func(uint64, []byte) bool { n++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	release()
-	if n != 200 {
-		t.Fatalf("scan count = %d", n)
-	}
-	if grown := used() - base; grown > 8 {
-		t.Fatalf("scan polluted the pool with %d pages", grown)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"polardb/internal/cache"
 	"polardb/internal/plog"
+	"polardb/internal/polarfs"
 	"polardb/internal/rdma"
 	"polardb/internal/txn"
 	"polardb/internal/types"
@@ -210,26 +211,26 @@ func (e *Engine) Adopted() map[types.TrxID]*Txn {
 
 // RecoverTraditional replays redo on this single node instead of using
 // page materialization offloading — the monolithic-architecture baseline
-// of Figure 9 ("w/o page mat."): every page touched since the last page
-// flush (fromLSN; a traditional engine checkpoints minutes apart, so the
-// benchmark passes 0 = full history) is read from storage and patched
-// locally before service resumes. Returns the number of pages replayed —
-// the serial REDO work the paper's design eliminates.
-func (e *Engine) RecoverTraditional(oldRW rdma.NodeID, fromLSN types.LSN) (int, error) {
+// of Figure 9 ("w/o page mat."): every page the redo log touches (a
+// traditional engine checkpoints minutes apart, so the whole history) is
+// read from storage and patched locally before service resumes. Returns
+// the number of pages replayed — the serial REDO work the paper's design
+// eliminates.
+func (e *Engine) RecoverTraditional(oldRW rdma.NodeID) (int, error) {
 	if e.cfg.ReadOnly {
 		return 0, ErrNotRW
 	}
-	cp := fromLSN
 	tail, err := e.pfs.RedoTail()
 	if err != nil {
 		return 0, err
 	}
-	// Single-node REDO: group records by page, fetch each page's base
-	// version from storage, apply the records here, ship the result back
-	// (modelled by re-distributing the redo as in ParallelRedo but paying
-	// the local replay cost).
+	// Single-node REDO: group records by page, fetch each page from
+	// storage, apply the records here, ship the result back (modelled by
+	// re-distributing the redo as in ParallelRedo but paying the local
+	// replay cost). Redo records overwrite byte ranges, so replaying the
+	// whole history onto the newest image yields that image again.
 	replayed := make(map[types.PageID][]plog.Record)
-	after := cp
+	var after types.LSN
 	for after < tail {
 		recs, err := e.pfs.ReadRedo(after, 512) //polarvet:allow fabriccost bounded by the redo tail snapshot: after advances every iteration and the loop breaks on an empty batch
 		if err != nil {
@@ -246,8 +247,8 @@ func (e *Engine) RecoverTraditional(oldRW rdma.NodeID, fromLSN types.LSN) (int, 
 	buf := make([]byte, types.PageSize)
 	for id, recs := range replayed {
 		//polarvet:allow fabriccost ARIES replay fetches each distinct redo-touched page exactly once, and only during failover
-		data, _, exists, err := e.pfs.GetPage(id, cp)
-		if err != nil && exists {
+		data, _, exists, err := e.pfs.GetPage(id, polarfs.MaxLSN)
+		if err != nil {
 			return 0, err
 		}
 		if exists {

@@ -137,16 +137,7 @@ func (e *Engine) lookupCTS(trx types.TrxID) (types.Timestamp, bool, error) {
 
 // Get returns the payload visible to the transaction's snapshot.
 func (t *Txn) Get(tbl *Table, key uint64) ([]byte, bool, error) {
-	return t.getTree(tbl.Primary, key)
-}
-
-// GetIndex reads from a secondary index tree under the same snapshot.
-func (t *Txn) GetIndex(ix *Index, key uint64) ([]byte, bool, error) {
-	return t.getTree(ix.Tree, key)
-}
-
-func (t *Txn) getTree(tree *btree.Tree, key uint64) ([]byte, bool, error) {
-	raw, err := tree.Get(key, t.e.readMode())
+	raw, err := tbl.Primary.Get(key, t.e.readMode())
 	if errors.Is(err, btree.ErrKeyNotFound) {
 		return nil, false, nil
 	}

@@ -335,40 +335,6 @@ func (r *Replica) ApplyPrefix() uint64 {
 	return r.applyPrefix
 }
 
-// DebugState is a point-in-time diagnostic snapshot of a replica.
-type DebugState struct {
-	Role         Role
-	Term         uint64
-	Leader       rdma.NodeID
-	MaxIndex     uint64
-	MaxSeen      uint64
-	CommitPrefix uint64
-	ApplyPrefix  uint64
-	PendingAcks  map[uint64]int
-	Holes        []uint64
-}
-
-// Debug returns a diagnostic snapshot (tests and tooling).
-func (r *Replica) Debug() DebugState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d := DebugState{
-		Role: r.role, Term: r.term, Leader: r.leader,
-		MaxIndex: r.maxIndex, MaxSeen: r.maxSeen,
-		CommitPrefix: r.commitPrefix, ApplyPrefix: r.applyPrefix,
-		PendingAcks: map[uint64]int{},
-	}
-	for i := r.commitPrefix + 1; i <= r.maxIndex; i++ {
-		if !r.committed[i] {
-			d.PendingAcks[i] = len(r.acks[i])
-		}
-		if _, ok := r.log[i]; !ok {
-			d.Holes = append(d.Holes, i)
-		}
-	}
-	return d
-}
-
 // MaxIndex returns the highest index present in the local log.
 func (r *Replica) MaxIndex() uint64 {
 	r.mu.Lock()

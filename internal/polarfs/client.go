@@ -259,14 +259,6 @@ func (c *Client) CheckpointLSN() (types.LSN, error) {
 	return cp, nil
 }
 
-// Materialize forces partition p to fold its redo hash up to upTo.
-func (c *Client) Materialize(part int, upTo types.LSN) error {
-	w := wire.NewWriter(8)
-	w.U64(uint64(upTo))
-	_, err := c.call(c.cfg.PageGroup(part), "materialize", w.Bytes())
-	return err
-}
-
 // ParallelRedo reimplements the REDO phase of §5.1 steps 3-4: collect the
 // checkpoint LSN, read the redo log from there to the tail, and distribute
 // the records to the page chunks, which consume them concurrently. It

@@ -8,17 +8,16 @@
 //   - Log chunks persist the redo log. A transaction commits once its redo
 //     records are raft-committed on a log chunk.
 //   - Page chunks each own a partition of the database's pages. The RW node
-//     ships redo records to the owning page chunks; a chunk's leader
-//     inserts them into an in-memory redo hash keyed by page, acknowledges,
-//     and later materializes new page versions in the background by merging
-//     base pages with hashed records. GetPage@LSN merges on demand, so
-//     dirty pages can be evicted from the remote memory pool without ever
-//     being flushed.
+//     ships redo records to the owning page chunks; every replica of the
+//     chunk applies a batch to its one image per page when raft applies the
+//     batch, and the leader acknowledges after its own apply. GetPage
+//     returns that image, so dirty pages can be evicted from the remote
+//     memory pool without ever being flushed.
 //
-// Unlike Aurora there is no gossip between storage nodes: materialization
-// is propagated to replicas through ParallelRaft commands, so the
-// replicated state machine keeps replicas consistent (the Socrates-like
-// design the paper describes).
+// Unlike Aurora there is no gossip between storage nodes: every replica
+// applies the same redo through ParallelRaft, so the replicated state
+// machine keeps replicas consistent (the Socrates-like design the paper
+// describes).
 package polarfs
 
 import (
@@ -35,8 +34,9 @@ var (
 	// ErrNotLeader indicates the contacted replica is not the chunk leader;
 	// the client re-locates and retries.
 	ErrNotLeader = parallelraft.ErrNotLeader
-	// ErrPageTooOld means the requested LSN predates every retained version.
-	ErrPageTooOld = errors.New("polarfs: requested page version has been garbage collected")
+	// ErrPageTooOld means the page's image is newer than the requested LSN:
+	// a chunk keeps one image per page, not its history.
+	ErrPageTooOld = errors.New("polarfs: page image is newer than the requested lsn")
 	// ErrStaleLSN means the chunk has not yet received redo covering the
 	// requested LSN.
 	ErrStaleLSN = errors.New("polarfs: chunk redo coverage below requested lsn")
@@ -49,12 +49,6 @@ type VolumeConfig struct {
 	// PageChunks is the number of page-chunk partitions. Pages are assigned
 	// to partitions by hashing (space, page_no).
 	PageChunks int
-	// MaxVersionsPerPage bounds retained materialized versions (for
-	// point-in-time reads); older versions are garbage collected.
-	MaxVersionsPerPage int
-	// MaterializeInterval is how often chunk leaders fold the redo hash
-	// into new page versions.
-	MaterializeInterval time.Duration
 	// ReadLatency models the storage media + stack cost of serving a
 	// GetPage (beyond network RPC time). Default 2ms — ~40x above a
 	// one-sided remote memory read in the benchmark latency profile,
@@ -71,12 +65,6 @@ func (c *VolumeConfig) applyDefaults() {
 	}
 	if c.PageChunks == 0 {
 		c.PageChunks = 4
-	}
-	if c.MaxVersionsPerPage == 0 {
-		c.MaxVersionsPerPage = 4
-	}
-	if c.MaterializeInterval == 0 {
-		c.MaterializeInterval = 20 * time.Millisecond
 	}
 	if c.ReadLatency == 0 {
 		c.ReadLatency = 2 * time.Millisecond
@@ -107,18 +95,6 @@ type StorageNode struct {
 
 // Endpoint returns the node's fabric endpoint.
 func (n *StorageNode) Endpoint() *rdma.Endpoint { return n.ep }
-
-// DebugReplicas returns diagnostic snapshots of every chunk replica on
-// this node, keyed by group name.
-func (n *StorageNode) DebugReplicas() map[string]parallelraft.DebugState {
-	out := map[string]parallelraft.DebugState{
-		"log": n.logChunk.replica.Debug(),
-	}
-	for i, pc := range n.pageChunks {
-		out[fmt.Sprintf("pc%d", i)] = pc.replica.Debug()
-	}
-	return out
-}
 
 // Close stops all chunk replicas on the node.
 func (n *StorageNode) Close() {

@@ -119,25 +119,6 @@ func TestShipAndGetPage(t *testing.T) {
 	}
 }
 
-func TestGetPageAtLSN(t *testing.T) {
-	v := newTestVolume(t, VolumeConfig{})
-	id := types.PageID{Space: 1, No: 7}
-	recs := []plog.Record{
-		{LSN: 1, Page: id, Off: 0, Data: []byte("v1")},
-		{LSN: 2, Page: id, Off: 0, Data: []byte("v2")},
-	}
-	if err := v.client.ShipRecords(recs, 2); err != nil {
-		t.Fatal(err)
-	}
-	data, lsn, _, err := v.client.GetPage(id, 1)
-	if err != nil {
-		t.Fatalf("get@1: %v", err)
-	}
-	if lsn != 1 || string(data[:2]) != "v1" {
-		t.Fatalf("got lsn=%d data=%q, want v1@1", lsn, data[:2])
-	}
-}
-
 func TestGetPageMissing(t *testing.T) {
 	v := newTestVolume(t, VolumeConfig{})
 	_, _, exists, err := v.client.GetPage(types.PageID{Space: 9, No: 9}, MaxLSN)
@@ -149,60 +130,10 @@ func TestGetPageMissing(t *testing.T) {
 	}
 }
 
-func TestMaterializationMatchesOnDemandMerge(t *testing.T) {
-	v := newTestVolume(t, VolumeConfig{MaterializeInterval: time.Hour})
-	id := types.PageID{Space: 2, No: 3}
-	recs := []plog.Record{
-		{LSN: 1, Page: id, Off: 0, Data: []byte("aaaa")},
-		{LSN: 2, Page: id, Off: 2, Data: []byte("bb")},
-		{LSN: 3, Page: id, Off: 1, Data: []byte("c")},
-	}
-	if err := v.client.ShipRecords(recs, 3); err != nil {
-		t.Fatal(err)
-	}
-	before, lsnB, _, err := v.client.GetPage(id, MaxLSN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := v.client.Partition(id)
-	if err := v.client.Materialize(part, 3); err != nil {
-		t.Fatalf("materialize: %v", err)
-	}
-	after, lsnA, _, err := v.client.GetPage(id, MaxLSN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsnB != lsnA || !bytes.Equal(before, after) {
-		t.Fatalf("materialized page differs from on-demand merge (lsn %d vs %d)", lsnB, lsnA)
-	}
-	// LSN order: "aaaa", then "bb"@2 -> "aabb", then "c"@1 -> "acbb".
-	if string(after[:4]) != "acbb" {
-		t.Fatalf("content = %q, want acbb", after[:4])
-	}
-}
-
-func TestMaterializeIsIdempotent(t *testing.T) {
-	v := newTestVolume(t, VolumeConfig{MaterializeInterval: time.Hour})
-	id := types.PageID{Space: 2, No: 3}
-	if err := v.client.ShipRecords([]plog.Record{{LSN: 1, Page: id, Off: 0, Data: []byte("x")}}, 1); err != nil {
-		t.Fatal(err)
-	}
-	part := v.client.Partition(id)
-	for i := 0; i < 3; i++ {
-		if err := v.client.Materialize(part, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, lsn, _, err := v.client.GetPage(id, MaxLSN)
-	if err != nil || lsn != 1 || data[0] != 'x' {
-		t.Fatalf("after repeated materialize: lsn=%d err=%v", lsn, err)
-	}
-}
-
 func TestShipRecordsIdempotentRedistribution(t *testing.T) {
 	// Recovery redistributes redo that chunks may already hold; duplicates
 	// must not corrupt pages.
-	v := newTestVolume(t, VolumeConfig{MaterializeInterval: time.Hour})
+	v := newTestVolume(t, VolumeConfig{})
 	id := types.PageID{Space: 1, No: 1}
 	recs := []plog.Record{
 		{LSN: 1, Page: id, Off: 0, Data: []byte("ab")},
@@ -333,15 +264,16 @@ func TestPartitionStable(t *testing.T) {
 
 // Property: for any sequence of writes to one page, GetPage@latest equals
 // applying the writes in LSN order to a zero page — regardless of how the
-// records are batched or interleaved with forced materializations.
+// records are batched, and unchanged when a recovery redistribution ships
+// a prefix of them again.
 func TestPageReconstructionProperty(t *testing.T) {
-	v := newTestVolume(t, VolumeConfig{PageChunks: 1, MaterializeInterval: time.Hour})
+	v := newTestVolume(t, VolumeConfig{PageChunks: 1})
 	var lsn types.LSN
 	pageNo := types.PageNo(0)
 	prop := func(writes []struct {
 		Off  uint16
 		Data []byte
-	}, matAfter uint8) bool {
+	}, cutAt, reshipAt uint8) bool {
 		pageNo++
 		id := types.PageID{Space: 5, No: pageNo}
 		expect := make([]byte, types.PageSize)
@@ -359,22 +291,24 @@ func TestPageReconstructionProperty(t *testing.T) {
 		if len(recs) == 0 {
 			return true
 		}
-		// Ship in two batches with a materialization in between sometimes.
-		cut := int(matAfter) % (len(recs) + 1)
-		if cut > 0 {
-			if err := v.client.ShipRecords(recs[:cut], recs[cut-1].LSN); err != nil {
-				return false
-			}
-			if err := v.client.Materialize(0, recs[cut-1].LSN); err != nil {
-				return false
-			}
+		ship := func(batch []plog.Record) bool {
+			return len(batch) == 0 || v.client.ShipRecords(batch, batch[len(batch)-1].LSN) == nil
 		}
-		if cut < len(recs) {
-			if err := v.client.ShipRecords(recs[cut:], lsn); err != nil {
-				return false
-			}
+		// Ship in two batches.
+		cut := int(cutAt) % (len(recs) + 1)
+		if !ship(recs[:cut]) || !ship(recs[cut:]) {
+			return false
 		}
 		got, _, _, err := v.client.GetPage(id, MaxLSN)
+		if err != nil || !bytes.Equal(got, expect) {
+			return false
+		}
+		// A recovery redistribution ships a prefix again: the page must not
+		// change.
+		if !ship(recs[:int(reshipAt)%(len(recs)+1)]) {
+			return false
+		}
+		got, _, _, err = v.client.GetPage(id, MaxLSN)
 		return err == nil && bytes.Equal(got, expect)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
@@ -383,17 +317,14 @@ func TestPageReconstructionProperty(t *testing.T) {
 }
 
 func TestErrPageTooOld(t *testing.T) {
-	v := newTestVolume(t, VolumeConfig{PageChunks: 1, MaxVersionsPerPage: 1, MaterializeInterval: time.Hour})
+	v := newTestVolume(t, VolumeConfig{PageChunks: 1})
 	id := types.PageID{Space: 1, No: 1}
 	for i := types.LSN(1); i <= 3; i++ {
 		if err := v.client.ShipRecords([]plog.Record{{LSN: i, Page: id, Off: 0, Data: []byte{byte(i)}}}, i); err != nil {
 			t.Fatal(err)
 		}
-		if err := v.client.Materialize(0, i); err != nil {
-			t.Fatal(err)
-		}
 	}
-	// Only the newest version is retained; requesting LSN 1 must fail.
+	// Only the newest image is kept; requesting LSN 1 must fail.
 	_, _, _, err := v.client.GetPage(id, 1)
 	if !errors.Is(err, ErrPageTooOld) {
 		t.Fatalf("err = %v, want ErrPageTooOld", err)

@@ -14,9 +14,6 @@ type Addr struct {
 	Off    uint64
 }
 
-// Nil reports whether the address is the zero value.
-func (a Addr) Nil() bool { return a == Addr{} }
-
 func (a Addr) String() string {
 	return fmt.Sprintf("%s/r%d+%d", a.Node, a.Region, a.Off)
 }

@@ -18,13 +18,6 @@ func (e *Endpoint) RegisterHandler(method string, h Handler) {
 	e.handlers[method] = h
 }
 
-// DeregisterHandler removes an RPC handler.
-func (e *Endpoint) DeregisterHandler(method string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.handlers, method)
-}
-
 // Call performs a two-sided RPC round trip to the target node. Request and
 // response bytes both pay the per-KB bandwidth cost.
 func (e *Endpoint) Call(target NodeID, method string, req []byte) ([]byte, error) {

@@ -186,18 +186,6 @@ func readPages(rd *wire.Reader) []types.PageID {
 // node still holds or has only queued for unregistering is answered from
 // the table (Exists=true), cancelling the queued unregister.
 func (p *Pool) Register(page types.PageID) (RegisterResult, error) {
-	return p.register(page, false)
-}
-
-// RegisterIfCached is page_register with the scan-pollution guard: it
-// takes a reference only if the page is already in the pool, and never
-// allocates (§3.1.3: full-table-scan pages are not written into remote
-// memory). Exists=false means no reference was taken.
-func (p *Pool) RegisterIfCached(page types.PageID) (RegisterResult, error) {
-	return p.register(page, true)
-}
-
-func (p *Pool) register(page types.PageID, noAlloc bool) (RegisterResult, error) {
 	// Counted, not unbounded: a round goes again only if a drop callback or
 	// a home switch overtook its reply, which takes a slab crash, a Shrink
 	// or a failover each time.
@@ -206,20 +194,19 @@ func (p *Pool) register(page types.PageID, noAlloc bool) (RegisterResult, error)
 		if r == nil {
 			return res, nil
 		}
-		res, err := p.registerAtHome(page, noAlloc)
+		res, err := p.registerAtHome(page)
 		if errors.Is(err, ErrOutOfMemory) {
 			// Our own queued unregisters may be what pins the pool full.
 			if sent, ferr := p.flush(); sent && ferr == nil {
-				res, err = p.registerAtHome(page, noAlloc)
+				res, err = p.registerAtHome(page)
 			}
 		}
-		referenced := err == nil && (res.Exists || !noAlloc)
 		p.mu.Lock()
 		// The reply may describe a slot the home has since taken away.
-		overtaken := referenced && p.dropSeq != r.seq
+		overtaken := err == nil && p.dropSeq != r.seq
 		done := r.done
 		if p.regs[page] == r { // else SwitchHome emptied the table
-			if referenced && !overtaken {
+			if err == nil && !overtaken {
 				r.res, r.users, r.done = res, 1, nil
 			} else {
 				delete(p.regs, page)
@@ -269,12 +256,11 @@ func (p *Pool) claim(page types.PageID) (*registration, RegisterResult) {
 	}
 }
 
-func (p *Pool) registerAtHome(page types.PageID, noAlloc bool) (RegisterResult, error) {
+func (p *Pool) registerAtHome(page types.PageID) (RegisterResult, error) {
 	p.met.register.Inc()
-	w := wire.NewWriter(12)
+	w := wire.NewWriter(8)
 	w.U32(uint32(page.Space))
 	w.U32(uint32(page.No))
-	w.Bool(noAlloc)
 	home := p.Home()
 	resp, err := p.ep.Call(home, method("reg"), w.Bytes())
 	if err != nil {
@@ -291,9 +277,6 @@ func (p *Pool) registerAtHome(page types.PageID, noAlloc bool) (RegisterResult, 
 	rd.U16() // owner index: fixed at hello, the same on every home
 	if err := rd.Err(); err != nil {
 		return RegisterResult{}, err
-	}
-	if noAlloc && !res.Exists {
-		return res, nil // no reference taken
 	}
 	res.Data = rdma.Addr{Node: slabNode, Region: slabRegion, Off: dataOff}
 	res.PL = rdma.Addr{Node: home, Region: metaRegion, Off: slotOff}

@@ -169,10 +169,6 @@ func (h *Home) Close() {
 // Endpoint returns the home's fabric endpoint.
 func (h *Home) Endpoint() *rdma.Endpoint { return h.ep }
 
-// MetaRegionID returns the id of the RDMA-registered metadata region
-// (clients build PL/PIB addresses from it).
-func (h *Home) MetaRegionID() uint32 { return h.tab.meta.ID() }
-
 // Stats returns an occupancy snapshot.
 func (h *Home) Stats() Stats {
 	h.mu.Lock()
@@ -331,10 +327,6 @@ func (h *Home) handleRegister(from rdma.NodeID, req []byte) ([]byte, error) {
 	}
 	rd := wire.NewReader(req)
 	page := types.PageID{Space: types.SpaceID(rd.U32()), No: types.PageNo(rd.U32())}
-	noAlloc := false
-	if rd.Remaining() > 0 {
-		noAlloc = rd.Bool()
-	}
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
@@ -347,16 +339,10 @@ func (h *Home) handleRegister(from rdma.NodeID, req []byte) ([]byte, error) {
 	delete(h.kicked, from) // a registering node is alive by definition
 	idx := h.nodeIndexLocked(from)
 	e, exists := h.tab.pat[page.Key()]
-	switch {
-	case exists:
+	if exists {
 		h.met.hits.Inc()
 		h.mutate(homeOp{kind: replOpAddRef, page: page, node: from})
-	case noAlloc:
-		// Cache-pollution guard (§3.1.3): a scan checks for an existing
-		// remote copy but never allocates one; the reply's addresses are zero.
-		h.met.misses.Inc()
-		e = &patEntry{}
-	default:
+	} else {
 		h.met.misses.Inc()
 		if len(h.tab.metaFree) == 0 {
 			return nil, ErrMetaFull

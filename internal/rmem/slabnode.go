@@ -35,13 +35,6 @@ func NewSlabNode(ep *rdma.Endpoint, cfg Config) *SlabNode {
 // Endpoint returns the node's fabric endpoint.
 func (n *SlabNode) Endpoint() *rdma.Endpoint { return n.ep }
 
-// SlabCount returns the number of slabs currently hosted.
-func (n *SlabNode) SlabCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.slabs)
-}
-
 // handleCreate allocates a Page Array of the requested page count and
 // registers it with the NIC; the response carries the region id.
 func (n *SlabNode) handleCreate(from rdma.NodeID, req []byte) ([]byte, error) {

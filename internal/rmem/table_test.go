@@ -110,7 +110,7 @@ func driveTablePair(t *testing.T, seed int64, steps int) {
 		c := clients[rng.Intn(len(clients))]
 		page := pid(uint32(rng.Intn(24)))
 		switch r := rng.Intn(100); {
-		case r < 40: // evicts the LRU page once the pool is full
+		case r < 45: // evicts the LRU page once the pool is full
 			res, err := c.Register(page)
 			if err != nil && !errors.Is(err, ErrOutOfMemory) {
 				t.Fatalf("register: %v", err)
@@ -125,13 +125,6 @@ func driveTablePair(t *testing.T, seed int64, steps int) {
 				}
 			}
 			return fmt.Sprintf("register %s", page)
-		case r < 45:
-			if res, err := c.RegisterIfCached(page); err != nil {
-				t.Fatal(err)
-			} else if res.Exists {
-				held[c][page] = true
-			}
-			return fmt.Sprintf("register-if-cached %s", page)
 		case r < 66: // queued in the node's librmem; every 16th sends a batch of unrefs
 			for pg := range held[c] {
 				page = pg

@@ -69,9 +69,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
-
 // Mean returns the average observation (0 if empty).
 func (h *Histogram) Mean() time.Duration {
 	n := h.count.Load()

@@ -76,9 +76,6 @@ func NewService(region *rdma.Region, slots int) *Service {
 	return s
 }
 
-// Slots returns the CTS log capacity.
-func (s *Service) Slots() int { return s.slots }
-
 // NextTS allocates a new monotonic timestamp (cts_read / cts_commit).
 func (s *Service) NextTS() types.Timestamp {
 	v, err := s.region.FetchAdd64Local(ctsCounterOff, 1)
