@@ -914,7 +914,7 @@ func TestLeavesGivesUpOnPersistentConflict(t *testing.T) {
 	wrap(f).setSMOStamp(^uint64(0))
 	s.Unpin(f)
 	got, err := tr.Leaves([]uint64{1, 2000, 4000}, Optimistic)
-	if !isSMOConflict(err) || got != nil {
+	if !errors.Is(err, ErrSMOConflict) || got != nil {
 		t.Fatalf("leaves = %v, err = %v, want an SMO conflict", got, err)
 	}
 	if s.plS.Load() != 0 {

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"errors"
 	"fmt"
 
 	"polardb/internal/types"
@@ -199,6 +200,11 @@ func (rc *readCtx) release(n *node) {
 	rc.t.store.Unpin(n.f)
 }
 
+// optimisticRetries is how many times a read retries an SMO conflict with
+// a fresh clock before it falls back to PessimisticS (§4.1), or, for a
+// prefetch, gives up.
+const optimisticRetries = 3
+
 // scanReadAhead is how many leaves past the one it is about to read a
 // range scan asks the store to warm. Their reads then overlap the first
 // one instead of following it; an early stop wastes at most this many.
@@ -233,30 +239,15 @@ func (rc *readCtx) descendToLeaf(key, to uint64) (*node, error) {
 
 // Get returns a copy of key's value.
 func (t *Tree) Get(key uint64, mode TraverseMode) ([]byte, error) {
-	const optimisticRetries = 3
 	for attempt := 0; ; attempt++ {
 		val, err := t.getOnce(key, mode, attempt > 0)
-		if err == nil || !isSMOConflict(err) {
+		if err == nil || !errors.Is(err, ErrSMOConflict) {
 			return val, err
 		}
 		if attempt >= optimisticRetries {
 			mode = PessimisticS // fall back (§4.1)
 		}
 	}
-}
-
-func isSMOConflict(err error) bool {
-	for e := err; e != nil; {
-		if e == ErrSMOConflict {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }
 
 func (t *Tree) getOnce(key uint64, mode TraverseMode, retry bool) ([]byte, error) {
@@ -292,10 +283,9 @@ func (t *Tree) getOnce(key uint64, mode TraverseMode, retry bool) ([]byte, error
 // expects. An SMO conflict is retried with a fresh clock a few times and
 // then given up: a prefetch never fails the query it runs ahead of.
 func (t *Tree) Leaves(keys []uint64, mode TraverseMode) ([]types.PageID, error) {
-	const optimisticRetries = 3
 	for attempt := 0; ; attempt++ {
 		leaves, err := t.leavesOnce(keys, mode, attempt > 0)
-		if err == nil || !isSMOConflict(err) || attempt >= optimisticRetries {
+		if err == nil || !errors.Is(err, ErrSMOConflict) || attempt >= optimisticRetries {
 			return leaves, err
 		}
 	}
@@ -361,7 +351,6 @@ type KV struct {
 // Scan streams entries with from <= key < to in order, calling fn outside
 // any latch. fn returning false stops the scan.
 func (t *Tree) Scan(from, to uint64, mode TraverseMode, fn func(KV) bool) error {
-	const optimisticRetries = 3
 	cursor := from
 	attempt := 0
 	retry := false
@@ -374,7 +363,7 @@ func (t *Tree) Scan(from, to uint64, mode TraverseMode, fn func(KV) bool) error 
 			}
 			continue
 		}
-		if !isSMOConflict(err) {
+		if !errors.Is(err, ErrSMOConflict) {
 			return err
 		}
 		attempt++
@@ -468,27 +457,14 @@ func (t *Tree) PatchInPlace(m Mtr, key uint64, fn func(val []byte) (off int, dat
 // with the leaf still write-latched would deadlock on that very page
 // when the descent comes back to it, as it does after a root split).
 func (t *Tree) patchOnce(m Mtr, key uint64, fn func(val []byte) (off int, data []byte, ok bool)) (done bool, err error) {
-	cur, err := t.fetch(rootPageNo)
+	rc := &readCtx{t: t, mode: Local}
+	cur, err := rc.descendToLeaf(key, 0)
 	if err != nil {
 		return true, err
 	}
-	cur.f.Latch.RLock()
-	for !cur.isLeaf() {
-		child, err := t.fetch(cur.descendChild(key))
-		if err != nil {
-			cur.f.Latch.RUnlock()
-			t.store.Unpin(cur.f)
-			return true, err
-		}
-		child.f.Latch.RLock()
-		cur.f.Latch.RUnlock()
-		t.store.Unpin(cur.f)
-		cur = child
-	}
 	no := cur.pageNo()
 	_, present := cur.search(key)
-	cur.f.Latch.RUnlock()
-	t.store.Unpin(cur.f)
+	rc.release(cur)
 	if !present {
 		return true, ErrKeyNotFound
 	}
@@ -566,30 +542,16 @@ func (t *Tree) write(m Mtr, key uint64, val []byte, op writeOp) error {
 
 // writeOptimistic returns done=false when an SMO is (possibly) required.
 func (t *Tree) writeOptimistic(m Mtr, key uint64, val []byte, op writeOp) (bool, error) {
-	cur, err := t.fetch(rootPageNo)
+	rc := &readCtx{t: t, mode: Local}
+	cur, err := rc.descendToLeaf(key, 0)
 	if err != nil {
 		return true, err
-	}
-	cur.f.Latch.RLock()
-	for !cur.isLeaf() {
-		childNo := cur.descendChild(key)
-		child, err := t.fetch(childNo)
-		if err != nil {
-			cur.f.Latch.RUnlock()
-			t.store.Unpin(cur.f)
-			return true, err
-		}
-		child.f.Latch.RLock()
-		cur.f.Latch.RUnlock()
-		t.store.Unpin(cur.f)
-		cur = child
 	}
 	// Re-latch the leaf exclusively (revalidating it still covers key is
 	// unnecessary: we held its R latch until here only in coupling steps;
 	// between RUnlock and Lock the leaf may split, so verify).
 	no := cur.pageNo()
-	cur.f.Latch.RUnlock()
-	t.store.Unpin(cur.f)
+	rc.release(cur)
 
 	leaf, err := t.fetch(no)
 	if err != nil {

@@ -327,9 +327,6 @@ func (c *Cache) Resize(capacity int) error {
 	for _, v := range victims {
 		c.runEvict(v)
 	}
-	if len(victims) == 0 {
-		return nil
-	}
 	return nil
 }
 

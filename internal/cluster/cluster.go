@@ -38,10 +38,9 @@ type Config struct {
 	LocalCachePages int
 	// ROMode picks Optimistic (default) or PessimisticS global latching.
 	ROMode btree.TraverseMode
-	// HeartbeatInterval / HeartbeatMisses tune RW failure detection
-	// (the paper's CM works at 1 Hz; tests use milliseconds).
+	// HeartbeatInterval tunes RW failure detection (the paper's CM works
+	// at 1 Hz; tests use milliseconds).
 	HeartbeatInterval time.Duration
-	HeartbeatMisses   int
 	// CheckpointInterval enables background coverage sync + log GC.
 	CheckpointInterval time.Duration
 	// LockWait bounds row lock waits (deadlocks resolve by timeout).
@@ -66,9 +65,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 20 * time.Millisecond
-	}
-	if c.HeartbeatMisses == 0 {
-		c.HeartbeatMisses = 3
 	}
 }
 
@@ -194,7 +190,8 @@ func (c *Cluster) GrowMemory(slabs int) (int, error) {
 }
 
 // ShrinkMemory shrinks the pool to at most targetPages (Figure 8's
-// scale-in events); unreferenced pages are evicted at once. Every node
+// scale-in events): unreferenced pages are evicted first, and pages still
+// held on the slabs that leave are purged (rmem.Home.Shrink). Every node
 // first sends the unregisters its librmem has queued, so that pages no
 // node uses any more count as unreferenced.
 func (c *Cluster) ShrinkMemory(targetPages int) (int, error) {

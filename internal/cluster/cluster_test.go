@@ -19,7 +19,6 @@ func testConfig() Config {
 		SlabPages:         256,
 		LocalCachePages:   256,
 		HeartbeatInterval: 15 * time.Millisecond,
-		HeartbeatMisses:   3,
 	}
 }
 
@@ -349,6 +348,95 @@ func TestMemoryElasticity(t *testing.T) {
 	}
 	if shrunk > base {
 		t.Fatalf("shrunk = %d, want <= %d", shrunk, base)
+	}
+}
+
+// TestPoolResizeUnderLoadKeepsAcknowledgedRows: the pool grows and shrinks
+// six times while two writers commit and a reader reads through the RO
+// nodes. Each Shrink takes away slabs that hold pages the nodes still use,
+// so it purges referenced pages; every acknowledged row must still read
+// back at its last acknowledged value.
+func TestPoolResizeUnderLoadKeepsAcknowledgedRows(t *testing.T) {
+	cfg := testConfig()
+	cfg.HeartbeatInterval = time.Hour
+	// The pool keeps room for every page the three nodes can hold (24 cached
+	// plus 16 queued each), so no fill finds it full, while the rows and
+	// their undo outgrow it many times over.
+	cfg.MemorySlabs, cfg.SlabPages, cfg.LocalCachePages = 2, 64, 24
+	c := launch(t, cfg)
+	if _, err := c.RW.Engine.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	acked := map[uint64]string{}
+	stop := make(chan struct{})
+	errCh := make(chan error, 3)
+	var wg sync.WaitGroup
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
+	for w := uint64(0); w < 3; w++ { // two writers, then the reader
+		wg.Add(1)
+		go func(w uint64) {
+			defer wg.Done()
+			s := c.Proxy.Connect()
+			defer s.Close()
+			for i := uint64(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := (w%2)*1000 + i%300
+				if w == 2 {
+					if _, _, err := s.Get("t", k); err != nil {
+						errCh <- fmt.Errorf("read %d: %w", k, err)
+						return
+					}
+					continue
+				}
+				v := fmt.Sprintf("w%d-%d-%0400d", w, i, 0)
+				if err := s.Exec("t", OpPut, k, []byte(v)); err != nil {
+					errCh <- fmt.Errorf("write %d: %w", k, err)
+					return
+				}
+				mu.Lock()
+				acked[k] = v
+				mu.Unlock()
+			}
+		}(w)
+	}
+	base := c.Home.TotalSlots()
+	for round := 0; round < 6; round++ {
+		if _, err := c.GrowMemory(2); err != nil {
+			t.Fatal(err)
+		}
+		// Shrink once the new slabs hold pages.
+		for deadline := time.Now().Add(5 * time.Second); c.Home.Stats().UsedSlots < base+cfg.SlabPages && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if _, err := c.ShrinkMemory(base); err != nil {
+			t.Fatalf("round %d: shrink: %v", round, err)
+		}
+	}
+	halt()
+	select {
+	case err := <-errCh:
+		t.Fatal(err)
+	default:
+	}
+	told := uint64(0)
+	for _, n := range append([]*DBNode{c.RW}, c.ROs...) {
+		told += n.EP.Metrics().Snapshot().Counter("rmem.slabfail.pages")
+	}
+	if told == 0 {
+		t.Fatal("no node was told of a purged page; the test checks nothing")
+	}
+	s := c.Proxy.Connect()
+	defer s.Close()
+	for k, want := range acked {
+		if v, ok, err := s.Get("t", k); err != nil || !ok || string(v) != want {
+			t.Fatalf("key %d after the resizes: %q %v %v, want %q", k, v, ok, err, want)
+		}
 	}
 }
 

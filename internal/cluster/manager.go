@@ -70,6 +70,10 @@ func (m *Manager) cmEP() *rdma.Endpoint {
 	return ep
 }
 
+// heartbeatMisses is how many RW heartbeats in a row may fail before the
+// CM fails the RW over.
+const heartbeatMisses = 3
+
 func (m *Manager) heartbeatLoop(stop chan struct{}) {
 	defer m.wg.Done()
 	ep := m.cmEP()
@@ -90,7 +94,7 @@ func (m *Manager) heartbeatLoop(stop chan struct{}) {
 		_, err := ep.CallTimeout(rw.ID, "cm.ping", nil, m.c.cfg.HeartbeatInterval)
 		if err != nil {
 			misses++
-			if misses >= m.c.cfg.HeartbeatMisses {
+			if misses >= heartbeatMisses {
 				m.event("rw %s unresponsive (%d misses); initiating failover", rw.ID, misses)
 				if err := m.Failover(false); err != nil {
 					m.event("failover failed: %v", err)

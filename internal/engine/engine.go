@@ -74,8 +74,6 @@ type Config struct {
 	RWNode rdma.NodeID
 	// CTSRegionID is the RW node's CTS region (RO nodes).
 	CTSRegionID uint32
-	// CTSSlots sizes the CTS log.
-	CTSSlots int
 	// LocalCachePages sizes the node-local cache tier.
 	LocalCachePages int
 	// ROMode picks the RO traversal protocol: Optimistic (default,
@@ -101,9 +99,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.LockWait == 0 {
 		c.LockWait = 2 * time.Second
-	}
-	if c.CTSSlots == 0 {
-		c.CTSSlots = txn.DefaultCTSSlots
 	}
 	if c.ROMode == 0 && c.ReadOnly {
 		c.ROMode = btree.Optimistic
@@ -238,8 +233,8 @@ func NewRW(deps Deps, cfg Config) (*Engine, error) {
 	cfg.ReadOnly = false
 	cfg.applyDefaults()
 	e := newEngine(deps, cfg)
-	e.ctsReg = deps.EP.RegisterRegion(txn.RegionSize(cfg.CTSSlots))
-	e.cts = txn.NewService(e.ctsReg, cfg.CTSSlots)
+	e.ctsReg = deps.EP.RegisterRegion(txn.RegionSize(txn.DefaultCTSSlots))
+	e.cts = txn.NewService(e.ctsReg, txn.DefaultCTSSlots)
 	e.locks = txn.NewLockTable(cfg.LockWait)
 	e.ep.RegisterHandler("eng.flushpage", e.handleFlushPage)
 	e.ep.RegisterHandler(leaseMethod, e.handleLease)
@@ -251,7 +246,7 @@ func NewRO(deps Deps, cfg Config) (*Engine, error) {
 	cfg.ReadOnly = true
 	cfg.applyDefaults()
 	e := newEngine(deps, cfg)
-	e.ctsCli = txn.NewClient(deps.EP, cfg.RWNode, cfg.CTSRegionID, cfg.CTSSlots)
+	e.ctsCli = txn.NewClient(deps.EP, cfg.RWNode, cfg.CTSRegionID, txn.DefaultCTSSlots)
 	e.start()
 	return e, nil
 }
@@ -451,6 +446,14 @@ func (e *Engine) fetch(id types.PageID, fresh bool) (*cache.Frame, error) {
 		if err != nil {
 			return nil, err
 		}
+		if fl.addressesGone {
+			// The fill may have read through addresses the pool has since
+			// given to another page: read the page again.
+			if err := e.refreshFrame(f); err != nil {
+				f.Unpin()
+				return nil, err
+			}
+		}
 		return f, nil
 	}
 }
@@ -467,10 +470,12 @@ func (e *Engine) onInvalidate(id types.PageID) {
 	e.cache.Invalidate(id)
 }
 
-// onAddressesGone is the pool's other callback: the home took these
-// pages' slots away (slab crash, Shrink migration, forced eviction at RW
-// recovery), and librmem has already forgotten the registrations. The
-// cached copy forgets its addresses too and re-registers on next use.
+// onAddressesGone is the pool's other callback: the home purged these
+// pages (slab crash, Shrink, RW takeover), and librmem has already
+// forgotten the registrations. An RO's cached copy forgets its addresses
+// too and is read again on next use. The RW's copy is the newest there is,
+// so it is kept: it only forgets its addresses, under its latch, and is
+// storage-direct until an RO asks for it (handleFlushPage).
 func (e *Engine) onAddressesGone(pages []types.PageID) {
 	for _, id := range pages {
 		e.flightMu.Lock()
@@ -478,11 +483,19 @@ func (e *Engine) onAddressesGone(pages []types.PageID) {
 			fl.invalidated, fl.addressesGone = true, true
 		}
 		e.flightMu.Unlock()
-		if f := e.cache.Get(id); f != nil {
+		f := e.cache.Get(id)
+		if f == nil {
+			continue
+		}
+		if e.cfg.ReadOnly {
 			f.Remote = cache.RemoteInfo{}
 			f.Invalidate()
-			f.Unpin()
+		} else {
+			f.Latch.Lock()
+			f.Remote = cache.RemoteInfo{}
+			f.Latch.Unlock()
 		}
+		f.Unpin()
 	}
 }
 
@@ -494,17 +507,26 @@ func (e *Engine) Unpin(f *cache.Frame) { f.Unpin() }
 func (e *Engine) loadFrame(id types.PageID, fresh bool) (*cache.Frame, error) {
 	f := &cache.Frame{ID: id, Data: make([]byte, types.PageSize)}
 	fromRemote := false
-	allocated := false
+	// Populate the remote copy from storage only when we are the RW (the
+	// sole writer), or an RO that allocated the remote page while the RW
+	// holds no copy: an RO overwriting a page the RW may write could race
+	// the RW's invalidate/write-back and clear a PIB bit the RW just set.
+	populate := !e.cfg.ReadOnly
 	if e.pool != nil {
 		res, err := e.pool.Register(id)
 		switch {
 		case err == nil:
 			f.Remote = cache.RemoteInfo{Registered: true, Data: res.Data, PL: res.PL, PIB: res.PIB}
-			allocated = !res.Exists
-			if res.Exists && !fresh {
-				if err := e.readRemoteFresh(f); err == nil {
+			// An RO asks about a slot it allocated, too: the RW may hold the
+			// page outside the pool, with redo storage has not seen yet.
+			if !fresh && (res.Exists || e.cfg.ReadOnly) {
+				err := e.readRemoteFresh(f)
+				switch {
+				case err == nil:
 					fromRemote = true
-				} else if !errors.Is(err, ErrStalePage) {
+				case errors.Is(err, errNoRWCopy):
+					populate = populate || !res.Exists
+				case !errors.Is(err, errReadStorage):
 					_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed when the node is kicked
 					return nil, err
 				}
@@ -527,17 +549,10 @@ func (e *Engine) loadFrame(id types.PageID, fresh bool) (*cache.Frame, error) {
 			}
 			return nil, err
 		}
-		if f.Remote.Registered {
-			// Populate the remote copy only when we allocated the remote
-			// page (nobody else references it) or we are the RW (the sole
-			// writer): an RO overwriting an existing remote page could
-			// race the RW's invalidate/write-back and clear a PIB bit the
-			// RW just set.
-			if allocated || !e.cfg.ReadOnly {
-				if err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB); err != nil {
-					_ = e.pool.Unregister(id) //polarvet:allow errdrop demoting the page to storage-direct; the write failure is already handled by clearing Remote
-					f.Remote = cache.RemoteInfo{}
-				}
+		if f.Remote.Registered && populate {
+			if err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB); err != nil {
+				_ = e.pool.Unregister(id) //polarvet:allow errdrop demoting the page to storage-direct; the write failure is already handled by clearing Remote
+				f.Remote = cache.RemoteInfo{}
 			}
 		}
 	}
@@ -557,6 +572,10 @@ func (e *Engine) loadFrame(id types.PageID, fresh bool) (*cache.Frame, error) {
 
 // readRemoteFresh reads the page from remote memory once its PIB bit is
 // clear, asking the RW node to write back its newer local copy if needed.
+// errReadStorage means storage is current; errNoRWCopy says so too, and
+// that the RW holds no copy of the page. A PIB that never clears is an
+// ErrStalePage the caller sees: the RW kept writing its copy back to a slot
+// the pool had just taken away, and storage may lag that copy.
 func (e *Engine) readRemoteFresh(f *cache.Frame) error {
 	for attempt := 0; attempt < 10; attempt++ {
 		stale, err := e.pool.PIBStale(f.Remote.PIB)
@@ -564,33 +583,57 @@ func (e *Engine) readRemoteFresh(f *cache.Frame) error {
 			return err
 		}
 		if !stale {
-			return e.pool.ReadPage(f.Remote.Data, f.Data)
+			if err := e.pool.ReadPage(f.Remote.Data, f.Data); err != nil {
+				// Most likely a purge freed the slab under the read. The RW
+				// holds no copy, so storage is current; an RO's proxy asks
+				// again, and the next fill registers afresh.
+				if !e.cfg.ReadOnly {
+					return errReadStorage
+				}
+				return fmt.Errorf("%w: %v", ErrStalePage, err)
+			}
+			return nil
 		}
 		if !e.cfg.ReadOnly {
 			// We are the RW and do not hold the page locally: the stale
 			// bit is a leftover (e.g. a racing registration by an RO that
 			// has not populated data yet). Fall back to storage.
-			return ErrStalePage
+			return errReadStorage
 		}
-		ok, err := e.requestRWFlush(f.ID)
-		if err != nil || !ok {
-			return ErrStalePage // RW does not hold it: storage is current
+		reply, err := e.requestRWFlush(f.ID)
+		switch {
+		case err != nil || reply == flushDirect:
+			return errReadStorage
+		case reply == flushNone:
+			return errNoRWCopy
 		}
 	}
 	return fmt.Errorf("%w: %s (PIB never cleared)", ErrStalePage, f.ID)
 }
 
-// requestRWFlush asks the RW node to write a page back to remote memory.
-// ok=false means the RW has no local copy (storage is authoritative).
-func (e *Engine) requestRWFlush(id types.PageID) (bool, error) {
+// eng.flushpage replies (handleFlushPage).
+const (
+	flushNone    = 0 // the RW holds no copy: storage is current
+	flushWritten = 1 // the RW wrote its copy back to the page's pool slot
+	flushDirect  = 2 // the RW holds a copy outside the pool, and its redo has shipped
+)
+
+var (
+	errReadStorage = fmt.Errorf("%w: storage is current", ErrStalePage)
+	errNoRWCopy    = fmt.Errorf("%w: the RW holds no copy", errReadStorage)
+)
+
+// requestRWFlush asks the RW node to write a page back to remote memory
+// and returns its reply (flushNone, flushWritten or flushDirect).
+func (e *Engine) requestRWFlush(id types.PageID) (byte, error) {
 	req := make([]byte, 8)
 	binary.LittleEndian.PutUint32(req[0:], uint32(id.Space))
 	binary.LittleEndian.PutUint32(req[4:], uint32(id.No))
 	resp, err := e.ep.CallTimeout(e.cfg.RWNode, "eng.flushpage", req, flushPageTimeout)
-	if err != nil {
-		return false, err
+	if err != nil || len(resp) != 1 {
+		return flushNone, err
 	}
-	return len(resp) == 1 && resp[0] == 1, nil
+	return resp[0], nil
 }
 
 // refreshFrame re-reads an invalidated local copy (RO path). The
@@ -615,7 +658,7 @@ func (e *Engine) refreshFrame(f *cache.Frame) error {
 			e.adoptRemote(f)
 			f.SetCurrent(seen)
 			return nil
-		} else if !errors.Is(err, ErrStalePage) {
+		} else if !errors.Is(err, errReadStorage) {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 
+	"polardb/internal/cache"
 	"polardb/internal/rdma"
 	"polardb/internal/txn"
 	"polardb/internal/types"
@@ -10,8 +11,13 @@ import (
 
 // handleFlushPage serves an RO node's request to write a page this RW
 // holds dirty back to remote memory (so the RO can read a fresh copy).
-// Replies 1 if the page was written back, 0 if this node has no local
-// copy (storage is then authoritative).
+// Replies flushWritten if the page was written back, flushNone if this
+// node has no local copy (storage is then authoritative), and flushDirect
+// if its copy is storage-direct, once the redo that made it has shipped.
+// A storage-direct copy — the pool took its addresses, or was full — first
+// registers again: an RO that reads it from storage instead may find an
+// image that lags it or, with two MTRs logged out of the order they wrote
+// in, differs from it.
 func (e *Engine) handleFlushPage(from rdma.NodeID, req []byte) ([]byte, error) {
 	if len(req) < 8 {
 		return nil, txn.ErrBadRecord
@@ -25,13 +31,21 @@ func (e *Engine) handleFlushPage(from rdma.NodeID, req []byte) ([]byte, error) {
 		// If the page is mid-eviction its write-back is in flight; once it
 		// finishes, the remote copy is fresh and the caller can use it.
 		e.cache.WaitEvicting(id)
-		return []byte{0}, nil
+		return []byte{flushNone}, nil
 	}
 	defer f.Unpin()
-	if !f.Remote.Registered {
-		return []byte{0}, nil
+	f.Latch.RLock()
+	direct := !f.Remote.Registered
+	f.Latch.RUnlock()
+	if direct && e.pool != nil {
+		f.Latch.Lock()
+		if !f.Remote.Registered {
+			if res, err := e.pool.Register(id); err == nil {
+				f.Remote = cache.RemoteInfo{Registered: true, Data: res.Data, PL: res.PL, PIB: res.PIB}
+			}
+		}
+		f.Latch.Unlock()
 	}
-	e.met.flushServed.Inc()
 	// A frame modified by a still-open mini-transaction must not be
 	// shipped: its bytes may reference the MTR's other pages (e.g. a data
 	// row pointing at a new undo record) whose remote copies are not yet
@@ -52,11 +66,18 @@ func (e *Engine) handleFlushPage(from rdma.NodeID, req []byte) ([]byte, error) {
 		}
 		e.mtrMu.Unlock()
 	}
+	if !f.Remote.Registered {
+		lsn := f.NewestLSN
+		f.Latch.RUnlock()
+		e.waitShipped(lsn)
+		return []byte{flushDirect}, nil
+	}
+	e.met.flushServed.Inc()
 	err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB)
 	f.Latch.RUnlock()
 	if err != nil {
 		return nil, err
 	}
 	f.ClearDirty()
-	return []byte{1}, nil
+	return []byte{flushWritten}, nil
 }

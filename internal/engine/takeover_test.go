@@ -110,3 +110,49 @@ func TestRecoverFailsWithoutHome(t *testing.T) {
 		t.Fatal("recovery succeeded with the pool's home unreachable")
 	}
 }
+
+// TestRWKeepsItsCopyWhenThePoolPurges: when the pool takes a page's
+// addresses away, the RW's cached copy stays what the RW reads. Here it
+// holds bytes of an MTR that has not committed, so storage has none of
+// them, and the slab under the page fails.
+func TestRWKeepsItsCopyWhenThePoolPurges(t *testing.T) {
+	h := newHarness(t, harnessOpts{})
+	tbl, err := h.rw.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCommitPut(t, h.rw, tbl, 1, "row")
+	leaf := types.PageID{Space: tbl.Primary.Space(), No: 1} // the root, a leaf while the table is small
+	f, err := h.rw.Fetch(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Remote.Registered {
+		t.Fatalf("%s is not registered with the pool; the test checks nothing", leaf)
+	}
+	mark := []byte("written by mtr")
+	const off = 2048 // between the slot array and the cells
+	mt := h.rw.BeginMtr()
+	f.Latch.Lock()
+	mt.LogWrite(f, off, mark)
+	f.Latch.Unlock()
+	f.Unpin()
+	h.home.HandleSlabFailure("mem0")
+	g, err := h.rw.Fetch(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Latch.RLock()
+	got, registered := bytes.Clone(g.Data[off:off+len(mark)]), g.Remote.Registered
+	g.Latch.RUnlock()
+	g.Unpin()
+	if !bytes.Equal(got, mark) {
+		t.Fatalf("the RW reads %q at %d after the purge, want its own %q", got, off, mark)
+	}
+	if registered {
+		t.Fatal("the RW's copy still has the purged addresses")
+	}
+	if _, err := mt.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}

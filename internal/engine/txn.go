@@ -652,11 +652,7 @@ func (e *Engine) backfillWorker() {
 				if err != nil || rec.Trx != item.trx || rec.CTS != 0 {
 					return 0, nil, false
 				}
-				patch := make([]byte, 8)
-				for i := 0; i < 8; i++ {
-					patch[i] = byte(uint64(item.cts) >> (8 * i))
-				}
-				return txn.CTSFieldOffset, patch, true
+				return txn.CTSFieldOffset, binary.LittleEndian.AppendUint64(nil, uint64(item.cts)), true
 			})
 			// Commit on both outcomes: an abandoned mtr would keep its
 			// pins forever. On a miss (key since moved/deleted) nothing

@@ -65,9 +65,6 @@ func NewClient(ep *rdma.Endpoint, cfg VolumeConfig, peers []rdma.NodeID) *Client
 	}
 }
 
-// Config returns the volume configuration the client was built with.
-func (c *Client) Config() VolumeConfig { return c.cfg }
-
 // Partition returns the page-chunk partition owning the page.
 func (c *Client) Partition(id types.PageID) int {
 	return int(id.Key() % uint64(c.cfg.PageChunks))
@@ -124,7 +121,7 @@ func (c *Client) call(group, op string, req []byte) ([]byte, error) {
 func (c *Client) AppendRedo(recs []plog.Record) (types.LSN, error) {
 	c.met.appendRedo.Inc()
 	start := time.Now()
-	resp, err := c.call(c.cfg.LogGroup(), "append", plog.MarshalRecords(recs))
+	resp, err := c.call(logGroup, "append", plog.MarshalRecords(recs))
 	if err != nil {
 		return 0, err
 	}
@@ -140,7 +137,7 @@ func (c *Client) ReadRedo(after types.LSN, max int) ([]plog.Record, error) {
 	w := wire.NewWriter(16)
 	w.U64(uint64(after))
 	w.U32(uint32(max))
-	resp, err := c.call(c.cfg.LogGroup(), "read", w.Bytes())
+	resp, err := c.call(logGroup, "read", w.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +146,7 @@ func (c *Client) ReadRedo(after types.LSN, max int) ([]plog.Record, error) {
 
 // RedoTail returns the durable tail LSN of the redo log.
 func (c *Client) RedoTail() (types.LSN, error) {
-	resp, err := c.call(c.cfg.LogGroup(), "tail", nil)
+	resp, err := c.call(logGroup, "tail", nil)
 	if err != nil {
 		return 0, err
 	}
@@ -163,7 +160,7 @@ func (c *Client) RedoTail() (types.LSN, error) {
 func (c *Client) TruncateRedo(upTo types.LSN) error {
 	w := wire.NewWriter(8)
 	w.U64(uint64(upTo))
-	_, err := c.call(c.cfg.LogGroup(), "truncate", w.Bytes())
+	_, err := c.call(logGroup, "truncate", w.Bytes())
 	return err
 }
 
@@ -206,7 +203,7 @@ func (c *Client) AddRecords(part int, recs []plog.Record, coverage types.LSN) er
 	w := wire.NewWriter(64 + 32*len(recs))
 	w.U64(uint64(coverage))
 	w.Bytes32(plog.MarshalRecords(recs))
-	_, err := c.call(c.cfg.PageGroup(part), "add", w.Bytes())
+	_, err := c.call(pageGroup(part), "add", w.Bytes())
 	return err
 }
 
@@ -219,7 +216,7 @@ func (c *Client) GetPage(id types.PageID, atLSN types.LSN) (data []byte, lsn typ
 	w.U32(uint32(id.Space))
 	w.U32(uint32(id.No))
 	w.U64(uint64(atLSN))
-	resp, err := c.call(c.cfg.PageGroup(c.Partition(id)), "get", w.Bytes())
+	resp, err := c.call(pageGroup(c.Partition(id)), "get", w.Bytes())
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -233,7 +230,7 @@ func (c *Client) GetPage(id types.PageID, atLSN types.LSN) (data []byte, lsn typ
 
 // Coverage returns a partition's redo coverage LSN.
 func (c *Client) Coverage(part int) (types.LSN, error) {
-	resp, err := c.call(c.cfg.PageGroup(part), "coverage", nil)
+	resp, err := c.call(pageGroup(part), "coverage", nil)
 	if err != nil {
 		return 0, err
 	}

@@ -91,9 +91,9 @@ func newLogChunk(ep *rdma.Endpoint, cfg VolumeConfig, peers []rdma.NodeID) *logC
 	sm := &logChunkSM{}
 	lc := &logChunk{
 		sm:      sm,
-		replica: parallelraft.NewReplica(ep, raftConfig(cfg.Raft, cfg.LogGroup(), peers), sm),
+		replica: parallelraft.NewReplica(ep, raftConfig(cfg.Raft, logGroup, peers), sm),
 	}
-	prefix := "pfs." + cfg.LogGroup() + "."
+	prefix := "pfs." + logGroup + "."
 	ep.RegisterHandler(prefix+"append", lc.handleAppend)
 	ep.RegisterHandler(prefix+"read", lc.handleRead)
 	ep.RegisterHandler(prefix+"tail", lc.handleTail)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
-	"time"
 
 	"polardb/internal/parallelraft"
 	"polardb/internal/plog"
@@ -93,10 +92,9 @@ func (sm *pageChunkSM) coverageLSN() types.LSN {
 
 // pageChunk is one replica of a page-chunk partition on a storage node.
 type pageChunk struct {
-	sm          *pageChunkSM
-	replica     *parallelraft.Replica
-	ep          *rdma.Endpoint
-	readLatency time.Duration
+	sm      *pageChunkSM
+	replica *parallelraft.Replica
+	ep      *rdma.Endpoint
 
 	metGets *stat.Counter // page get RPCs served by this replica
 	metAdds *stat.Counter // redo add batches received by this replica
@@ -105,14 +103,13 @@ type pageChunk struct {
 func newPageChunk(ep *rdma.Endpoint, cfg VolumeConfig, peers []rdma.NodeID, part int) *pageChunk {
 	sm := &pageChunkSM{pages: make(map[uint64]*pageImage)}
 	pc := &pageChunk{
-		sm:          sm,
-		replica:     parallelraft.NewReplica(ep, raftConfig(cfg.Raft, cfg.PageGroup(part), peers), sm),
-		ep:          ep,
-		readLatency: cfg.ReadLatency,
-		metGets:     ep.Metrics().Counter("pfs.chunk.gets"),
-		metAdds:     ep.Metrics().Counter("pfs.chunk.add_batches"),
+		sm:      sm,
+		replica: parallelraft.NewReplica(ep, raftConfig(cfg.Raft, pageGroup(part), peers), sm),
+		ep:      ep,
+		metGets: ep.Metrics().Counter("pfs.chunk.gets"),
+		metAdds: ep.Metrics().Counter("pfs.chunk.add_batches"),
 	}
-	prefix := "pfs." + cfg.PageGroup(part) + "."
+	prefix := "pfs." + pageGroup(part) + "."
 	ep.RegisterHandler(prefix+"add", pc.handleAdd)
 	ep.RegisterHandler(prefix+"get", pc.handleGet)
 	ep.RegisterHandler(prefix+"coverage", pc.handleCoverage)
@@ -158,7 +155,7 @@ func (pc *pageChunk) handleGet(from rdma.NodeID, req []byte) ([]byte, error) {
 	if pc.replica.Role() != parallelraft.Leader {
 		return nil, ErrNotLeader
 	}
-	pc.ep.Fabric().Delay(pc.readLatency, types.PageSize)
+	pc.ep.Fabric().Delay(storageReadLatency, types.PageSize)
 	rd := wire.NewReader(req)
 	id := types.PageID{Space: types.SpaceID(rd.U32()), No: types.PageNo(rd.U32())}
 	at := types.LSN(rd.U64())

@@ -44,40 +44,31 @@ var (
 
 // VolumeConfig describes a volume's layout.
 type VolumeConfig struct {
-	// Name prefixes all chunk group names.
-	Name string
 	// PageChunks is the number of page-chunk partitions. Pages are assigned
 	// to partitions by hashing (space, page_no).
 	PageChunks int
-	// ReadLatency models the storage media + stack cost of serving a
-	// GetPage (beyond network RPC time). Default 2ms — ~40x above a
-	// one-sided remote memory read in the benchmark latency profile,
-	// matching the hierarchy the paper's design exploits. Scaled by the
-	// fabric's TimeScale, so latency-free test fabrics see none of it.
-	ReadLatency time.Duration
 	// Raft overrides consensus tuning knobs (Group/Peers are set per chunk).
 	Raft parallelraft.Config
 }
 
+// storageReadLatency models the storage media + stack cost of serving a
+// GetPage (beyond network RPC time): ~40x above a one-sided remote memory
+// read in the benchmark latency profile, matching the hierarchy the
+// paper's design exploits. Scaled by the fabric's TimeScale, so
+// latency-free test fabrics see none of it.
+const storageReadLatency = 2 * time.Millisecond
+
 func (c *VolumeConfig) applyDefaults() {
-	if c.Name == "" {
-		c.Name = "vol"
-	}
 	if c.PageChunks == 0 {
 		c.PageChunks = 4
 	}
-	if c.ReadLatency == 0 {
-		c.ReadLatency = 2 * time.Millisecond
-	}
 }
 
-// LogGroup returns the raft group name of the volume's log chunk.
-func (c *VolumeConfig) LogGroup() string { return c.Name + ".lc0" }
+// logGroup is the raft group name of the volume's log chunk.
+const logGroup = "vol.lc0"
 
-// PageGroup returns the raft group name of page-chunk partition p.
-func (c *VolumeConfig) PageGroup(p int) string {
-	return fmt.Sprintf("%s.pc%d", c.Name, p)
-}
+// pageGroup returns the raft group name of page-chunk partition p.
+func pageGroup(p int) string { return fmt.Sprintf("vol.pc%d", p) }
 
 // Deployment is a volume deployed across a set of storage nodes.
 type Deployment struct {

@@ -37,8 +37,8 @@ type Config struct {
 // Fabric verbs use real RoCEv2-scale numbers (~2µs one-sided, ~5µs RPC),
 // injected as yielding busy-waits because they sit far below the OS sleep
 // granularity (~1ms on typical hosts — sleeping would flatten the
-// hierarchy). Storage-class latencies (polarfs.VolumeConfig.ReadLatency,
-// default 2ms) are true sleeps, so storage waits overlap across
+// hierarchy). Storage-class latencies (a page chunk's GetPage media cost,
+// 2ms) are true sleeps, so storage waits overlap across
 // goroutines even on small hosts. The resulting hierarchy — local memory
 // ≪ remote memory (µs) ≪ storage (ms) — is what the paper's design
 // exploits.

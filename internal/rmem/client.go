@@ -34,8 +34,8 @@ type RegisterResult struct {
 // page costs no round trip; registering one that is in flight, or that
 // another goroutine is registering, waits for that round trip first. An
 // entry leaves when its batch is answered, when the home says its
-// addresses are gone (cb.slabfail: slab crash, Shrink migration, RW
-// takeover) and when the node changes home. So an entry always means
+// addresses are gone (cb.slabfail: the home's purge, for a slab crash, a
+// Shrink or an RW takeover) and when the node changes home. So an entry always means
 // "the home counts this node as a holder", and the home never evicts
 // under it; up to unregisterBatch unregistered pages per node stay pinned
 // in the pool for that — the most recently evicted here, the last the
@@ -448,9 +448,10 @@ func (p *Pool) handleInvalidateCB(from rdma.NodeID, req []byte) ([]byte, error) 
 	return nil, nil
 }
 
-// handleSlabFailCB serves the home's "addresses gone" callback: the
-// pages' slots were lost to a slab crash, moved by a Shrink, or purged by
-// an RW takeover. The table forgets them before the node's caches are told.
+// handleSlabFailCB serves the home's "addresses gone" callback: the home
+// purged the pages (slab crash, Shrink, RW takeover), and their slots go to
+// other pages once every holder has answered. The table forgets them
+// before the node's caches are told.
 func (p *Pool) handleSlabFailCB(from rdma.NodeID, req []byte) ([]byte, error) {
 	rd := wire.NewReader(req)
 	pages := readPages(rd)

@@ -10,8 +10,8 @@ import (
 // reference holders, batched per destination: each node receives one RPC
 // carrying every affected page it holds, instead of one round trip per
 // (page, holder) pair. This is the single implementation behind the
-// §3.1.4 invalidation fan-out, slab-failure notification, Shrink
-// migration and RW takeover's purge; the callback wire format is uniformly
+// §3.1.4 invalidation fan-out and the purge's "addresses gone" (slab
+// failure, Shrink, RW takeover); the callback wire format is uniformly
 // count + page ids.
 // Unresponsive holders are kicked so the notification always completes
 // (the copy they failed to drop dies with their references).

@@ -22,6 +22,10 @@ type Home struct {
 	tab     homeTable // read freely under mu; changed only through mutate
 	kicked  map[rdma.NodeID]bool
 	passive bool // slave: no client traffic until promoted
+	// purging holds the entries a purge has detached and not yet released:
+	// their holders may not have heard of the purge yet, so an invalidation
+	// of the page still goes to them.
+	purging map[*patEntry]bool
 
 	slaveMu sync.Mutex
 	slave   rdma.NodeID
@@ -72,6 +76,7 @@ func NewHome(ep *rdma.Endpoint, cfg Config, slave rdma.NodeID) *Home {
 		cfg:     cfg,
 		tab:     newHomeTable(ep.RegisterRegion(metaSlots * metaSlotSize)),
 		kicked:  make(map[rdma.NodeID]bool),
+		purging: make(map[*patEntry]bool),
 		slave:   slave,
 		met:     newHomeMetrics(ep.Metrics()),
 		closeCh: make(chan struct{}),
@@ -409,17 +414,23 @@ func (h *Home) handleInvalidate(from rdma.NodeID, req []byte) ([]byte, error) {
 	defer h.flushReplication()
 	h.mu.Lock()
 	holders := map[rdma.NodeID][]types.PageID{}
-	for _, page := range pages {
-		e, ok := h.tab.pat[page.Key()]
-		if !ok {
-			continue // not cached remotely: nothing to invalidate
-		}
-		h.met.invalidations.Inc()
-		h.mutate(homeOp{kind: replOpInvalidate, page: page})
+	tell := func(e *patEntry) {
 		for n := range e.refs {
 			if n != from {
-				holders[n] = append(holders[n], page)
+				holders[n] = append(holders[n], e.page)
 			}
+		}
+	}
+	for _, page := range pages {
+		for d := range h.purging {
+			if d.page == page {
+				tell(d)
+			}
+		}
+		if e, ok := h.tab.pat[page.Key()]; ok { // else not cached remotely
+			h.met.invalidations.Inc()
+			h.mutate(homeOp{kind: replOpInvalidate, page: page})
+			tell(e)
 		}
 	}
 	h.mu.Unlock()
@@ -428,29 +439,64 @@ func (h *Home) handleInvalidate(from rdma.NodeID, req []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// HandleSlabFailure processes a slab node crash (§5.2): every page on that
-// node's slabs is dropped from the PAT; holders are told so they fall back
-// to storage (or re-register from the RW's local cache).
+// HandleSlabFailure processes a slab node crash (§5.2): the node's slabs
+// leave the pool and the pages on them are purged, so holders fall back to
+// storage (or, on the RW, keep their own copy).
 func (h *Home) HandleSlabFailure(node rdma.NodeID) {
 	h.mu.Lock()
-	holders := make(map[rdma.NodeID][]types.PageID)
-	for _, e := range h.tab.pat {
-		if e.slab.node != node {
-			continue
-		}
-		for n := range e.refs {
-			holders[n] = append(holders[n], e.page)
-		}
-		h.mutate(homeOp{kind: replOpEvict, page: e.page})
-	}
-	// Remove the dead node's slabs from the pool.
 	for key := range h.tab.slabs {
 		if key.node == node {
 			h.mutate(homeOp{kind: replOpFreeSlab, slab: key})
 		}
 	}
 	h.mu.Unlock()
+	h.purge(h.slabGone)
+}
+
+// slabGone reports whether e's slab has left the pool (h.mu held).
+func (h *Home) slabGone(e *patEntry) bool {
+	_, ok := h.tab.slabs[e.slab]
+	return !ok
+}
+
+// purge is the one way a page that nodes may still map leaves the pool:
+// slab failure, Shrink and the RW takeover all call it, for every PAT
+// entry doomed picks (under h.mu). Three steps. Under h.mu each entry is
+// detached: it leaves the PAT and its PIB reads stale, but its slab slot
+// and metadata slot stay taken. With h.mu released, each holder gets one
+// cb.slabfail carrying its whole page list; an unreachable holder is
+// kicked, like a dead one. Only then do the slots go back to the free
+// lists. A holder that has not handled its callback yet therefore probes a
+// stale PIB, at an address no other page has been given, and hears of
+// every invalidation of the page meanwhile (handleInvalidate). The pages
+// purged are returned.
+func (h *Home) purge(doomed func(*patEntry) bool) []types.PageID {
+	h.mu.Lock()
+	var gone []*patEntry
+	var pages []types.PageID
+	holders := map[rdma.NodeID][]types.PageID{}
+	for _, e := range h.tab.pat {
+		if !doomed(e) {
+			continue
+		}
+		for n := range e.refs {
+			holders[n] = append(holders[n], e.page)
+		}
+		h.mutate(homeOp{kind: replOpDetach, page: e.page})
+		h.purging[e] = true
+		gone = append(gone, e)
+		pages = append(pages, e.page)
+	}
+	h.met.evictions.Add(uint64(len(gone)))
+	h.mu.Unlock()
 	h.flushReplication()
-	// An unreachable holder is treated as dead, like the slab node.
 	h.notifyHolders("cb.slabfail", holders)
+	h.mu.Lock()
+	for _, e := range gone {
+		delete(h.purging, e)
+		h.mutate(homeOp{kind: replOpRelease, slab: e.slab, slot: e.slot, slotOff: e.slotOff})
+	}
+	h.mu.Unlock()
+	h.flushReplication()
+	return pages
 }

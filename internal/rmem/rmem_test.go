@@ -337,35 +337,143 @@ func TestElasticGrowShrink(t *testing.T) {
 	}
 }
 
-func TestShrinkKeepsReferencedPages(t *testing.T) {
+// TestShrinkPurgesReferencedPages: Shrink below the referenced set still
+// reaches its target. The emptiest slab leaves the pool, each holder of its
+// pages is told once with its whole list, and a purged page registered
+// again gets a slot on the slab that stays.
+func TestShrinkPurgesReferencedPages(t *testing.T) {
 	tp := newTestPool(t, Config{}, 8)
 	tp.addSlabNode(t, "slab1", 8)
-	rw := tp.client(t, "rw")
-	var addrs []rdma.Addr
-	for i := uint32(0); i < 10; i++ {
+	rw, ro := tp.client(t, "rw"), tp.client(t, "ro")
+	told := map[*Pool][][]types.PageID{}
+	var mu sync.Mutex
+	for _, c := range []*Pool{rw, ro} {
+		c.OnSlabFailure(func(lost []types.PageID) {
+			mu.Lock()
+			told[c] = append(told[c], lost)
+			mu.Unlock()
+		})
+	}
+	addrs := map[uint32]rdma.Addr{}
+	for i := uint32(0); i < 10; i++ { // best fit: 0-7 on the home's slab, 8 and 9 on slab1
 		res, err := rw.Register(pid(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := bytes.Repeat([]byte{byte(i)}, types.PageSize)
-		if err := rw.WritePage(res.Data, buf, res.PIB); err != nil {
+		addrs[i] = res.Data
+	}
+	for _, no := range []uint32{0, 8, 9} {
+		if _, err := ro.Register(pid(no)); err != nil {
 			t.Fatal(err)
 		}
-		addrs = append(addrs, res.Data)
 	}
-	_, err := tp.home.Shrink(8)
+	if addrs[8].Node != "slab1" || addrs[9].Node != "slab1" {
+		t.Fatalf("pages 8, 9 at %v, %v; want both on slab1", addrs[8], addrs[9])
+	}
+	for _, no := range []uint32{1, 2} { // unreferenced: Shrink evicts them first
+		if err := rw.Unregister(pid(no)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	total, err := tp.home.Shrink(8)
+	if err != nil || total != 8 {
+		t.Fatalf("Shrink(8) = %d, %v; want 8", total, err)
+	}
+	if s := tp.home.Stats(); s.Slabs != 1 || s.UsedSlots != 6 {
+		t.Fatalf("after Shrink: %+v, want 1 slab holding the 6 pages left", s)
+	}
+	mu.Lock()
+	for _, c := range []*Pool{rw, ro} {
+		if len(told[c]) != 1 {
+			t.Fatalf("%s got %d cb.slabfail calls %v, want one", c.ep.ID(), len(told[c]), told[c])
+		}
+		got := told[c][0]
+		slices.SortFunc(got, func(a, b types.PageID) int { return cmp.Compare(a.No, b.No) })
+		if want := []types.PageID{pid(8), pid(9)}; !slices.Equal(got, want) {
+			t.Errorf("%s was told %v, want %v", c.ep.ID(), got, want)
+		}
+	}
+	mu.Unlock()
+	checkTableMatchesHome(t, tp, rw)
+	checkTableMatchesHome(t, tp, ro)
+	ops := counter(rw, "rmem.register.ops")
+	again, err := rw.Register(pid(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All referenced pages still readable with correct contents.
-	for i, a := range addrs {
-		got := make([]byte, types.PageSize)
-		if err := rw.ReadPage(a, got); err != nil {
-			t.Fatalf("page %d unreadable after shrink: %v", i, err)
+	if counter(rw, "rmem.register.ops") != ops+1 || again.Exists || again.Data.Node != "home" {
+		t.Fatalf("re-register of a purged page = %+v; want a new slot on the home's slab, from the home", again)
+	}
+}
+
+// TestPurgeFreesSlotsAfterHoldersAreTold: a purge gives a page's slab slot
+// and PIB word to another page only after every holder has been told. Here
+// holder A's callback is still running while node B takes over at a tail
+// below A's page and fills the pool with its own pages; A's old addresses
+// must probe stale and never show B's bytes meanwhile.
+func TestPurgeFreesSlotsAfterHoldersAreTold(t *testing.T) {
+	tp := newTestPool(t, Config{InvalidateTimeout: 5 * time.Second}, 4)
+	a, b := tp.client(t, "a"), tp.client(t, "b")
+	res, err := a.Register(pid(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make([]byte, types.PageSize)
+	binary.LittleEndian.PutUint64(img, 100) // page LSN
+	if err := a.WritePage(res.Data, img, res.PIB); err != nil {
+		t.Fatal(err)
+	}
+	told, release := make(chan struct{}), make(chan struct{})
+	a.OnSlabFailure(func([]types.PageID) {
+		close(told)
+		<-release
+	})
+	purged := make(chan []types.PageID, 1)
+	go func() {
+		pages, err := b.Takeover("", 50)
+		if err != nil {
+			t.Error(err)
 		}
-		if got[0] != byte(i) {
-			t.Fatalf("page %d content = %d", i, got[0])
+		purged <- pages
+	}()
+	<-told
+	mine := bytes.Repeat([]byte{0xB0}, types.PageSize)
+	filled := 0
+	for no := uint32(2); ; no++ {
+		r, err := b.Register(pid(no))
+		if errors.Is(err, ErrOutOfMemory) {
+			break
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.WritePage(r.Data, mine, r.PIB); err != nil {
+			t.Fatal(err)
+		}
+		filled++
+	}
+	if filled != 3 {
+		t.Errorf("B filled %d slots of 4 while A's page was being purged, want 3", filled)
+	}
+	if stale, err := a.PIBStale(res.PIB); err != nil || !stale {
+		t.Errorf("A's old PIB word reads stale=%v (err %v) before A was done; want stale", stale, err)
+	}
+	got := make([]byte, types.PageSize)
+	if err := a.ReadPage(res.Data, got); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, mine) {
+		t.Error("A's old slot holds B's bytes before A was done with its callback")
+	}
+	close(release)
+	if pages := <-purged; len(pages) != 1 || pages[0] != pid(1) {
+		t.Fatalf("takeover purged %v, want [%s]", pages, pid(1))
+	}
+	if _, err := b.Register(pid(99)); err != nil {
+		t.Fatalf("the purged page's slot did not come back: %v", err)
 	}
 }
 

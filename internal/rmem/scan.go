@@ -79,45 +79,23 @@ func (h *Home) handleTakeover(from rdma.NodeID, req []byte) ([]byte, error) {
 // Pool.Takeover). A PIB-fresh page can still be ahead of tail — the RW
 // writes a page back to serve an RO's eng.flushpage before its redo is
 // flushed — so each fresh page's LSN word (its first 8 bytes) is read from
-// its slab, with h.mu released like Shrink's copy; a page that cannot be
-// read is purged. The eviction skips an entry that left the pool
-// meanwhile: a page registered again is stale from birth.
+// its slab, with h.mu released; a page that cannot be read is purged. An
+// entry that left the pool meanwhile is not purged: a page registered
+// again is a new entry, stale from birth.
 func (h *Home) takeover(oldRW rdma.NodeID, tail types.LSN) []types.PageID {
 	if oldRW != "" {
 		h.kickNode(oldRW)
 		h.releaseNodeLatches(oldRW)
 	}
-	entries := h.Scan()
-	doomed := entries[:0]
+	doomed := map[*patEntry]bool{}
 	var hdr [8]byte
-	for _, en := range entries {
+	for _, en := range h.Scan() {
 		if !en.Stale {
 			if err := h.ep.Read(en.Data, hdr[:]); err == nil && types.LSN(binary.LittleEndian.Uint64(hdr[:])) <= tail {
 				continue
 			}
 		}
-		doomed = append(doomed, en)
+		doomed[en.entry] = true
 	}
-	h.mu.Lock()
-	purged := make([]types.PageID, 0, len(doomed))
-	holders := map[rdma.NodeID][]types.PageID{}
-	for _, en := range doomed {
-		if h.tab.pat[en.Page.Key()] != en.entry {
-			continue
-		}
-		for n := range en.entry.refs {
-			holders[n] = append(holders[n], en.Page)
-		}
-		h.evictLocked(en.entry)
-		purged = append(purged, en.Page)
-	}
-	h.mu.Unlock()
-	h.flushReplication()
-	// Not cb.inv: the slots and their PIB words are back on the free lists,
-	// and both are LIFO, so the next registrations take them and clear those
-	// PIBs. A holder that kept the addresses would then probe "fresh" and
-	// read another page's bytes. Holders forget the addresses and
-	// re-register on next access.
-	h.notifyHolders("cb.slabfail", holders)
-	return purged
+	return h.purge(func(e *patEntry) bool { return doomed[e] })
 }

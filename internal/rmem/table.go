@@ -46,11 +46,6 @@ type patEntry struct {
 	slotOff uint64 // metadata slot offset in home's meta region
 	refs    map[rdma.NodeID]bool
 	lruElem *list.Element // non-nil while refcount == 0
-	// A Shrink migration in flight holds dst/dstSlot reserved; evicting the
-	// entry first returns the reservation with it.
-	moving  bool
-	dst     slabKey
-	dstSlot int
 }
 
 // homeTable is the home node's replicated state machine (§3.1, §5.2): the
@@ -90,14 +85,14 @@ const (
 	replOpRegister   = iota + 1 // new PAT entry for page at slab/slot/slotOff, held by node
 	replOpAddRef                // node joins page's PRD
 	replOpUnref                 // node leaves page's PRD
-	replOpEvict                 // page leaves the pool, whoever holds it
+	replOpEvict                 // unreferenced page leaves the pool: detach, then release
 	replOpInvalidate            // page's PIB := stale
 	replOpAddSlab               // slab joins the pool with `slot` pages
-	replOpFreeSlab              // slab leaves the pool; entries still on it lose their slot
+	replOpFreeSlab              // slab leaves the pool; the pages still on it are purged next
 	replOpDropNode              // node leaves every PRD
 	replOpAddNode               // node gets PL owner index idx
-	replOpReserve               // slab/slot is held for migrating page, PIB := stale
-	replOpMove                  // page now lives at its reserved slot
+	replOpDetach                // page leaves the PAT, PIB := stale; its slots stay taken
+	replOpRelease               // slab/slot and slotOff of a detached page go back to the free lists
 )
 
 // homeOp is one metadata mutation. It carries everything the master's
@@ -117,7 +112,9 @@ func (t *homeTable) apply(op homeOp) {
 	e := t.pat[op.page.Key()] // nil for slab and node ops
 	switch op.kind {
 	case replOpRegister:
-		t.takeSlot(op.slab, op.slot)
+		if sl, ok := t.slabs[op.slab]; ok {
+			removeLast(&sl.free, op.slot)
+		}
 		removeLast(&t.metaFree, op.slotOff)
 		t.pat[op.page.Key()] = &patEntry{page: op.page, slab: op.slab, slot: op.slot,
 			slotOff: op.slotOff, refs: map[rdma.NodeID]bool{op.node: true}}
@@ -132,17 +129,16 @@ func (t *homeTable) apply(op homeOp) {
 			t.dropRef(e, op.node)
 		}
 	case replOpEvict:
-		if e == nil {
-			return
+		if e != nil {
+			t.detach(e)
+			t.release(e.slab, e.slot, e.slotOff)
 		}
-		t.unlinkLRU(e)
-		delete(t.pat, op.page.Key())
-		t.giveSlot(e.slab, e.slot)
-		if e.moving {
-			t.giveSlot(e.dst, e.dstSlot)
+	case replOpDetach:
+		if e != nil {
+			t.detach(e)
 		}
-		t.resetMeta(e.slotOff) // holders probing the old PIB address see stale
-		t.metaFree = append(t.metaFree, e.slotOff)
+	case replOpRelease:
+		t.release(op.slab, op.slot, op.slotOff)
 	case replOpInvalidate:
 		if e != nil {
 			t.meta.MustStore64Local(e.slotOff+8, pibStale)
@@ -169,18 +165,26 @@ func (t *homeTable) apply(op homeOp) {
 		}
 		t.nodes[op.idx] = op.node
 		t.nodeIdx[op.node] = op.idx
-	case replOpReserve:
-		if e != nil {
-			t.takeSlot(op.slab, op.slot)
-			e.moving, e.dst, e.dstSlot = true, op.slab, op.slot
-			t.meta.MustStore64Local(e.slotOff+8, pibStale)
-		}
-	case replOpMove:
-		if e != nil && e.moving {
-			t.giveSlot(e.slab, e.slot)
-			e.slab, e.slot, e.moving = e.dst, e.dstSlot, false
-		}
 	}
+}
+
+// detach takes e out of the PAT and the LRU and marks its PIB stale. Its
+// slab slot and metadata slot stay taken, so no other page can be given
+// the addresses a holder may still probe, until release.
+func (t *homeTable) detach(e *patEntry) {
+	t.unlinkLRU(e)
+	delete(t.pat, e.page.Key())
+	t.meta.MustStore64Local(e.slotOff+8, pibStale)
+}
+
+// release returns a detached page's slab slot, if the slab is still in the
+// pool, and its metadata slot, with the PL word cleared and the PIB stale.
+func (t *homeTable) release(slab slabKey, slot int, slotOff uint64) {
+	if sl, ok := t.slabs[slab]; ok {
+		sl.free = append(sl.free, slot)
+	}
+	t.resetMeta(slotOff)
+	t.metaFree = append(t.metaFree, slotOff)
 }
 
 // dropRef removes node from e's PRD; at refcount 0 the page becomes
@@ -196,19 +200,6 @@ func (t *homeTable) unlinkLRU(e *patEntry) {
 	if e.lruElem != nil {
 		t.lru.Remove(e.lruElem)
 		e.lruElem = nil
-	}
-}
-
-func (t *homeTable) takeSlot(slab slabKey, slot int) {
-	if sl, ok := t.slabs[slab]; ok {
-		removeLast(&sl.free, slot)
-	}
-}
-
-// giveSlot returns a slot to its slab, if the slab is still in the pool.
-func (t *homeTable) giveSlot(slab slabKey, slot int) {
-	if sl, ok := t.slabs[slab]; ok {
-		sl.free = append(sl.free, slot)
 	}
 }
 
@@ -245,6 +236,17 @@ func (t *homeTable) bestFit() *slabInfo {
 	var best *slabInfo
 	for _, sl := range t.slabList {
 		if len(sl.free) > 0 && (best == nil || len(sl.free) < len(best.free)) {
+			best = sl
+		}
+	}
+	return best
+}
+
+// emptiest returns the slab with the fewest pages in use (nil if none).
+func (t *homeTable) emptiest() *slabInfo {
+	var best *slabInfo
+	for _, sl := range t.slabList {
+		if best == nil || sl.pages-len(sl.free) < best.pages-len(best.free) {
 			best = sl
 		}
 	}

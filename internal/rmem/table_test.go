@@ -48,8 +48,7 @@ func tableDiff(a, b *homeTable) string {
 			refsEqual = refsEqual && eb.refs[n]
 		}
 		if ea.slab != eb.slab || ea.slot != eb.slot || ea.slotOff != eb.slotOff || !refsEqual ||
-			(ea.lruElem == nil) != (eb.lruElem == nil) ||
-			ea.moving != eb.moving || ea.dst != eb.dst || ea.dstSlot != eb.dstSlot {
+			(ea.lruElem == nil) != (eb.lruElem == nil) {
 			return fmt.Sprintf("page %s: %+v vs %+v", ea.page, *ea, *eb)
 		}
 	}
@@ -150,7 +149,7 @@ func driveTablePair(t *testing.T, seed int64, steps int) {
 				return addSlab()
 			}
 			fallthrough
-		case r < 90: // referenced pages migrate
+		case r < 90: // referenced pages are purged
 			target := rng.Intn(master.TotalSlots() + 1)
 			if _, err := master.Shrink(target); err != nil {
 				t.Fatal(err)

@@ -102,12 +102,6 @@ func (s *Service) PublishLSN(lsn types.LSN) {
 	s.region.MustStore64Local(ctsLSNOff, uint64(lsn))
 }
 
-// PublishedLSN reads back the published LSN locally.
-func (s *Service) PublishedLSN() types.LSN {
-	v := s.region.MustLoad64Local(ctsLSNOff)
-	return types.LSN(v)
-}
-
 // PublishView rewrites the view block: the read view every RO statement
 // starts from. active is the set of in-flight transactions that own an
 // undo slot — the only ones that can have written a record — and the

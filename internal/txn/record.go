@@ -70,15 +70,9 @@ func UnmarshalRecord(buf []byte) (Record, error) {
 	}, nil
 }
 
-// SetCTS overwrites the CTS field inside an encoded record in place —
-// used by the asynchronous commit-timestamp backfill, which patches just
-// these 8 bytes through a logged page write.
-func SetCTS(buf []byte, cts types.Timestamp) {
-	putU64(buf[8:], uint64(cts))
-}
-
 // CTSFieldOffset is the byte offset of the CTS field within an encoded
-// record (the backfill logs exactly these 8 bytes).
+// record: the asynchronous commit-timestamp backfill patches exactly these
+// 8 bytes, little-endian, through a logged page write.
 const CTSFieldOffset = 8
 
 // UndoType classifies undo records.
