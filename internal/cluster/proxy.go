@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -339,7 +340,11 @@ func (s *Session) ExecIndex(table, index string, op WriteOp, key uint64, value [
 func (s *Session) ScanIndex(table, index string, from, to uint64, fn func(key uint64, val []byte) bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	cur := &scanCursor{next: from, fn: fn}
 	scan := func(tx *engine.Txn, e *engine.Engine) error {
+		if cur.done {
+			return nil
+		}
 		tbl, err := e.OpenTable(table)
 		if err != nil {
 			return err
@@ -348,7 +353,7 @@ func (s *Session) ScanIndex(table, index string, from, to uint64, fn func(key ui
 		if !ok {
 			return fmt.Errorf("cluster: no index %s on %s", index, table)
 		}
-		return tx.ScanTree(ix.Tree, from, to, fn)
+		return tx.ScanTree(ix.Tree, cur.next, to, cur.deliver)
 	}
 	tx, e, err := s.openTxn()
 	if err != nil {
@@ -407,13 +412,30 @@ func (s *Session) Scan(table string, from, to uint64, fn func(key uint64, val []
 		}
 		return tx.Scan(tbl, from, to, fn)
 	}
+	cur := &scanCursor{next: from, fn: fn}
 	return s.readAuto(func(ro *engine.Txn, e *engine.Engine) error {
+		if cur.done {
+			return nil
+		}
 		tbl, err := e.OpenTable(table)
 		if err != nil {
 			return err
 		}
-		return ro.Scan(tbl, from, to, fn)
+		return ro.Scan(tbl, cur.next, to, cur.deliver)
 	})
+}
+
+// scanCursor lets readAuto retry a range scan without replaying it: each
+// attempt starts after the last key delivered, so no row reaches fn twice.
+type scanCursor struct {
+	next uint64
+	done bool // the last key delivered was the largest there is
+	fn   func(key uint64, val []byte) bool
+}
+
+func (c *scanCursor) deliver(key uint64, val []byte) bool {
+	c.next, c.done = key+1, key == math.MaxUint64
+	return c.fn(key, val)
 }
 
 // readAuto routes an autocommit read to a reader node with retry. Each

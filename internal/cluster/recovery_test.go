@@ -42,6 +42,57 @@ func TestHomeNodeFailover(t *testing.T) {
 	}
 }
 
+// TestScanRetryDeliversEachRowOnce: an autocommit scan whose reader loses
+// the memory pool mid-scan (the home and its slabs crash from the row
+// callback) is retried by the proxy, and the retry resumes after the last
+// row delivered instead of delivering the earlier rows again.
+func TestScanRetryDeliversEachRowOnce(t *testing.T) {
+	cfg := testConfig()
+	cfg.RONodes = 1
+	cfg.LocalCachePages = 16
+	cfg.SlaveHome = true
+	cfg.HeartbeatInterval = time.Hour
+	c := launch(t, cfg)
+	if _, err := c.RW.Engine.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	s := c.Proxy.Connect()
+	defer s.Close()
+	const rows = 2000
+	val := make([]byte, 64)
+	for k := uint64(0); k < rows; k++ {
+		if err := s.Exec("t", OpPut, k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []uint64
+	failed := make(chan error, 1)
+	err := s.Scan("t", 0, rows, func(key uint64, _ []byte) bool {
+		if len(got) == 0 {
+			// The scan's later leaves are not in the reader's 16-page
+			// cache, so its next fill finds the pool gone and fails.
+			c.Home.Endpoint().Kill()
+			go func() { failed <- c.FailoverHome() }()
+		}
+		got = append(got, key)
+		return true
+	})
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	if err := <-failed; err != nil {
+		t.Fatalf("home failover: %v", err)
+	}
+	if len(got) != rows {
+		t.Fatalf("scan delivered %d rows, want %d", len(got), rows)
+	}
+	for i, k := range got {
+		if k != uint64(i) {
+			t.Fatalf("row %d of the scan is key %d: a retry delivered rows again", i, k)
+		}
+	}
+}
+
 func TestFailoverHomeWithoutSlave(t *testing.T) {
 	cfg := testConfig()
 	cfg.HeartbeatInterval = time.Hour

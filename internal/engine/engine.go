@@ -85,9 +85,17 @@ type Config struct {
 	CheckpointInterval time.Duration
 }
 
+// shipInterval bounds how long redo nobody waits for (a backfill, an
+// open transaction's statements) stays in the log buffer: everything
+// that waits nudges the shipper instead. A var so tests can park it.
+var shipInterval = 5 * time.Millisecond
+
 const (
-	// shipInterval is the redo flusher/shipper idle tick.
-	shipInterval = 500 * time.Microsecond
+	// redoFillRecords is the log-buffer fill at which Mtr.Commit ships
+	// without waiting for a commit: a bulk transaction's redo leaves in
+	// slices of about this many records, not as one append at its commit.
+	// At twice this fill the MTR also waits for the shipper to take them.
+	redoFillRecords = 256
 	// flushPageTimeout bounds an RO node's eng.flushpage request to the
 	// RW (asking it to write a stale page back to remote memory).
 	flushPageTimeout = 2 * time.Second
@@ -171,6 +179,8 @@ type Engine struct {
 
 	shippedMu   sync.Mutex
 	shippedLSN  types.LSN
+	drainedLSN  types.LSN // redo the shipper has taken out of the buffer
+	shipStopped bool      // the shipper has exited: nothing more will ship
 	shippedCond *sync.Cond
 	nudge       chan struct{}
 
@@ -340,14 +350,6 @@ func (e *Engine) CTSRegionID() uint32 {
 		return 0
 	}
 	return e.ctsReg.ID()
-}
-
-// FlushedLSN returns the durable redo LSN (RW).
-func (e *Engine) FlushedLSN() types.LSN {
-	if e.buf == nil {
-		return 0
-	}
-	return e.buf.FlushedLSN()
 }
 
 // ResizeLocalCache changes the local cache tier's capacity live.
@@ -602,7 +604,11 @@ func (e *Engine) readRemoteFresh(f *cache.Frame) error {
 		}
 		reply, err := e.requestRWFlush(f.ID)
 		switch {
-		case err != nil || reply == flushDirect:
+		case err != nil:
+			// The RW's answer is lost, not "storage is current": its copy
+			// may hold redo storage has not seen. The proxy asks again.
+			return fmt.Errorf("%w: %s: %v", ErrStalePage, f.ID, err)
+		case reply == flushDirect:
 			return errReadStorage
 		case reply == flushNone:
 			return errNoRWCopy
@@ -615,7 +621,7 @@ func (e *Engine) readRemoteFresh(f *cache.Frame) error {
 const (
 	flushNone    = 0 // the RW holds no copy: storage is current
 	flushWritten = 1 // the RW wrote its copy back to the page's pool slot
-	flushDirect  = 2 // the RW holds a copy outside the pool, and its redo has shipped
+	flushDirect  = 2 // the RW holds a copy outside the pool or could not write it back, and its redo has shipped
 )
 
 var (
@@ -703,11 +709,16 @@ func (e *Engine) fillFromStorage(f *cache.Frame) error {
 // only leave the cache once its redo is acknowledged by the page chunks
 // (Figure 7 step 6); dirty frames are written back to remote memory first.
 func (e *Engine) onEvict(f *cache.Frame) {
+	shipped := true
 	if !e.cfg.ReadOnly && f.NewestLSN > f.ShippedLSN {
-		e.waitShipped(f.NewestLSN)
-		f.ShippedLSN = f.NewestLSN
+		// If the engine stopped first, the page must not reach the pool
+		// ahead of its redo: it leaves without a write-back.
+		shipped = e.waitShipped(f.NewestLSN) == nil
+		if shipped {
+			f.ShippedLSN = f.NewestLSN
+		}
 	}
-	if f.Dirty() && !e.cfg.ReadOnly && f.Remote.Registered {
+	if shipped && f.Dirty() && !e.cfg.ReadOnly && f.Remote.Registered {
 		if err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB); err == nil {
 			f.ClearDirty()
 		}
@@ -717,13 +728,29 @@ func (e *Engine) onEvict(f *cache.Frame) {
 	}
 }
 
-// waitShipped blocks until the shipper watermark covers lsn.
-func (e *Engine) waitShipped(lsn types.LSN) {
+// waitShipped blocks until the shipper watermark covers lsn, nudging the
+// shipper if it does not yet. It fails if the shipper exits first (the
+// engine closed, or its node died).
+func (e *Engine) waitShipped(lsn types.LSN) error {
+	if !e.awaitShipper(&e.shippedLSN, lsn) {
+		return fmt.Errorf("%w: redo up to %d never shipped", ErrClosed, lsn)
+	}
+	return nil
+}
+
+// awaitShipper blocks until one of the shipper's watermarks (shippedLSN,
+// drainedLSN) reaches lsn, nudging the shipper if it has not. It reports
+// false if the shipper exited first.
+func (e *Engine) awaitShipper(mark *types.LSN, lsn types.LSN) bool {
 	e.shippedMu.Lock()
-	for e.shippedLSN < lsn {
+	defer e.shippedMu.Unlock()
+	if *mark < lsn {
+		e.nudgeShipper()
+	}
+	for *mark < lsn && !e.shipStopped {
 		e.shippedCond.Wait()
 	}
-	e.shippedMu.Unlock()
+	return *mark >= lsn
 }
 
 func (e *Engine) setShipped(lsn types.LSN) {
@@ -870,6 +897,12 @@ var _ btree.Mtr = (*Mtr)(nil)
 // Commit runs the §3.1.4 pipeline: invalidate every modified page's other
 // copies, then append the MTR's redo to the log buffer, stamp the frames'
 // page LSNs, and release the pins. Returns the MTR's end LSN (0 if empty).
+// The redo ships when someone waits for it (see shipper). An MTR that
+// leaves redoFillRecords or more in the buffer nudges the shipper; one
+// that leaves twice that waits until the shipper has taken them (not
+// until they are durable). The buffer so never holds more than two fills
+// plus one MTR, and a writer blocks only while the shipper is more than
+// a fill behind it.
 //
 //polarvet:fabric O(n) invalidation is one batched RPC, but releasing the SMO's deferred global latches is one one-sided CAS per latched frame
 func (mt *Mtr) Commit() (types.LSN, error) {
@@ -900,7 +933,13 @@ func (mt *Mtr) Commit() (types.LSN, error) {
 		f.Latch.Unlock()
 	}
 	mt.release()
-	mt.e.nudgeShipper()
+	if n := mt.e.buf.Pending(); n >= 2*redoFillRecords {
+		// A shipper that exited means the node died or closed; the
+		// transaction's commit wait reports that.
+		mt.e.awaitShipper(&mt.e.drainedLSN, end)
+	} else if n >= redoFillRecords {
+		mt.e.nudgeShipper()
+	}
 	return end, nil
 }
 

@@ -287,7 +287,9 @@ func (e *Engine) PlannedHandover() error {
 	if e.cfg.ReadOnly {
 		return ErrNotRW
 	}
-	e.WaitAllShipped()
+	if err := e.WaitAllShipped(); err != nil {
+		return err
+	}
 	e.cache.ForEach(func(f *cache.Frame) {
 		if f.Dirty() && f.Remote.Registered {
 			f.Latch.RLock()

@@ -13,7 +13,8 @@ import (
 // holds dirty back to remote memory (so the RO can read a fresh copy).
 // Replies flushWritten if the page was written back, flushNone if this
 // node has no local copy (storage is then authoritative), and flushDirect
-// if its copy is storage-direct, once the redo that made it has shipped.
+// if its copy is storage-direct or its write-back failed (the slab is
+// gone), once the redo that made it has shipped.
 // A storage-direct copy — the pool took its addresses, or was full — first
 // registers again: an RO that reads it from storage instead may find an
 // image that lags it or, with two MTRs logged out of the order they wrote
@@ -66,18 +67,20 @@ func (e *Engine) handleFlushPage(from rdma.NodeID, req []byte) ([]byte, error) {
 		}
 		e.mtrMu.Unlock()
 	}
-	if !f.Remote.Registered {
-		lsn := f.NewestLSN
-		f.Latch.RUnlock()
-		e.waitShipped(lsn)
-		return []byte{flushDirect}, nil
+	if f.Remote.Registered {
+		e.met.flushServed.Inc()
+		if err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB); err == nil {
+			f.Latch.RUnlock()
+			f.ClearDirty()
+			return []byte{flushWritten}, nil
+		}
+		// The slot is unreachable: its slab died with the home, or a
+		// purge freed it.
 	}
-	e.met.flushServed.Inc()
-	err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB)
+	lsn := f.NewestLSN
 	f.Latch.RUnlock()
-	if err != nil {
+	if err := e.waitShipped(lsn); err != nil {
 		return nil, err
 	}
-	f.ClearDirty()
-	return []byte{flushWritten}, nil
+	return []byte{flushDirect}, nil
 }

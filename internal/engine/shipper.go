@@ -4,59 +4,76 @@ import (
 	"fmt"
 	"time"
 
-	"polardb/internal/plog"
 	"polardb/internal/types"
 )
 
-// shipper is the RW node's redo pipeline worker (Figure 7): it drains the
-// log buffer, persists the records on the PolarFS log chunk (advancing the
-// durable LSN transactions commit-wait on), then distributes the records
-// to the owning page chunks and advances the shipped watermark that gates
-// dirty-page eviction.
+// shipper is the RW node's redo pipeline worker (Figure 7). It sleeps
+// until someone waits for redo (a commit, a dirty eviction, an RO's
+// flush-page request, a planned handover), the buffer fills, the idle
+// tick fires or the engine closes. Then it drains the log buffer,
+// persists the records on the PolarFS log chunk (advancing the durable
+// LSN transactions commit-wait on), distributes them to the owning page
+// chunks and advances the shipped watermark that gates dirty-page
+// eviction. A transaction's statement MTRs thus reach storage with its
+// commit, in one append, instead of one append each. One ShipRecords
+// batch is in flight at a time (DESIGN refinement 13). When it exits,
+// every commit and ship waiter is released with a failure.
 func (e *Engine) shipper() {
 	defer e.wg.Done()
-	var pending []plog.Record
+	defer e.stopShipping()
 	for {
+		select {
+		case <-e.closeCh:
+			return
+		case <-e.nudge:
+		case <-time.After(shipInterval):
+		}
 		recs := e.buf.Drain()
-		pending = append(pending, recs...)
-		if len(pending) == 0 {
-			select {
-			case <-e.closeCh:
-				return
-			case <-e.nudge:
-			case <-time.After(shipInterval):
-			}
+		if len(recs) == 0 {
 			continue
 		}
-		last := pending[len(pending)-1].LSN
+		last := recs[len(recs)-1].LSN
+		e.shippedMu.Lock()
+		e.drainedLSN = last
+		e.shippedMu.Unlock()
+		e.shippedCond.Broadcast()
 		if !e.retry(func() error {
-			_, err := e.pfs.AppendRedo(pending)
+			_, err := e.pfs.AppendRedo(recs)
 			return err
 		}) {
 			return
 		}
 		e.buf.MarkFlushed(last)
 		e.met.flushBatch.Inc()
-		e.met.flushRecs.Add(uint64(len(pending)))
-		if !e.retry(func() error { return e.pfs.ShipRecords(pending, last) }) {
+		e.met.flushRecs.Add(uint64(len(recs)))
+		if !e.retry(func() error { return e.pfs.ShipRecords(recs, last) }) {
 			return
 		}
 		e.setShipped(last)
-		pending = pending[:0]
 	}
+}
+
+// stopShipping fails the log buffer and the shipped watermark's waiters:
+// no round will come for them.
+func (e *Engine) stopShipping() {
+	e.buf.Fail()
+	e.shippedMu.Lock()
+	e.shipStopped = true
+	e.shippedMu.Unlock()
+	e.shippedCond.Broadcast()
 }
 
 // retry runs fn until it succeeds or the engine closes. Storage is
 // 3-way replicated; transient unavailability (leader election) heals —
-// but if this node's own endpoint died, nothing will: the buffer is
-// failed so commit waiters unblock instead of wedging their callers.
+// but if this node's own endpoint died, nothing will: the shipper stops,
+// and the buffer fails so commit waiters unblock instead of wedging their
+// callers.
 func (e *Engine) retry(fn func() error) bool {
 	for {
 		if err := fn(); err == nil {
 			return true
 		}
 		if e.ep.Down() {
-			e.buf.Fail()
 			return false
 		}
 		select {
@@ -97,11 +114,9 @@ func (e *Engine) checkpointer() {
 }
 
 // WaitAllShipped blocks until everything appended so far is shipped
-// (planned handover, tests).
-func (e *Engine) WaitAllShipped() {
-	target := e.buf.CurrentLSN()
-	e.nudgeShipper()
-	e.waitShipped(target)
+// (planned handover, tests). It fails if the shipper stops first.
+func (e *Engine) WaitAllShipped() error {
+	return e.waitShipped(e.buf.CurrentLSN())
 }
 
 // DurableCommit waits until lsn is durable on the log chunks. It fails

@@ -34,11 +34,12 @@ type touchedKey struct {
 	key   uint64
 }
 
+// backfillItem is one committed transaction's records for the
+// backfill worker to stamp with its commit timestamp.
 type backfillItem struct {
-	space types.SpaceID
-	key   uint64
-	trx   types.TrxID
-	cts   types.Timestamp
+	trx  types.TrxID
+	cts  types.Timestamp
+	keys []touchedKey
 }
 
 // Begin starts a read-write transaction (RW node only).
@@ -428,11 +429,9 @@ func (t *Txn) Commit() error {
 	e.cts.RecordCommit(t.id, ctsCommit)
 	e.met.txnCommit.Inc()
 	// Backfill cts_commit into the modified records asynchronously.
-	for _, k := range t.touched {
-		select {
-		case e.backfillCh <- backfillItem{k.space, k.key, t.id, ctsCommit}:
-		default: // backfill is best-effort; the CTS log remains authoritative
-		}
+	select {
+	case e.backfillCh <- backfillItem{t.id, ctsCommit, t.touched}:
+	default: // backfill is best-effort; the CTS log remains authoritative
 	}
 	return nil
 }
@@ -645,22 +644,44 @@ func (e *Engine) backfillWorker() {
 		case <-e.closeCh:
 			return
 		case item := <-e.backfillCh:
-			tree := e.tree(item.space)
-			mt := e.BeginMtr()
-			err := tree.PatchInPlace(mt, item.key, func(val []byte) (int, []byte, bool) {
-				rec, err := txn.UnmarshalRecord(val)
-				if err != nil || rec.Trx != item.trx || rec.CTS != 0 {
-					return 0, nil, false
-				}
-				return txn.CTSFieldOffset, binary.LittleEndian.AppendUint64(nil, uint64(item.cts)), true
-			})
-			// Commit on both outcomes: an abandoned mtr would keep its
-			// pins forever. On a miss (key since moved/deleted) nothing
-			// was logged and the CTS log still serves readers.
-			_, _ = mt.Commit()
-			_ = err
+			for keys := item.keys; len(keys) > 0; {
+				keys = e.backfill(item, keys)
+			}
 		}
 	}
+}
+
+// backfillPages bounds the pages one backfill MTR writes: an MTR pins
+// every page it wrote until it commits, and a small local cache shared
+// with the writers would run out of frames to evict.
+const backfillPages = 4
+
+// backfill patches a committed transaction's records in one MTR, up to
+// backfillPages pages (all of them for a typical OLTP transaction), and
+// returns the keys left for the next.
+func (e *Engine) backfill(item backfillItem, keys []touchedKey) []touchedKey {
+	patch := func(val []byte) (int, []byte, bool) {
+		rec, err := txn.UnmarshalRecord(val)
+		if err != nil || rec.Trx != item.trx || rec.CTS != 0 {
+			return 0, nil, false
+		}
+		return txn.CTSFieldOffset, binary.LittleEndian.AppendUint64(nil, uint64(item.cts)), true
+	}
+	mt := e.BeginMtr()
+	done := 0
+	for _, k := range keys {
+		if len(mt.frames) >= backfillPages {
+			break
+		}
+		// A miss (key since moved or deleted) logs nothing, and the CTS
+		// log still serves readers.
+		_ = e.tree(k.space).PatchInPlace(mt, k.key, patch)
+		done++
+	}
+	// Commit on every outcome: an abandoned mtr would keep its pins
+	// forever.
+	_, _ = mt.Commit()
+	return keys[done:]
 }
 
 func (e *Engine) dropROView(t *Txn) {

@@ -182,6 +182,13 @@ func (b *Buffer) CurrentLSN() types.LSN {
 	return b.nextLSN - 1
 }
 
+// Pending returns the number of records appended but not yet drained.
+func (b *Buffer) Pending() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.pending)
+}
+
 // Drain removes and returns all pending records, for the flusher to persist.
 func (b *Buffer) Drain() []Record {
 	b.mu.Lock()
