@@ -20,10 +20,6 @@ type Config struct {
 	// Fabric tunes the simulated RDMA network (zero value = defaults;
 	// use rdma.TestConfig() for latency-free tests).
 	Fabric rdma.Config
-	// StorageNodes is the storage replica count (>= 3 for quorum).
-	StorageNodes int
-	// PageChunks partitions the volume across page chunks.
-	PageChunks int
 	// MemorySlabs / SlabPages size the remote memory pool: MemorySlabs
 	// slabs of SlabPages pages each, all on the first memory node.
 	MemorySlabs int
@@ -47,13 +43,12 @@ type Config struct {
 	LockWait time.Duration
 }
 
+const (
+	storageNodes = 3 // storage replicas: a raft quorum of 2
+	pageChunks   = 4 // page-chunk partitions of the volume
+)
+
 func (c *Config) applyDefaults() {
-	if c.StorageNodes == 0 {
-		c.StorageNodes = 3
-	}
-	if c.PageChunks == 0 {
-		c.PageChunks = 4
-	}
 	if c.MemorySlabs == 0 {
 		c.MemorySlabs = 2
 	}
@@ -94,12 +89,12 @@ func Launch(cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, Fabric: rdma.NewFabric(cfg.Fabric)}
 
 	// Storage pool.
-	eps := make([]*rdma.Endpoint, cfg.StorageNodes)
+	eps := make([]*rdma.Endpoint, storageNodes)
 	for i := range eps {
 		eps[i] = c.Fabric.MustAttach(rdma.NodeID(fmt.Sprintf("st%d", i)))
 	}
 	c.Storage = polarfs.Deploy(polarfs.VolumeConfig{
-		PageChunks: cfg.PageChunks,
+		PageChunks: pageChunks,
 		// Generous raft timing: storage leadership must stay stable even
 		// when the simulation is CPU-saturated on small machines.
 		Raft: parallelraft.Config{
@@ -111,7 +106,6 @@ func Launch(cfg Config) (*Cluster, error) {
 	// Memory pool.
 	if !cfg.NoRemoteMemory {
 		c.memCfg = rmem.Config{
-			SlabPages:         cfg.SlabPages,
 			InvalidateTimeout: time.Second,
 			LatchTimeout:      5 * time.Second,
 			SlabHeartbeat:     cfg.HeartbeatInterval,
@@ -156,7 +150,7 @@ func Launch(cfg Config) (*Cluster, error) {
 // (mirrored to slave, if named) on its endpoint, and MemorySlabs slabs.
 func (c *Cluster) startPool(slave rdma.NodeID) error {
 	ep := c.Fabric.MustAttachOrGet(c.MemNode)
-	rmem.NewSlabNode(ep, c.memCfg)
+	rmem.NewSlabNode(ep)
 	c.Home = rmem.NewHome(ep, c.memCfg, slave)
 	_, err := c.GrowMemory(c.cfg.MemorySlabs)
 	return err

@@ -241,6 +241,53 @@ func TestUnplannedFailoverAbortsOpenTxn(t *testing.T) {
 	}
 }
 
+// TestBeginWaitsForPromotion: a transaction begun while the RW is dead
+// waits for the promotion instead of beginning on the dead engine, whose
+// first write would fail: no attempt fails before the first commit.
+func TestBeginWaitsForPromotion(t *testing.T) {
+	cfg := testConfig()
+	cfg.HeartbeatInterval = time.Hour // manual failover only
+	c := launch(t, cfg)
+	if _, err := c.RW.Engine.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	s := c.Proxy.Connect()
+	defer s.Close()
+	if err := s.Exec("t", OpPut, 0, []byte("v")); err != nil { // the table is durable
+		t.Fatal(err)
+	}
+	c.Proxy.RWNodeKill()
+	failed := make(chan int, 1)
+	go func() {
+		n := 0
+		for k := uint64(1); ; k++ {
+			err := s.Begin()
+			if err == nil {
+				err = s.Exec("t", OpPut, k, []byte("v"))
+			}
+			if err == nil {
+				err = s.Commit()
+			}
+			if err == nil {
+				failed <- n
+				return
+			}
+			_ = s.Rollback()
+			if n++; n == 10000 {
+				failed <- n
+				return
+			}
+		}
+	}()
+	time.Sleep(30 * time.Millisecond) // the detection delay: the session meets the dead RW first
+	if err := c.CM.Failover(false); err != nil {
+		t.Fatal(err)
+	}
+	if n := <-failed; n != 0 {
+		t.Fatalf("%d attempts failed before the first commit after the promotion; want 0", n)
+	}
+}
+
 func TestPlannedSwitchResumesTxnFromSavepoint(t *testing.T) {
 	cfg := testConfig()
 	cfg.HeartbeatInterval = time.Hour

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -124,13 +123,6 @@ func (m *Manager) FailoverTraditional() error {
 func (m *Manager) failover(planned, traditional bool) error {
 	m.switchMu.Lock()
 	defer m.switchMu.Unlock()
-	trace := func(string) {}
-	if os.Getenv("POLARDB_TRACE_RECOVERY") != "" {
-		t0 := time.Now()
-		trace = func(step string) {
-			fmt.Fprintf(os.Stderr, "failover: %-20s +%8.1fms\n", step, time.Since(t0).Seconds()*1000)
-		}
-	}
 	c := m.c
 	if len(c.ROs) == 0 {
 		return fmt.Errorf("cluster: no RO node available for promotion")
@@ -140,7 +132,6 @@ func (m *Manager) failover(planned, traditional bool) error {
 	// Pause the proxy: drains in-flight statements, holds new ones.
 	c.Proxy.gate.Lock()
 	defer c.Proxy.gate.Unlock()
-	trace("gate acquired")
 
 	if planned {
 		// Old RW cleans up: sync redo to page chunks, write dirty pages to
@@ -157,13 +148,11 @@ func (m *Manager) failover(planned, traditional bool) error {
 		go old.Engine.Close()
 	}
 
-	trace("old node handled")
 	target := c.ROs[0]
 	rest := append([]*DBNode(nil), c.ROs[1:]...)
 	if err := target.promoteToRW(old.ID, planned, traditional); err != nil {
 		return err
 	}
-	trace("promoted")
 	c.RW = target
 	c.ROs = rest
 	for _, ro := range rest {

@@ -30,7 +30,10 @@ type Proxy struct {
 	mu  sync.Mutex
 	rw  *DBNode
 	ros []*DBNode
-	rr  atomic.Uint64
+	// rwChanged is closed, and replaced, when rw changes: a session that
+	// finds the RW's endpoint down waits on it for the promotion.
+	rwChanged chan struct{}
+	rr        atomic.Uint64
 
 	sessMu   sync.Mutex
 	sessions map[*Session]struct{}
@@ -41,13 +44,17 @@ type Proxy struct {
 var ErrTxnLost = errors.New("cluster: transaction lost in unplanned failover; restart it")
 
 func newProxy(c *Cluster) *Proxy {
-	p := &Proxy{c: c, sessions: make(map[*Session]struct{})}
+	p := &Proxy{c: c, sessions: make(map[*Session]struct{}), rwChanged: make(chan struct{})}
 	p.setNodes(c.RW, c.ROs)
 	return p
 }
 
 func (p *Proxy) setNodes(rw *DBNode, ros []*DBNode) {
 	p.mu.Lock()
+	if rw != p.rw {
+		close(p.rwChanged)
+		p.rwChanged = make(chan struct{})
+	}
 	p.rw = rw
 	p.ros = append([]*DBNode(nil), ros...)
 	p.mu.Unlock()
@@ -57,6 +64,26 @@ func (p *Proxy) rwNode() *DBNode {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.rw
+}
+
+// awaitNewRW waits until the RW is no longer rw, or until deadline, and
+// reports whether it changed.
+func (p *Proxy) awaitNewRW(rw *DBNode, deadline time.Time) bool {
+	p.mu.Lock()
+	changed := p.rw != rw
+	ch := p.rwChanged
+	p.mu.Unlock()
+	if changed {
+		return true
+	}
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-t.C:
+		return false
+	}
 }
 
 // pickReader balances reads across RO nodes, falling back to the RW.
@@ -133,11 +160,22 @@ func (s *Session) Savepoint() int {
 const retryWindow = 10 * time.Second
 
 // withRW runs fn against the RW engine with switchover gating + retry.
+// While the RW's endpoint is down it waits for a promotion instead: a
+// killed RW's engine would still begin a transaction, and its first write
+// would fail.
 func (s *Session) withRW(fn func(e *engine.Engine, tbl func(string) (*engine.Table, error)) error) error {
-	b := retry.NewBackoff(5*time.Millisecond, retryWindow)
+	deadline := time.Now().Add(retryWindow)
+	b := retry.Until(deadline, 5*time.Millisecond)
 	for {
 		s.p.gate.RLock()
 		node := s.p.rwNode()
+		if node.EP.Down() {
+			s.p.gate.RUnlock()
+			if !s.p.awaitNewRW(node, deadline) {
+				return fmt.Errorf("%w: %s, and no RW was promoted within %v", rdma.ErrUnreachable, node.ID, retryWindow)
+			}
+			continue
+		}
 		e := node.Engine
 		err := fn(e, e.OpenTable)
 		s.p.gate.RUnlock()

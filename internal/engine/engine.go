@@ -97,7 +97,7 @@ const (
 	// At twice this fill the MTR also waits for the shipper to take them.
 	redoFillRecords = 256
 	// flushPageTimeout bounds an RO node's eng.flushpage request to the
-	// RW (asking it to write a stale page back to remote memory).
+	// RW (asking it for its image of a page whose pool copy is stale).
 	flushPageTimeout = 2 * time.Second
 )
 
@@ -211,7 +211,7 @@ type engineMetrics struct {
 	mtrCommit   *stat.Counter // non-empty mini-transactions committed
 	txnCommit   *stat.Counter // user transactions committed
 	txnAbort    *stat.Counter // user transactions rolled back
-	flushServed *stat.Counter // RO-triggered write-backs served (RW)
+	flushServed *stat.Counter // eng.flushpage requests answered with the page (RW)
 	smoLatchX   *stat.Counter // global latch X acquisitions (SMOs)
 	smoLatchS   *stat.Counter // global latch S acquisitions (RO Plock)
 	flushBatch  *stat.Counter // redo batches persisted by the shipper
@@ -361,7 +361,7 @@ func (e *Engine) ResizeLocalCache(pages int) error { return e.cache.Resize(pages
 // Fetch returns a pinned frame with the page's current contents, filling
 // the local cache from remote memory or storage on a miss.
 //
-//polarvet:fabric O(1) the page-fetch path is a bounded number of round trips (register, PIB probe, one-sided page read) regardless of pool size
+//polarvet:fabric O(1) the page-fetch path is a bounded number of round trips (register, PIB probe, then a one-sided read or one eng.flushpage whose reply is the page) regardless of pool size
 func (e *Engine) Fetch(id types.PageID) (*cache.Frame, error) {
 	return e.fetch(id, false)
 }
@@ -373,7 +373,7 @@ func (e *Engine) Fetch(id types.PageID) (*cache.Frame, error) {
 // or storage. The pool slot stays PIB-stale, so whatever image a crashed
 // RW may have left there is never read, and the caller's MTR invalidates
 // the page before another node can learn its number: an RO's first fetch
-// asks this node for a write-back like for any dirty page. A cached page
+// asks this node for the page like for any dirty page. A cached page
 // is returned as it is. RW only.
 //
 //polarvet:fabric O(1) at most the page_register round trip; no page image crosses the fabric
@@ -476,8 +476,9 @@ func (e *Engine) onInvalidate(id types.PageID) {
 // pages (slab crash, Shrink, RW takeover), and librmem has already
 // forgotten the registrations. An RO's cached copy forgets its addresses
 // too and is read again on next use. The RW's copy is the newest there is,
-// so it is kept: it only forgets its addresses, under its latch, and is
-// storage-direct until an RO asks for it (handleFlushPage).
+// so it is kept: it only forgets its addresses, under its latch, and stays
+// storage-direct; an RO that needs it gets it in the eng.flushpage reply
+// (handleFlushPage).
 func (e *Engine) onAddressesGone(pages []types.PageID) {
 	for _, id := range pages {
 		e.flightMu.Lock()
@@ -572,75 +573,56 @@ func (e *Engine) loadFrame(id types.PageID, fresh bool) (*cache.Frame, error) {
 	return inserted, nil
 }
 
-// readRemoteFresh reads the page from remote memory once its PIB bit is
-// clear, asking the RW node to write back its newer local copy if needed.
+// readRemoteFresh reads the page from remote memory: with one one-sided
+// read if the pool's copy is fresh, or, on an RO whose pool copy is stale,
+// from the RW's eng.flushpage reply, which is the RW's image of the page.
 // errReadStorage means storage is current; errNoRWCopy says so too, and
-// that the RW holds no copy of the page. A PIB that never clears is an
-// ErrStalePage the caller sees: the RW kept writing its copy back to a slot
-// the pool had just taken away, and storage may lag that copy.
+// that the RW holds no copy of the page.
 func (e *Engine) readRemoteFresh(f *cache.Frame) error {
-	for attempt := 0; attempt < 10; attempt++ {
-		stale, err := e.pool.PIBStale(f.Remote.PIB)
-		if err != nil {
-			return err
-		}
-		if !stale {
-			if err := e.pool.ReadPage(f.Remote.Data, f.Data); err != nil {
-				// Most likely a purge freed the slab under the read. The RW
-				// holds no copy, so storage is current; an RO's proxy asks
-				// again, and the next fill registers afresh.
-				if !e.cfg.ReadOnly {
-					return errReadStorage
-				}
-				return fmt.Errorf("%w: %v", ErrStalePage, err)
-			}
-			return nil
-		}
-		if !e.cfg.ReadOnly {
-			// We are the RW and do not hold the page locally: the stale
-			// bit is a leftover (e.g. a racing registration by an RO that
-			// has not populated data yet). Fall back to storage.
-			return errReadStorage
-		}
-		reply, err := e.requestRWFlush(f.ID)
-		switch {
-		case err != nil:
-			// The RW's answer is lost, not "storage is current": its copy
-			// may hold redo storage has not seen. The proxy asks again.
-			return fmt.Errorf("%w: %s: %v", ErrStalePage, f.ID, err)
-		case reply == flushDirect:
-			return errReadStorage
-		case reply == flushNone:
-			return errNoRWCopy
-		}
+	stale, err := e.pool.PIBStale(f.Remote.PIB)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("%w: %s (PIB never cleared)", ErrStalePage, f.ID)
+	if !stale {
+		if err := e.pool.ReadPage(f.Remote.Data, f.Data); err != nil {
+			// Most likely a purge freed the slab under the read. The RW
+			// holds no copy, so storage is current; an RO's proxy asks
+			// again, and the next fill registers afresh.
+			if !e.cfg.ReadOnly {
+				return errReadStorage
+			}
+			return fmt.Errorf("%w: %v", ErrStalePage, err)
+		}
+		return nil
+	}
+	if !e.cfg.ReadOnly {
+		// We are the RW and do not hold the page locally: the stale
+		// bit is a leftover (e.g. a racing registration by an RO that
+		// has not populated data yet). Fall back to storage.
+		return errReadStorage
+	}
+	req := make([]byte, 8)
+	binary.LittleEndian.PutUint32(req[0:], uint32(f.ID.Space))
+	binary.LittleEndian.PutUint32(req[4:], uint32(f.ID.No))
+	img, err := e.ep.CallTimeout(e.cfg.RWNode, "eng.flushpage", req, flushPageTimeout)
+	switch {
+	case err != nil:
+		// The RW's answer is lost, not "storage is current": its copy
+		// may hold redo storage has not seen. The proxy asks again.
+		return fmt.Errorf("%w: %s: %v", ErrStalePage, f.ID, err)
+	case len(img) == 0:
+		return errNoRWCopy
+	case len(img) != types.PageSize:
+		return fmt.Errorf("%w: %s: eng.flushpage replied %d bytes", ErrStalePage, f.ID, len(img))
+	}
+	copy(f.Data, img)
+	return nil
 }
-
-// eng.flushpage replies (handleFlushPage).
-const (
-	flushNone    = 0 // the RW holds no copy: storage is current
-	flushWritten = 1 // the RW wrote its copy back to the page's pool slot
-	flushDirect  = 2 // the RW holds a copy outside the pool or could not write it back, and its redo has shipped
-)
 
 var (
 	errReadStorage = fmt.Errorf("%w: storage is current", ErrStalePage)
 	errNoRWCopy    = fmt.Errorf("%w: the RW holds no copy", errReadStorage)
 )
-
-// requestRWFlush asks the RW node to write a page back to remote memory
-// and returns its reply (flushNone, flushWritten or flushDirect).
-func (e *Engine) requestRWFlush(id types.PageID) (byte, error) {
-	req := make([]byte, 8)
-	binary.LittleEndian.PutUint32(req[0:], uint32(id.Space))
-	binary.LittleEndian.PutUint32(req[4:], uint32(id.No))
-	resp, err := e.ep.CallTimeout(e.cfg.RWNode, "eng.flushpage", req, flushPageTimeout)
-	if err != nil || len(resp) != 1 {
-		return flushNone, err
-	}
-	return resp[0], nil
-}
 
 // refreshFrame re-reads an invalidated local copy (RO path). The
 // invalidation count is read before the PIB probe and published after the

@@ -66,7 +66,7 @@ func newHarness(t *testing.T, o harnessOpts) *harness {
 			LatchTimeout:      3 * time.Second,
 		}
 		memEP := h.fabric.MustAttach("mem0")
-		rmem.NewSlabNode(memEP, h.memCfg)
+		rmem.NewSlabNode(memEP)
 		h.home = rmem.NewHome(memEP, h.memCfg, "")
 		t.Cleanup(h.home.Close)
 		if _, err := h.home.AddSlab("mem0", o.poolPages); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"polardb/internal/btree"
 	"polardb/internal/stat"
@@ -67,6 +68,25 @@ func insertUntilUndoRolls(t *testing.T, e *Engine, tbl *Table, next *uint64) sta
 	return e.EP().Metrics().Snapshot().Sub(before)
 }
 
+// waitWarmed returns once none of e's warm workers is running, such as
+// those recovery starts for the pages its takeover purged.
+func waitWarmed(t *testing.T, e *Engine) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		e.flightMu.Lock()
+		n := e.warmers
+		e.flightMu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d warm workers still running", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestAllocatedPagesAreBornInMemory: on a warm RW whose working set fits
 // the local cache, creating a table or an index, and inserts that split
 // leaves and roll the undo page, read
@@ -111,7 +131,7 @@ func TestAllocatedPagesAreBornInMemory(t *testing.T) {
 	}
 
 	// (b) An RO's first fetch of such a page finds it PIB-stale and asks
-	// the RW for a write-back.
+	// the RW for the page.
 	ro := h.addRO(btree.Optimistic)
 	served := h.rw.EP().Metrics().Snapshot()
 	checkRows(t, ro, mustOpen(t, ro, "t"), 0, 2100)
@@ -135,6 +155,7 @@ func TestAllocatedPagesAreBornInMemory(t *testing.T) {
 	}
 	tbl2 := mustOpen(t, newRW, "t")
 	checkRows(t, newRW, tbl2, 0, 2600) // also warms the new RW's cache
+	waitWarmed(t, newRW)               // the recovery warm-up's storage reads are not the roll-overs'
 
 	// The recovered undo cursor is not provably the furthest reservation,
 	// so the first roll-over after recovery reads its page; the next one

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"os"
-	"time"
 
 	"polardb/internal/cache"
 	"polardb/internal/plog"
@@ -43,13 +41,6 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 	if e.cfg.ReadOnly {
 		return ErrNotRW
 	}
-	trace := func(string) {}
-	if os.Getenv("POLARDB_TRACE_RECOVERY") != "" {
-		t0 := time.Now()
-		trace = func(step string) {
-			fmt.Fprintf(os.Stderr, "recovery: %-24s +%8.1fms\n", step, time.Since(t0).Seconds()*1000)
-		}
-	}
 	// Steps 3-4: parallel REDO on the storage fleet.
 	_, tail, err := e.pfs.ParallelRedo()
 	if err != nil {
@@ -59,7 +50,6 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 	e.buf.MarkFlushed(tail)
 	e.setShipped(tail)
 	e.cts.PublishLSN(tail)
-	trace("parallel redo")
 
 	var purged []types.PageID // what step 5 took out of the pool
 	if e.pool != nil && !planned {
@@ -72,7 +62,6 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 		if purged, err = e.pool.Takeover(oldRW, tail); err != nil {
 			return fmt.Errorf("engine: taking over the remote memory pool: %w", err)
 		}
-		trace("takeover")
 	}
 
 	// Step 7: rebuild transaction state from the undo header.
@@ -119,7 +108,6 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 	e.publishViewLocked()
 	e.activeMu.Unlock()
 
-	trace("undo scan")
 	// Step 8: serve.
 	e.start()
 

@@ -321,25 +321,11 @@ func (r *Replica) Leader() rdma.NodeID {
 	return r.leader
 }
 
-// CommitPrefix returns the contiguous committed prefix.
-func (r *Replica) CommitPrefix() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.commitPrefix
-}
-
 // ApplyPrefix returns the contiguous applied prefix.
 func (r *Replica) ApplyPrefix() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.applyPrefix
-}
-
-// MaxIndex returns the highest index present in the local log.
-func (r *Replica) MaxIndex() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.maxIndex
 }
 
 // majority returns the quorum size.

@@ -236,10 +236,3 @@ func (b *Buffer) Fail() {
 	b.flushedMu.Unlock()
 	b.flushCond.Broadcast()
 }
-
-// Failed reports whether Fail was called.
-func (b *Buffer) Failed() bool {
-	b.flushedMu.Lock()
-	defer b.flushedMu.Unlock()
-	return b.failed
-}

@@ -17,7 +17,7 @@ func benchPool(b *testing.B) (*Pool, *Pool, rdma.Addr) {
 	f := rdma.NewFabric(rdma.DefaultConfig())
 	cfg := Config{}
 	homeEP := f.MustAttach("home")
-	NewSlabNode(homeEP, cfg)
+	NewSlabNode(homeEP)
 	h := NewHome(homeEP, cfg, "")
 	b.Cleanup(h.Close)
 	if _, err := h.AddSlab("home", 256); err != nil {

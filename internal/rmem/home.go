@@ -227,7 +227,7 @@ func (h *Home) nodeIndexLocked(n rdma.NodeID) uint16 {
 // to the pool. Returns the new total slot count.
 func (h *Home) AddSlab(node rdma.NodeID, pages int) (int, error) {
 	if pages <= 0 {
-		pages = h.cfg.SlabPages
+		return 0, fmt.Errorf("rmem: a slab of %d pages", pages)
 	}
 	w := wire.NewWriter(8)
 	w.U32(uint32(pages))

@@ -22,7 +22,7 @@ func TestReplicationStallDoesNotBlockHomeMetadata(t *testing.T) {
 	cfg.applyDefaults()
 
 	masterEP := fabric.MustAttach("home")
-	NewSlabNode(masterEP, cfg)
+	NewSlabNode(masterEP)
 
 	// A stand-in slave whose repl handler records each mirrored op and can
 	// be stalled on demand.

@@ -38,9 +38,6 @@ var (
 
 // Config parameterizes a remote memory pool instance.
 type Config struct {
-	// SlabPages is the number of pages per slab (the paper's slabs are
-	// 1 GB of 16 KB pages; we default to 256 4 KB pages = 1 MB).
-	SlabPages int
 	// InvalidateTimeout bounds the per-node invalidation fan-out; an RO
 	// that does not respond in time is kicked out of the reference
 	// directory so the invalidation succeeds.
@@ -58,9 +55,6 @@ type Config struct {
 const slabHeartbeatMisses = 3
 
 func (c *Config) applyDefaults() {
-	if c.SlabPages == 0 {
-		c.SlabPages = 256
-	}
 	if c.InvalidateTimeout == 0 {
 		c.InvalidateTimeout = time.Second
 	}

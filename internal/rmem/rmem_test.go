@@ -37,7 +37,7 @@ func newTestPool(t *testing.T, cfg Config, slabPages int) *testPool {
 		slabs:  make(map[rdma.NodeID]*SlabNode),
 	}
 	homeEP := tp.fabric.MustAttach("home")
-	tp.slabs["home"] = NewSlabNode(homeEP, cfg)
+	tp.slabs["home"] = NewSlabNode(homeEP)
 	tp.home = NewHome(homeEP, cfg, "")
 	t.Cleanup(tp.home.Close)
 	if slabPages > 0 {
@@ -51,7 +51,7 @@ func newTestPool(t *testing.T, cfg Config, slabPages int) *testPool {
 func (tp *testPool) addSlabNode(t *testing.T, id rdma.NodeID, pages int) {
 	t.Helper()
 	ep := tp.fabric.MustAttach(id)
-	tp.slabs[id] = NewSlabNode(ep, tp.cfg)
+	tp.slabs[id] = NewSlabNode(ep)
 	if _, err := tp.home.AddSlab(id, pages); err != nil {
 		t.Fatalf("add slab on %s: %v", id, err)
 	}
@@ -99,6 +99,18 @@ func TestRegisterReadWrite(t *testing.T) {
 	}
 	if !res2.Exists || res2.Data != res.Data {
 		t.Fatalf("second register: exists=%v addr=%v want %v", res2.Exists, res2.Data, res.Data)
+	}
+}
+
+func TestAddSlabRejectsEmptySlab(t *testing.T) {
+	tp := newTestPool(t, Config{}, 8)
+	for _, pages := range []int{0, -1} {
+		if _, err := tp.home.AddSlab("home", pages); err == nil {
+			t.Fatalf("AddSlab(%d) succeeded", pages)
+		}
+	}
+	if _, err := tp.slabs["home"].handleCreate("home", binary.LittleEndian.AppendUint32(nil, 0)); err == nil {
+		t.Fatal("slab.create of 0 pages succeeded")
 	}
 }
 
@@ -786,9 +798,9 @@ func TestHomeReplicationAndPromotion(t *testing.T) {
 
 	masterEP := fabric.MustAttach("home")
 	slaveEP := fabric.MustAttach("home2")
-	NewSlabNode(masterEP, cfg)
+	NewSlabNode(masterEP)
 	slabEP := fabric.MustAttach("slab1")
-	NewSlabNode(slabEP, cfg)
+	NewSlabNode(slabEP)
 
 	slave := NewSlaveHome(slaveEP, cfg)
 	defer slave.Close()

@@ -1,6 +1,7 @@
 package rmem
 
 import (
+	"fmt"
 	"sync"
 
 	"polardb/internal/rdma"
@@ -12,8 +13,7 @@ import (
 // NIC at boot so database nodes can read and write cached pages with
 // one-sided verbs, never involving this node's CPU on the data path.
 type SlabNode struct {
-	ep  *rdma.Endpoint
-	cfg Config
+	ep *rdma.Endpoint
 
 	mu    sync.Mutex
 	slabs map[uint32]*rdma.Region
@@ -21,9 +21,8 @@ type SlabNode struct {
 
 // NewSlabNode starts the slab service on ep. The home node calls its
 // create/free RPCs when the pool grows or shrinks.
-func NewSlabNode(ep *rdma.Endpoint, cfg Config) *SlabNode {
-	cfg.applyDefaults()
-	n := &SlabNode{ep: ep, cfg: cfg, slabs: make(map[uint32]*rdma.Region)}
+func NewSlabNode(ep *rdma.Endpoint) *SlabNode {
+	n := &SlabNode{ep: ep, slabs: make(map[uint32]*rdma.Region)}
 	ep.RegisterHandler(method("slab.create"), n.handleCreate)
 	ep.RegisterHandler(method("slab.free"), n.handleFree)
 	ep.RegisterHandler(method("slab.ping"), func(rdma.NodeID, []byte) ([]byte, error) {
@@ -44,7 +43,7 @@ func (n *SlabNode) handleCreate(from rdma.NodeID, req []byte) ([]byte, error) {
 		return nil, err
 	}
 	if pages <= 0 {
-		pages = n.cfg.SlabPages
+		return nil, fmt.Errorf("rmem: a slab of %d pages", pages)
 	}
 	r := n.ep.RegisterRegion(pages * types.PageSize)
 	n.mu.Lock()

@@ -77,9 +77,9 @@ func driveTablePair(t *testing.T, seed int64, steps int) {
 	master := NewHome(masterEP, cfg, "home2")
 	defer master.Close()
 	slabNodes := []rdma.NodeID{"home", "slab1", "slab2"}
-	NewSlabNode(masterEP, cfg)
-	NewSlabNode(fabric.MustAttach("slab1"), cfg)
-	NewSlabNode(fabric.MustAttach("slab2"), cfg)
+	NewSlabNode(masterEP)
+	NewSlabNode(fabric.MustAttach("slab1"))
+	NewSlabNode(fabric.MustAttach("slab2"))
 
 	var clients []*Pool
 	held := map[*Pool]map[types.PageID]bool{}

@@ -28,11 +28,6 @@ func (p PageID) String() string { return fmt.Sprintf("%d:%d", p.Space, p.No) }
 // Key packs the PageID into a uint64 for use as a map key or hash input.
 func (p PageID) Key() uint64 { return uint64(p.Space)<<32 | uint64(p.No) }
 
-// PageIDFromKey reverses Key.
-func PageIDFromKey(k uint64) PageID {
-	return PageID{Space: SpaceID(k >> 32), No: PageNo(k)}
-}
-
 // LSN is a log sequence number. It totally orders redo log records; a
 // page's version is the LSN of the last record applied to it.
 type LSN uint64

@@ -5,10 +5,12 @@ import (
 	"testing/quick"
 )
 
+// TestPageIDKeyRoundTrip: a page's key holds its space in the high 32
+// bits and its page number in the low 32, so both can be read back.
 func TestPageIDKeyRoundTrip(t *testing.T) {
 	prop := func(space uint32, no uint32) bool {
-		p := PageID{Space: SpaceID(space), No: PageNo(no)}
-		return PageIDFromKey(p.Key()) == p
+		k := PageID{Space: SpaceID(space), No: PageNo(no)}.Key()
+		return uint32(k>>32) == space && uint32(k) == no
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
