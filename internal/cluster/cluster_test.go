@@ -406,9 +406,10 @@ func TestMemoryElasticity(t *testing.T) {
 func TestPoolResizeUnderLoadKeepsAcknowledgedRows(t *testing.T) {
 	cfg := testConfig()
 	cfg.HeartbeatInterval = time.Hour
-	// The pool keeps room for every page the three nodes can hold (24 cached
-	// plus 16 queued each), so no fill finds it full, while the rows and
-	// their undo outgrow it many times over.
+	// The pool keeps room for every page the three nodes can hold at once
+	// (24 cached each) and their idle registrations are reclaimed, so no
+	// fill finds it full, while the rows and their undo outgrow it many
+	// times over.
 	cfg.MemorySlabs, cfg.SlabPages, cfg.LocalCachePages = 2, 64, 24
 	c := launch(t, cfg)
 	if _, err := c.RW.Engine.CreateTable("t"); err != nil {

@@ -156,7 +156,7 @@ func (m *Manager) failover(planned, traditional bool) error {
 	c.RW = target
 	c.ROs = rest
 	for _, ro := range rest {
-		//polarvet:allow fabriccost one per surviving RO node: each repoints itself and sends its own queued unregisters, already batched into one round trip
+		//polarvet:allow fabriccost one per surviving RO node: each repoints itself and gives back its own idle registrations, already batched into one round trip
 		ro.Engine.SwitchRW(target.ID, target.Engine.CTSRegionID())
 	}
 	c.Proxy.setNodes(target, rest)

@@ -73,8 +73,9 @@ func (n *DBNode) newEngine(rw *DBNode) (*engine.Engine, error) {
 }
 
 // promoteToRW turns this RO node into the RW (§5.1 step 2): the RO's
-// cached pool references are dropped — the evictions queue in librmem, one
-// round trip sends them — the RO engine is torn down and an RW engine is
+// cached pool references are dropped — the evictions leave its librmem
+// entries idle, one round trip gives them back — the RO engine is torn
+// down and an RW engine is
 // built on the same endpoint, substrate clients and local state, then runs
 // recovery. traditional selects the single-node redo replay baseline
 // instead of parallel REDO.

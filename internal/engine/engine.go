@@ -361,7 +361,7 @@ func (e *Engine) ResizeLocalCache(pages int) error { return e.cache.Resize(pages
 // Fetch returns a pinned frame with the page's current contents, filling
 // the local cache from remote memory or storage on a miss.
 //
-//polarvet:fabric O(1) the page-fetch path is a bounded number of round trips (register, PIB probe, then a one-sided read or one eng.flushpage whose reply is the page) regardless of pool size
+//polarvet:fabric O(1) one-sided on a registered page (PIB probe, then a page read, or one eng.flushpage whose reply is the page); one page_register round trip first on a page the node does not hold
 func (e *Engine) Fetch(id types.PageID) (*cache.Frame, error) {
 	return e.fetch(id, false)
 }

@@ -5,9 +5,13 @@ import (
 	"time"
 )
 
-// Handler processes a two-sided RPC on the receiving node. Handlers run on
-// the callee's goroutine budget; returning an error propagates it to the
-// caller verbatim.
+// Handler processes a two-sided RPC on the receiving node. Call runs it
+// inline, on the caller's goroutine: the callee has no CPU budget of its
+// own, and any number of handlers of one endpoint run at once. A handler
+// may call out again (the home's callbacks; cb.reclaim's handler makes a
+// nested unreg call to the home), so a per-endpoint slot model must
+// release the slot around such calls. Returning an error propagates it to
+// the caller verbatim.
 type Handler func(from NodeID, req []byte) ([]byte, error)
 
 // RegisterHandler installs an RPC handler under the given method name.

@@ -1,7 +1,7 @@
 package rmem
 
 import (
-	"errors"
+	"container/list"
 	"fmt"
 	"sync"
 
@@ -28,18 +28,22 @@ type RegisterResult struct {
 // The pool owns the node's registration table: which pages this node is
 // in the PRD of, at which addresses. A page is *held* while local users
 // (cached frames, mostly) count on it; when the last one unregisters it
-// is *queued* — still referenced at the home, addresses still good — and
-// the unregisterBatch-th queued page sends them all in one unreg round
-// trip, during which they are *in flight*. Registering a held or queued
-// page costs no round trip; registering one that is in flight, or that
-// another goroutine is registering, waits for that round trip first. An
-// entry leaves when its batch is answered, when the home says its
-// addresses are gone (cb.slabfail: the home's purge, for a slab crash, a
-// Shrink or an RW takeover) and when the node changes home. So an entry always means
-// "the home counts this node as a holder", and the home never evicts
-// under it; up to unregisterBatch unregistered pages per node stay pinned
-// in the pool for that — the most recently evicted here, the last the
-// home's LRU would have chosen.
+// is *idle* — still referenced at the home, addresses still good — and
+// joins the idle list, oldest first, with no round trip. Registering a
+// held or idle page costs no round trip either, so a re-miss on a page
+// the node still holds is a PIB probe and a one-sided read. Idle entries
+// leave in batches, one unreg round trip each, during which they are *in
+// flight*: when the home runs out of slots and asks for them (cb.reclaim,
+// the oldest unregisterBatch), and at Flush. Registering a page that is
+// in flight, or that another goroutine is registering, waits for that
+// round trip first. A page with local users, or whose PL latch a critical
+// section pins, is never put in a batch; a sticky X latch leaves with its
+// entry. An entry also leaves when the home says its addresses are gone
+// (cb.slabfail: the home's purge, for a slab crash, a Shrink or an RW
+// takeover), taking its PL record with it, and when the node changes
+// home. So an entry always means "the home counts this node as a
+// holder", and the home never evicts under it; idle entries are a cache
+// of mappings that the home shrinks when it needs the slots.
 type Pool struct {
 	ep  *rdma.Endpoint
 	met poolMetrics
@@ -47,21 +51,23 @@ type Pool struct {
 	mu      sync.Mutex
 	home    rdma.NodeID
 	regs    map[types.PageID]*registration
-	queue   []types.PageID // queued pages, oldest first
-	dropSeq uint64         // counts the times entries were dropped from outside (callback, SwitchHome)
+	idle    *list.List // idle pages (types.PageID), oldest first
+	dropSeq uint64     // counts the times entries were dropped from outside (callback, SwitchHome)
 	pl      *PLManager
 
 	invalidateFn func(types.PageID)
 	slabFailFn   func([]types.PageID)
 }
 
-// unregisterBatch is how many queued unregisters make one unreg round trip.
+// unregisterBatch is how many idle entries one cb.reclaim asks a holder for.
 const unregisterBatch = 16
 
 // registration is one entry of the node's registration table.
 type registration struct {
 	res   RegisterResult
-	users int // local holders; 0 = queued, or busy
+	users int // local holders; 0 = idle, or busy
+	// idle is the entry's place in Pool.idle while it is idle.
+	idle *list.Element
 	// done is non-nil while the entry is busy: a round trip about the page
 	// is on the wire — its first page_register, or the unreg batch that
 	// carries it — and the entry leaves or becomes held when done closes.
@@ -71,17 +77,19 @@ type registration struct {
 }
 
 // unregBatch is one unreg round trip; done closes when it is answered.
+// latches are the words of the sticky X latches its pages held.
 type unregBatch struct {
-	pages []types.PageID
-	done  chan struct{}
+	pages   []types.PageID
+	latches []rdma.Addr
+	done    chan struct{}
 }
 
 // poolMetrics are the librmem client-side counters, one per §3.1 API
-// call plus the two home-initiated callbacks.
+// call plus the home-initiated invalidation and purge callbacks.
 type poolMetrics struct {
 	register     *stat.Counter // page_register round trips
 	regCached    *stat.Counter // page_register calls answered from the registration table
-	unregister   *stat.Counter // page_unregister round trips (batches)
+	unregister   *stat.Counter // page_unregister round trips (batches: reclaim or Flush)
 	unregPages   *stat.Counter // pages carried by those batches
 	pageRead     *stat.Counter // one-sided page_read verbs
 	pageWrite    *stat.Counter // one-sided page_write verbs
@@ -111,7 +119,7 @@ func newPoolMetrics(r *stat.Registry) poolMetrics {
 // NewPool connects a database node to the pool served by home. The first
 // round trip learns the node's owner index (used in PL latch words).
 func NewPool(ep *rdma.Endpoint, cfg Config, home rdma.NodeID) (*Pool, error) {
-	p := &Pool{ep: ep, met: newPoolMetrics(ep.Metrics()), home: home, regs: make(map[types.PageID]*registration)}
+	p := &Pool{ep: ep, met: newPoolMetrics(ep.Metrics()), home: home, regs: make(map[types.PageID]*registration), idle: list.New()}
 	// An RPC on purpose: the hello handshake allocates this node's owner
 	// index in the home's directory, and server-side state assignment
 	// cannot be a one-sided read.
@@ -127,6 +135,7 @@ func NewPool(ep *rdma.Endpoint, cfg Config, home rdma.NodeID) (*Pool, error) {
 	p.pl = NewPLManager(ep, cfg, home, ownerIdx)
 	ep.RegisterHandler(method("cb.inv"), p.handleInvalidateCB)
 	ep.RegisterHandler(method("cb.slabfail"), p.handleSlabFailCB)
+	ep.RegisterHandler(method("cb.reclaim"), p.handleReclaimCB)
 	return p, nil
 }
 
@@ -148,7 +157,7 @@ func (p *Pool) SwitchHome(home rdma.NodeID) {
 	p.mu.Lock()
 	p.home = home
 	p.regs = make(map[types.PageID]*registration)
-	p.queue = nil
+	p.idle.Init()
 	p.dropSeq++
 	p.mu.Unlock()
 	p.pl.SetHome(home)
@@ -164,7 +173,8 @@ func (p *Pool) OnInvalidate(fn func(types.PageID)) { p.invalidateFn = fn }
 func (p *Pool) OnSlabFailure(fn func([]types.PageID)) { p.slabFailFn = fn }
 
 // writePages / readPages are the one page-list wire format (count + ids)
-// of unreg, inv, the takeover reply and the two callbacks.
+// of unreg, inv, the takeover reply and the cb.inv and cb.slabfail
+// callbacks.
 func writePages(w *wire.Writer, pages []types.PageID) {
 	w.U32(uint32(len(pages)))
 	for _, pg := range pages {
@@ -183,8 +193,9 @@ func readPages(rd *wire.Reader) []types.PageID {
 
 // Register implements page_register: obtain the page's remote address,
 // incrementing its reference count (allocating it if absent). A page this
-// node still holds or has only queued for unregistering is answered from
-// the table (Exists=true), cancelling the queued unregister.
+// node holds or keeps idle is answered from the table (Exists=true). The
+// home reclaims idle entries from every holder, this node included,
+// before it answers ErrOutOfMemory.
 func (p *Pool) Register(page types.PageID) (RegisterResult, error) {
 	// Counted, not unbounded: a round goes again only if a drop callback or
 	// a home switch overtook its reply, which takes a slab crash, a Shrink
@@ -195,12 +206,6 @@ func (p *Pool) Register(page types.PageID) (RegisterResult, error) {
 			return res, nil
 		}
 		res, err := p.registerAtHome(page)
-		if errors.Is(err, ErrOutOfMemory) {
-			// Our own queued unregisters may be what pins the pool full.
-			if sent, ferr := p.flush(); sent && ferr == nil {
-				res, err = p.registerAtHome(page)
-			}
-		}
 		p.mu.Lock()
 		// The reply may describe a slot the home has since taken away.
 		overtaken := err == nil && p.dropSeq != r.seq
@@ -221,7 +226,7 @@ func (p *Pool) Register(page types.PageID) (RegisterResult, error) {
 	return RegisterResult{}, fmt.Errorf("rmem: registering %s: the pool kept dropping registrations under the reply", page)
 }
 
-// claim answers a Register from the table if the page is held or queued
+// claim answers a Register from the table if the page is held or idle
 // (a nil entry comes back with the result). If the page is absent it
 // leaves a busy placeholder, which the caller resolves with the home's
 // answer. If a round trip about the page is on the wire it waits first:
@@ -244,15 +249,21 @@ func (p *Pool) claim(page types.PageID) (*registration, RegisterResult) {
 			<-done
 			continue
 		}
-		if r.users == 0 {
-			removeLast(&p.queue, page)
-		}
+		p.leaveIdleLocked(r)
 		r.users++
 		res := r.res
 		p.mu.Unlock()
 		p.met.regCached.Inc()
 		res.Exists = true
 		return nil, res
+	}
+}
+
+// leaveIdleLocked takes r off the idle list, if it is on it.
+func (p *Pool) leaveIdleLocked(r *registration) {
+	if r.idle != nil {
+		p.idle.Remove(r.idle)
+		r.idle = nil
 	}
 }
 
@@ -285,54 +296,85 @@ func (p *Pool) registerAtHome(page types.PageID) (RegisterResult, error) {
 }
 
 // Unregister implements page_unregister: one local holder lets go. The
-// last one queues the page; the home hears of it with the batch that
-// fills up next, or at Flush — it needs to know only before it runs short
-// of unreferenced slots. A page this node does not hold (never
-// registered, already queued, or dropped by the home meanwhile) is a
-// no-op.
+// last one leaves the entry idle, at the back of the idle list; the home
+// hears of it only when it reclaims the entry, or at Flush. A page this
+// node does not hold (never registered, already idle, or dropped by the
+// home meanwhile) is a no-op. The error is always nil.
 //
-//polarvet:fabric O(1) at most one batched unreg round trip, and that on one call in unregisterBatch
+//polarvet:fabric none no round trip: the entry stays, idle, until the home reclaims it
 func (p *Pool) Unregister(page types.PageID) error {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	r := p.regs[page]
 	if r == nil || r.users == 0 {
-		p.mu.Unlock()
 		return nil
 	}
 	r.users--
-	var b *unregBatch
 	if r.users == 0 {
-		p.queue = append(p.queue, page)
-		if len(p.queue) >= unregisterBatch {
-			b = p.takeQueueLocked()
-		}
+		r.idle = p.idle.PushBack(page)
 	}
+	return nil
+}
+
+// Flush gives the home every idle entry back, in one round trip (scale-in,
+// promotion and SwitchRW call it, so that pages no node uses count as
+// unreferenced).
+func (p *Pool) Flush() error {
+	p.mu.Lock()
+	b := p.takeIdleLocked(p.idle.Len())
 	p.mu.Unlock()
 	return p.sendUnregister(b)
 }
 
-// Flush sends whatever unregisters are queued, in one round trip.
-func (p *Pool) Flush() error {
-	_, err := p.flush()
-	return err
-}
-
-func (p *Pool) flush() (sent bool, err error) {
-	p.mu.Lock()
-	b := p.takeQueueLocked()
-	p.mu.Unlock()
-	return b != nil, p.sendUnregister(b)
-}
-
-// takeQueueLocked turns the queue into a batch in flight (nil if empty).
-func (p *Pool) takeQueueLocked() *unregBatch {
-	if len(p.queue) == 0 {
-		return nil
+// handleReclaimCB serves the home's cb.reclaim: it ran out of slots and
+// asks for up to n idle entries. They go in one unreg round trip before
+// the reply, so the home finds them unreferenced when it retries; a
+// Register of one of them meanwhile waits for that round trip (the
+// in-flight rule). The reply is how many pages were given up.
+func (p *Pool) handleReclaimCB(from rdma.NodeID, req []byte) ([]byte, error) {
+	rd := wire.NewReader(req)
+	n := int(rd.U32())
+	if err := rd.Err(); err != nil {
+		return nil, err
 	}
-	b := &unregBatch{pages: p.queue, done: make(chan struct{})}
-	p.queue = nil
-	for _, page := range b.pages {
-		p.regs[page].done = b.done
+	p.mu.Lock()
+	b := p.takeIdleLocked(n)
+	p.mu.Unlock()
+	if err := p.sendUnregister(b); err != nil {
+		return nil, err
+	}
+	given := 0
+	if b != nil {
+		given = len(b.pages)
+	}
+	w := wire.NewWriter(4)
+	w.U32(uint32(given))
+	return w.Bytes(), nil
+}
+
+// takeIdleLocked turns up to n of the oldest idle entries into a batch in
+// flight (nil if there are none). A page's PL record leaves with its
+// entry: a sticky X latch's word goes into the batch, to be cleared
+// before the unreg, while the slot is still the node's. An entry whose
+// latch a critical section pins stays.
+func (p *Pool) takeIdleLocked(n int) *unregBatch {
+	b := &unregBatch{done: make(chan struct{})}
+	for el := p.idle.Front(); el != nil && len(b.pages) < n; {
+		next := el.Next()
+		page := el.Value.(types.PageID)
+		if x, sticky, pinned := p.pl.yield(page); !pinned {
+			r := p.regs[page]
+			p.idle.Remove(el)
+			r.idle, r.done = nil, b.done
+			b.pages = append(b.pages, page)
+			if sticky {
+				b.latches = append(b.latches, x)
+			}
+		}
+		el = next
+	}
+	if len(b.pages) == 0 {
+		return nil
 	}
 	return b
 }
@@ -345,6 +387,11 @@ func (p *Pool) takeQueueLocked() *unregBatch {
 func (p *Pool) sendUnregister(b *unregBatch) error {
 	if b == nil {
 		return nil
+	}
+	for _, x := range b.latches {
+		// On an error the home is unreachable: the unreg below fails too,
+		// and the next RW's takeover clears the word.
+		_ = p.pl.releaseX(x)
 	}
 	p.met.unregister.Inc()
 	p.met.unregPages.Add(uint64(len(b.pages)))
@@ -363,9 +410,12 @@ func (p *Pool) sendUnregister(b *unregBatch) error {
 }
 
 // dropRegistrations forgets pages whose addresses the home has taken
-// away. A busy entry stays until its round trip is answered — a Register
-// waiting on a batch still orders after the Unref, and a first register
-// sees from the drop count that its reply cannot be trusted.
+// away, and their PL records: the latch words went with the slots, and a
+// record kept would make the next LockX at a new slot a sticky hit that
+// never touches the new word. A busy entry stays until its round trip is
+// answered — a Register waiting on a batch still orders after the Unref,
+// and a first register sees from the drop count that its reply cannot be
+// trusted.
 func (p *Pool) dropRegistrations(pages []types.PageID) {
 	p.mu.Lock()
 	for _, page := range pages {
@@ -373,11 +423,10 @@ func (p *Pool) dropRegistrations(pages []types.PageID) {
 		if r == nil || r.done != nil {
 			continue
 		}
-		if r.users == 0 {
-			removeLast(&p.queue, page)
-		}
+		p.leaveIdleLocked(r)
 		delete(p.regs, page)
 	}
+	p.pl.forget(pages)
 	p.dropSeq++
 	p.mu.Unlock()
 }

@@ -13,20 +13,37 @@ import (
 // §3.1.4 invalidation fan-out and the purge's "addresses gone" (slab
 // failure, Shrink, RW takeover); the callback wire format is uniformly
 // count + page ids.
-// Unresponsive holders are kicked so the notification always completes
-// (the copy they failed to drop dies with their references).
 func (h *Home) notifyHolders(cb string, holders map[rdma.NodeID][]types.PageID) {
+	reqs := make(map[rdma.NodeID][]byte, len(holders))
 	for n, pages := range holders {
-		if h.isKicked(n) || len(pages) == 0 {
-			continue
-		}
-		w := wire.NewWriter(4 + 8*len(pages))
-		writePages(w, pages)
-		// One callback per distinct destination node, already carrying that
-		// node's whole page list: batched per holder by construction.
-		//polarvet:allow fabriccost the iteration is over distinct destination nodes and each receives a single batched RPC; there is nothing left to coalesce
-		if _, err := h.ep.CallTimeout(n, method(cb), w.Bytes(), h.cfg.InvalidateTimeout); err != nil {
-			h.kickNode(n)
+		if len(pages) > 0 {
+			w := wire.NewWriter(4 + 8*len(pages))
+			writePages(w, pages)
+			reqs[n] = w.Bytes()
 		}
 	}
+	h.callHolders(cb, reqs)
+}
+
+// callHolders sends each holder its one callback (notifyHolders' page
+// lists, reclaim's request) and returns the replies of those that
+// answered. Unresponsive holders are kicked so the round always completes
+// (the copies they failed to drop die with their references).
+func (h *Home) callHolders(cb string, reqs map[rdma.NodeID][]byte) map[rdma.NodeID][]byte {
+	replies := make(map[rdma.NodeID][]byte, len(reqs))
+	for n, req := range reqs {
+		if h.isKicked(n) {
+			continue
+		}
+		// One callback per distinct destination node, already carrying that
+		// node's whole request: batched per holder by construction.
+		//polarvet:allow fabriccost the iteration is over distinct destination nodes and each receives a single batched RPC; there is nothing left to coalesce
+		resp, err := h.ep.CallTimeout(n, method(cb), req, h.cfg.InvalidateTimeout)
+		if err != nil {
+			h.kickNode(n)
+			continue
+		}
+		replies[n] = resp
+	}
+	return replies
 }

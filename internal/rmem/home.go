@@ -1,6 +1,7 @@
 package rmem
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -54,6 +55,8 @@ type homeMetrics struct {
 	evictions     *stat.Counter // pages evicted from the pool
 	invalidations *stat.Counter // page_invalidate requests served
 	invFanout     *stat.Counter // per-holder invalidation callbacks sent
+	reclaims      *stat.Counter // per-holder cb.reclaim callbacks answered
+	reclaimed     *stat.Counter // idle registrations those callbacks freed
 }
 
 func newHomeMetrics(r *stat.Registry) homeMetrics {
@@ -64,6 +67,8 @@ func newHomeMetrics(r *stat.Registry) homeMetrics {
 		evictions:     r.Counter("rmem.home.evictions"),
 		invalidations: r.Counter("rmem.home.invalidations"),
 		invFanout:     r.Counter("rmem.home.inv_fanout"),
+		reclaims:      r.Counter("rmem.home.reclaims"),
+		reclaimed:     r.Counter("rmem.home.reclaimed_pages"),
 	}
 }
 
@@ -325,7 +330,9 @@ func (h *Home) handleHello(from rdma.NodeID, req []byte) ([]byte, error) {
 
 // handleRegister implements page_register: look up or allocate the page,
 // add the caller to the PRD, and return the page's remote address plus the
-// PL and PIB word addresses.
+// PL and PIB word addresses. When no slot is free and every page is
+// referenced, the holders are asked for idle registrations (reclaim) and
+// the allocation is tried once more.
 func (h *Home) handleRegister(from rdma.NodeID, req []byte) ([]byte, error) {
 	if err := h.activeErr(); err != nil {
 		return nil, err
@@ -341,24 +348,20 @@ func (h *Home) handleRegister(from rdma.NodeID, req []byte) ([]byte, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.met.registers.Inc()
-	delete(h.kicked, from) // a registering node is alive by definition
-	idx := h.nodeIndexLocked(from)
-	e, exists := h.tab.pat[page.Key()]
+	e, exists, err := h.registerLocked(from, page)
+	if errors.Is(err, ErrOutOfMemory) {
+		h.mu.Unlock()
+		h.reclaim()
+		h.mu.Lock()
+		e, exists, err = h.registerLocked(from, page)
+	}
 	if exists {
 		h.met.hits.Inc()
-		h.mutate(homeOp{kind: replOpAddRef, page: page, node: from})
 	} else {
 		h.met.misses.Inc()
-		if len(h.tab.metaFree) == 0 {
-			return nil, ErrMetaFull
-		}
-		slab, slot, err := h.allocateLocked()
-		if err != nil {
-			return nil, err
-		}
-		h.mutate(homeOp{kind: replOpRegister, page: page, slab: slab, slot: slot,
-			slotOff: h.tab.metaFree[len(h.tab.metaFree)-1], node: from})
-		e = h.tab.pat[page.Key()]
+	}
+	if err != nil {
+		return nil, err
 	}
 	resp := wire.NewWriter(64)
 	resp.Bool(exists)
@@ -367,13 +370,64 @@ func (h *Home) handleRegister(from rdma.NodeID, req []byte) ([]byte, error) {
 	resp.U64(e.slab.addr(e.slot).Off)
 	resp.U32(h.tab.meta.ID())
 	resp.U64(e.slotOff)
-	resp.U16(idx)
+	resp.U16(h.tab.nodeIdx[from])
 	return resp.Bytes(), nil
 }
 
-// handleUnregister implements page_unregister for the batch of pages a
-// node's librmem queued up: drop the caller's reference on each, in queue
-// order; at refcount 0 a page becomes evictable (LRU).
+// registerLocked adds from to the page's PRD, allocating the page a slot
+// (evicting LRU pages if it must) if the pool does not hold it.
+func (h *Home) registerLocked(from rdma.NodeID, page types.PageID) (*patEntry, bool, error) {
+	delete(h.kicked, from) // a registering node is alive by definition
+	h.nodeIndexLocked(from)
+	if e, ok := h.tab.pat[page.Key()]; ok {
+		h.mutate(homeOp{kind: replOpAddRef, page: page, node: from})
+		return e, true, nil
+	}
+	if len(h.tab.metaFree) == 0 {
+		return nil, false, ErrMetaFull
+	}
+	slab, slot, err := h.allocateLocked()
+	if err != nil {
+		return nil, false, err
+	}
+	h.mutate(homeOp{kind: replOpRegister, page: page, slab: slab, slot: slot,
+		slotOff: h.tab.metaFree[len(h.tab.metaFree)-1], node: from})
+	return h.tab.pat[page.Key()], false, nil
+}
+
+// reclaim asks every live holder to give up its oldest unregisterBatch
+// idle registrations, one cb.reclaim each (the caller of the register
+// that found the pool full included). A holder sends the pages' unreg
+// before it answers, so on return they are on the LRU. Called without
+// h.mu: the callbacks call back in.
+func (h *Home) reclaim() {
+	h.mu.Lock()
+	holders := map[rdma.NodeID]bool{}
+	for _, e := range h.tab.pat {
+		for n := range e.refs {
+			holders[n] = true
+		}
+	}
+	h.mu.Unlock()
+	w := wire.NewWriter(4)
+	w.U32(unregisterBatch)
+	reqs := make(map[rdma.NodeID][]byte, len(holders))
+	for n := range holders {
+		reqs[n] = w.Bytes()
+	}
+	replies := h.callHolders("cb.reclaim", reqs)
+	h.met.reclaims.Add(uint64(len(replies)))
+	for _, resp := range replies {
+		rd := wire.NewReader(resp)
+		if freed := rd.U32(); rd.Err() == nil {
+			h.met.reclaimed.Add(uint64(freed))
+		}
+	}
+}
+
+// handleUnregister implements page_unregister for a batch of a node's
+// idle registrations (reclaimed, or flushed): drop the caller's reference
+// on each, oldest first; at refcount 0 a page becomes evictable (LRU).
 func (h *Home) handleUnregister(from rdma.NodeID, req []byte) ([]byte, error) {
 	if err := h.activeErr(); err != nil {
 		return nil, err

@@ -252,6 +252,40 @@ func (m *PLManager) UnlockS(page types.PageID) error {
 	}
 }
 
+// yield takes the page's record away for its registration to leave the
+// table, unless a critical section pins it (pinned). A record left after
+// the last unpin is a sticky X latch: its word comes back (sticky) for the
+// caller to clear while the slot is still the node's. A revoke that comes
+// meanwhile finds no record, and the home finds the word clear on its
+// next look.
+func (m *PLManager) yield(page types.PageID) (x rdma.Addr, sticky, pinned bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h, ok := m.held[page.Key()]
+	if !ok {
+		return rdma.Addr{}, false, false
+	}
+	if h.pins > 0 {
+		return rdma.Addr{}, false, true
+	}
+	delete(m.held, page.Key())
+	return h.addr, h.mode == PLExclusive, false
+}
+
+// forget drops the records of pages whose latch words the home took away
+// with their slots (a purge). A critical section still pinning one finds
+// it gone at unlock; a revoke waiting on it returns.
+func (m *PLManager) forget(pages []types.PageID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, page := range pages {
+		if h, ok := m.held[page.Key()]; ok {
+			delete(m.held, page.Key())
+			h.cond.Broadcast()
+		}
+	}
+}
+
 func (m *PLManager) record(k uint64, addr rdma.Addr, mode PLMode, fast bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -299,7 +333,7 @@ func (m *PLManager) handleRevoke(from rdma.NodeID, req []byte) ([]byte, error) {
 	}
 	m.met.revoke.Inc()
 	h.revokeReq = true
-	for h.pins > 0 {
+	for h.pins > 0 && m.held[k] == h {
 		h.cond.Wait()
 	}
 	if m.held[k] != h {

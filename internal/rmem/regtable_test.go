@@ -1,6 +1,7 @@
 package rmem
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -53,52 +54,62 @@ func checkTableMatchesHome(t *testing.T, tp *testPool, p *Pool) {
 
 func counter(p *Pool, name string) uint64 { return p.ep.Metrics().Snapshot().Counter(name) }
 
+// idleLen is how many entries of a node's table are idle.
+func idleLen(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.idle.Len()
+}
+
 // TestUnregistersLeaveInBatches: the last holder's Unregister costs no
-// round trip until unregisterBatch pages are queued; then one carries
-// them all, and the home's reference sets agree with the table before and
-// after.
+// round trip, however many pages go idle, and the home keeps counting the
+// node as a holder; Flush then sends every idle entry in one round trip,
+// oldest first, and the home's reference sets agree with the table before
+// and after.
 func TestUnregistersLeaveInBatches(t *testing.T) {
 	tp := newTestPool(t, Config{}, 64)
 	db := tp.client(t, "db")
-	for i := uint32(0); i < unregisterBatch+4; i++ {
+	const pages = 2*unregisterBatch + 4
+	for i := uint32(0); i < pages; i++ {
 		if _, err := db.Register(pid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := uint32(0); i < unregisterBatch-1; i++ {
+	rpcs := counter(db, "rdma.rpc.ops")
+	for i := uint32(0); i < pages-4; i++ {
 		if err := db.Unregister(pid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := counter(db, "rmem.unregister.ops"); n != 0 {
-		t.Fatalf("%d unreg round trips for %d queued pages, want 0", n, unregisterBatch-1)
+	if n := counter(db, "rdma.rpc.ops"); n != rpcs {
+		t.Fatalf("%d unregisters cost %d round trips, want 0", pages-4, n-rpcs)
 	}
-	if got := len(homeRefs(tp.home, "db")); got != unregisterBatch+4 {
-		t.Fatalf("home holds %d references while everything is queued, want %d", got, unregisterBatch+4)
+	if got := len(homeRefs(tp.home, "db")); got != pages {
+		t.Fatalf("home holds %d references while %d pages are idle, want %d", got, pages-4, pages)
 	}
 	checkTableMatchesHome(t, tp, db)
-	if err := db.Unregister(pid(unregisterBatch - 1)); err != nil {
+	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if ops, pages := counter(db, "rmem.unregister.ops"), counter(db, "rmem.unregister.pages"); ops != 1 || pages != unregisterBatch {
-		t.Fatalf("unreg round trips = %d carrying %d pages, want 1 carrying %d", ops, pages, unregisterBatch)
+	if ops, sent := counter(db, "rmem.unregister.ops"), counter(db, "rmem.unregister.pages"); ops != 1 || sent != pages-4 {
+		t.Fatalf("unreg round trips = %d carrying %d pages, want 1 carrying %d", ops, sent, pages-4)
 	}
 	if got := len(homeRefs(tp.home, "db")); got != 4 {
-		t.Fatalf("home holds %d references after the batch, want the 4 still held", got)
+		t.Fatalf("home holds %d references after Flush, want the 4 still held", got)
 	}
 	checkTableMatchesHome(t, tp, db)
-	// The batch reached the home in queue order: its LRU evicts page 0 first.
+	// The batch reached the home oldest first: its LRU evicts page 0 first.
 	tp.home.mu.Lock()
 	oldest := tp.home.tab.oldest().page
 	tp.home.mu.Unlock()
 	if oldest != pid(0) {
-		t.Fatalf("home LRU front = %s, want %s (first queued)", oldest, pid(0))
+		t.Fatalf("home LRU front = %s, want %s (first to go idle)", oldest, pid(0))
 	}
 }
 
 // TestUnregisterCountsLocalUsers: nested registrations of one page share
-// one home reference, which is queued only when the last user lets go;
-// unregistering a page that is unknown or already queued is a no-op.
+// one home reference, whose entry goes idle only when the last user lets
+// go; unregistering a page that is unknown or already idle is a no-op.
 func TestUnregisterCountsLocalUsers(t *testing.T) {
 	tp := newTestPool(t, Config{}, 16)
 	db := tp.client(t, "db")
@@ -119,11 +130,8 @@ func TestUnregisterCountsLocalUsers(t *testing.T) {
 	if err := db.Unregister(pid(1)); err != nil {
 		t.Fatal(err)
 	}
-	db.mu.Lock()
-	queued := len(db.queue)
-	db.mu.Unlock()
-	if queued != 0 {
-		t.Fatal("page queued while a local user still holds it")
+	if idleLen(db) != 0 {
+		t.Fatal("page idle while a local user still holds it")
 	}
 	for i := 0; i < 3; i++ { // the last user, then twice more
 		if err := db.Unregister(pid(1)); err != nil {
@@ -133,16 +141,13 @@ func TestUnregisterCountsLocalUsers(t *testing.T) {
 	if err := db.Unregister(pid(99)); err != nil {
 		t.Fatalf("unregister of an unknown page: %v", err)
 	}
-	db.mu.Lock()
-	queued = len(db.queue)
-	db.mu.Unlock()
-	if queued != 1 {
-		t.Fatalf("%d pages queued, want 1", queued)
+	if n := idleLen(db); n != 1 {
+		t.Fatalf("%d pages idle, want 1", n)
 	}
 }
 
-// TestQueuedRegisterNeedsNoRoundTrip: registering a page whose unregister
-// is still queued cancels it and answers from the table.
+// TestQueuedRegisterNeedsNoRoundTrip: registering an idle page takes it
+// off the idle list and answers from the table.
 func TestQueuedRegisterNeedsNoRoundTrip(t *testing.T) {
 	tp := newTestPool(t, Config{}, 16)
 	db := tp.client(t, "db")
@@ -162,7 +167,7 @@ func TestQueuedRegisterNeedsNoRoundTrip(t *testing.T) {
 		t.Fatalf("re-register = %+v, want the addresses of %+v with Exists", again, first)
 	}
 	if got := counter(db, "rmem.register.ops"); got != ops {
-		t.Fatalf("rmem.register.ops %d -> %d: a queued page went to the home", ops, got)
+		t.Fatalf("rmem.register.ops %d -> %d: an idle page went to the home", ops, got)
 	}
 	if got := counter(db, "rmem.register.cached"); got != cached+1 {
 		t.Fatalf("rmem.register.cached %d -> %d, want +1", cached, got)
@@ -171,9 +176,9 @@ func TestQueuedRegisterNeedsNoRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := counter(db, "rmem.unregister.ops"); n != 0 {
-		t.Fatalf("the cancelled unregister was sent anyway (%d round trips)", n)
+		t.Fatalf("the page held again was sent anyway (%d round trips)", n)
 	}
-	if err := db.Flush(); err != nil { // and an empty queue sends nothing
+	if err := db.Flush(); err != nil { // and an empty idle list sends nothing
 		t.Fatal(err)
 	}
 	if rpcs := counter(db, "rdma.rpc.ops"); rpcs != 2 { // hello + one register
@@ -198,17 +203,12 @@ func TestRegisterWaitsForInFlightBatch(t *testing.T) {
 		if _, err := db.Register(pid(i)); err != nil {
 			t.Fatal(err)
 		}
+		if err := db.Unregister(pid(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sent := make(chan error, 1)
-	go func() {
-		for i := uint32(0); i < unregisterBatch; i++ {
-			if err := db.Unregister(pid(i)); err != nil {
-				sent <- err
-				return
-			}
-		}
-		sent <- nil
-	}()
+	go func() { sent <- db.Flush() }()
 	<-arrived
 	registered := make(chan error, 1)
 	go func() {
@@ -234,14 +234,31 @@ func TestRegisterWaitsForInFlightBatch(t *testing.T) {
 }
 
 // TestRegisterRacesUnregisterBatches lets two goroutines of one node
-// register and unregister the same few pages with no gate at all, so
-// registrations meet queued, in-flight and absent entries in every order;
-// whatever a goroutine holds at the end must be in the page's PRD.
+// register and unregister the same few pages while a third flushes the
+// idle list, with no gate at all, so registrations meet held, idle,
+// in-flight and absent entries in every order; whatever a goroutine holds
+// at the end must be in the page's PRD.
 func TestRegisterRacesUnregisterBatches(t *testing.T) {
 	tp := newTestPool(t, Config{}, 64)
 	db := tp.client(t, "db")
 	const pages = unregisterBatch + 3
 	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	flushed := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				flushed <- nil
+				return
+			default:
+			}
+			if err := db.Flush(); err != nil {
+				flushed <- err
+				return
+			}
+		}
+	}()
 	for g := uint32(0); g < 2; g++ {
 		wg.Add(1)
 		go func(g uint32) {
@@ -263,6 +280,13 @@ func TestRegisterRacesUnregisterBatches(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if counter(db, "rmem.unregister.ops") == 0 {
+		t.Fatal("no batch left while the registers ran; the test checks nothing")
+	}
 	checkTableMatchesHome(t, tp, db)
 	db.mu.Lock()
 	held := 0
@@ -285,8 +309,8 @@ func TestRegisterRacesUnregisterBatches(t *testing.T) {
 }
 
 // TestTableDropsWhatTheHomeTakesAway: cb.slabfail removes exactly the
-// named entries (held or queued) and SwitchHome removes everything;
-// neither leaves a queued unregister behind for a page that is gone.
+// named entries (held or idle) and SwitchHome removes everything; neither
+// leaves a page that is gone on the idle list.
 func TestTableDropsWhatTheHomeTakesAway(t *testing.T) {
 	tp := newTestPool(t, Config{}, 4)
 	tp.addSlabNode(t, "slab1", 4)
@@ -301,7 +325,7 @@ func TestTableDropsWhatTheHomeTakesAway(t *testing.T) {
 			onSlab1[pid(i)] = true
 		}
 	}
-	for i := uint32(0); i < 8; i += 2 { // queue half of them
+	for i := uint32(0); i < 8; i += 2 { // half of them go idle
 		if err := db.Unregister(pid(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -318,28 +342,25 @@ func TestTableDropsWhatTheHomeTakesAway(t *testing.T) {
 		}
 	}
 	db.mu.Lock()
-	for _, pg := range db.queue {
-		if onSlab1[pg] {
-			t.Errorf("%s was on the failed slab and is still queued", pg)
+	for el := db.idle.Front(); el != nil; el = el.Next() {
+		if pg := el.Value.(types.PageID); onSlab1[pg] {
+			t.Errorf("%s was on the failed slab and is still idle", pg)
 		}
 	}
 	db.mu.Unlock()
 	checkTableMatchesHome(t, tp, db)
 
 	db.SwitchHome("home")
-	db.mu.Lock()
-	entries, queued := len(db.regs), len(db.queue)
-	db.mu.Unlock()
-	if entries != 0 || queued != 0 {
-		t.Fatalf("after SwitchHome: %d entries, %d queued, want none", entries, queued)
+	if entries, idle := len(tablePages(db)), idleLen(db); entries != 0 || idle != 0 {
+		t.Fatalf("after SwitchHome: %d entries, %d idle, want none", entries, idle)
 	}
 }
 
 // TestForceEvictDropsRegistration: a page an RW takeover purges — here a
 // stale one — goes regardless of references, and its slot and PIB word
 // return to LIFO free lists, so the next registration of any page reuses
-// both. A node that kept the purged page's addresses — its unregister only
-// queued — would then read the other page's PIB ("fresh") and bytes. The
+// both. A node that kept the purged page's addresses — its entry only
+// idle — would then read the other page's PIB ("fresh") and bytes. The
 // home tells holders with the address-dropping callback.
 func TestForceEvictDropsRegistration(t *testing.T) {
 	tp := newTestPool(t, Config{}, 16)
@@ -353,7 +374,7 @@ func TestForceEvictDropsRegistration(t *testing.T) {
 	if err := db.WritePage(first.Data, make([]byte, types.PageSize), first.PIB); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Unregister(pid(1)); err != nil { // queued
+	if err := db.Unregister(pid(1)); err != nil { // idle
 		t.Fatal(err)
 	}
 	rw := tp.client(t, "rw")
@@ -369,7 +390,7 @@ func TestForceEvictDropsRegistration(t *testing.T) {
 			t.Fatalf("holder told about %v, want [%s]", pages, pid(1))
 		}
 	default:
-		t.Fatal("holder with a queued registration was not told its addresses are gone")
+		t.Fatal("holder with an idle registration was not told its addresses are gone")
 	}
 	other, err := db.Register(pid(2))
 	if err != nil {
@@ -393,4 +414,180 @@ func TestForceEvictDropsRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkTableMatchesHome(t, tp, db)
+}
+
+// TestReclaimFreesIdleRegistrations: idle entries cost their node nothing
+// and the home keeps counting them; when another node finds the pool full,
+// the home takes them back with one cb.reclaim and the holder's one unreg.
+func TestReclaimFreesIdleRegistrations(t *testing.T) {
+	tp := newTestPool(t, Config{}, 4)
+	a, b := tp.client(t, "a"), tp.client(t, "b")
+	for i := uint32(0); i < 4; i++ {
+		if _, err := a.Register(pid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rpcs := counter(a, "rdma.rpc.ops")
+	for i := uint32(0); i < 4; i++ {
+		if err := a.Unregister(pid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := counter(a, "rdma.rpc.ops"); n != rpcs {
+		t.Fatalf("4 unregisters cost %d round trips, want 0", n-rpcs)
+	}
+	if refs := homeRefs(tp.home, "a"); len(refs) != 4 {
+		t.Fatalf("home counts %d references of a, want 4", len(refs))
+	}
+	res, err := b.Register(pid(5))
+	if err != nil {
+		t.Fatalf("register with the pool full of idle entries: %v", err)
+	}
+	if res.Exists {
+		t.Fatal("page 5 was never in the pool")
+	}
+	home := tp.home.ep.Metrics().Snapshot()
+	if reclaims, freed := home.Counter("rmem.home.reclaims"), home.Counter("rmem.home.reclaimed_pages"); reclaims != 1 || freed != 4 {
+		t.Fatalf("%d cb.reclaim freeing %d pages, want 1 freeing 4", reclaims, freed)
+	}
+	if ops, pages := counter(a, "rmem.unregister.ops"), counter(a, "rmem.unregister.pages"); ops != 1 || pages != 4 {
+		t.Fatalf("a sent %d unreg round trips carrying %d pages, want 1 carrying 4", ops, pages)
+	}
+	if n := counter(a, "rdma.rpc.ops"); n != rpcs+1 {
+		t.Fatalf("a made %d round trips for the reclaim, want the one unreg", n-rpcs)
+	}
+	if n := home.Counter("rmem.home.evictions"); n != 1 {
+		t.Fatalf("%d evictions, want 1", n)
+	}
+	checkTableMatchesHome(t, tp, a)
+	checkTableMatchesHome(t, tp, b)
+	if idleLen(a) != 0 || len(tablePages(a)) != 0 {
+		t.Fatalf("a keeps %v after giving everything back", tablePages(a))
+	}
+}
+
+// TestReclaimNeverTakesHeldPages: a page with local users is not given up.
+// With every slot held, the register fails and the holder's table and
+// references are as they were.
+func TestReclaimNeverTakesHeldPages(t *testing.T) {
+	tp := newTestPool(t, Config{}, 4)
+	a, b := tp.client(t, "a"), tp.client(t, "b")
+	for i := uint32(0); i < 4; i++ {
+		if _, err := a.Register(pid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := tablePages(a)
+	if _, err := b.Register(pid(5)); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("register with every slot held: %v, want ErrOutOfMemory", err)
+	}
+	if n := tp.home.ep.Metrics().Snapshot().Counter("rmem.home.reclaims"); n != 1 {
+		t.Fatalf("%d cb.reclaim sent, want 1 (to a)", n)
+	}
+	if n := counter(a, "rmem.unregister.ops"); n != 0 {
+		t.Fatalf("a sent %d unreg round trips for held pages", n)
+	}
+	if after := tablePages(a); len(after) != len(before) {
+		t.Fatalf("a's table went from %v to %v", before, after)
+	}
+	a.mu.Lock()
+	for pg, r := range a.regs {
+		if r.users != 1 || r.done != nil {
+			t.Errorf("%s: %d users, busy %v; want held by 1", pg, r.users, r.done != nil)
+		}
+	}
+	a.mu.Unlock()
+	checkTableMatchesHome(t, tp, a)
+}
+
+// TestRegisterRacesReclaim: one node registers and unregisters a few pages
+// from two goroutines while another keeps the pool full, so the home keeps
+// reclaiming the first node's idle entries under its registers. Whatever
+// either table holds at the end must be in the home's PRD, and nothing
+// else.
+func TestRegisterRacesReclaim(t *testing.T) {
+	tp := newTestPool(t, Config{}, 6)
+	a, b := tp.client(t, "a"), tp.client(t, "b")
+	var wg sync.WaitGroup
+	cycle := func(p *Pool, first, pages, rounds uint32, stride uint32) {
+		defer wg.Done()
+		for i := uint32(0); i < rounds; i++ {
+			pg := pid(first + (i*stride)%pages)
+			if _, err := p.Register(pg); errors.Is(err, ErrOutOfMemory) {
+				continue // every slot held for a moment: storage-direct
+			} else if err != nil {
+				t.Errorf("register %s: %v", pg, err)
+				return
+			}
+			if err := p.Unregister(pg); err != nil {
+				t.Errorf("unregister %s: %v", pg, err)
+				return
+			}
+		}
+	}
+	wg.Add(3)
+	go cycle(a, 0, 5, 400, 1)
+	go cycle(a, 0, 5, 400, 3)
+	go cycle(b, 100, 50, 400, 1)
+	wg.Wait()
+	if n := tp.home.ep.Metrics().Snapshot().Counter("rmem.home.reclaimed_pages"); n == 0 || counter(a, "rmem.unregister.ops") == 0 {
+		t.Fatalf("%d pages reclaimed, none from a; the test checks nothing", n)
+	}
+	checkTableMatchesHome(t, tp, a)
+	checkTableMatchesHome(t, tp, b)
+}
+
+// TestReclaimTakesStickyLatchesNotPinnedOnes: an idle page's sticky X
+// latch leaves with its entry, its word cleared before the unreg, so a
+// node still holding the page can take the latch at once; an idle page
+// whose latch a critical section pins is not given up.
+func TestReclaimTakesStickyLatchesNotPinnedOnes(t *testing.T) {
+	tp := newTestPool(t, Config{}, 3)
+	a, b := tp.client(t, "a"), tp.client(t, "b")
+	sticky, err := a.Register(pid(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := a.Register(pid(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.PL().LockX(pid(0), sticky.PL); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.PL().UnlockX(pid(0), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.PL().LockX(pid(1), pinned.PL); err != nil {
+		t.Fatal(err)
+	}
+	for _, pg := range []types.PageID{pid(0), pid(1)} {
+		if err := a.Unregister(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pg := range []types.PageID{pid(0), pid(2)} { // b keeps page 0 pooled after a lets go
+		if _, err := b.Register(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Register(pid(5)); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("register with every slot held but a's page 0: %v, want ErrOutOfMemory", err)
+	}
+	if table := tablePages(a); len(table) != 1 || !table[pid(1)] {
+		t.Fatalf("a's table after the reclaim = %v, want only the pinned page 1", table)
+	}
+	if n := a.PL().HeldCount(); n != 1 {
+		t.Fatalf("a keeps %d latch records, want the pinned one", n)
+	}
+	checkTableMatchesHome(t, tp, a)
+	if w, err := b.ep.Load64(sticky.PL); err != nil || w != 0 {
+		t.Fatalf("page 0's latch word = %#x (err %v) after a gave it up, want 0", w, err)
+	}
+	if err := b.PL().LockX(pid(0), sticky.PL); err != nil {
+		t.Fatal(err)
+	}
+	if fast := counter(b, "rmem.pl.fast"); fast != 1 {
+		t.Fatalf("b's X latch on page 0 took the slow path (fast = %d)", fast)
+	}
 }

@@ -265,6 +265,9 @@ func TestInvalidateKicksUnresponsiveNode(t *testing.T) {
 	}
 }
 
+// TestUnregisterMakesPageEvictable: with every slot referenced, a register
+// fails once the home's reclaim finds nothing idle; once the holder's last
+// user lets go of one page, the next register's reclaim frees that slot.
 func TestUnregisterMakesPageEvictable(t *testing.T) {
 	tp := newTestPool(t, Config{}, 4)
 	rw := tp.client(t, "rw")
@@ -274,26 +277,33 @@ func TestUnregisterMakesPageEvictable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A 5th registration fails: everything is referenced.
+	// A 5th registration fails: everything is held.
 	if _, err := rw.Register(pid(99)); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
-	// Dropping one reference frees a slot via LRU eviction.
+	// An idle page is reclaimed, then evicted, for the next one.
 	if err := rw.Unregister(pid(0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rw.Register(pid(99)); err != nil {
 		t.Fatalf("register after unregister: %v", err)
 	}
-	if n := tp.home.ep.Metrics().Snapshot().Counter("rmem.home.evictions"); n != 1 {
-		t.Fatalf("evictions = %d, want 1", n)
+	home := tp.home.ep.Metrics().Snapshot()
+	if ev, reclaims, freed := home.Counter("rmem.home.evictions"), home.Counter("rmem.home.reclaims"), home.Counter("rmem.home.reclaimed_pages"); ev != 1 || reclaims != 2 || freed != 1 {
+		t.Fatalf("evictions = %d, reclaim callbacks = %d freeing %d pages; want 1, 2 and 1", ev, reclaims, freed)
 	}
+	if refs := homeRefs(tp.home, "rw"); len(refs) != 4 || refs[pid(0)] {
+		t.Fatalf("rw's references = %v, want pages 1-3 and 99", refs)
+	}
+	checkTableMatchesHome(t, tp, rw)
 }
 
+// TestLRUEvictionOrder: a reclaim hands the home a holder's idle pages
+// oldest first, and the home evicts in that order.
 func TestLRUEvictionOrder(t *testing.T) {
 	tp := newTestPool(t, Config{}, 2)
 	rw := tp.client(t, "rw")
-	// Register and release pages 1, 2 (LRU order 1 then 2).
+	// Register and release pages 1, 2 (idle in that order).
 	for _, n := range []uint32{1, 2} {
 		if _, err := rw.Register(pid(n)); err != nil {
 			t.Fatal(err)
@@ -302,9 +312,16 @@ func TestLRUEvictionOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Page 3 evicts page 1 (oldest).
+	// Page 3 reclaims both and evicts page 1 (oldest).
 	if _, err := rw.Register(pid(3)); err != nil {
 		t.Fatal(err)
+	}
+	tp.home.mu.Lock()
+	_, has1 := tp.home.tab.pat[pid(1).Key()]
+	_, has2 := tp.home.tab.pat[pid(2).Key()]
+	tp.home.mu.Unlock()
+	if has1 || !has2 {
+		t.Fatalf("pool holds page 1: %v, page 2: %v; want page 1 evicted, page 2 kept", has1, has2)
 	}
 	res1, err := rw.Register(pid(1))
 	if err != nil {
@@ -313,7 +330,6 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if res1.Exists {
 		t.Fatal("page 1 should have been evicted")
 	}
-	_ = res1
 }
 
 func TestElasticGrowShrink(t *testing.T) {
@@ -331,7 +347,7 @@ func TestElasticGrowShrink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Queued unregisters still pin their pages; scale-in flushes first
+	// Idle registrations still pin their pages; scale-in flushes first
 	// (cluster.ShrinkMemory does it for every node).
 	if err := rw.Flush(); err != nil {
 		t.Fatal(err)
@@ -959,5 +975,62 @@ func TestSlabHeartbeatAutoDetection(t *testing.T) {
 			t.Fatalf("slab failure not auto-detected; slots = %d", tp.home.TotalSlots())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPurgeDropsStickyLatchRecord: a purge takes a page's PL word with its
+// slot, so the holder's sticky X record must go too. Otherwise the RW's
+// next LockX of the page at its new slot is a "sticky hit" that never
+// writes the new word, and an RO's LockS there takes the fast path while
+// the RW believes it holds X.
+func TestPurgeDropsStickyLatchRecord(t *testing.T) {
+	tp := newTestPool(t, Config{}, 4)
+	tp.addSlabNode(t, "slab1", 4)
+	rw := tp.client(t, "rw")
+	for i := uint32(0); i < 5; i++ { // best fit: 0-3 on the home's slab, 4 on slab1
+		if _, err := rw.Register(pid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint32(0); i < 4; i++ { // idle: the re-register below reclaims them
+		if err := rw.Unregister(pid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := pid(4)
+	old, err := rw.Register(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Data.Node != "slab1" {
+		t.Fatalf("page 4 at %v, want slab1", old.Data)
+	}
+	if err := rw.PL().LockX(p, old.PL); err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.PL().UnlockX(p, true); err != nil { // sticky
+		t.Fatal(err)
+	}
+	tp.fabric.Detach("slab1")
+	tp.home.HandleSlabFailure("slab1")
+	if n := rw.PL().HeldCount(); n != 0 {
+		t.Errorf("%d latch records survive the purge of their page", n)
+	}
+	res, err := rw.Register(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Exists || res.Data.Node != "home" {
+		t.Fatalf("re-register of the purged page = %+v, want a new slot on the home's slab", res)
+	}
+	if err := rw.PL().LockX(p, res.PL); err != nil {
+		t.Fatal(err)
+	}
+	w, err := rw.ep.Load64(res.PL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plIsX(w) || plOwner(w) != rw.PL().ownerIdx {
+		t.Fatalf("PL word at the new slot = %#x after LockX, want X owned by rw (index %d)", w, rw.PL().ownerIdx)
 	}
 }

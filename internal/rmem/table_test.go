@@ -59,8 +59,8 @@ func tableDiff(a, b *homeTable) string {
 // seeded random sequences of every call that changes home metadata and
 // checks after each one that the slave's table equals the master's: the
 // slave applies the master's ops, it re-decides nothing. Unrefs reach the
-// master in batches (a full queue, a Flush, a register that found the pool
-// full); the slave must follow a batch like any single op.
+// master in batches (a Flush, or the reclaim a register that found the pool
+// full asked for); the slave must follow a batch like any single op.
 func TestMasterSlaveTablesStayEqual(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { driveTablePair(t, seed, 400) })
@@ -124,7 +124,7 @@ func driveTablePair(t *testing.T, seed int64, steps int) {
 				}
 			}
 			return fmt.Sprintf("register %s", page)
-		case r < 66: // queued in the node's librmem; every 16th sends a batch of unrefs
+		case r < 66: // the entry goes idle; it leaves with a Flush or a reclaim
 			for pg := range held[c] {
 				page = pg
 				break
