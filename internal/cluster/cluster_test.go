@@ -83,9 +83,16 @@ func TestSessionTransaction(t *testing.T) {
 	if s.Savepoint() != 5 {
 		t.Fatalf("savepoint = %d, want 5", s.Savepoint())
 	}
-	// Own reads see the writes.
+	// Own reads see the writes, and reads do not move the savepoint.
 	if _, ok, err := s.Get("t", 3); !ok || err != nil {
 		t.Fatalf("own read: %v %v", ok, err)
+	}
+	n := 0
+	if err := s.Scan("t", 1, 6, func(uint64, []byte) bool { n++; return true }); err != nil || n != 5 {
+		t.Fatalf("own scan: %d rows, %v; want 5", n, err)
+	}
+	if s.Savepoint() != 5 {
+		t.Fatalf("savepoint after a Get and a Scan = %d, want 5", s.Savepoint())
 	}
 	// Another session does not (uncommitted).
 	s2 := c.Proxy.Connect()
@@ -563,20 +570,30 @@ func TestSessionSecondaryIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if s.Savepoint() != 40 {
+		t.Fatalf("savepoint = %d, want 40: every Exec and ExecIndex is a statement", s.Savepoint())
+	}
+	// Index range scan -> base-table point reads, through the proxy: inside
+	// the transaction it sees its own uncommitted entries, after the commit
+	// an autocommit scan sees them.
+	var pks []uint64
+	scanAges := func() {
+		pks = pks[:0]
+		if err := s.ScanIndex("emp", "by_age", 22<<32, 24<<32, func(k uint64, _ []byte) bool {
+			pks = append(pks, k&0xFFFFFFFF)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(pks) != 8 {
+			t.Fatalf("index scan found %d pks, want 8", len(pks))
+		}
+	}
+	scanAges()
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Index range scan -> base-table point reads, through the proxy.
-	var pks []uint64
-	if err := s.ScanIndex("emp", "by_age", 22<<32, 24<<32, func(k uint64, _ []byte) bool {
-		pks = append(pks, k&0xFFFFFFFF)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(pks) != 8 {
-		t.Fatalf("index scan found %d pks, want 8", len(pks))
-	}
+	scanAges()
 	for _, pk := range pks {
 		if _, ok, _ := s.Get("emp", pk); !ok {
 			t.Fatalf("pk %d from index missing in base table", pk)

@@ -141,7 +141,7 @@ type Session struct {
 	// txMu guards tx/trxID/txLost. It is a leaf lock: rebindAfterSwitch
 	// mutates them from the failover path (which cannot take s.mu without
 	// deadlocking against a session op blocked on the proxy gate), and
-	// session ops peek at them before deciding whether to take the gate.
+	// route peeks at them before deciding whether to take the gate.
 	txMu      sync.Mutex
 	tx        *engine.Txn
 	trxID     types.TrxID
@@ -159,32 +159,6 @@ func (s *Session) Savepoint() int {
 // retryWindow bounds transparent retries around a switchover.
 const retryWindow = 10 * time.Second
 
-// withRW runs fn against the RW engine with switchover gating + retry.
-// While the RW's endpoint is down it waits for a promotion instead: a
-// killed RW's engine would still begin a transaction, and its first write
-// would fail.
-func (s *Session) withRW(fn func(e *engine.Engine, tbl func(string) (*engine.Table, error)) error) error {
-	deadline := time.Now().Add(retryWindow)
-	b := retry.Until(deadline, 5*time.Millisecond)
-	for {
-		s.p.gate.RLock()
-		node := s.p.rwNode()
-		if node.EP.Down() {
-			s.p.gate.RUnlock()
-			if !s.p.awaitNewRW(node, deadline) {
-				return fmt.Errorf("%w: %s, and no RW was promoted within %v", rdma.ErrUnreachable, node.ID, retryWindow)
-			}
-			continue
-		}
-		e := node.Engine
-		err := fn(e, e.OpenTable)
-		s.p.gate.RUnlock()
-		if err == nil || !retryable(err) || !b.Sleep() {
-			return err
-		}
-	}
-}
-
 func retryable(err error) bool {
 	return errors.Is(err, engine.ErrClosed) || errors.Is(err, engine.ErrNotRW) ||
 		errors.Is(err, rdma.ErrUnreachable) || errors.Is(err, rdma.ErrNoSuchNode)
@@ -197,19 +171,7 @@ func (s *Session) Begin() error {
 	if tx, _ := s.txOrErr(); tx != nil {
 		return fmt.Errorf("cluster: transaction already open")
 	}
-	return s.withRW(func(e *engine.Engine, _ func(string) (*engine.Table, error)) error {
-		tx, err := e.Begin()
-		if err != nil {
-			return err
-		}
-		s.txMu.Lock()
-		s.tx = tx
-		s.trxID = tx.ID()
-		s.txLost = false
-		s.txMu.Unlock()
-		s.savepoint = 0
-		return nil
-	})
+	return s.autocommit(nil)
 }
 
 // txOrErr returns the open transaction, surfacing a lost-txn condition.
@@ -222,38 +184,6 @@ func (s *Session) txOrErr() (*engine.Txn, error) {
 	return s.tx, nil
 }
 
-// txOpen reports whether the session has (or has lost) an open
-// transaction, i.e. whether the next statement belongs on the RW under
-// the gate rather than the autocommit path.
-func (s *Session) txOpen() bool {
-	s.txMu.Lock()
-	defer s.txMu.Unlock()
-	return s.tx != nil || s.txLost
-}
-
-// openTxn enters the open transaction for one statement: it returns the
-// transaction and the RW engine it runs on with the switchover gate
-// read-held, and the caller releases the gate when the statement is done.
-// With no transaction open it returns nil and holds nothing — the
-// statement belongs on the autocommit path. The transaction is re-read
-// under the gate: a failover may have held it and rebound, or lost, the
-// session's transaction since the peek.
-func (s *Session) openTxn() (*engine.Txn, *engine.Engine, error) {
-	if !s.txOpen() {
-		return nil, nil, nil
-	}
-	s.p.gate.RLock()
-	tx, err := s.txOrErr()
-	if err == nil && tx == nil {
-		err = ErrTxnLost
-	}
-	if err != nil {
-		s.p.gate.RUnlock()
-		return nil, nil, err
-	}
-	return tx, s.p.rwNode().Engine, nil
-}
-
 // clearTx resets the transaction state (commit/rollback epilogue).
 func (s *Session) clearTx() {
 	s.txMu.Lock()
@@ -261,44 +191,6 @@ func (s *Session) clearTx() {
 	s.txLost = false
 	s.txMu.Unlock()
 	s.savepoint = 0
-}
-
-// Exec runs one write statement: inside the open transaction if any,
-// otherwise autocommit (with transparent retry across switches).
-func (s *Session) Exec(table string, op WriteOp, key uint64, value []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tx, e, err := s.openTxn()
-	if err != nil {
-		return err
-	}
-	if tx != nil {
-		defer s.p.gate.RUnlock()
-		tbl, err := e.OpenTable(table)
-		if err != nil {
-			return err
-		}
-		if err := applyWrite(tx, tbl, op, key, value); err != nil {
-			return err
-		}
-		s.savepoint++ // statement boundary = savepoint (§3.5)
-		return nil
-	}
-	return s.withRW(func(e *engine.Engine, open func(string) (*engine.Table, error)) error {
-		tbl, err := open(table)
-		if err != nil {
-			return err
-		}
-		tx, err := e.Begin()
-		if err != nil {
-			return err
-		}
-		if err := applyWrite(tx, tbl, op, key, value); err != nil {
-			_ = tx.Rollback()
-			return err
-		}
-		return tx.Commit()
-	})
 }
 
 // WriteOp enumerates session write statements.
@@ -312,195 +204,242 @@ const (
 	OpDelete
 )
 
-func applyWrite(tx *engine.Txn, tbl *engine.Table, op WriteOp, key uint64, value []byte) error {
-	switch op {
-	case OpInsert:
-		return tx.Insert(tbl, key, value)
-	case OpUpdate:
-		return tx.Update(tbl, key, value)
-	case OpPut:
-		return tx.Put(tbl, key, value)
-	case OpDelete:
-		return tx.Delete(tbl, key)
-	}
-	return fmt.Errorf("cluster: unknown write op %d", op)
+// Exec runs one write statement: inside the open transaction if any,
+// otherwise autocommit (with transparent retry across switches).
+func (s *Session) Exec(table string, op WriteOp, key uint64, value []byte) error {
+	return s.route(&execStmt{target: target{table: table}, op: op, key: key, value: value})
 }
 
 // ExecIndex runs a write statement against a secondary index of a table
 // (the payload is typically the encoded primary key; index entries are
 // maintained by the application inside its transactions).
 func (s *Session) ExecIndex(table, index string, op WriteOp, key uint64, value []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	apply := func(tx *engine.Txn, e *engine.Engine) error {
-		tbl, err := e.OpenTable(table)
-		if err != nil {
-			return err
-		}
-		ix, ok := tbl.Indexes[index]
-		if !ok {
-			return fmt.Errorf("cluster: no index %s on %s", index, table)
-		}
-		switch op {
-		case OpDelete:
-			return tx.DeleteIndex(ix, key)
-		default:
-			return tx.InsertIndex(ix, key, value)
-		}
-	}
-	tx, e, err := s.openTxn()
-	if err != nil {
-		return err
-	}
-	if tx != nil {
-		defer s.p.gate.RUnlock()
-		if err := apply(tx, e); err != nil {
-			return err
-		}
-		s.savepoint++
-		return nil
-	}
-	return s.withRW(func(e *engine.Engine, _ func(string) (*engine.Table, error)) error {
-		tx, err := e.Begin()
-		if err != nil {
-			return err
-		}
-		if err := apply(tx, e); err != nil {
-			_ = tx.Rollback()
-			return err
-		}
-		return tx.Commit()
-	})
-}
-
-// ScanIndex streams visible index entries in [from, to) under the
-// session's snapshot rules.
-func (s *Session) ScanIndex(table, index string, from, to uint64, fn func(key uint64, val []byte) bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := &scanCursor{next: from, fn: fn}
-	scan := func(tx *engine.Txn, e *engine.Engine) error {
-		if cur.done {
-			return nil
-		}
-		tbl, err := e.OpenTable(table)
-		if err != nil {
-			return err
-		}
-		ix, ok := tbl.Indexes[index]
-		if !ok {
-			return fmt.Errorf("cluster: no index %s on %s", index, table)
-		}
-		return tx.ScanTree(ix.Tree, cur.next, to, cur.deliver)
-	}
-	tx, e, err := s.openTxn()
-	if err != nil {
-		return err
-	}
-	if tx != nil {
-		defer s.p.gate.RUnlock()
-		return scan(tx, e)
-	}
-	return s.readAuto(scan)
+	return s.route(&execStmt{target: target{table: table, index: index}, op: op, key: key, value: value})
 }
 
 // Get reads a key: from the open transaction's snapshot if any, otherwise
 // as an autocommit read routed to a read replica.
 func (s *Session) Get(table string, key uint64) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tx, e, err := s.openTxn()
-	if err != nil {
-		return nil, false, err
-	}
-	if tx != nil {
-		defer s.p.gate.RUnlock()
-		tbl, err := e.OpenTable(table)
-		if err != nil {
-			return nil, false, err
-		}
-		return tx.Get(tbl, key)
-	}
-	var val []byte
-	var ok bool
-	err = s.readAuto(func(ro *engine.Txn, e *engine.Engine) error {
-		tbl, err := e.OpenTable(table)
-		if err != nil {
-			return err
-		}
-		val, ok, err = ro.Get(tbl, key)
-		return err
-	})
-	return val, ok, err
+	st := &getStmt{target: target{table: table}, key: key}
+	err := s.route(st)
+	return st.val, st.ok, err
 }
 
 // Scan streams visible rows in [from, to) through a read replica.
 func (s *Session) Scan(table string, from, to uint64, fn func(key uint64, val []byte) bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tx, e, err := s.openTxn()
+	return s.route(&scanStmt{target: target{table: table}, next: from, to: to, fn: fn})
+}
+
+// ScanIndex streams visible index entries in [from, to) under the
+// session's snapshot rules.
+func (s *Session) ScanIndex(table, index string, from, to uint64, fn func(key uint64, val []byte) bool) error {
+	return s.route(&scanStmt{target: target{table: table, index: index}, next: from, to: to, fn: fn})
+}
+
+// stmt is one session statement. open resolves what it works on in the
+// engine it is about to run on; run executes it in tx, a transaction of
+// that engine. A statement that writes runs on the RW, and inside an open
+// transaction it moves the savepoint.
+type stmt interface {
+	writes() bool
+	open(e *engine.Engine) error
+	run(tx *engine.Txn) error
+}
+
+// target is the table, or with index set the secondary index of it, that
+// a statement works on.
+type target struct {
+	table, index string
+	tbl          *engine.Table
+	ix           *engine.Index
+}
+
+func (t *target) open(e *engine.Engine) error {
+	tbl, err := e.OpenTable(t.table)
 	if err != nil {
 		return err
 	}
-	if tx != nil {
-		defer s.p.gate.RUnlock()
-		tbl, err := e.OpenTable(table)
-		if err != nil {
-			return err
-		}
-		return tx.Scan(tbl, from, to, fn)
+	t.tbl = tbl
+	if t.index == "" {
+		return nil
 	}
-	cur := &scanCursor{next: from, fn: fn}
-	return s.readAuto(func(ro *engine.Txn, e *engine.Engine) error {
-		if cur.done {
-			return nil
-		}
-		tbl, err := e.OpenTable(table)
-		if err != nil {
-			return err
-		}
-		return ro.Scan(tbl, cur.next, to, cur.deliver)
-	})
+	ix, ok := tbl.Indexes[t.index]
+	if !ok {
+		return fmt.Errorf("cluster: no index %s on %s", t.index, t.table)
+	}
+	t.ix = ix
+	return nil
 }
 
-// scanCursor lets readAuto retry a range scan without replaying it: each
-// attempt starts after the last key delivered, so no row reaches fn twice.
-type scanCursor struct {
-	next uint64
-	done bool // the last key delivered was the largest there is
-	fn   func(key uint64, val []byte) bool
+type execStmt struct {
+	target
+	op    WriteOp
+	key   uint64
+	value []byte
 }
 
-func (c *scanCursor) deliver(key uint64, val []byte) bool {
-	c.next, c.done = key+1, key == math.MaxUint64
-	return c.fn(key, val)
+func (st *execStmt) writes() bool { return true }
+
+func (st *execStmt) run(tx *engine.Txn) error {
+	switch {
+	case st.ix != nil && st.op == OpDelete:
+		return tx.DeleteIndex(st.ix, st.key)
+	case st.ix != nil:
+		return tx.InsertIndex(st.ix, st.key, st.value)
+	case st.op == OpInsert:
+		return tx.Insert(st.tbl, st.key, st.value)
+	case st.op == OpUpdate:
+		return tx.Update(st.tbl, st.key, st.value)
+	case st.op == OpPut:
+		return tx.Put(st.tbl, st.key, st.value)
+	case st.op == OpDelete:
+		return tx.Delete(st.tbl, st.key)
+	}
+	return fmt.Errorf("cluster: unknown write op %d", st.op)
 }
 
-// readAuto routes an autocommit read to a reader node with retry. Each
-// attempt runs fn in a read-only transaction of its own and finishes it:
-// when the reader is the RW node, an unfinished view stays registered and
-// pins the purge horizon at its timestamp.
-func (s *Session) readAuto(fn func(ro *engine.Txn, e *engine.Engine) error) error {
-	b := retry.NewBackoff(5*time.Millisecond, retryWindow)
+type getStmt struct {
+	target
+	key uint64
+	val []byte
+	ok  bool
+}
+
+func (st *getStmt) writes() bool { return false }
+
+func (st *getStmt) run(tx *engine.Txn) (err error) {
+	st.val, st.ok, err = tx.Get(st.tbl, st.key)
+	return err
+}
+
+// scanStmt carries its cursor across autocommit retries: each attempt
+// starts after the last key delivered, so no row reaches fn twice.
+type scanStmt struct {
+	target
+	next, to uint64
+	done     bool // the last key delivered was the largest there is
+	fn       func(key uint64, val []byte) bool
+}
+
+func (st *scanStmt) writes() bool { return false }
+
+func (st *scanStmt) run(tx *engine.Txn) error {
+	if st.done {
+		return nil
+	}
+	tree := st.tbl.Primary
+	if st.ix != nil {
+		tree = st.ix.Tree
+	}
+	return tx.ScanTree(tree, st.next, st.to, st.deliver)
+}
+
+func (st *scanStmt) deliver(key uint64, val []byte) bool {
+	st.next, st.done = key+1, key == math.MaxUint64
+	return st.fn(key, val)
+}
+
+// route runs one statement. Inside an open (or lost) transaction it runs
+// on the RW under the switchover gate, and a write moves the savepoint;
+// otherwise it is an autocommit transaction of its own. The transaction
+// is peeked at without the gate and re-read under it: a failover may have
+// held the gate and rebound, or lost, the session's transaction since.
+func (s *Session) route(st stmt) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if tx, err := s.txOrErr(); tx == nil && err == nil {
+		return s.autocommit(st)
+	}
+	s.p.gate.RLock()
+	defer s.p.gate.RUnlock()
+	tx, err := s.txOrErr()
+	if err == nil && tx == nil {
+		err = ErrTxnLost
+	}
+	if err != nil {
+		return err
+	}
+	if err := st.open(s.p.rwNode().Engine); err != nil {
+		return err
+	}
+	if err := st.run(tx); err != nil {
+		return err
+	}
+	if st.writes() {
+		s.savepoint++ // statement boundary = savepoint (§3.5)
+	}
+	return nil
+}
+
+// autocommit runs st as a transaction of its own and retries it across a
+// switchover; Begin passes a nil st and keeps the transaction open. A
+// write (and Begin) runs on the RW, and while the RW's endpoint is down
+// it waits for a promotion instead: a killed RW's engine would still
+// begin a transaction, and its first write would fail. A read goes to a
+// reader and is also retried when it meets a stale page.
+func (s *Session) autocommit(st stmt) error {
+	write := st == nil || st.writes()
+	deadline := time.Now().Add(retryWindow)
+	b := retry.Until(deadline, 5*time.Millisecond)
 	for {
 		s.p.gate.RLock()
-		e := s.p.pickReader().Engine
-		ro, err := e.BeginRO()
-		if err == nil {
-			err = fn(ro, e)
-			_ = ro.Commit() // a read-only commit only drops the view; it cannot fail
+		var node *DBNode
+		if write {
+			node = s.p.rwNode()
+			if node.EP.Down() {
+				s.p.gate.RUnlock()
+				if !s.p.awaitNewRW(node, deadline) {
+					return fmt.Errorf("%w: %s, and no RW was promoted within %v", rdma.ErrUnreachable, node.ID, retryWindow)
+				}
+				continue
+			}
+		} else {
+			node = s.p.pickReader()
 		}
+		err := s.attempt(st, node.Engine)
 		s.p.gate.RUnlock()
-		if err == nil {
-			return err
-		}
-		if !retryable(err) && !errors.Is(err, engine.ErrStalePage) {
-			return err
-		}
-		if !b.Sleep() {
+		if err == nil || !retryable(err) && (write || !errors.Is(err, engine.ErrStalePage)) || !b.Sleep() {
 			return err
 		}
 	}
+}
+
+// attempt makes one try of autocommit's statement on e. A read runs in a
+// read-only transaction that it finishes whatever happens: when the
+// reader is the RW node, an unfinished view stays registered and pins the
+// purge horizon at its timestamp.
+func (s *Session) attempt(st stmt, e *engine.Engine) error {
+	if st == nil {
+		tx, err := e.Begin()
+		if err != nil {
+			return err
+		}
+		s.txMu.Lock()
+		s.tx = tx
+		s.trxID = tx.ID()
+		s.txLost = false
+		s.txMu.Unlock()
+		s.savepoint = 0
+		return nil
+	}
+	if err := st.open(e); err != nil {
+		return err
+	}
+	var tx *engine.Txn
+	var err error
+	if st.writes() {
+		tx, err = e.Begin()
+	} else {
+		tx, err = e.BeginRO()
+	}
+	if err != nil {
+		return err
+	}
+	if err := st.run(tx); err != nil {
+		_ = tx.Rollback()
+		return err
+	}
+	return tx.Commit()
 }
 
 // Commit commits the open transaction.

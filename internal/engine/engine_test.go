@@ -538,6 +538,94 @@ func TestPrefetchWarmsLocalCache(t *testing.T) {
 	}
 }
 
+// TestConcurrentCreateTableGetsDistinctSpaces: DDL is serial, so tables
+// created at once each get a tablespace of their own, and of two creates
+// of one name exactly one succeeds.
+func TestConcurrentCreateTableGetsDistinctSpaces(t *testing.T) {
+	h := newHarness(t, harnessOpts{})
+	const n = 8
+	owner := map[types.SpaceID]string{}
+	for round := 0; round < 3; round++ {
+		tables := make([]*Table, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tables[i], errs[i] = h.rw.CreateTable(fmt.Sprintf("r%d_t%d", round, i/2))
+			}()
+		}
+		wg.Wait()
+		for i := 0; i < n; i += 2 {
+			ok0, ok1 := errs[i] == nil, errs[i+1] == nil
+			if ok0 == ok1 {
+				t.Fatalf("round %d: two creates of %s returned %v and %v; want one success and one ErrTableExists", round, fmt.Sprintf("r%d_t%d", round, i/2), errs[i], errs[i+1])
+			}
+			for _, j := range []int{i, i + 1} {
+				if errs[j] != nil && !errors.Is(errs[j], ErrTableExists) {
+					t.Fatalf("round %d: create %d: %v", round, j, errs[j])
+				}
+				if tbl := tables[j]; tbl != nil {
+					if prev, dup := owner[tbl.Space]; dup {
+						t.Fatalf("tables %s and %s share tablespace %d", prev, tbl.Name, tbl.Space)
+					}
+					owner[tbl.Space] = tbl.Name
+				}
+			}
+		}
+	}
+}
+
+// TestCreateIndexLeavesSharedTableUntouched: CreateIndex publishes a new
+// table definition instead of writing the map that sessions holding the
+// old one read from.
+func TestCreateIndexLeavesSharedTableUntouched(t *testing.T) {
+	h := newHarness(t, harnessOpts{})
+	tbl, err := h.rw.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cur, err := h.rw.OpenTable("t")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_ = cur.Indexes["ix0"] // what a session does per index statement
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	for i := 0; i < n; i++ {
+		if _, err := h.rw.CreateIndex(tbl, fmt.Sprintf("ix%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tbl.Indexes) != 0 {
+		t.Fatalf("the table CreateIndex was handed now has %d indexes; want it untouched", len(tbl.Indexes))
+	}
+	cur, err := h.rw.OpenTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cur.Indexes) != n {
+		t.Fatalf("OpenTable after %d CreateIndex calls sees %d indexes", n, len(cur.Indexes))
+	}
+}
+
 func TestSecondaryIndexMaintenance(t *testing.T) {
 	h := newHarness(t, harnessOpts{})
 	tbl, _ := h.rw.CreateTable("emp")

@@ -37,17 +37,21 @@ func (e *Engine) shipper() {
 		e.drainedLSN = last
 		e.shippedMu.Unlock()
 		e.shippedCond.Broadcast()
-		if !e.retry(func() error {
-			_, err := e.pfs.AppendRedo(recs)
-			return err
-		}) {
-			return
+		for {
+			if _, err := e.pfs.AppendRedo(recs); err == nil {
+				break
+			}
+			if !e.pause() {
+				return
+			}
 		}
 		e.buf.MarkFlushed(last)
 		e.met.flushBatch.Inc()
 		e.met.flushRecs.Add(uint64(len(recs)))
-		if !e.retry(func() error { return e.pfs.ShipRecords(recs, last) }) {
-			return
+		for e.pfs.ShipRecords(recs, last) != nil {
+			if !e.pause() {
+				return
+			}
 		}
 		e.setShipped(last)
 	}
@@ -63,24 +67,20 @@ func (e *Engine) stopShipping() {
 	e.shippedCond.Broadcast()
 }
 
-// retry runs fn until it succeeds or the engine closes. Storage is
-// 3-way replicated; transient unavailability (leader election) heals —
-// but if this node's own endpoint died, nothing will: the shipper stops,
-// and the buffer fails so commit waiters unblock instead of wedging their
-// callers.
-func (e *Engine) retry(fn func() error) bool {
-	for {
-		if err := fn(); err == nil {
-			return true
-		}
-		if e.ep.Down() {
-			return false
-		}
-		select {
-		case <-e.closeCh:
-			return false
-		case <-time.After(2 * time.Millisecond):
-		}
+// pause waits out a failed storage call before the shipper retries it,
+// and reports false when it should stop instead. Storage is 3-way
+// replicated; transient unavailability (leader election) heals — but if
+// this node's own endpoint died, nothing will: the shipper stops, and the
+// buffer fails so commit waiters unblock instead of wedging their callers.
+func (e *Engine) pause() bool {
+	if e.ep.Down() {
+		return false
+	}
+	select {
+	case <-e.closeCh:
+		return false
+	case <-time.After(2 * time.Millisecond):
+		return true
 	}
 }
 

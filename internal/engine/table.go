@@ -91,7 +91,23 @@ func (e *Engine) readMode() btree.TraverseMode {
 	return btree.Local
 }
 
-// allocSpace hands out the next tablespace id (DDL, under ddl lock).
+// lockDDL serializes DDL on the RW: it takes the catalog-meta row's lock
+// under a fresh id, so one DDL statement at a time reads and advances the
+// space allocator, checks names and rewrites table definitions. The
+// caller releases it with unlockDDL.
+func (e *Engine) lockDDL() (types.TrxID, error) {
+	id := types.TrxID(e.nextTrx.Add(1))
+	if err := e.locks.Lock(id, CatalogSpace, catalogMetaKey); err != nil {
+		return 0, fmt.Errorf("engine: DDL lock: %w", err)
+	}
+	return id, nil
+}
+
+func (e *Engine) unlockDDL(id types.TrxID) {
+	e.locks.ReleaseAll(id, []txn.LockRef{{Space: CatalogSpace, Key: catalogMetaKey}})
+}
+
+// allocSpace hands out the next tablespace id (DDL, under lockDDL).
 func (e *Engine) allocSpace(mt *Mtr) (types.SpaceID, error) {
 	cat := e.catalogTree()
 	raw, err := cat.Get(catalogMetaKey, btree.Local)
@@ -114,6 +130,11 @@ func (e *Engine) CreateTable(name string) (*Table, error) {
 	if e.cfg.ReadOnly {
 		return nil, ErrNotRW
 	}
+	ddl, err := e.lockDDL()
+	if err != nil {
+		return nil, err
+	}
+	defer e.unlockDDL(ddl)
 	if t, err := e.OpenTable(name); err == nil && t != nil {
 		return nil, fmt.Errorf("%w: %s", ErrTableExists, name)
 	}
@@ -146,12 +167,23 @@ func (e *Engine) CreateTable(name string) (*Table, error) {
 }
 
 // CreateIndex adds a secondary index to a table (RW only). The index tree
-// starts empty; callers backfill it if the table has data.
+// starts empty; callers backfill it if the table has data. The table's
+// new definition is published as a new *Table: sessions may be reading
+// the one they got from OpenTable, and table is left as it was.
 func (e *Engine) CreateIndex(table *Table, name string) (*Index, error) {
 	if e.cfg.ReadOnly {
 		return nil, ErrNotRW
 	}
-	if _, ok := table.Indexes[name]; ok {
+	ddl, err := e.lockDDL()
+	if err != nil {
+		return nil, err
+	}
+	defer e.unlockDDL(ddl)
+	cur, err := e.OpenTable(table.Name) // may hold indexes added since table was read
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := cur.Indexes[name]; ok {
 		return nil, fmt.Errorf("%w: index %s", ErrTableExists, name)
 	}
 	mt := e.BeginMtr()
@@ -169,17 +201,19 @@ func (e *Engine) CreateIndex(table *Table, name string) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{Name: name, Space: space, Tree: e.tree(space)}
-	table.Indexes[name] = ix
-	if err := e.catalogTree().Put(mt, uint64(table.Space), marshalTableDef(table)); err != nil {
-		delete(table.Indexes, name)
+	next := &Table{Name: cur.Name, Space: cur.Space, Primary: cur.Primary, Indexes: map[string]*Index{name: ix}}
+	for n, x := range cur.Indexes {
+		next.Indexes[n] = x
+	}
+	if err := e.catalogTree().Put(mt, uint64(next.Space), marshalTableDef(next)); err != nil {
 		return nil, err
 	}
 	if _, err := mt.Commit(); err != nil {
 		committed = true
-		delete(table.Indexes, name)
 		return nil, err
 	}
 	committed = true
+	e.cacheTable(next)
 	return ix, nil
 }
 

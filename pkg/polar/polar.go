@@ -148,8 +148,9 @@ func (db *DB) CreateTable(name string) error {
 }
 
 // CreateIndex adds a secondary index to a table. Entries are maintained
-// by the application within its transactions (see Session.Exec on the
-// index's name — an index is itself a key-ordered tree).
+// by the application within its transactions: Session.ExecIndex writes
+// them and Session.ScanIndex reads them (an index is itself a
+// key-ordered tree).
 func (db *DB) CreateIndex(table, index string) error {
 	tbl, err := db.c.RW.Engine.OpenTable(table)
 	if err != nil {
