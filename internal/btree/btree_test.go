@@ -123,6 +123,10 @@ func (m *memMtr) LogWrite(f *cache.Frame, off int, data []byte) {
 
 func (m *memMtr) DeferPLUnlockX(f *cache.Frame) {}
 
+// memMtr takes no latch over: the tree releases each one itself.
+func (m *memMtr) Holds(*cache.Frame) bool { return false }
+func (m *memMtr) Holding() bool           { return false }
+
 func newTestTree(t *testing.T) (*Tree, *memStore) {
 	t.Helper()
 	s := newMemStore()
@@ -738,6 +742,75 @@ func TestPatchInPlace(t *testing.T) {
 	// Missing key.
 	if err := tr.PatchInPlace(m, 999, func([]byte) (int, []byte, bool) { return 0, nil, true }); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// holdMtr keeps the latch of every frame it writes, as the engine's MTR
+// does, until release.
+type holdMtr struct{ held map[*cache.Frame]bool }
+
+func (m *holdMtr) LogWrite(f *cache.Frame, off int, data []byte) {
+	copy(f.Data[off:], data)
+	m.held[f] = true
+}
+func (m *holdMtr) DeferPLUnlockX(*cache.Frame) {}
+func (m *holdMtr) Holds(f *cache.Frame) bool   { return m.held[f] }
+func (m *holdMtr) Holding() bool               { return len(m.held) > 0 }
+func (m *holdMtr) release() {
+	for f := range m.held {
+		f.Latch.Unlock()
+	}
+	m.held = nil
+}
+
+// TestPatchInPlaceUnderHeldLatches: an MTR that holds the leaf it patched
+// patches a second key on that leaf without latching it again, and, since
+// it holds a latch, does not wait for one held elsewhere: ErrLatchBusy,
+// with nothing written.
+func TestPatchInPlaceUnderHeldLatches(t *testing.T) {
+	tr, s := newTestTree(t)
+	for k := uint64(0); k < 400; k++ {
+		if err := tr.Insert(&memMtr{}, k, bytes.Repeat([]byte{'v'}, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	patch := func([]byte) (int, []byte, bool) { return 0, []byte("P"), true }
+	m := &holdMtr{held: map[*cache.Frame]bool{}}
+	done := make(chan error, 1)
+	go func() {
+		err := tr.PatchInPlace(m, 1, patch)
+		if err == nil {
+			err = tr.PatchInPlace(m, 2, patch) // same leaf, held by m
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a second key on a leaf the MTR holds deadlocked")
+	}
+	if len(m.held) != 1 {
+		t.Fatalf("the MTR holds %d frames, want the one leaf", len(m.held))
+	}
+	leaves, err := tr.Leaves([]uint64{399}, Local)
+	if err != nil || len(leaves) != 1 {
+		t.Fatalf("leaf of key 399: %v, %v", leaves, err)
+	}
+	other, _ := s.Fetch(leaves[0])
+	other.Latch.RLock() // a reader elsewhere
+	if err := tr.PatchInPlace(m, 399, patch); !errors.Is(err, ErrLatchBusy) {
+		t.Fatalf("patch under a busy latch: err = %v, want ErrLatchBusy", err)
+	}
+	other.Latch.RUnlock()
+	s.Unpin(other)
+	m.release()
+	for k, want := range map[uint64]byte{1: 'P', 2: 'P', 399: 'v'} {
+		if v, err := tr.Get(k, Local); err != nil || v[0] != want {
+			t.Fatalf("key %d = %q, %v; want it to start with %q", k, v, err, want)
+		}
 	}
 }
 

@@ -77,12 +77,13 @@ func moveUpperHalf(src, dst *node) (sep uint64) {
 
 // fixRightSiblingPrev points the right neighbour's prev pointer at the new
 // leaf inserted before it. The neighbour is to the right, so latching it
-// while holding the split pages respects lock order.
+// while holding the split pages (the new one only m can reach) respects
+// lock order.
 func (t *Tree) fixRightSiblingPrev(m Mtr, rightNo types.PageNo, newPrev types.PageNo, stamp uint64) error {
 	if rightNo == 0 {
 		return nil
 	}
-	sib, err := t.acquireX(rightNo)
+	sib, err := t.acquireX(m, rightNo)
 	if err != nil {
 		return err
 	}
@@ -96,8 +97,8 @@ func (t *Tree) fixRightSiblingPrev(m Mtr, rightNo types.PageNo, newPrev types.Pa
 // splitChild splits a full non-root child, inserting the separator into
 // parent (which the preemptive descent guarantees has room). It returns
 // the side covering key, latched and X-PL'd; the other side is released.
-func (t *Tree) splitChild(m Mtr, parent, child *node, key uint64, stamp uint64) (*node, error) {
-	right, err := t.allocXLatched(m)
+func (t *Tree) splitChild(m Mtr, hdr, parent, child *node, key uint64, stamp uint64) (*node, error) {
+	right, err := t.allocXLatched(m, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -132,12 +133,12 @@ func (t *Tree) splitChild(m Mtr, parent, child *node, key uint64, stamp uint64) 
 // avoids a superblock). Contents move into two fresh children and the
 // root becomes a one-separator internal node. Returns the child covering
 // key, latched and X-PL'd; the root stays latched by the caller.
-func (t *Tree) splitRoot(m Mtr, root *node, key uint64, stamp uint64) (*node, error) {
-	left, err := t.allocXLatched(m)
+func (t *Tree) splitRoot(m Mtr, hdr, root *node, key uint64, stamp uint64) (*node, error) {
+	left, err := t.allocXLatched(m, hdr)
 	if err != nil {
 		return nil, err
 	}
-	right, err := t.allocXLatched(m)
+	right, err := t.allocXLatched(m, hdr)
 	if err != nil {
 		t.releaseX(m, left)
 		return nil, err
@@ -172,27 +173,13 @@ func (t *Tree) splitRoot(m Mtr, root *node, key uint64, stamp uint64) (*node, er
 	return left, nil
 }
 
-// allocXLatched allocates a page and returns it write-latched and X-PL'd.
-func (t *Tree) allocXLatched(m Mtr) (*node, error) {
-	n, err := t.allocPage(m)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.store.PLLockX(n.f); err != nil {
-		t.store.Unpin(n.f)
-		return nil, err
-	}
-	n.f.Latch.Lock()
-	return n, nil
-}
-
 // removeEmptyLeaf removes a leaf that deleting slot idx empties: unlink
 // it from the sibling chain, drop its separator from the parent, free the
 // page, and collapse the root if it lost its last separator. The retained
-// path holds [.., parent, leaf], all write-latched and X-PL'd. All latches
-// are acquired before the first mutation, so an errRetrySMO retry never
-// leaves unlogged changes behind.
-func (t *Tree) removeEmptyLeaf(m Mtr, retained *latched, idx int, stamp uint64) error {
+// path holds [.., parent, leaf], all write-latched and X-PL'd, and hdr is
+// the space header. All latches are acquired before the first mutation, so
+// an errRetrySMO retry never leaves unlogged changes behind.
+func (t *Tree) removeEmptyLeaf(m Mtr, hdr *node, retained *latched, idx int, stamp uint64) error {
 	nodes := retained.nodes
 	if len(nodes) < 2 {
 		return fmt.Errorf("btree: removeEmptyLeaf without retained parent")
@@ -209,12 +196,12 @@ func (t *Tree) removeEmptyLeaf(m Mtr, retained *latched, idx int, stamp uint64) 
 		if err != nil {
 			return err
 		}
-		if !p.f.Latch.TryLock() {
+		if !lockX(m, p, true) {
 			t.store.Unpin(p.f)
 			return errRetrySMO
 		}
 		if err := t.store.PLLockX(p.f); err != nil {
-			p.f.Latch.Unlock()
+			unlockX(m, p)
 			t.store.Unpin(p.f)
 			return err
 		}
@@ -222,7 +209,7 @@ func (t *Tree) removeEmptyLeaf(m Mtr, retained *latched, idx int, stamp uint64) 
 	}
 	var next *node
 	if nextNo != 0 {
-		n, err := t.acquireX(nextNo)
+		n, err := t.acquireX(m, nextNo)
 		if err != nil {
 			if prev != nil {
 				t.releaseX(m, prev)
@@ -278,15 +265,7 @@ func (t *Tree) removeEmptyLeaf(m Mtr, retained *latched, idx int, stamp uint64) 
 	}
 	parent.setSMOStamp(stamp)
 	leaf.setSMOStamp(stamp)
-	if err := t.freePage(m, leaf); err != nil {
-		if prev != nil {
-			t.releaseX(m, prev)
-		}
-		if next != nil {
-			t.releaseX(m, next)
-		}
-		return err
-	}
+	t.freePage(m, hdr, leaf)
 	parent.flush(m)
 	if prev != nil {
 		t.releaseX(m, prev)
@@ -298,16 +277,17 @@ func (t *Tree) removeEmptyLeaf(m Mtr, retained *latched, idx int, stamp uint64) 
 	// Root collapse: an internal root left with zero separators is merged
 	// with its only child so the tree shrinks.
 	if parent.pageNo() == rootPageNo && !parent.isLeaf() && parent.nkeys() == 0 {
-		return t.collapseRoot(m, parent, stamp)
+		return t.collapseRoot(m, hdr, parent, stamp)
 	}
 	return nil
 }
 
 // collapseRoot copies the root's single child into the root page and
 // frees the child. The child has no siblings (it is the only node of its
-// level), so no chain fixups are needed.
-func (t *Tree) collapseRoot(m Mtr, root *node, stamp uint64) error {
-	child, err := t.acquireX(root.leftmost())
+// level), so no chain fixups are needed. It was the emptied leaf's sibling,
+// so m holds it already.
+func (t *Tree) collapseRoot(m Mtr, hdr, root *node, stamp uint64) error {
+	child, err := t.acquireX(m, root.leftmost())
 	if err != nil {
 		return err
 	}
@@ -320,10 +300,7 @@ func (t *Tree) collapseRoot(m Mtr, root *node, stamp uint64) error {
 	}
 	root.setSMOStamp(stamp)
 	root.flush(m)
-	if err := t.freePage(m, child); err != nil {
-		t.releaseX(m, child)
-		return err
-	}
+	t.freePage(m, hdr, child)
 	child.setSMOStamp(stamp)
 	child.flush(m)
 	t.releaseX(m, child)

@@ -28,6 +28,7 @@ var (
 	ErrValueTooBig = errors.New("btree: value exceeds MaxValueSize")
 	ErrReadOnly    = errors.New("btree: tree opened on a read-only node")
 	ErrSMOConflict = errors.New("btree: optimistic traversal hit a concurrent SMO")
+	ErrLatchBusy   = errors.New("btree: a latch the MTR may not wait for is held")
 )
 
 // MaxValueSize bounds values so a leaf always holds several entries.
@@ -35,11 +36,25 @@ const MaxValueSize = 1024
 
 // Mtr is the mini-transaction context write operations log into. The
 // implementation applies the write to the frame, records it as redo, and
-// keeps the frame pinned until the MTR commits.
+// keeps the frame pinned and X-latched until the MTR commits: the caller's
+// latch passes to the MTR with its first write of the frame, so two MTRs
+// that write one page are logged in the order they wrote it.
+//
+// Latch order. An MTR that holds latches takes another only in tree
+// order: parent before child, left before right, and, in a pessimistic
+// operation, the space header first (it serializes a tree's SMOs, like
+// InnoDB's index latch). Anything else is tried (TryLock), and the
+// operation retries before its first mutation, or, with PatchInPlace,
+// reports ErrLatchBusy so the caller can commit what it has.
 type Mtr interface {
 	// LogWrite applies data at off within the frame and logs it. The frame
-	// must be exclusively latched by the caller.
+	// must be exclusively latched by the caller, or held by the MTR.
 	LogWrite(f *cache.Frame, off int, data []byte)
+	// Holds reports whether the MTR holds the frame's X latch (it wrote the
+	// frame). The tree neither latches such a frame again nor releases it.
+	Holds(f *cache.Frame) bool
+	// Holding reports whether the MTR holds any latch.
+	Holding() bool
 	// DeferPLUnlockX schedules the page's global X latch to be released
 	// when the MTR commits — after every modified page has been
 	// invalidated — so no other node can observe a half-propagated SMO

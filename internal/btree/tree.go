@@ -29,21 +29,21 @@ func Create(store Store, m Mtr, space types.SpaceID) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr.f.Latch.Lock()
+	lockX(m, hdr, false)
 	hdr.setU32(offAllocNext, rootPageNo+1)
 	hdr.setU32(offFreeHead, 0)
 	hdr.flush(m)
-	hdr.f.Latch.Unlock()
+	unlockX(m, hdr)
 	t.store.Unpin(hdr.f)
 
 	root, err := t.fetchNew(rootPageNo)
 	if err != nil {
 		return nil, err
 	}
-	root.f.Latch.Lock()
+	lockX(m, root, false)
 	root.init(pageLeaf, 0)
 	root.flush(m)
-	root.f.Latch.Unlock()
+	unlockX(m, root)
 	t.store.Unpin(root.f)
 	return t, nil
 }
@@ -77,58 +77,49 @@ func (t *Tree) fetchNew(no types.PageNo) (*node, error) {
 	return wrap(f), nil
 }
 
-// allocPage takes a page from the free list or extends the space. The
-// space header latch is a leaf in the lock order (acquired last, held
-// briefly), so holding tree latches while allocating cannot deadlock.
-func (t *Tree) allocPage(m Mtr) (*node, error) {
-	hdr, err := t.fetch(headerPageNo)
-	if err != nil {
-		return nil, err
-	}
-	hdr.f.Latch.Lock()
-	var no types.PageNo
-	fetch := t.fetch
-	if free := types.PageNo(hdr.u32(offFreeHead)); free != 0 {
-		freed, err := t.fetch(free)
-		if err != nil {
-			hdr.f.Latch.Unlock()
-			t.store.Unpin(hdr.f)
-			return nil, err
-		}
-		freed.f.Latch.Lock()
-		hdr.setU32(offFreeHead, uint32(freed.nextLeaf()))
-		freed.f.Latch.Unlock()
-		t.store.Unpin(freed.f)
-		no = free
-	} else {
+// allocXLatched takes a page from the space's free list, or extends the
+// space, and returns it write-latched and X-PL'd. hdr is the space header,
+// which a pessimistic operation latches first: the write hands it to m,
+// which keeps it until it commits, so the space's allocations are logged
+// in the order they were made and the SMOs of one tree run one at a time.
+// The page comes after the header in the latch order: nobody else can
+// reach it, since what points at it is written, and held, by m.
+func (t *Tree) allocXLatched(m Mtr, hdr *node) (*node, error) {
+	no, fetch := types.PageNo(hdr.u32(offFreeHead)), t.fetch
+	free := no != 0
+	if !free {
 		// Extending the space: nothing was ever written to the page, so
 		// there is nothing to read (a page off the free list was).
 		no = types.PageNo(hdr.u32(offAllocNext))
-		hdr.setU32(offAllocNext, uint32(no)+1)
 		fetch = t.fetchNew
 	}
+	n, err := fetch(no)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.store.PLLockX(n.f); err != nil {
+		t.store.Unpin(n.f)
+		return nil, err
+	}
+	lockX(m, n, false)
+	if free {
+		hdr.setU32(offFreeHead, uint32(n.nextLeaf()))
+	} else {
+		hdr.setU32(offAllocNext, uint32(no)+1)
+	}
 	hdr.flush(m)
-	hdr.f.Latch.Unlock()
-	t.store.Unpin(hdr.f)
-	return fetch(no)
+	return n, nil
 }
 
-// freePage returns a page to the space free list. Caller holds its latch.
-func (t *Tree) freePage(m Mtr, n *node) error {
-	hdr, err := t.fetch(headerPageNo)
-	if err != nil {
-		return err
-	}
-	hdr.f.Latch.Lock()
+// freePage returns a page to the space free list. The caller holds its
+// latch and the space header's.
+func (t *Tree) freePage(m Mtr, hdr, n *node) {
 	n.setU8(offNodeType, pageFree)
 	n.setNKeys(0)
 	n.setNextLeaf(types.PageNo(hdr.u32(offFreeHead)))
 	n.flush(m)
 	hdr.setU32(offFreeHead, uint32(n.pageNo()))
 	hdr.flush(m)
-	hdr.f.Latch.Unlock()
-	t.store.Unpin(hdr.f)
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -138,6 +129,10 @@ type readCtx struct {
 	t     *Tree
 	mode  TraverseMode
 	clock uint64
+	// A write's descent reads under its MTR: a page m holds is not latched
+	// again, and with try a busy latch fails it (ErrLatchBusy).
+	m   Mtr
+	try bool
 }
 
 // newReadCtx starts a traversal; retry says the previous attempt ended in
@@ -178,7 +173,14 @@ func (rc *readCtx) acquire(no types.PageNo) (*node, error) {
 		rc.t.store.Unpin(n.f)
 		n = held
 	}
-	n.f.Latch.RLock()
+	switch {
+	case rc.m != nil && rc.m.Holds(n.f):
+	case !rc.try:
+		n.f.Latch.RLock()
+	case !n.f.Latch.TryRLock():
+		rc.t.store.Unpin(n.f)
+		return nil, ErrLatchBusy
+	}
 	if rc.mode == Optimistic {
 		if n.smoStamp() > rc.clock {
 			rc.release(n)
@@ -193,7 +195,9 @@ func (rc *readCtx) acquire(no types.PageNo) (*node, error) {
 }
 
 func (rc *readCtx) release(n *node) {
-	n.f.Latch.RUnlock()
+	if rc.m == nil || !rc.m.Holds(n.f) {
+		n.f.Latch.RUnlock()
+	}
 	if rc.mode == PessimisticS {
 		rc.t.store.PLUnlockS(n.f)
 	}
@@ -437,7 +441,9 @@ func (t *Tree) scanChunk(cursor *uint64, to uint64, mode TraverseMode, retry boo
 // and returns an (offset, data) patch within the value to apply and log,
 // or ok=false to leave the value untouched. Used by the asynchronous
 // commit-timestamp backfill (§3.3), which overwrites just the cts_commit
-// field of records.
+// field of records. With an m that holds latches already (a second key in
+// one MTR), a busy latch is not waited for: ErrLatchBusy says nothing was
+// written, and the caller commits m and goes on in a new MTR.
 func (t *Tree) PatchInPlace(m Mtr, key uint64, fn func(val []byte) (off int, data []byte, ok bool)) error {
 	if t.store.ReadOnly() {
 		return ErrReadOnly
@@ -457,7 +463,7 @@ func (t *Tree) PatchInPlace(m Mtr, key uint64, fn func(val []byte) (off int, dat
 // with the leaf still write-latched would deadlock on that very page
 // when the descent comes back to it, as it does after a root split).
 func (t *Tree) patchOnce(m Mtr, key uint64, fn func(val []byte) (off int, data []byte, ok bool)) (done bool, err error) {
-	rc := &readCtx{t: t, mode: Local}
+	rc := &readCtx{t: t, mode: Local, m: m, try: m.Holding()}
 	cur, err := rc.descendToLeaf(key, 0)
 	if err != nil {
 		return true, err
@@ -473,9 +479,12 @@ func (t *Tree) patchOnce(m Mtr, key uint64, fn func(val []byte) (off int, data [
 	if err != nil {
 		return true, err
 	}
-	leaf.f.Latch.Lock()
+	if !lockX(m, leaf, rc.try) {
+		t.store.Unpin(leaf.f)
+		return true, ErrLatchBusy
+	}
 	defer func() {
-		leaf.f.Latch.Unlock()
+		unlockX(m, leaf)
 		t.store.Unpin(leaf.f)
 	}()
 	if !leaf.isLeaf() {
@@ -542,7 +551,7 @@ func (t *Tree) write(m Mtr, key uint64, val []byte, op writeOp) error {
 
 // writeOptimistic returns done=false when an SMO is (possibly) required.
 func (t *Tree) writeOptimistic(m Mtr, key uint64, val []byte, op writeOp) (bool, error) {
-	rc := &readCtx{t: t, mode: Local}
+	rc := &readCtx{t: t, mode: Local, m: m}
 	cur, err := rc.descendToLeaf(key, 0)
 	if err != nil {
 		return true, err
@@ -557,9 +566,9 @@ func (t *Tree) writeOptimistic(m Mtr, key uint64, val []byte, op writeOp) (bool,
 	if err != nil {
 		return true, err
 	}
-	leaf.f.Latch.Lock()
+	lockX(m, leaf, false)
 	defer func() {
-		leaf.f.Latch.Unlock()
+		unlockX(m, leaf)
 		t.store.Unpin(leaf.f)
 	}()
 	// The page may have changed roles or coverage since we released the R
@@ -646,7 +655,7 @@ func (l *latched) releaseAll() {
 	l.nodes = nil
 }
 
-func (t *Tree) acquireX(no types.PageNo) (*node, error) {
+func (t *Tree) acquireX(m Mtr, no types.PageNo) (*node, error) {
 	n, err := t.fetch(no)
 	if err != nil {
 		return nil, err
@@ -655,16 +664,38 @@ func (t *Tree) acquireX(no types.PageNo) (*node, error) {
 		t.store.Unpin(n.f)
 		return nil, err
 	}
-	n.f.Latch.Lock()
+	lockX(m, n, false)
 	return n, nil
 }
 
-// releaseX drops the local latch immediately but defers the global X
-// latch release to MTR commit (post-invalidation).
+// releaseX drops the local latch, unless m wrote the page and so holds it
+// until it commits, and defers the global X latch release to MTR commit
+// (post-invalidation).
 func (t *Tree) releaseX(m Mtr, n *node) {
-	n.f.Latch.Unlock()
+	unlockX(m, n)
 	m.DeferPLUnlockX(n.f)
 	t.store.Unpin(n.f)
+}
+
+// lockX write-latches n unless m holds its latch already. With try it
+// does not wait, and reports whether n is latched.
+func lockX(m Mtr, n *node, try bool) bool {
+	switch {
+	case m.Holds(n.f):
+	case try:
+		return n.f.Latch.TryLock()
+	default:
+		n.f.Latch.Lock()
+	}
+	return true
+}
+
+// unlockX releases a latch lockX took, unless m has written the page
+// since: the latch is then m's until it commits.
+func unlockX(m Mtr, n *node) {
+	if !m.Holds(n.f) {
+		n.f.Latch.Unlock()
+	}
 }
 
 // writePessimistic restarts the operation from the root with write
@@ -694,15 +725,26 @@ func (t *Tree) writePessimisticOnce(m Mtr, key uint64, val []byte, op writeOp) e
 	}
 	inserting := op == opInsert || op == opPut
 
+	// The space header comes first: a split or merge allocates or frees
+	// pages through it, and holds it until the MTR commits.
+	hdr, err := t.fetch(headerPageNo)
+	if err != nil {
+		return err
+	}
+	lockX(m, hdr, false)
+	defer func() {
+		unlockX(m, hdr)
+		t.store.Unpin(hdr.f)
+	}()
 	retained := &latched{t: t, m: m}
 	defer retained.releaseAll()
-	cur, err := t.acquireX(rootPageNo)
+	cur, err := t.acquireX(m, rootPageNo)
 	if err != nil {
 		return err
 	}
 	retained.push(cur)
 	if inserting && !t.canAbsorb(cur, val) {
-		target, err := t.splitRoot(m, cur, key, getStamp())
+		target, err := t.splitRoot(m, hdr, cur, key, getStamp())
 		if err != nil {
 			return err
 		}
@@ -711,12 +753,12 @@ func (t *Tree) writePessimisticOnce(m Mtr, key uint64, val []byte, op writeOp) e
 		cur = target
 	}
 	for !cur.isLeaf() {
-		child, err := t.acquireX(cur.descendChild(key))
+		child, err := t.acquireX(m, cur.descendChild(key))
 		if err != nil {
 			return err
 		}
 		if inserting && !t.canAbsorb(child, val) {
-			child, err = t.splitChild(m, cur, child, key, getStamp())
+			child, err = t.splitChild(m, hdr, cur, child, key, getStamp())
 			if err != nil {
 				return err
 			}
@@ -755,7 +797,7 @@ func (t *Tree) writePessimisticOnce(m Mtr, key uint64, val []byte, op writeOp) e
 			// The delete empties the leaf: acquire everything the merge
 			// needs before the first mutation (so a latch-order retry
 			// leaves no unlogged changes behind), then remove + unlink.
-			return t.removeEmptyLeaf(m, retained, idx, getStamp())
+			return t.removeEmptyLeaf(m, hdr, retained, idx, getStamp())
 		}
 		leaf.removeAt(idx)
 		leaf.flush(m)

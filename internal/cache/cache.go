@@ -53,9 +53,8 @@ type Frame struct {
 	// copy evicted) once ShippedLSN >= NewestLSN.
 	ShippedLSN types.LSN
 
-	pins    atomic.Int32
-	mtrPins atomic.Int32 // open mini-transactions that applied bytes here
-	dirty   atomic.Bool
+	pins  atomic.Int32
+	dirty atomic.Bool
 
 	// The local PIB bit is a pair of counts, not a flag: invals counts the
 	// invalidations received, current is the value of invals the contents
@@ -77,19 +76,6 @@ func (f *Frame) Unpin() { f.pins.Add(-1) }
 
 // Pins returns the current pin count.
 func (f *Frame) Pins() int { return int(f.pins.Load()) }
-
-// MtrPin marks the frame as modified by a still-open mini-transaction:
-// its bytes must not be shipped to another node until the MTR's
-// invalidate-then-publish pipeline (§3.1.4) completes, or a reader could
-// observe this page's new bytes alongside stale copies of the MTR's
-// other pages.
-func (f *Frame) MtrPin() { f.mtrPins.Add(1) }
-
-// MtrUnpin drops a mini-transaction's modification mark.
-func (f *Frame) MtrUnpin() { f.mtrPins.Add(-1) }
-
-// MtrPinned reports whether an open mini-transaction modified the frame.
-func (f *Frame) MtrPinned() bool { return f.mtrPins.Load() > 0 }
 
 // MarkDirty flags the frame as modified since last write-back.
 func (f *Frame) MarkDirty() { f.dirty.Store(true) }

@@ -605,6 +605,45 @@ func TestSessionSecondaryIndex(t *testing.T) {
 	}
 }
 
+// TestROFindsIndexCreatedAfterItCachedTable: an RO caches a table's
+// definition when a read first opens it. An index created on the RW after
+// that is not in the cached definition, and the RO reads the table's
+// catalog row again instead of failing the scan.
+func TestROFindsIndexCreatedAfterItCachedTable(t *testing.T) {
+	cfg := testConfig()
+	cfg.RONodes = 1 // every autocommit read goes to the same RO
+	cfg.HeartbeatInterval = time.Hour
+	c := launch(t, cfg)
+	tbl, err := c.RW.Engine.CreateTable("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.Proxy.Connect()
+	defer s.Close()
+	if err := s.Exec("emp", OpInsert, 1, []byte("row1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get("emp", 1); err != nil || !ok {
+		t.Fatalf("read through the RO: found %v, err %v", ok, err)
+	}
+	if _, err := c.RW.Engine.CreateIndex(tbl, "by_age"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ExecIndex("emp", "by_age", OpInsert, 30<<32|1, nil); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := s.ScanIndex("emp", "by_age", 0, ^uint64(0), func(uint64, []byte) bool {
+		n++
+		return true
+	}); err != nil {
+		t.Fatalf("index scan on the RO: %v", err)
+	}
+	if n != 1 {
+		t.Fatalf("index scan on the RO found %d entries, want 1", n)
+	}
+}
+
 func TestROPessimisticMode(t *testing.T) {
 	cfg := testConfig()
 	cfg.ROMode = btree.PessimisticS

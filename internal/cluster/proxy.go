@@ -263,12 +263,8 @@ func (t *target) open(e *engine.Engine) error {
 	if t.index == "" {
 		return nil
 	}
-	ix, ok := tbl.Indexes[t.index]
-	if !ok {
-		return fmt.Errorf("cluster: no index %s on %s", t.index, t.table)
-	}
-	t.ix = ix
-	return nil
+	t.ix, err = e.OpenIndex(tbl, t.index)
+	return err
 }
 
 type execStmt struct {

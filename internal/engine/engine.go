@@ -8,7 +8,8 @@
 //
 //	modify pages in local cache (under latches, logged into an MTR)
 //	→ page_invalidate every modified page (§3.1.4)
-//	→ append the MTR's redo to the log buffer
+//	→ append the MTR's redo to the log buffer, stamp the pages' LSNs,
+//	  and only then release their latches (so redo order is write order)
 //	→ flusher persists redo to PolarFS log chunks (commit durability)
 //	→ shipper sends records to page chunks (materialization, Figure 7)
 //	→ only then may dirty pages be evicted anywhere in the hierarchy.
@@ -155,15 +156,6 @@ type Engine struct {
 	adoptedMu sync.Mutex
 	adopted   map[types.TrxID]*Txn
 
-	undoMu   sync.Mutex
-	undoPage types.PageNo
-	undoOff  uint16
-	// undoExact: no undo record lies past the cursor. True from Bootstrap.
-	// Recover's cursor is the last replayed header write, which a crashed
-	// RW's furthest reservation may have outrun, so the first roll-over
-	// after it still reads its page from storage.
-	undoExact bool
-
 	// flightMu guards the fills in progress, and the admission of the
 	// warmer's workers against Close and against the ones still running
 	// (see warm).
@@ -183,11 +175,6 @@ type Engine struct {
 	shipStopped bool      // the shipper has exited: nothing more will ship
 	shippedCond *sync.Cond
 	nudge       chan struct{}
-
-	// mtrCond wakes flush-page waiters when a mini-transaction releases
-	// its frames (see handleFlushPage and Mtr.release).
-	mtrMu   sync.Mutex
-	mtrCond *sync.Cond
 
 	backfillCh chan backfillItem
 
@@ -297,7 +284,6 @@ func newEngine(deps Deps, cfg Config) *Engine {
 		met:        newEngineMetrics(deps.EP.Metrics()),
 	}
 	e.shippedCond = sync.NewCond(&e.shippedMu)
-	e.mtrCond = sync.NewCond(&e.mtrMu)
 	e.cache = cache.New(cfg.LocalCachePages, e.onEvict)
 	if e.pool != nil {
 		e.pool.OnInvalidate(e.onInvalidate)
@@ -834,12 +820,16 @@ var _ btree.Store = (*Engine)(nil)
 // Mini-transactions
 
 // Mtr is the engine's mini-transaction: a group of page writes applied
-// atomically through the redo log.
+// atomically through the redo log. Like InnoDB's mtr memo, it holds the X
+// latch of every frame it wrote (or latched with lockX) until Commit has
+// invalidated the frame, appended its redo and stamped its LSN: two MTRs
+// that write one page are logged, and replayed, in the order they wrote
+// it, and no reader sees a page ahead of its MTR's invalidations.
 type Mtr struct {
 	e        *Engine
 	m        *plog.MTR
-	frames   map[uint64]*cache.Frame
-	deferred []*cache.Frame // X-PL releases pending until post-invalidation
+	frames   map[uint64]*cache.Frame // X-latched and pinned until Commit
+	deferred []*cache.Frame          // X-PL releases pending until post-invalidation
 }
 
 // BeginMtr opens a mini-transaction (RW only).
@@ -847,9 +837,10 @@ func (e *Engine) BeginMtr() *Mtr {
 	return &Mtr{e: e, m: plog.NewMTR(), frames: make(map[uint64]*cache.Frame)}
 }
 
-// LogWrite applies data at off within the (exclusively latched) frame and
-// logs it. Bytes [0,8) are the engine-owned page LSN and must not be
-// logged.
+// LogWrite applies data at off within the frame and logs it. The caller
+// holds the frame's X latch; with the MTR's first write of the frame the
+// latch passes to the MTR. Bytes [0,8) are the engine-owned page LSN and
+// must not be logged.
 func (mt *Mtr) LogWrite(f *cache.Frame, off int, data []byte) {
 	if off < 8 {
 		panic(fmt.Sprintf("engine: logged write into reserved header of %s (off %d)", f.ID, off))
@@ -857,12 +848,23 @@ func (mt *Mtr) LogWrite(f *cache.Frame, off int, data []byte) {
 	copy(f.Data[off:], data)
 	mt.m.LogWrite(f.ID, uint16(off), data)
 	f.MarkDirty()
-	if _, ok := mt.frames[f.ID.Key()]; !ok {
+	if !mt.Holds(f) {
 		f.Pin()
-		// The mtr-pin (taken under this frame's exclusive latch) keeps
-		// handleFlushPage from shipping these bytes to an RO node before
-		// Commit invalidates the MTR's other pages.
-		f.MtrPin()
+		mt.frames[f.ID.Key()] = f
+	}
+}
+
+// Holds reports whether the MTR holds the frame's X latch.
+func (mt *Mtr) Holds(f *cache.Frame) bool { return mt.frames[f.ID.Key()] == f }
+
+// Holding reports whether the MTR holds any latch.
+func (mt *Mtr) Holding() bool { return len(mt.frames) > 0 }
+
+// lockX X-latches f for the MTR, which holds it from now until it commits.
+func (mt *Mtr) lockX(f *cache.Frame) {
+	if !mt.Holds(f) {
+		f.Latch.Lock()
+		f.Pin()
 		mt.frames[f.ID.Key()] = f
 	}
 }
@@ -878,13 +880,13 @@ var _ btree.Mtr = (*Mtr)(nil)
 
 // Commit runs the §3.1.4 pipeline: invalidate every modified page's other
 // copies, then append the MTR's redo to the log buffer, stamp the frames'
-// page LSNs, and release the pins. Returns the MTR's end LSN (0 if empty).
-// The redo ships when someone waits for it (see shipper). An MTR that
-// leaves redoFillRecords or more in the buffer nudges the shipper; one
-// that leaves twice that waits until the shipper has taken them (not
-// until they are durable). The buffer so never holds more than two fills
-// plus one MTR, and a writer blocks only while the shipper is more than
-// a fill behind it.
+// page LSNs, and release their latches and pins. Returns the MTR's end LSN
+// (0 if empty). The redo ships when someone waits for it (see shipper). An
+// MTR that leaves redoFillRecords or more in the buffer nudges the
+// shipper; one that leaves twice that waits until the shipper has taken
+// them (not until they are durable). The buffer so never holds more than
+// two fills plus one MTR, and a writer blocks only while the shipper is
+// more than a fill behind it.
 //
 //polarvet:fabric O(n) invalidation is one batched RPC, but releasing the SMO's deferred global latches is one one-sided CAS per latched frame
 func (mt *Mtr) Commit() (types.LSN, error) {
@@ -892,11 +894,12 @@ func (mt *Mtr) Commit() (types.LSN, error) {
 		mt.release()
 		return 0, nil
 	}
+	pages := mt.m.Pages()
 	if mt.e.pool != nil {
 		// One batched page_invalidate round trip for the whole MTR: the
 		// home fans the list out once per distinct holder instead of once
 		// per (page, holder) pair.
-		if err := mt.e.pool.InvalidateBatch(mt.m.Pages()); err != nil {
+		if err := mt.e.pool.InvalidateBatch(pages); err != nil {
 			// Invalidation must succeed for coherency; a failure means
 			// the home is gone and the node must stop modifying.
 			mt.release()
@@ -906,13 +909,10 @@ func (mt *Mtr) Commit() (types.LSN, error) {
 	end := mt.e.buf.Append(mt.m)
 	mt.e.met.mtrCommit.Inc()
 	mt.e.cts.PublishLSN(end)
-	for _, f := range mt.frames {
-		f.Latch.Lock()
-		if end > f.NewestLSN {
-			binary.LittleEndian.PutUint64(f.Data[0:8], uint64(end))
-			f.NewestLSN = end
-		}
-		f.Latch.Unlock()
+	for _, id := range pages {
+		f := mt.frames[id.Key()]
+		binary.LittleEndian.PutUint64(f.Data[0:8], uint64(end))
+		f.NewestLSN = end
 	}
 	mt.release()
 	if n := mt.e.buf.Pending(); n >= 2*redoFillRecords {
@@ -926,13 +926,8 @@ func (mt *Mtr) Commit() (types.LSN, error) {
 }
 
 func (mt *Mtr) release() {
-	mt.e.mtrMu.Lock()
 	for _, f := range mt.frames {
-		f.MtrUnpin()
-	}
-	mt.e.mtrMu.Unlock()
-	mt.e.mtrCond.Broadcast()
-	for _, f := range mt.frames {
+		f.Latch.Unlock()
 		f.Unpin()
 	}
 	mt.frames = make(map[uint64]*cache.Frame)

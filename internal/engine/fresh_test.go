@@ -9,6 +9,7 @@ import (
 
 	"polardb/internal/btree"
 	"polardb/internal/stat"
+	"polardb/internal/txn"
 	"polardb/internal/types"
 )
 
@@ -50,10 +51,17 @@ func checkRows(t *testing.T, e *Engine, tbl *Table, from, to uint64) {
 	}
 }
 
-func undoCursorPage(e *Engine) types.PageNo {
-	e.undoMu.Lock()
-	defer e.undoMu.Unlock()
-	return e.undoPage
+func undoCursorPage(t *testing.T, e *Engine) types.PageNo {
+	t.Helper()
+	f, err := e.Fetch(types.PageID{Space: UndoSpace, No: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Unpin()
+	f.Latch.RLock()
+	defer f.Latch.RUnlock()
+	pg, _ := txn.UndoAlloc(f.Data)
+	return pg
 }
 
 // insertUntilUndoRolls inserts rows from *next on until the undo cursor
@@ -62,7 +70,7 @@ func undoCursorPage(e *Engine) types.PageNo {
 func insertUntilUndoRolls(t *testing.T, e *Engine, tbl *Table, next *uint64) stat.Snapshot {
 	t.Helper()
 	before := e.EP().Metrics().Snapshot()
-	for pg := undoCursorPage(e); undoCursorPage(e) == pg; *next += 10 {
+	for pg := undoCursorPage(t, e); undoCursorPage(t, e) == pg; *next += 10 {
 		insertRows(t, e, tbl, *next, *next+10)
 	}
 	return e.EP().Metrics().Snapshot().Sub(before)
@@ -111,12 +119,12 @@ func TestAllocatedPagesAreBornInMemory(t *testing.T) {
 			d.Counter("engine.page.storage_read"), d.Counter("pfs.get_page.ops"), d.Counter("engine.page.fresh"))
 	}
 	insertRows(t, h.rw, tbl, 0, 100) // warm: undo header and cursor page
-	startUndo := undoCursorPage(h.rw)
+	startUndo := undoCursorPage(t, h.rw)
 
 	before := h.rw.EP().Metrics().Snapshot()
 	insertRows(t, h.rw, tbl, 100, 2100)
 	d := h.rw.EP().Metrics().Snapshot().Sub(before)
-	if rolled := undoCursorPage(h.rw) - startUndo; rolled < 3 {
+	if rolled := undoCursorPage(t, h.rw) - startUndo; rolled < 3 {
 		t.Fatalf("undo cursor rolled %d pages; the test needs several", rolled)
 	}
 	if n := d.Counter("engine.page.fresh"); n < 20 {
@@ -141,9 +149,10 @@ func TestAllocatedPagesAreBornInMemory(t *testing.T) {
 
 	// (c) Crash right after more inserts: nothing but redo ever left the node.
 	insertRows(t, h.rw, tbl, 2100, 2600)
-	// ... and a table whose creating MTR may or may not have become durable:
-	// its space id and its two pages are one MTR, so the new RW either
-	// finds the table or hands the same id out again, over nothing.
+	// ... and a table whose creating MTRs may or may not have become
+	// durable: its space id's MTR precedes its two pages' in the redo, so
+	// the new RW finds the table, or hands out that id again over nothing,
+	// or never hands it out again.
 	if _, err := h.rw.CreateTable("maybe"); err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +166,9 @@ func TestAllocatedPagesAreBornInMemory(t *testing.T) {
 	checkRows(t, newRW, tbl2, 0, 2600) // also warms the new RW's cache
 	waitWarmed(t, newRW)               // the recovery warm-up's storage reads are not the roll-overs'
 
-	// The recovered undo cursor is not provably the furthest reservation,
-	// so the first roll-over after recovery reads its page; the next one
-	// does not.
+	// The recovered undo cursor is past every undo record (its writes are
+	// logged in the order they were made), so no roll-over after recovery
+	// reads its page, the first one included.
 	next := uint64(2600)
 	insertRows(t, newRW, tbl2, next, next+10) // warm the undo header and cursor page
 	next += 10
@@ -168,8 +177,8 @@ func TestAllocatedPagesAreBornInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	newRW.Unpin(hdr)
-	if d := insertUntilUndoRolls(t, newRW, tbl2, &next); d.Counter("engine.page.storage_read") != 1 {
-		t.Fatalf("first roll-over after recovery: engine.page.storage_read +%d, want 1", d.Counter("engine.page.storage_read"))
+	if d := insertUntilUndoRolls(t, newRW, tbl2, &next); d.Counter("engine.page.storage_read") != 0 {
+		t.Fatalf("first roll-over after recovery: engine.page.storage_read +%d, want 0", d.Counter("engine.page.storage_read"))
 	}
 	if d := insertUntilUndoRolls(t, newRW, tbl2, &next); d.Counter("engine.page.storage_read") != 0 {
 		t.Fatalf("second roll-over after recovery: engine.page.storage_read +%d, want 0", d.Counter("engine.page.storage_read"))

@@ -73,7 +73,6 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 	unfinished := txn.ScanUnfinished(hdrPage.Data)
 	maxTrx := txn.MaxTrxID(hdrPage.Data)
 	watermark := txn.CTSWatermark(hdrPage.Data)
-	undoPg, undoOff := txn.UndoAlloc(hdrPage.Data)
 	slotByTrx := make(map[types.TrxID]int)
 	for i := 0; i < txn.SlotCount(); i++ {
 		s := txn.UnmarshalSlot(hdrPage.Data, i)
@@ -86,13 +85,6 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 
 	e.nextTrx.Store(uint64(maxTrx))
 	e.cts.SetCounter(watermark + 1)
-	if undoPg == 0 {
-		undoPg = 1
-	}
-	if undoOff < 8 {
-		undoOff = 8
-	}
-	e.undoPage, e.undoOff, e.undoExact = undoPg, undoOff, false
 
 	// Unfinished transactions stay in the active set and, as slot owners,
 	// in the published view (invisible to every read view) until their

@@ -28,26 +28,10 @@ func (e *Engine) handleFlushPage(from rdma.NodeID, req []byte) ([]byte, error) {
 		return nil, nil
 	}
 	defer f.Unpin()
-	// A frame modified by a still-open mini-transaction must not be
-	// shipped: its bytes may reference the MTR's other pages (e.g. a data
-	// row pointing at a new undo record) whose remote copies are not yet
-	// invalidated, so the caller could assemble a torn view (§3.1.4,
-	// invalidate-then-publish). Wait for the MTR to release. The check
-	// runs under the frame latch: LogWrite both applies bytes and takes
-	// the mtr-pin while holding it exclusively, so a clear pin count
-	// means no uncommitted bytes can be in the copy below.
-	for {
-		f.Latch.RLock()
-		if !f.MtrPinned() {
-			break
-		}
-		f.Latch.RUnlock()
-		e.mtrMu.Lock()
-		for f.MtrPinned() {
-			e.mtrCond.Wait()
-		}
-		e.mtrMu.Unlock()
-	}
+	// The read latch waits out an MTR that wrote the frame, which holds it
+	// until its invalidations are out: the copy never carries bytes of an
+	// MTR whose other pages an RO could still read stale (§3.1.4).
+	f.Latch.RLock()
 	img := append([]byte(nil), f.Data...)
 	// A failed write-back means the slot is unreachable (its slab died
 	// with the home, or a purge freed it); the reply carries the page.

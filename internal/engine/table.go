@@ -107,8 +107,11 @@ func (e *Engine) unlockDDL(id types.TrxID) {
 	e.locks.ReleaseAll(id, []txn.LockRef{{Space: CatalogSpace, Key: catalogMetaKey}})
 }
 
-// allocSpace hands out the next tablespace id (DDL, under lockDDL).
-func (e *Engine) allocSpace(mt *Mtr) (types.SpaceID, error) {
+// allocSpace hands out the next tablespace id (DDL, under lockDDL) in an
+// MTR of its own, committed before the caller's: a second catalog write in
+// one MTR would descend from the root while holding the first's leaf. The
+// bump's redo so precedes all of the new space's (DESIGN refinement 7).
+func (e *Engine) allocSpace() (types.SpaceID, error) {
 	cat := e.catalogTree()
 	raw, err := cat.Get(catalogMetaKey, btree.Local)
 	if err != nil {
@@ -119,10 +122,12 @@ func (e *Engine) allocSpace(mt *Mtr) (types.SpaceID, error) {
 	if err := rd.Err(); err != nil {
 		return 0, err
 	}
-	if err := cat.Put(mt, catalogMetaKey, marshalCatalogMeta(next+1)); err != nil {
-		return 0, err
+	mt := e.BeginMtr()
+	err = cat.Put(mt, catalogMetaKey, marshalCatalogMeta(next+1))
+	if _, cerr := mt.Commit(); err == nil {
+		err = cerr
 	}
-	return next, nil
+	return next, err
 }
 
 // CreateTable creates a table with a clustered primary index (RW only).
@@ -138,6 +143,10 @@ func (e *Engine) CreateTable(name string) (*Table, error) {
 	if t, err := e.OpenTable(name); err == nil && t != nil {
 		return nil, fmt.Errorf("%w: %s", ErrTableExists, name)
 	}
+	space, err := e.allocSpace()
+	if err != nil {
+		return nil, err
+	}
 	mt := e.BeginMtr()
 	committed := false
 	defer func() {
@@ -145,10 +154,6 @@ func (e *Engine) CreateTable(name string) (*Table, error) {
 			_, _ = mt.Commit()
 		}
 	}()
-	space, err := e.allocSpace(mt)
-	if err != nil {
-		return nil, err
-	}
 	if _, err := btree.Create(e, mt, space); err != nil {
 		return nil, err
 	}
@@ -186,6 +191,10 @@ func (e *Engine) CreateIndex(table *Table, name string) (*Index, error) {
 	if _, ok := cur.Indexes[name]; ok {
 		return nil, fmt.Errorf("%w: index %s", ErrTableExists, name)
 	}
+	space, err := e.allocSpace()
+	if err != nil {
+		return nil, err
+	}
 	mt := e.BeginMtr()
 	committed := false
 	defer func() {
@@ -193,10 +202,6 @@ func (e *Engine) CreateIndex(table *Table, name string) (*Index, error) {
 			_, _ = mt.Commit()
 		}
 	}()
-	space, err := e.allocSpace(mt)
-	if err != nil {
-		return nil, err
-	}
 	if _, err := btree.Create(e, mt, space); err != nil {
 		return nil, err
 	}
@@ -249,6 +254,30 @@ func (e *Engine) OpenTable(name string) (*Table, error) {
 	return found, nil
 }
 
+// OpenIndex returns the named secondary index of tbl (any node). A node
+// caches a table's definition when it first opens it, so an index created
+// on the RW since is missing there: on a miss the table's catalog row is
+// read once more, and cached (should a racing DDL's newer definition be
+// replaced by it, the next miss reads the row again).
+func (e *Engine) OpenIndex(tbl *Table, name string) (*Index, error) {
+	if ix, ok := tbl.Indexes[name]; ok {
+		return ix, nil
+	}
+	raw, err := e.catalogTree().Get(uint64(tbl.Space), e.readMode())
+	cur := tbl
+	if err == nil {
+		cur, err = e.unmarshalTableDef(raw)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("engine: catalog row of %s: %w", tbl.Name, err)
+	}
+	e.cacheTable(cur)
+	if ix, ok := cur.Indexes[name]; ok {
+		return ix, nil
+	}
+	return nil, fmt.Errorf("engine: no index %s on %s", name, tbl.Name)
+}
+
 func (e *Engine) cacheTable(t *Table) {
 	e.tablesMu.Lock()
 	defer e.tablesMu.Unlock()
@@ -291,21 +320,18 @@ func (e *Engine) Bootstrap() error {
 	if err := e.catalogTree().Put(mt, catalogMetaKey, marshalCatalogMeta(FirstUserSpace)); err != nil {
 		return err
 	}
-	// Touch the undo header page so it exists with a zeroed slot table.
-	hdr, err := e.Fetch(types.PageID{Space: UndoSpace, No: 0})
+	// Write the undo header so it exists with a zeroed slot table and the
+	// undo cursor at the start of page 1.
+	hdr, err := e.undoHeader(mt)
 	if err != nil {
 		return err
 	}
-	hdr.Latch.Lock()
 	mt.LogWrite(hdr, txn.UndoAllocOffset, txn.MarshalUndoAlloc(1, 8))
-	hdr.Latch.Unlock()
-	e.Unpin(hdr)
 	committed = true
 	end, err := mt.Commit()
 	if err != nil {
 		return err
 	}
-	e.undoPage, e.undoOff, e.undoExact = 1, 8, true
 	e.nextTrx.Store(1)
 	e.activeMu.Lock()
 	e.publishViewLocked() // the region's first view: nothing in flight

@@ -113,9 +113,10 @@ func TestRecoverFailsWithoutHome(t *testing.T) {
 
 // TestRWKeepsItsCopyWhenThePoolPurges: when the pool takes a page's
 // addresses away, the RW's cached copy stays what the RW reads. Here it
-// holds bytes of an MTR that has not committed, so storage has none of
+// holds bytes of an MTR whose redo has not shipped, so storage has none of
 // them, and the slab under the page fails.
 func TestRWKeepsItsCopyWhenThePoolPurges(t *testing.T) {
+	parkShipTick(t)
 	h := newHarness(t, harnessOpts{})
 	tbl, err := h.rw.CreateTable("t")
 	if err != nil {
@@ -134,9 +135,11 @@ func TestRWKeepsItsCopyWhenThePoolPurges(t *testing.T) {
 	const off = 2048 // between the slot array and the cells
 	mt := h.rw.BeginMtr()
 	f.Latch.Lock()
-	mt.LogWrite(f, off, mark)
-	f.Latch.Unlock()
+	mt.LogWrite(f, off, mark) // the MTR holds the latch from here to its commit
 	f.Unpin()
+	if _, err := mt.Commit(); err != nil { // its redo stays in the log buffer: nothing waits for it
+		t.Fatal(err)
+	}
 	h.home.HandleSlabFailure("mem0")
 	g, err := h.rw.Fetch(leaf)
 	if err != nil {
@@ -151,8 +154,5 @@ func TestRWKeepsItsCopyWhenThePoolPurges(t *testing.T) {
 	}
 	if registered {
 		t.Fatal("the RW's copy still has the purged addresses")
-	}
-	if _, err := mt.Commit(); err != nil {
-		t.Fatal(err)
 	}
 }

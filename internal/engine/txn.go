@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"polardb/internal/btree"
+	"polardb/internal/cache"
 	"polardb/internal/rdma"
 	"polardb/internal/txn"
 	"polardb/internal/types"
@@ -56,11 +58,10 @@ func (e *Engine) Begin() (*Txn, error) {
 	}
 	t := &Txn{e: e, id: id, slot: -1}
 	e.activeMu.Lock()
-	readTS := e.cts.NextTS()
-	active := e.activeListLocked()
+	// The view is set before t joins e.active, where purgeHorizon reads it.
+	t.view = txn.NewReadView(e.cts.NextTS(), id, e.activeListLocked())
 	e.active[id] = t
 	e.activeMu.Unlock()
-	t.view = txn.NewReadView(readTS, id, active)
 	return t, nil
 }
 
@@ -409,8 +410,7 @@ func (t *Txn) Commit() error {
 	}); err != nil {
 		return err
 	}
-	// Persist the CTS watermark so recovery restarts timestamps above it.
-	if err := e.writeHeaderField(mt, txn.CTSWatermarkOffset, txn.MarshalCTSWatermark(ctsCommit)); err != nil {
+	if err := e.raiseCTSWatermark(mt, ctsCommit); err != nil {
 		return err
 	}
 	end, err := mt.Commit()
@@ -474,22 +474,21 @@ func (e *Engine) rollbackChain(id types.TrxID, pg types.PageNo, off uint16, slot
 		}
 		pg, off = u.PrevTxnPg, u.PrevTxnOff
 	}
-	if slot >= 0 {
-		mt := e.BeginMtr()
-		err := e.writeSlot(mt, slot, txn.TxnSlot{State: txn.SlotFree})
-		if _, cerr := mt.Commit(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
+	if slot < 0 {
+		return nil
 	}
-	return nil
+	mt := e.BeginMtr()
+	if err := e.writeSlot(mt, slot, txn.TxnSlot{State: txn.SlotFree}); err != nil {
+		_, _ = mt.Commit()
+		return err
+	}
+	_, err := mt.Commit()
+	return err
 }
 
 // rollbackOne restores the previous version for a single undo record
 // under its own mini-transaction. The commit must happen on every path
-// — an abandoned mtr would keep its pins and deferred PL latches
+// — an abandoned mtr would keep its latches, pins and deferred PL latches
 // forever — so error returns publish whatever was logged first.
 func (e *Engine) rollbackOne(u *txn.UndoRec) error {
 	tree := e.tree(u.Space)
@@ -519,64 +518,30 @@ func (e *Engine) rollbackOne(u *txn.UndoRec) error {
 // Undo allocation & transaction slots
 
 // appendUndo writes an undo record into the undo space and returns its
-// (page, offset). Append-only: offsets never move.
+// (page, offset). Append-only: offsets never move. The cursor lives in the
+// undo header, which mt holds from here to its commit, so cursor writes
+// are logged in the order they were made: the recovered cursor is past
+// every record, and a roll-over's next page was never written (FetchNew).
 func (e *Engine) appendUndo(mt *Mtr, u *txn.UndoRec) (types.PageNo, uint16, error) {
 	enc := u.Marshal()
-	// Page fetches can cross the fabric (remote memory, then PolarFS), so
-	// they happen with undoMu released; the lock covers only the cursor
-	// reservation and the latched in-frame writes. If another appender
-	// rolls the cursor onto a new page while we fetch, retry against it.
-	hdr, err := e.Fetch(types.PageID{Space: UndoSpace, No: 0})
+	hdr, err := e.undoHeader(mt)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer e.Unpin(hdr)
-	e.undoMu.Lock()
-	// Counted, not unbounded: each retry means a full undo page was
-	// appended by others during one fetch; 16 in a row is pathological.
-	for tries := 0; tries < 16; tries++ {
-		if e.undoOff < 8 {
-			e.undoOff = 8 // bytes [0,8) of every page hold the page LSN
-		}
-		// The one appender that moves the cursor onto a page creates it in
-		// memory: nothing was ever written past the cursor. Everyone else
-		// fetches, and meets that fill in the flights map.
-		fresh := false
-		if int(e.undoOff)+len(enc) > types.PageSize {
-			e.undoPage++
-			e.undoOff = 8
-			fresh, e.undoExact = e.undoExact, true
-		}
-		pg := e.undoPage
-		e.undoMu.Unlock()
-		f, err := e.fetch(types.PageID{Space: UndoSpace, No: pg}, fresh)
-		if err != nil {
-			return 0, 0, err
-		}
-		e.undoMu.Lock()
-		if e.undoPage != pg || int(e.undoOff)+len(enc) > types.PageSize {
-			e.undoMu.Unlock()
-			e.Unpin(f)
-			e.undoMu.Lock()
-			continue
-		}
-		off := e.undoOff
-		e.undoOff += uint16(len(enc))
-		f.Latch.Lock()
-		mt.LogWrite(f, int(off), enc)
-		f.Latch.Unlock()
-		// Persist the cursor so recovery resumes appending past everything.
-		// Written under undoMu, so header cursor values are logged in
-		// reservation order.
-		hdr.Latch.Lock()
-		mt.LogWrite(hdr, txn.UndoAllocOffset, txn.MarshalUndoAlloc(e.undoPage, e.undoOff))
-		hdr.Latch.Unlock()
-		e.undoMu.Unlock()
-		e.Unpin(f)
-		return pg, off, nil
+	pg, off := txn.UndoAlloc(hdr.Data)
+	fresh := int(off)+len(enc) > types.PageSize
+	if fresh {
+		pg, off = pg+1, 8 // bytes [0,8) of every page hold the page LSN
 	}
-	e.undoMu.Unlock()
-	return 0, 0, fmt.Errorf("engine: undo append cursor kept moving under fetch; giving up")
+	f, err := e.fetch(types.PageID{Space: UndoSpace, No: pg}, fresh)
+	if err != nil {
+		return 0, 0, err
+	}
+	mt.lockX(f)
+	e.Unpin(f) // the MTR holds its own pin
+	mt.LogWrite(f, int(off), enc)
+	mt.LogWrite(hdr, txn.UndoAllocOffset, txn.MarshalUndoAlloc(pg, off+uint16(len(enc))))
+	return pg, off, nil
 }
 
 // claimSlot assigns a persistent transaction slot (first write) and, with
@@ -618,20 +583,39 @@ func (e *Engine) finish(t *Txn) {
 
 // writeSlot logs a transaction slot update on the undo header page.
 func (e *Engine) writeSlot(mt *Mtr, slot int, s txn.TxnSlot) error {
-	return e.writeHeaderField(mt, txn.SlotOffset(slot), s.Marshal())
-}
-
-// writeHeaderField logs a write at a fixed offset of the undo header page.
-func (e *Engine) writeHeaderField(mt *Mtr, off int, data []byte) error {
-	hdr, err := e.Fetch(types.PageID{Space: UndoSpace, No: 0})
+	hdr, err := e.undoHeader(mt)
 	if err != nil {
 		return err
 	}
-	hdr.Latch.Lock()
-	mt.LogWrite(hdr, off, data)
-	hdr.Latch.Unlock()
-	e.Unpin(hdr)
+	mt.LogWrite(hdr, txn.SlotOffset(slot), s.Marshal())
 	return nil
+}
+
+// raiseCTSWatermark persists a commit timestamp in the undo header, so that
+// recovery restarts timestamps above it. Commits reach the header out of
+// timestamp order, so the watermark only rises: mt holds the header, and
+// reads it and writes it under one hold.
+func (e *Engine) raiseCTSWatermark(mt *Mtr, ts types.Timestamp) error {
+	hdr, err := e.undoHeader(mt)
+	if err != nil {
+		return err
+	}
+	if ts > txn.CTSWatermark(hdr.Data) {
+		mt.LogWrite(hdr, txn.CTSWatermarkOffset, txn.MarshalCTSWatermark(ts))
+	}
+	return nil
+}
+
+// undoHeader returns the undo header page X-latched for mt, which holds it
+// until it commits: what mt reads there is the header's newest state.
+func (e *Engine) undoHeader(mt *Mtr) (*cache.Frame, error) {
+	hdr, err := e.Fetch(types.PageID{Space: UndoSpace, No: 0})
+	if err != nil {
+		return nil, err
+	}
+	mt.lockX(hdr)
+	e.Unpin(hdr) // the MTR holds its own pin
+	return hdr, nil
 }
 
 // backfillWorker asynchronously fills cts_commit into committed records
@@ -653,8 +637,9 @@ func (e *Engine) backfillWorker() {
 
 // backfillPages bounds the pages one backfill MTR writes: an MTR pins
 // every page it wrote until it commits, and a small local cache shared
-// with the writers would run out of frames to evict.
-const backfillPages = 4
+// with the writers would run out of frames to evict. backfillBusyTries
+// bounds an MTR's retries of keys whose latch is busy.
+const backfillPages, backfillBusyTries = 4, 64
 
 // backfill patches a committed transaction's records in one MTR, up to
 // backfillPages pages (all of them for a typical OLTP transaction), and
@@ -669,16 +654,20 @@ func (e *Engine) backfill(item backfillItem, keys []touchedKey) []touchedKey {
 	}
 	mt := e.BeginMtr()
 	done := 0
-	for _, k := range keys {
-		if len(mt.frames) >= backfillPages {
-			break
-		}
+	for try := 0; done < len(keys) && len(mt.frames) < backfillPages && try-done < backfillBusyTries; try++ {
+		k := keys[done]
 		// A miss (key since moved or deleted) logs nothing, and the CTS
-		// log still serves readers.
-		_ = e.tree(k.space).PatchInPlace(mt, k.key, patch)
-		done++
+		// log still serves readers. A busy latch (try-done counts them) is
+		// mostly an MTR about to commit, so the key is tried again; after a
+		// few tries this MTR ends, and the key is the next one's first,
+		// which waits for it.
+		if err := e.tree(k.space).PatchInPlace(mt, k.key, patch); errors.Is(err, btree.ErrLatchBusy) {
+			runtime.Gosched()
+		} else {
+			done++
+		}
 	}
-	// Commit on every outcome: an abandoned mtr would keep its pins
+	// Commit on every outcome: an abandoned mtr would keep its latches
 	// forever.
 	_, _ = mt.Commit()
 	return keys[done:]

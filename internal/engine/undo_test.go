@@ -10,13 +10,10 @@ import (
 	"polardb/internal/types"
 )
 
-// TestAppendUndoConcurrentCursor is the regression test for the undo
-// append restructure: reservations fetch the target undo page with no
-// engine lock held, so the cursor can move between the reservation and
-// the write. Concurrent appenders must still produce non-overlapping
-// records, and the header-page cursor must end up past the furthest
-// record. (The old code held undoMu across the Fetch — a fabric round
-// trip — serializing every writer behind simulated network latency.)
+// TestAppendUndoConcurrentCursor: concurrent appenders, each in its own
+// MTR, roll the undo cursor over many pages. Their records must not
+// overlap, and the header-page cursor must end up past the furthest
+// record.
 func TestAppendUndoConcurrentCursor(t *testing.T) {
 	h := newHarness(t, harnessOpts{})
 	e := h.rw

@@ -109,8 +109,6 @@ var pairTable = []pairSpec{
 		what: "pinned frame", releases: unpinReleases},
 	{pkg: "internal/cache", recv: "Frame", method: "Pin", id: idRecv,
 		what: "pinned frame", releases: unpinReleases},
-	{pkg: "internal/cache", recv: "Frame", method: "MtrPin", id: idRecv,
-		what: "mtr-pinned frame", releases: []releaseSpec{{"internal/cache", "Frame", "MtrUnpin", idRecv}}},
 	{pkg: "internal/engine", recv: "Engine", method: "PLLockX", id: idArg0, guard: guardErr,
 		what: "global page X-latch", releases: plxReleases},
 	{pkg: "internal/btree", recv: "Store", method: "PLLockX", id: idArg0, guard: guardErr,
@@ -752,7 +750,7 @@ func (a *pairAnalysis) markTransferredParam(f pairFact) {
 // an expression: selector bases, composite-literal elements, and call
 // arguments the callee is known (or not known not) to retain — but not
 // selector field names, callee names, borrowed arguments of summarized
-// local helpers (`return e.writeHeaderField(mt, ...)` does not hand mt
+// local helpers (`return e.writeSlot(mt, ...)` does not hand mt
 // away), or closure bodies (closures are captures, in applyTransfers).
 func (a *pairAnalysis) rootIdents(e ast.Expr) []*ast.Ident {
 	var out []*ast.Ident
