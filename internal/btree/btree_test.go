@@ -113,12 +113,29 @@ func (s *memStore) SMOStamp() uint64              { return s.smo.Add(1) }
 func (s *memStore) SMOClock(bool) (uint64, error) { return s.smo.Load(), nil }
 func (s *memStore) ReadOnly() bool                { return s.readOnly }
 
-// memMtr applies writes directly (they already hit the frame).
-type memMtr struct{ records int }
+// memMtr applies writes directly (they already hit the frame). It counts
+// what it logs, in records and in wire bytes, and with keep set it also
+// keeps a copy of every record, in log order.
+type memMtr struct {
+	records int
+	bytes   int // wire size: header + data, per record
+	keep    bool
+	log     []memRec
+}
+
+type memRec struct {
+	page types.PageID
+	off  int
+	data []byte
+}
 
 func (m *memMtr) LogWrite(f *cache.Frame, off int, data []byte) {
 	copy(f.Data[off:], data)
 	m.records++
+	m.bytes += types.RedoRecordHeader + len(data)
+	if m.keep {
+		m.log = append(m.log, memRec{f.ID, off, bytes.Clone(data)})
+	}
 }
 
 func (m *memMtr) DeferPLUnlockX(f *cache.Frame) {}

@@ -3,6 +3,7 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"polardb/internal/cache"
@@ -37,35 +38,42 @@ const (
 
 // node wraps a latched frame with layout accessors and a dirty-range
 // tracker: mutations touch f.Data directly and are flushed as one redo
-// record per page per operation.
+// record per touched range, so an in-place update logs its slot and its
+// cell, not the free space and the cells between them.
 type node struct {
-	f       *cache.Frame
-	dirtyLo int
-	dirtyHi int
+	f     *cache.Frame
+	dirty []span // touched [lo, hi) ranges, in touch order
 }
 
-func wrap(f *cache.Frame) *node { return &node{f: f, dirtyLo: -1} }
+type span struct{ lo, hi int }
+
+func wrap(f *cache.Frame) *node { return &node{f: f} }
 
 func (n *node) data() []byte         { return n.f.Data }
 func (n *node) id() types.PageID     { return n.f.ID }
 func (n *node) pageNo() types.PageNo { return n.f.ID.No }
 
-func (n *node) touch(lo, hi int) {
-	if n.dirtyLo == -1 || lo < n.dirtyLo {
-		n.dirtyLo = lo
-	}
-	if hi > n.dirtyHi {
-		n.dirtyHi = hi
-	}
-}
+func (n *node) touch(lo, hi int) { n.dirty = append(n.dirty, span{lo, hi}) }
 
-// flush emits the accumulated dirty range as a single logged write.
+// flush logs the touched ranges: sorted, with any two at most a record
+// header apart coalesced (one record is then cheaper than two), one write
+// per range, the bytes taken from the page now.
 func (n *node) flush(m Mtr) {
-	if n.dirtyLo == -1 {
+	if len(n.dirty) == 0 {
 		return
 	}
-	m.LogWrite(n.f, n.dirtyLo, n.f.Data[n.dirtyLo:n.dirtyHi])
-	n.dirtyLo, n.dirtyHi = -1, 0
+	slices.SortFunc(n.dirty, func(a, b span) int { return a.lo - b.lo })
+	cur := n.dirty[0]
+	for _, s := range n.dirty[1:] {
+		if s.lo-cur.hi <= types.RedoRecordHeader {
+			cur.hi = max(cur.hi, s.hi)
+			continue
+		}
+		m.LogWrite(n.f, cur.lo, n.f.Data[cur.lo:cur.hi])
+		cur = s
+	}
+	m.LogWrite(n.f, cur.lo, n.f.Data[cur.lo:cur.hi])
+	n.dirty = n.dirty[:0]
 }
 
 func (n *node) u8(off int) uint8 { return n.f.Data[off] }

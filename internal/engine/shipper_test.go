@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"testing"
 	"time"
 )
@@ -132,6 +133,60 @@ func TestCommitIsOneBackfillMTR(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if got := counter(h.rw, "engine.mtr.commit") - mtrs; got != n+2 {
 		t.Fatalf("a %d-statement commit made %d MTRs, want %d", n, got, n+2)
+	}
+}
+
+// TestOneRowUpdateLogsUnderAKiB: a transaction that overwrites one
+// 96-byte row on a half-full leaf appends less than 1 KiB of redo, its
+// statement, commit and backfill MTRs together: each page logs the ranges
+// the update wrote, not the span between them.
+func TestOneRowUpdateLogsUnderAKiB(t *testing.T) {
+	h := newHarness(t, harnessOpts{})
+	tbl, err := h.rw.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// waitMTRs returns once n MTRs have committed since the count was at
+	// from: a backfill MTR counts after its patches are visible.
+	waitMTRs := func(from, n uint64) {
+		deadline := time.Now().Add(5 * time.Second)
+		for counter(h.rw, "engine.mtr.commit")-from < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("fewer than %d MTRs committed", n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	const rows = 16 // with the record headers, about half a leaf
+	mtrs := counter(h.rw, "engine.mtr.commit")
+	tx, err := h.rw.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < rows; k++ {
+		if err := tx.Insert(tbl, k, bytes.Repeat([]byte{'r'}, 96)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	waitMTRs(mtrs, rows+2) // statements, commit, backfill
+
+	mtrs, redo := counter(h.rw, "engine.mtr.commit"), counter(h.rw, "plog.append.bytes")
+	tx, err = h.rw.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Put(tbl, 8, bytes.Repeat([]byte{'u'}, 96)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	waitMTRs(mtrs, 3)
+	if n := counter(h.rw, "plog.append.bytes") - redo; n >= 1024 {
+		t.Fatalf("a one-row update appended %d bytes of redo, want < 1024", n)
 	}
 }
 

@@ -788,11 +788,19 @@ func (a *loAnalysis) enterHeld(st *loState, class string, mode lockMode) {
 }
 
 // release clears a held class; a deferred release runs at exit instead,
-// and releasing an un-held class is a net release the caller owns.
+// and releasing an un-held class is a net release the caller owns. It
+// also clears the class from every pending set: in `err := f(); g(); if
+// err != nil {...}`, what g released is not held on err's nil edge.
 func (a *loAnalysis) release(st *loState, class string, deferred bool) {
 	if deferred {
 		st.def[class] = true
 		return
+	}
+	for obj, classes := range st.pend {
+		delete(classes, class)
+		if len(classes) == 0 {
+			delete(st.pend, obj)
+		}
 	}
 	if _, ok := st.held[class]; ok {
 		delete(st.held, class)

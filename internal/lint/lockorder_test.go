@@ -252,6 +252,65 @@ func Rev(a *A, c *C) {
 	}
 }
 
+// TestLockOrderReleaseClearsPendingClass: a class a fallible call leaves
+// held waits on its err variable, but a release between the call and the
+// err check takes it off: on the nil edge it is not held, so the later
+// acquisition draws no edge from it, and the opposite order elsewhere is
+// no cycle.
+func TestLockOrderReleaseClearsPendingClass(t *testing.T) {
+	mod := writeModule(t, map[string]string{
+		"pend/pend.go": `package pend
+
+import (
+	"errors"
+	"sync"
+)
+
+type A struct {
+	mu  sync.Mutex
+	bad bool
+}
+
+type B struct{ mu sync.Mutex }
+
+func (a *A) grab() error {
+	if a.bad {
+		return errors.New("bad")
+	}
+	a.mu.Lock()
+	return nil
+}
+
+func (a *A) drop() { a.mu.Unlock() }
+
+func Then(a *A, b *B) error {
+	err := a.grab()
+	a.drop()
+	if err != nil {
+		return err
+	}
+	b.mu.Lock()
+	b.mu.Unlock()
+	return nil
+}
+
+func BA(a *A, b *B) {
+	b.mu.Lock()
+	a.mu.Lock()
+	a.mu.Unlock()
+	b.mu.Unlock()
+}
+`,
+	})
+	res := solve(t, mod, "lockorder", "./...")
+	wantFindings(t, res.Findings)
+	for _, e := range res.LockGraph().Edges {
+		if e.From == "pend.A.mu" && e.To == "pend.B.mu" {
+			t.Errorf("lock graph has the edge pend.A.mu -> pend.B.mu at %s, but drop released A before the err check", e.Witness)
+		}
+	}
+}
+
 // TestLockOrderVerbUnderCalleeLatch covers the two held-over-fabric
 // shapes that cross a function boundary: a verb issued while
 // a latch was taken by a cross-package callee, and a call whose callee

@@ -26,6 +26,9 @@ type Record struct {
 	Data []byte
 }
 
+// size returns the record's wire size.
+func (r *Record) size() int { return types.RedoRecordHeader + len(r.Data) }
+
 // Marshal appends the record's wire encoding to w.
 func (r *Record) Marshal(w *wire.Writer) {
 	w.U64(uint64(r.LSN))
@@ -141,6 +144,7 @@ type Buffer struct {
 	// until then, so standalone buffers in tests stay dependency-free.
 	metMTRs    *stat.Counter
 	metRecords *stat.Counter
+	metBytes   *stat.Counter
 }
 
 // NewBuffer creates a log buffer whose first record will get LSN start+1.
@@ -156,6 +160,7 @@ func NewBuffer(start types.LSN) *Buffer {
 func (b *Buffer) AttachMetrics(r *stat.Registry) {
 	b.metMTRs = r.Counter("plog.append.mtrs")
 	b.metRecords = r.Counter("plog.append.records")
+	b.metBytes = r.Counter("plog.append.bytes")
 }
 
 // Append assigns LSNs to the MTR's records and queues them for flushing.
@@ -164,6 +169,11 @@ func (b *Buffer) Append(m *MTR) types.LSN {
 	if b.metMTRs != nil {
 		b.metMTRs.Inc()
 		b.metRecords.Add(uint64(len(m.recs)))
+		n := 0
+		for i := range m.recs {
+			n += m.recs[i].size()
+		}
+		b.metBytes.Add(uint64(n))
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -15,7 +15,15 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 		{LSN: 2, Page: types.PageID{Space: 1, No: 1}, Off: 0, Data: nil},
 		{LSN: 3, Page: types.PageID{Space: 7, No: 2}, Off: 4000, Data: bytes.Repeat([]byte{0xFF}, 96)},
 	}
-	out, err := UnmarshalRecords(MarshalRecords(in))
+	buf := MarshalRecords(in)
+	size := 4 // the record count
+	for i := range in {
+		size += in[i].size()
+	}
+	if len(buf) != size {
+		t.Fatalf("marshalled %d bytes, size says %d", len(buf), size)
+	}
+	out, err := UnmarshalRecords(buf)
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}

@@ -3,6 +3,7 @@ package polarfs
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"polardb/internal/parallelraft"
@@ -135,17 +136,33 @@ func (pc *pageChunk) handleAdd(from rdma.NodeID, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Ranges: the pages touched, so independent batches commit out of order.
-	ranges := make([]parallelraft.Range, 0, len(recs))
-	for _, r := range recs {
-		k := r.Page.Key()
-		ranges = append(ranges, parallelraft.Range{Start: k, End: k + 1})
-	}
 	// The request is the command: nobody writes to it after the call.
-	if _, err := pc.replica.Propose(req, ranges); err != nil {
+	if _, err := pc.replica.Propose(req, pageRanges(recs)); err != nil {
 		return nil, err
 	}
 	return nil, nil
+}
+
+// pageRanges names the pages the records touch, so batches on disjoint
+// pages commit out of order: one range per run of adjacent page keys, each
+// page once. Every entry carries its predecessors' ranges as look-behind,
+// so a range per record would be paid for again by each of the next
+// Window appends.
+func pageRanges(recs []plog.Record) []parallelraft.Range {
+	keys := make([]uint64, len(recs))
+	for i, r := range recs {
+		keys[i] = r.Page.Key()
+	}
+	slices.Sort(keys)
+	var ranges []parallelraft.Range
+	for _, k := range keys {
+		if n := len(ranges); n > 0 && k <= ranges[n-1].End {
+			ranges[n-1].End = max(ranges[n-1].End, k+1)
+			continue
+		}
+		ranges = append(ranges, parallelraft.Range{Start: k, End: k + 1})
+	}
+	return ranges
 }
 
 // handleGet serves GetPage@LSN from the chunk leader. The read pays the

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"polardb/internal/parallelraft"
 	"polardb/internal/plog"
 	"polardb/internal/rdma"
 	"polardb/internal/types"
@@ -370,5 +372,43 @@ func TestManyPagesAcrossPartitions(t *testing.T) {
 		if string(data[:len(want)]) != want {
 			t.Fatalf("page %d = %q, want %q", i, data[:len(want)], want)
 		}
+	}
+}
+
+// TestAddNamesEachPageOnce: the ranges an add proposes name each page of
+// its batch once, one range per run of adjacent pages, whatever the order
+// and number of its records; and the conflicts between adds are what they
+// were with one range per record.
+func TestAddNamesEachPageOnce(t *testing.T) {
+	a, b, far := types.PageID{Space: 3, No: 10}, types.PageID{Space: 3, No: 11}, types.PageID{Space: 3, No: 40}
+	var recs []plog.Record
+	for i := 0; i < 30; i++ {
+		id := []types.PageID{far, a, b}[i%3]
+		recs = append(recs, rec(types.LSN(i+1), id.Space, id.No, uint16(i*8), "x"))
+	}
+	got := pageRanges(recs)
+	want := []parallelraft.Range{{Start: a.Key(), End: b.Key() + 1}, {Start: far.Key(), End: far.Key() + 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("an add of 30 records on pages %s, %s, %s proposes %v, want %v", a, b, far, got, want)
+	}
+
+	conflict := func(x, y []parallelraft.Range) bool {
+		for _, r := range x {
+			for _, o := range y {
+				if r.Start < o.End && o.Start < r.End {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	one := pageRanges([]plog.Record{rec(1, 3, 10, 0, "p"), rec(2, 3, 12, 0, "q")})
+	other := pageRanges([]plog.Record{rec(3, 3, 11, 0, "r"), rec(4, 4, 10, 0, "s")})
+	same := pageRanges([]plog.Record{rec(5, 3, 12, 64, "t")})
+	if conflict(one, other) {
+		t.Errorf("adds on disjoint pages conflict: %v and %v", one, other)
+	}
+	if !conflict(one, same) {
+		t.Errorf("adds on page 3:12 do not conflict: %v and %v", one, same)
 	}
 }

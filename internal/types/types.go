@@ -10,6 +10,10 @@ import "fmt"
 // still span thousands of pages and exercise eviction.
 const PageSize = 4096
 
+// RedoRecordHeader is the wire size of a redo record without its data:
+// LSN (8), space (4), page (4), offset (2), data length (4).
+const RedoRecordHeader = 22
+
 // SpaceID identifies a tablespace (one B+tree index or undo segment group).
 type SpaceID uint32
 
