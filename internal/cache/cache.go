@@ -5,9 +5,13 @@
 // back to remote memory first.
 //
 // The cache provides mechanics only — frames, pins, local latches, LRU,
-// invalidation bits, swap statistics. Policy (where misses are fetched
-// from, what write-back means) lives in the engine so the same cache backs
-// both PolarDB Serverless nodes and the baseline architectures.
+// invalidation bits, swap statistics — and owns a page's transit states:
+// one map holds every frame from the moment its fill starts (filling)
+// until its evict callback returns (evicting), so a page has one frame at
+// a time and whoever asks for it meanwhile waits here. Policy (where
+// misses are fetched from, what write-back means) lives in the engine so
+// the same cache backs both PolarDB Serverless nodes and the baseline
+// architectures.
 package cache
 
 import (
@@ -33,6 +37,15 @@ type RemoteInfo struct {
 	PIB        rdma.Addr
 }
 
+// state is where a frame is in its life in the cache's map.
+type state uint8
+
+const (
+	resident state = iota // published: in the LRU, counted against capacity
+	filling               // being read in; Get waits, nothing evicts it
+	evicting              // detached; its evict callback is running
+)
+
 // Frame is one resident page. The embedded RWMutex is the page's *local*
 // latch (the paper's per-node latch, distinct from the global PL latch).
 type Frame struct {
@@ -43,7 +56,9 @@ type Frame struct {
 	// modifications. Lock ordering follows B+tree crabbing rules.
 	Latch sync.RWMutex
 
-	// Remote holds the page's remote-memory registration, if any.
+	// Remote holds the page's remote-memory registration, if any. It is
+	// written only under the X latch, or by the filler of a filling frame,
+	// which nobody else reaches.
 	Remote RemoteInfo
 
 	// NewestLSN is the LSN of the last redo record modifying this frame.
@@ -60,12 +75,16 @@ type Frame struct {
 	// invalidations received, current is the value of invals the contents
 	// were read under. A refresher that cleared a flag after its read would
 	// erase an invalidation that landed in between; publishing the count it
-	// read before the read cannot.
+	// read before the read cannot. A fill is a refresh of a frame that was
+	// never current: it starts at one invalidation.
 	invals  atomic.Uint64
 	current atomic.Uint64
+	// lost: the pool took Remote's addresses back (AddressesGone); the next
+	// X-latch holder, or the filler's Publish, forgets them.
+	lost atomic.Bool
 
 	lruElem *list.Element
-	evictin bool // being evicted; not in map anymore
+	state   state // guarded by Cache.mu
 }
 
 // Pin prevents eviction. Frames returned by Get/Insert are already pinned.
@@ -102,9 +121,20 @@ func (f *Frame) SetCurrent(k uint64) { f.current.Store(k) }
 // contents do not yet reflect.
 func (f *Frame) Invalid() bool { return f.current.Load() != f.invals.Load() }
 
-// EvictFn is called (outside cache locks) with a victim frame removed from
-// the cache. It must write back / unregister as needed. The frame is
-// unpinned and no longer reachable through the cache.
+// ForgetLostAddresses clears Remote if the pool took the page's addresses
+// back since the last call, and reports whether it did. The caller holds
+// the X latch, or is the frame's filler.
+func (f *Frame) ForgetLostAddresses() bool {
+	if !f.lost.Swap(false) {
+		return false
+	}
+	f.Remote = RemoteInfo{}
+	return true
+}
+
+// EvictFn is called (outside cache locks) with a victim frame detached
+// from the LRU. It must write back / unregister as needed. The frame is
+// unpinned; until the callback returns, its page reads as evicting.
 type EvictFn func(*Frame)
 
 // Stats counts cache traffic. SwappedIn/SwappedOut reproduce the "pages
@@ -120,34 +150,34 @@ type Stats struct {
 
 // Cache is a fixed-capacity page frame pool with LRU replacement.
 //
-// Eviction interlock: from the moment a victim is detached until its
-// evict callback finishes (write-back may block on redo shipping), the
-// page is listed as "evicting". WaitEvicting lets fetch paths wait out
-// that window instead of resurrecting the page from a stale source while
-// its newest bytes are still in flight.
+// Transit interlock: a page's frame is in the map from the moment its fill
+// starts (GetOrFill) until its evict callback returns, so a fill and an
+// eviction of one page never overlap — a fill waits out the write-back
+// (which may block on redo shipping) instead of resurrecting a stale
+// image. A filling frame takes no LRU slot, no capacity and no pin until
+// it is published.
 type Cache struct {
 	mu       sync.Mutex
+	changed  *sync.Cond // a frame left the filling or evicting state
 	capacity int
 	frames   map[uint64]*Frame
-	lru      *list.List // *Frame; front = oldest
+	lru      *list.List // published *Frame; front = oldest
 	evict    EvictFn
-	evicting map[uint64]chan struct{}
 
 	hits, misses, in, out atomic.Uint64
 }
 
 // New creates a cache holding up to capacity pages. evict may be nil.
 func New(capacity int, evict EvictFn) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Cache{
+	capacity = max(capacity, 1)
+	c := &Cache{
 		capacity: capacity,
 		frames:   make(map[uint64]*Frame, capacity),
 		lru:      list.New(),
 		evict:    evict,
-		evicting: make(map[uint64]chan struct{}),
 	}
+	c.changed = sync.NewCond(&c.mu)
+	return c
 }
 
 // Capacity returns the current frame capacity.
@@ -157,186 +187,235 @@ func (c *Cache) Capacity() int {
 	return c.capacity
 }
 
-// Get returns the pinned resident frame for id, or nil on miss.
-func (c *Cache) Get(id types.PageID) *Frame {
-	c.mu.Lock()
-	f, ok := c.frames[id.Key()]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil
+// pinPublishedLocked waits out a fill or an eviction of the page and
+// returns its published frame pinned, with its LRU age refreshed, or nil.
+func (c *Cache) pinPublishedLocked(key uint64) *Frame {
+	for {
+		f, ok := c.frames[key]
+		switch {
+		case !ok:
+			return nil
+		case f.state == resident:
+			f.Pin()
+			c.lru.MoveToBack(f.lruElem)
+			return f
+		}
+		c.changed.Wait()
 	}
-	f.Pin()
-	c.lru.MoveToBack(f.lruElem)
-	c.mu.Unlock()
-	c.hits.Add(1)
+}
+
+// Get returns the pinned published frame for id, or nil on miss. A page
+// being filled or evicted is waited for.
+func (c *Cache) Get(id types.PageID) *Frame {
+	f, _ := c.get(id, false)
 	return f
 }
 
-// Probe reports whether id is resident and, if it is, whether the copy is
-// valid. It is not an access: no pin, no LRU move, no hit or miss counted.
-func (c *Cache) Probe(id types.PageID) (resident, valid bool) {
+// GetOrFill is Get that, on a miss, puts a new frame for id in the map as
+// filling and returns it with fill set: invalid, unpinned and reachable
+// by nobody else until the caller, its filler, hands it to Publish or
+// Abandon.
+func (c *Cache) GetOrFill(id types.PageID) (f *Frame, fill bool) { return c.get(id, true) }
+
+func (c *Cache) get(id types.PageID, fill bool) (*Frame, bool) {
 	c.mu.Lock()
-	f, ok := c.frames[id.Key()]
+	if f := c.pinPublishedLocked(id.Key()); f != nil {
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return f, false
+	}
+	if !fill {
+		c.mu.Unlock()
+		c.misses.Add(1)
+		return nil, false
+	}
+	f := &Frame{ID: id, state: filling}
+	f.invals.Store(1)
+	c.frames[id.Key()] = f
 	c.mu.Unlock()
-	return ok, ok && !f.Invalid()
+	c.misses.Add(1)
+	// Outside the lock every fetch takes: an allocation may stop to assist
+	// the collector, and every reader would wait with it.
+	f.Data = make([]byte, types.PageSize)
+	return f, true
 }
 
-// Insert adds a freshly fetched frame (pinned once on return), evicting
-// LRU unpinned frames as needed. If id is already resident (a racing fill)
-// the existing frame is returned instead and the argument is discarded.
+// Publish makes a filling frame resident (pinned once on return), evicting
+// LRU unpinned frames as needed; addresses the pool took back meanwhile
+// are forgotten. On ErrAllPinned the frame stays filling, for the caller
+// to Abandon.
+func (c *Cache) Publish(f *Frame) error {
+	c.mu.Lock()
+	victims, ok := c.detachLocked(c.capacity - 1)
+	if !ok {
+		c.mu.Unlock()
+		// The victims already detached cannot go back: evict them anyway
+		// rather than lose their writes.
+		c.runEvicts(victims)
+		return ErrAllPinned
+	}
+	f.ForgetLostAddresses()
+	f.state = resident
+	f.Pin()
+	f.lruElem = c.lru.PushBack(f)
+	c.changed.Broadcast()
+	c.mu.Unlock()
+	c.in.Add(1)
+	c.runEvicts(victims)
+	//polarvet:allow pairing the published frame's pin is the filler's, as a fetched frame's is its caller's
+	return nil
+}
+
+// Abandon drops a filling frame whose fill failed; a waiter for the page
+// starts a fill of its own.
+func (c *Cache) Abandon(f *Frame) {
+	c.mu.Lock()
+	delete(c.frames, f.ID.Key())
+	c.changed.Broadcast()
+	c.mu.Unlock()
+}
+
+// Insert publishes a frame the caller has filled itself (pinned once on
+// return), evicting LRU unpinned frames as needed. If id is already
+// resident the existing frame is returned instead and the argument is
+// discarded.
 func (c *Cache) Insert(f *Frame) (*Frame, error) {
 	c.mu.Lock()
-	if existing, ok := c.frames[f.ID.Key()]; ok {
-		existing.Pin()
-		c.lru.MoveToBack(existing.lruElem)
+	if existing := c.pinPublishedLocked(f.ID.Key()); existing != nil {
 		c.mu.Unlock()
 		return existing, nil
 	}
-	var victims []*Frame
-	for len(c.frames) >= c.capacity {
-		v := c.pickVictimLocked()
-		if v == nil {
-			c.mu.Unlock()
-			// Roll back any victims we already detached? They are gone from
-			// the map; evict them anyway to avoid losing writes.
-			for _, v := range victims {
-				c.runEvict(v)
-			}
-			return nil, ErrAllPinned
-		}
-		victims = append(victims, v)
-	}
-	f.Pin()
-	f.lruElem = c.lru.PushBack(f)
+	f.state = filling
 	c.frames[f.ID.Key()] = f
 	c.mu.Unlock()
-	c.in.Add(1)
-	for _, v := range victims {
-		c.runEvict(v)
+	if err := c.Publish(f); err != nil {
+		c.Abandon(f)
+		return nil, err
 	}
 	return f, nil
 }
 
-// pickVictimLocked detaches the oldest unpinned frame from the cache and
-// marks its page as evicting until runEvict completes.
-func (c *Cache) pickVictimLocked() *Frame {
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		f := e.Value.(*Frame)
+// detachLocked takes unpinned frames out of the LRU, oldest first, until
+// at most n are published, and marks them evicting until runEvicts
+// completes. It reports false if pinned frames keep more than n.
+func (c *Cache) detachLocked(n int) (victims []*Frame, ok bool) {
+	for e := c.lru.Front(); e != nil && c.lru.Len() > n; {
+		f, next := e.Value.(*Frame), e.Next()
 		if f.Pins() == 0 {
 			c.lru.Remove(e)
-			f.lruElem = nil
-			f.evictin = true
-			delete(c.frames, f.ID.Key())
-			c.evicting[f.ID.Key()] = make(chan struct{})
-			return f
+			f.lruElem, f.state = nil, evicting
+			victims = append(victims, f)
 		}
+		e = next
 	}
-	return nil
+	return victims, c.lru.Len() <= n
 }
 
-func (c *Cache) runEvict(f *Frame) {
-	c.out.Add(1)
-	if c.evict != nil {
-		c.evict(f)
-	}
-	c.mu.Lock()
-	if ch, ok := c.evicting[f.ID.Key()]; ok {
-		close(ch)
-		delete(c.evicting, f.ID.Key())
-	}
-	c.mu.Unlock()
-}
-
-// WaitEvicting blocks while the page is mid-eviction (detached but its
-// write-back not yet complete). Fetch paths call it before filling a miss
-// so they never reload a page whose newest bytes are still being evicted.
-func (c *Cache) WaitEvicting(id types.PageID) {
-	for {
+func (c *Cache) runEvicts(victims []*Frame) {
+	for _, f := range victims {
+		c.out.Add(1)
+		if c.evict != nil {
+			c.evict(f)
+		}
 		c.mu.Lock()
-		ch, ok := c.evicting[id.Key()]
+		delete(c.frames, f.ID.Key())
+		c.changed.Broadcast()
 		c.mu.Unlock()
-		if !ok {
-			return
-		}
-		<-ch
 	}
 }
 
-// Remove detaches a specific frame (e.g. a page dropped by slab failure or
-// freed by a B+tree merge) without invoking the evict callback. Returns
-// the frame if it was resident.
+// Remove detaches a specific published frame (e.g. a page dropped by slab
+// failure or freed by a B+tree merge) without invoking the evict callback.
+// Returns the frame if it was resident.
 func (c *Cache) Remove(id types.PageID) *Frame {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	f, ok := c.frames[id.Key()]
-	if !ok {
+	if !ok || f.state != resident {
 		return nil
 	}
-	if f.lruElem != nil {
-		c.lru.Remove(f.lruElem)
-		f.lruElem = nil
-	}
+	c.lru.Remove(f.lruElem)
+	f.lruElem = nil
 	delete(c.frames, id.Key())
 	return f
 }
 
-// Invalidate sets the local PIB bit on the resident copy, if any. It is
-// the cache-invalidation callback target and deliberately lock-light.
-func (c *Cache) Invalidate(id types.PageID) bool {
+// Probe reports whether a fetch of id would read nothing: its frame is
+// published and valid, or being filled (the fetch would wait for that
+// fill). It is not an access: no pin, no LRU move, no hit or miss counted.
+func (c *Cache) Probe(id types.PageID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f, ok := c.frames[id.Key()]
+	return ok && (f.state == filling || f.state == resident && !f.Invalid())
+}
+
+// Invalidate sets the local PIB bit on the page's published or filling
+// frame, if any — a fill's image may have been read before the
+// invalidation. It is the cache-invalidation callback (§3.1.4): it never
+// waits.
+func (c *Cache) Invalidate(id types.PageID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f, ok := c.frames[id.Key()]; ok && f.state != evicting {
+		f.Invalidate()
+	}
+}
+
+// AddressesGone records that the pool took the page's remote addresses
+// back; it never waits for a fill. A filling frame, and a published one
+// unless keep is set, is marked: the next holder of its X latch forgets
+// the addresses (ForgetLostAddresses), and unless keep is set the frame
+// reads invalid, so that its copy is read again. With keep a published
+// frame — a copy nobody is reading in — forgets them under its X latch.
+func (c *Cache) AddressesGone(id types.PageID, keep bool) {
 	c.mu.Lock()
 	f, ok := c.frames[id.Key()]
-	c.mu.Unlock()
-	if !ok {
-		return false
+	switch {
+	case !ok || f.state == evicting:
+	case keep && f.state == resident:
+		f.Pin()
+		c.mu.Unlock()
+		f.Latch.Lock()
+		f.Remote = RemoteInfo{}
+		f.Latch.Unlock()
+		f.Unpin()
+		return
+	default:
+		f.lost.Store(true)
+		if !keep {
+			f.Invalidate()
+		}
 	}
-	f.Invalidate()
-	return true
+	c.mu.Unlock()
 }
 
 // Resize changes the capacity, evicting LRU frames if shrinking.
 func (c *Cache) Resize(capacity int) error {
-	if capacity < 1 {
-		capacity = 1
-	}
 	c.mu.Lock()
-	c.capacity = capacity
-	var victims []*Frame
-	for len(c.frames) > c.capacity {
-		v := c.pickVictimLocked()
-		if v == nil {
-			break
-		}
-		victims = append(victims, v)
-	}
+	c.capacity = max(capacity, 1)
+	victims, _ := c.detachLocked(c.capacity)
 	c.mu.Unlock()
-	for _, v := range victims {
-		c.runEvict(v)
-	}
+	c.runEvicts(victims)
 	return nil
 }
 
 // EvictAll flushes every unpinned frame through the evict callback
 // (planned shutdown: write everything back to remote memory).
 func (c *Cache) EvictAll() {
-	for {
-		c.mu.Lock()
-		v := c.pickVictimLocked()
-		c.mu.Unlock()
-		if v == nil {
-			return
-		}
-		c.runEvict(v)
-	}
+	c.mu.Lock()
+	victims, _ := c.detachLocked(0)
+	c.mu.Unlock()
+	c.runEvicts(victims)
 }
 
-// ForEach calls fn with every resident frame (snapshot; frames may be
+// ForEach calls fn with every published frame (snapshot; frames may be
 // evicted concurrently). Used by checkpointing and planned handover.
 func (c *Cache) ForEach(fn func(*Frame)) {
 	c.mu.Lock()
-	snapshot := make([]*Frame, 0, len(c.frames))
-	for _, f := range c.frames {
-		snapshot = append(snapshot, f)
+	snapshot := make([]*Frame, 0, c.lru.Len())
+	for e := c.lru.Front(); e != nil; e = e.Next() {
+		snapshot = append(snapshot, e.Value.(*Frame))
 	}
 	c.mu.Unlock()
 	for _, f := range snapshot {
@@ -347,7 +426,7 @@ func (c *Cache) ForEach(fn func(*Frame)) {
 // Stats returns traffic counters and occupancy.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	resident, capacity := len(c.frames), c.capacity
+	resident, capacity := c.lru.Len(), c.capacity
 	c.mu.Unlock()
 	return Stats{
 		Hits:       c.hits.Load(),

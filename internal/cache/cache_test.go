@@ -2,9 +2,12 @@ package cache
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"polardb/internal/rdma"
 	"polardb/internal/types"
 )
 
@@ -113,15 +116,11 @@ func TestInvalidate(t *testing.T) {
 	c := New(4, nil)
 	f, _ := c.Insert(frame(1))
 	f.Unpin()
-	if !c.Invalidate(pid(1)) {
-		t.Fatal("invalidate missed resident frame")
-	}
+	c.Invalidate(pid(1))
 	if !f.Invalid() {
 		t.Fatal("invalid bit not set")
 	}
-	if c.Invalidate(pid(9)) {
-		t.Fatal("invalidate hit non-resident frame")
-	}
+	c.Invalidate(pid(9)) // not resident: nothing to mark
 	// A refresh that read its image before a second invalidation arrived
 	// must not clear that one too.
 	seen := f.Invalidations()
@@ -260,5 +259,176 @@ func TestCapacityInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGetWaitsForFill: a Get, and a second GetOrFill, of a page being
+// filled wait for the fill and return the frame it published.
+func TestGetWaitsForFill(t *testing.T) {
+	c := New(4, nil)
+	f, fill := c.GetOrFill(pid(1))
+	if !fill || !f.Invalid() || f.Pins() != 0 {
+		t.Fatalf("GetOrFill on a miss: fill %v, invalid %v, pins %d; want a new invalid, unpinned frame", fill, f.Invalid(), f.Pins())
+	}
+	got := make(chan *Frame, 2)
+	go func() { got <- c.Get(pid(1)) }()
+	go func() {
+		g, fill := c.GetOrFill(pid(1))
+		if fill {
+			t.Error("a second GetOrFill started a fill of its own")
+		}
+		got <- g
+	}()
+	select {
+	case <-got:
+		t.Fatal("a lookup of a filling page returned before the fill was published")
+	case <-time.After(20 * time.Millisecond):
+	}
+	f.SetCurrent(f.Invalidations())
+	if err := c.Publish(f); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if g := <-got; g != f {
+			t.Fatalf("lookup %d returned %p, want the published frame %p", i, g, f)
+		}
+	}
+	if f.Pins() != 3 || f.Invalid() {
+		t.Fatalf("pins %d, invalid %v; want the filler's pin and one per lookup, valid", f.Pins(), f.Invalid())
+	}
+}
+
+// TestInvalidationDuringFillSurvivesPublish: an invalidation that lands on
+// a frame being filled, after its filler read the count, leaves the frame
+// invalid once published.
+func TestInvalidationDuringFillSurvivesPublish(t *testing.T) {
+	c := New(4, nil)
+	f, _ := c.GetOrFill(pid(1))
+	seen := f.Invalidations()
+	c.Invalidate(pid(1))
+	f.SetCurrent(seen)
+	if err := c.Publish(f); err != nil {
+		t.Fatal(err)
+	}
+	if !f.Invalid() {
+		t.Fatal("an invalidation that landed during the fill was lost")
+	}
+}
+
+// TestAddressesGoneMarksWithoutWaiting: the pool taking a page's addresses
+// back marks a filling frame, and an RO's published one, for the next X
+// latch holder; with keep a published frame forgets them at once.
+func TestAddressesGoneMarksWithoutWaiting(t *testing.T) {
+	c := New(4, nil)
+	remote := RemoteInfo{Registered: true, Data: rdma.Addr{Node: "mem0", Region: 1}}
+
+	f, _ := c.GetOrFill(pid(1))
+	f.Remote = remote
+	seen := f.Invalidations()
+	c.AddressesGone(pid(1), true)
+	f.SetCurrent(seen)
+	if err := c.Publish(f); err != nil {
+		t.Fatal(err)
+	}
+	if f.Remote.Registered || f.Invalid() {
+		t.Fatalf("kept filling frame after publish: registered %v, invalid %v; want forgotten addresses, valid copy", f.Remote.Registered, f.Invalid())
+	}
+	f.Remote = remote
+	c.AddressesGone(pid(1), true)
+	if f.Remote.Registered || f.Invalid() || f.Pins() != 1 {
+		t.Fatalf("with keep, a published frame forgets its addresses at once and stays valid: registered %v, invalid %v, pins %d", f.Remote.Registered, f.Invalid(), f.Pins())
+	}
+
+	g, _ := c.GetOrFill(pid(2))
+	g.SetCurrent(g.Invalidations())
+	g.Remote = remote
+	if err := c.Publish(g); err != nil {
+		t.Fatal(err)
+	}
+	c.AddressesGone(pid(2), false)
+	if !g.Invalid() || !g.Remote.Registered {
+		t.Fatal("without keep, a published frame is marked invalid and keeps its addresses until its latch holder forgets them")
+	}
+	if !g.ForgetLostAddresses() || g.Remote.Registered || g.ForgetLostAddresses() {
+		t.Fatal("ForgetLostAddresses did not clear the lost addresses exactly once")
+	}
+}
+
+// TestFillOfEvictingPageWaitsForEvictCallback: a page whose eviction is
+// still writing back is neither resident nor fillable until the evict
+// callback returns.
+func TestFillOfEvictingPageWaitsForEvictCallback(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var evicted atomic.Bool
+	c := New(1, func(v *Frame) {
+		if v.ID == pid(1) {
+			close(entered)
+			<-release
+			evicted.Store(true)
+		}
+	})
+	f1, _ := c.Insert(frame(1))
+	f1.Unpin()
+	go func() { // publishing page 2 evicts page 1
+		if f2, err := c.Insert(frame(2)); err == nil {
+			f2.Unpin()
+		}
+	}()
+	<-entered
+	if c.Probe(pid(1)) {
+		t.Fatal("an evicting page probes as cached")
+	}
+	filled := make(chan bool, 1)
+	go func() {
+		f, fill := c.GetOrFill(pid(1))
+		filled <- fill && evicted.Load()
+		c.Abandon(f)
+	}()
+	select {
+	case <-filled:
+		t.Fatal("a fill of an evicting page started before its evict callback returned")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if !<-filled {
+		t.Fatal("the fill did not start as a fill after the eviction ended")
+	}
+}
+
+// TestFillingFramesTakeNoCapacity: frames being filled hold no LRU slot,
+// no capacity and no pin, so published frames fill the whole cache beside
+// them, and publishing them evicts instead of failing with ErrAllPinned.
+func TestFillingFramesTakeNoCapacity(t *testing.T) {
+	c := New(2, nil)
+	var fills []*Frame
+	for i := uint32(1); i <= 8; i++ {
+		f, fill := c.GetOrFill(pid(i))
+		if !fill {
+			t.Fatalf("page %d: no fill on a miss", i)
+		}
+		if !c.Probe(pid(i)) {
+			t.Fatalf("page %d: a filling page does not probe as cached", i)
+		}
+		fills = append(fills, f)
+	}
+	for i := uint32(100); i < 102; i++ {
+		f, err := c.Insert(frame(i))
+		if err != nil {
+			t.Fatalf("insert beside 8 filling frames: %v", err)
+		}
+		f.Unpin()
+	}
+	if s := c.Stats(); s.Resident != 2 {
+		t.Fatalf("resident = %d with 8 frames filling, want 2", s.Resident)
+	}
+	for _, f := range fills {
+		f.SetCurrent(f.Invalidations())
+		if err := c.Publish(f); err != nil {
+			t.Fatalf("publishing %s: %v", f.ID, err)
+		}
+		f.Unpin()
+	}
+	if s := c.Stats(); s.Resident != 2 || s.SwappedOut != 8 {
+		t.Fatalf("stats = %+v, want 2 resident and 8 evicted", s)
 	}
 }

@@ -156,12 +156,10 @@ type Engine struct {
 	adoptedMu sync.Mutex
 	adopted   map[types.TrxID]*Txn
 
-	// flightMu guards the fills in progress, and the admission of the
-	// warmer's workers against Close and against the ones still running
-	// (see warm).
-	flightMu sync.Mutex
-	flights  map[uint64]*flight
-	warmers  int
+	// warmMu guards the admission of the warmer's workers against Close
+	// and against the ones still running (see warm).
+	warmMu  sync.Mutex
+	warmers int
 
 	treesMu sync.Mutex
 	trees   map[types.SpaceID]*btree.Tree
@@ -169,12 +167,7 @@ type Engine struct {
 	tablesMu sync.Mutex
 	tables   map[string]*Table
 
-	shippedMu   sync.Mutex
-	shippedLSN  types.LSN
-	drainedLSN  types.LSN // redo the shipper has taken out of the buffer
-	shipStopped bool      // the shipper has exited: nothing more will ship
-	shippedCond *sync.Cond
-	nudge       chan struct{}
+	nudge chan struct{} // wakes the shipper; its watermarks live in buf
 
 	backfillCh chan backfillItem
 
@@ -271,7 +264,6 @@ func newEngine(deps Deps, cfg Config) *Engine {
 		ep:         deps.EP,
 		pfs:        deps.PFS,
 		pool:       deps.Pool,
-		flights:    make(map[uint64]*flight),
 		trees:      make(map[types.SpaceID]*btree.Tree),
 		tables:     make(map[string]*Table),
 		active:     make(map[types.TrxID]*Txn),
@@ -283,10 +275,9 @@ func newEngine(deps Deps, cfg Config) *Engine {
 		closeCh:    make(chan struct{}),
 		met:        newEngineMetrics(deps.EP.Metrics()),
 	}
-	e.shippedCond = sync.NewCond(&e.shippedMu)
 	e.cache = cache.New(cfg.LocalCachePages, e.onEvict)
 	if e.pool != nil {
-		e.pool.OnInvalidate(e.onInvalidate)
+		e.pool.OnInvalidate(e.cache.Invalidate)
 		e.pool.OnSlabFailure(e.onAddressesGone)
 	}
 	return e
@@ -311,9 +302,9 @@ func (e *Engine) start() {
 // Close stops background workers. It does not flush state: use
 // PlannedHandover for a clean shutdown.
 func (e *Engine) Close() {
-	e.flightMu.Lock() // warm admits its workers under it
+	e.warmMu.Lock() // warm admits its workers under it
 	was := e.closed.Swap(true)
-	e.flightMu.Unlock()
+	e.warmMu.Unlock()
 	if was {
 		return
 	}
@@ -370,193 +361,125 @@ func (e *Engine) FetchNew(id types.PageID) (*cache.Frame, error) {
 	return e.fetch(id, true)
 }
 
-// flight is one in-progress fill of a local cache miss. Concurrent
-// fetchers of the page wait on done; invalidated and addressesGone record
-// a callback that arrived while the frame was not in the cache yet and so
-// had no PIB bit to set, no addresses to forget.
-type flight struct {
-	done          chan struct{}
-	invalidated   bool
-	addressesGone bool
-}
-
+// fetch returns the page's frame, pinned and read: a fill publishes the
+// frame it read, and a copy an invalidation has outdated is read again.
+// Whoever asks for a page being filled or evicted waits in the cache.
 func (e *Engine) fetch(id types.PageID, fresh bool) (*cache.Frame, error) {
-	for {
-		if f := e.cache.Get(id); f != nil {
-			if !f.Invalid() {
-				e.met.localHit.Inc()
-				return f, nil
-			}
-			if err := e.refreshFrame(f); err != nil {
-				f.Unpin()
-				return nil, err
-			}
-			return f, nil
-		}
-		e.flightMu.Lock()
-		if fl, ok := e.flights[id.Key()]; ok {
-			e.flightMu.Unlock()
-			<-fl.done
-			continue
-		}
-		// A fill inserts its frame before it leaves the flights map, so with
-		// no flight here the page is nobody's — or it is resident, a fill
-		// having finished since the miss above: filling it again would cost a
-		// second read and hand back the first fill's frame unexamined.
-		if resident, _ := e.cache.Probe(id); resident {
-			e.flightMu.Unlock()
-			continue
-		}
-		fl := &flight{done: make(chan struct{})}
-		e.flights[id.Key()] = fl
-		e.flightMu.Unlock()
-
-		// A detached dirty frame may still be writing back (its write-back
-		// waits for redo shipping); loading from storage meanwhile would
-		// resurrect a stale image and lose those writes. Wait it out, with
-		// the flight in place: only this fill can make the page resident
-		// again, so no eviction of it can start unseen between the wait and
-		// the insert (and mark the page evicting a second time, orphaning
-		// the first eviction's waiters).
-		e.cache.WaitEvicting(id)
-		f, err := e.loadFrame(id, fresh)
-
-		e.flightMu.Lock()
-		delete(e.flights, id.Key())
-		if err == nil && fl.addressesGone {
-			f.Remote = cache.RemoteInfo{}
-		}
-		if err == nil && fl.invalidated {
-			f.Invalidate()
-		}
-		close(fl.done)
-		e.flightMu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		if fl.addressesGone {
-			// The fill may have read through addresses the pool has since
-			// given to another page: read the page again.
-			if err := e.refreshFrame(f); err != nil {
-				f.Unpin()
-				return nil, err
-			}
-		}
+	f, fill := e.cache.GetOrFill(id)
+	if !f.Invalid() {
+		e.met.localHit.Inc()
 		return f, nil
 	}
-}
-
-// onInvalidate is the cache-invalidation callback (§3.1.4): set the local
-// PIB bit of the cached copy, and of the copy a fill in flight is about to
-// insert — its image may have been read before the invalidation.
-func (e *Engine) onInvalidate(id types.PageID) {
-	e.flightMu.Lock()
-	if fl, ok := e.flights[id.Key()]; ok {
-		fl.invalidated = true
+	f.Latch.Lock()
+	err := e.readFrame(f, fresh)
+	f.Latch.Unlock()
+	if fill && err == nil {
+		// Publishing evicts for room; it holds no latch meanwhile.
+		err = e.cache.Publish(f)
 	}
-	e.flightMu.Unlock()
-	e.cache.Invalidate(id)
+	switch {
+	case err == nil:
+		return f, nil
+	case fill:
+		if f.Remote.Registered {
+			_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed when the node is kicked
+		}
+		e.cache.Abandon(f)
+	default:
+		f.Unpin()
+	}
+	return nil, err
 }
 
 // onAddressesGone is the pool's other callback: the home purged these
 // pages (slab crash, Shrink, RW takeover), and librmem has already
-// forgotten the registrations. An RO's cached copy forgets its addresses
-// too and is read again on next use. The RW's copy is the newest there is,
-// so it is kept: it only forgets its addresses, under its latch, and stays
-// storage-direct; an RO that needs it gets it in the eng.flushpage reply
-// (handleFlushPage).
+// forgotten the registrations. A frame being filled reads its page again
+// through fresh addresses; an RO's cached copy is read again on next use.
+// The RW's copy is the newest there is, so it is kept: it only forgets its
+// addresses and stays storage-direct; an RO that needs it gets it in the
+// eng.flushpage reply (handleFlushPage).
 func (e *Engine) onAddressesGone(pages []types.PageID) {
 	for _, id := range pages {
-		e.flightMu.Lock()
-		if fl, ok := e.flights[id.Key()]; ok {
-			fl.invalidated, fl.addressesGone = true, true
-		}
-		e.flightMu.Unlock()
-		f := e.cache.Get(id)
-		if f == nil {
-			continue
-		}
-		if e.cfg.ReadOnly {
-			f.Remote = cache.RemoteInfo{}
-			f.Invalidate()
-		} else {
-			f.Latch.Lock()
-			f.Remote = cache.RemoteInfo{}
-			f.Latch.Unlock()
-		}
-		f.Unpin()
+		e.cache.AddressesGone(id, !e.cfg.ReadOnly)
 	}
 }
 
 // Unpin releases a fetched frame.
 func (e *Engine) Unpin(f *cache.Frame) { f.Unpin() }
 
-// loadFrame fills a new frame through the memory hierarchy, or, for a
-// fresh page, registers it and leaves the frame zeroed.
-func (e *Engine) loadFrame(id types.PageID, fresh bool) (*cache.Frame, error) {
-	f := &cache.Frame{ID: id, Data: make([]byte, types.PageSize)}
-	fromRemote := false
-	// Populate the remote copy from storage only when we are the RW (the
-	// sole writer), or an RO that allocated the remote page while the RW
-	// holds no copy: an RO overwriting a page the RW may write could race
-	// the RW's invalidate/write-back and clear a PIB bit the RW just set.
-	populate := !e.cfg.ReadOnly
-	if e.pool != nil {
-		res, err := e.pool.Register(id)
+// readFrame reads an invalid frame through the memory hierarchy: a frame
+// being filled, which was never current, or an outdated copy. A fresh page
+// is only registered and left zeroed. The caller holds the X latch. The
+// invalidation count is read before the read and published after it, so an
+// invalidation that lands in between leaves the frame invalid for the next
+// fetch instead of being cleared with the ones it followed. If the pool
+// takes the page's addresses back meanwhile, the page is read once more;
+// a copy that loses them again is left to the next fetch (an RO's reads
+// invalid, the RW keeps its copy).
+func (e *Engine) readFrame(f *cache.Frame, fresh bool) error {
+	if !f.Invalid() {
+		return nil // refreshed by a concurrent reader
+	}
+	f.ForgetLostAddresses()
+	for reads := 0; reads < 2; reads++ {
+		seen := f.Invalidations()
+		// A registration the frame holds may name an image newer than
+		// storage's, so it is probed; a new one is probed if the slot
+		// existed, or on an RO, which asks about a slot it allocated too:
+		// the RW may hold the page outside the pool, with redo storage has
+		// not seen yet.
+		probe, allocated := f.Remote.Registered && !fresh, false
+		if !f.Remote.Registered && e.pool != nil {
+			res, err := e.pool.Register(f.ID)
+			switch {
+			case err == nil:
+				f.Remote = cache.RemoteInfo{Registered: true, Data: res.Data, PL: res.PL, PIB: res.PIB}
+				probe, allocated = !fresh && (res.Exists || e.cfg.ReadOnly), !res.Exists
+			case errors.Is(err, rmem.ErrOutOfMemory) || errors.Is(err, rmem.ErrMetaFull):
+				// Pool full: operate storage-direct for this page.
+			default:
+				return err
+			}
+		}
+		// Populate the remote copy from storage only when we are the RW (the
+		// sole writer), or an RO that allocated the remote page while the RW
+		// holds no copy: an RO overwriting a page the RW may write could race
+		// the RW's invalidate/write-back and clear a PIB bit the RW just set.
+		populate, fromRemote := !e.cfg.ReadOnly, false
+		if probe {
+			switch err := e.readRemoteFresh(f); {
+			case err == nil:
+				fromRemote = true
+			case errors.Is(err, errNoRWCopy):
+				populate = populate || allocated
+			case !errors.Is(err, errReadStorage):
+				return err
+			}
+		}
 		switch {
-		case err == nil:
-			f.Remote = cache.RemoteInfo{Registered: true, Data: res.Data, PL: res.PL, PIB: res.PIB}
-			// An RO asks about a slot it allocated, too: the RW may hold the
-			// page outside the pool, with redo storage has not seen yet.
-			if !fresh && (res.Exists || e.cfg.ReadOnly) {
-				err := e.readRemoteFresh(f)
-				switch {
-				case err == nil:
-					fromRemote = true
-				case errors.Is(err, errNoRWCopy):
-					populate = populate || !res.Exists
-				case !errors.Is(err, errReadStorage):
-					_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed when the node is kicked
-					return nil, err
+		case fresh:
+			e.met.fresh.Inc()
+		case fromRemote: // the page LSN travels in bytes 0-8 of the image
+			e.met.remoteRead.Inc()
+			f.NewestLSN = types.LSN(binary.LittleEndian.Uint64(f.Data[0:8]))
+			f.ShippedLSN = f.NewestLSN
+		default:
+			if err := e.fillFromStorage(f); err != nil {
+				return err
+			}
+			if f.Remote.Registered && populate {
+				if err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB); err != nil {
+					_ = e.pool.Unregister(f.ID) //polarvet:allow errdrop demoting the page to storage-direct; the write failure is already handled by clearing Remote
+					f.Remote = cache.RemoteInfo{}
 				}
 			}
-		case errors.Is(err, rmem.ErrOutOfMemory) || errors.Is(err, rmem.ErrMetaFull):
-			// Pool full: operate storage-direct for this page.
-		default:
-			return nil, err
+		}
+		f.SetCurrent(seen)
+		if !f.ForgetLostAddresses() {
+			break
 		}
 	}
-	switch {
-	case fresh:
-		e.met.fresh.Inc()
-	case fromRemote:
-		e.adoptRemote(f)
-	default:
-		if err := e.fillFromStorage(f); err != nil {
-			if f.Remote.Registered {
-				_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed when the node is kicked
-			}
-			return nil, err
-		}
-		if f.Remote.Registered && populate {
-			if err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB); err != nil {
-				_ = e.pool.Unregister(id) //polarvet:allow errdrop demoting the page to storage-direct; the write failure is already handled by clearing Remote
-				f.Remote = cache.RemoteInfo{}
-			}
-		}
-	}
-	inserted, err := e.cache.Insert(f)
-	if err != nil {
-		if f.Remote.Registered {
-			_ = e.pool.Unregister(id) //polarvet:allow errdrop unwinding a failed fill; the fetch error already propagates and a leaked ref is reclaimed when the node is kicked
-		}
-		return nil, err
-	}
-	if inserted != f && f.Remote.Registered {
-		// Lost a racing fill; drop our duplicate registration reference.
-		_ = e.pool.Unregister(id) //polarvet:allow errdrop dropping a duplicate ref after losing a racing fill; the winner's ref keeps the page alive
-	}
-	return inserted, nil
+	return nil
 }
 
 // readRemoteFresh reads the page from remote memory: with one one-sided
@@ -610,47 +533,6 @@ var (
 	errNoRWCopy    = fmt.Errorf("%w: the RW holds no copy", errReadStorage)
 )
 
-// refreshFrame re-reads an invalidated local copy (RO path). The
-// invalidation count is read before the PIB probe and published after the
-// read, so an invalidation that lands in between leaves the frame invalid
-// for the next fetch instead of being cleared with the ones it followed.
-func (e *Engine) refreshFrame(f *cache.Frame) error {
-	f.Latch.Lock()
-	defer f.Latch.Unlock()
-	if !f.Invalid() {
-		return nil // refreshed by a concurrent reader
-	}
-	seen := f.Invalidations()
-	if !f.Remote.Registered && e.pool != nil {
-		res, err := e.pool.Register(f.ID)
-		if err == nil {
-			f.Remote = cache.RemoteInfo{Registered: true, Data: res.Data, PL: res.PL, PIB: res.PIB}
-		}
-	}
-	if f.Remote.Registered {
-		if err := e.readRemoteFresh(f); err == nil {
-			e.adoptRemote(f)
-			f.SetCurrent(seen)
-			return nil
-		} else if !errors.Is(err, errReadStorage) {
-			return err
-		}
-	}
-	if err := e.fillFromStorage(f); err != nil {
-		return err
-	}
-	f.SetCurrent(seen)
-	return nil
-}
-
-// adoptRemote stamps a frame whose image was just read from remote
-// memory: the page LSN travels in bytes 0-8 of the image.
-func (e *Engine) adoptRemote(f *cache.Frame) {
-	e.met.remoteRead.Inc()
-	f.NewestLSN = types.LSN(binary.LittleEndian.Uint64(f.Data[0:8]))
-	f.ShippedLSN = f.NewestLSN
-}
-
 // fillFromStorage overwrites the frame with the newest PolarFS image of
 // its page (zeroes if storage has never seen the page) and stamps the
 // image's LSN into bytes 0-8.
@@ -663,9 +545,7 @@ func (e *Engine) fillFromStorage(f *cache.Frame) error {
 	if exists {
 		copy(f.Data, data)
 	} else {
-		for i := range f.Data {
-			f.Data[i] = 0
-		}
+		clear(f.Data)
 	}
 	binary.LittleEndian.PutUint64(f.Data[0:8], uint64(lsn))
 	f.NewestLSN = lsn
@@ -681,7 +561,7 @@ func (e *Engine) onEvict(f *cache.Frame) {
 	if !e.cfg.ReadOnly && f.NewestLSN > f.ShippedLSN {
 		// If the engine stopped first, the page must not reach the pool
 		// ahead of its redo: it leaves without a write-back.
-		shipped = e.waitShipped(f.NewestLSN) == nil
+		shipped = e.awaitShipper(plog.Shipped, f.NewestLSN) == nil
 		if shipped {
 			f.ShippedLSN = f.NewestLSN
 		}
@@ -696,38 +576,17 @@ func (e *Engine) onEvict(f *cache.Frame) {
 	}
 }
 
-// waitShipped blocks until the shipper watermark covers lsn, nudging the
-// shipper if it does not yet. It fails if the shipper exits first (the
-// engine closed, or its node died).
-func (e *Engine) waitShipped(lsn types.LSN) error {
-	if !e.awaitShipper(&e.shippedLSN, lsn) {
-		return fmt.Errorf("%w: redo up to %d never shipped", ErrClosed, lsn)
-	}
-	return nil
-}
-
-// awaitShipper blocks until one of the shipper's watermarks (shippedLSN,
-// drainedLSN) reaches lsn, nudging the shipper if it has not. It reports
-// false if the shipper exited first.
-func (e *Engine) awaitShipper(mark *types.LSN, lsn types.LSN) bool {
-	e.shippedMu.Lock()
-	defer e.shippedMu.Unlock()
-	if *mark < lsn {
+// awaitShipper blocks until the log buffer's watermark w reaches lsn,
+// nudging the shipper if it has not. It fails if the shipper exits first
+// (the engine closed, or its node died).
+func (e *Engine) awaitShipper(w plog.Watermark, lsn types.LSN) error {
+	if e.buf.Mark(w) < lsn {
 		e.nudgeShipper()
 	}
-	for *mark < lsn && !e.shipStopped {
-		e.shippedCond.Wait()
+	if !e.buf.Wait(w, lsn) {
+		return fmt.Errorf("%w: the shipper stopped short of redo %d", ErrClosed, lsn)
 	}
-	return *mark >= lsn
-}
-
-func (e *Engine) setShipped(lsn types.LSN) {
-	e.shippedMu.Lock()
-	if lsn > e.shippedLSN {
-		e.shippedLSN = lsn
-	}
-	e.shippedMu.Unlock()
-	e.shippedCond.Broadcast()
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -755,19 +614,28 @@ func (e *Engine) PLUnlockX(f *cache.Frame) {
 
 // PLLockS takes the global latch shared (RO pessimistic traversals).
 func (e *Engine) PLLockS(f *cache.Frame) error {
-	if e.pool == nil || !f.Remote.Registered {
+	remote := remoteOf(f)
+	if e.pool == nil || !remote.Registered {
 		return nil
 	}
 	e.met.smoLatchS.Inc()
-	return e.pool.PL().LockS(f.ID, f.Remote.PL)
+	return e.pool.PL().LockS(f.ID, remote.PL)
 }
 
 // PLUnlockS releases a shared global latch.
 func (e *Engine) PLUnlockS(f *cache.Frame) {
-	if e.pool == nil || !f.Remote.Registered {
+	if e.pool == nil || !remoteOf(f).Registered {
 		return
 	}
 	_ = e.pool.PL().UnlockS(f.ID) //polarvet:allow errdrop latch release to a possibly-dead home node; the next RW's takeover force-clears our latches
+}
+
+// remoteOf reads f's addresses under its S latch, for a pessimistic
+// reader that does not hold it while a refresh may rewrite them.
+func remoteOf(f *cache.Frame) cache.RemoteInfo {
+	f.Latch.RLock()
+	defer f.Latch.RUnlock()
+	return f.Remote
 }
 
 // SMOStamp returns the value SMOs stamp onto modified pages. It is
@@ -918,7 +786,7 @@ func (mt *Mtr) Commit() (types.LSN, error) {
 	if n := mt.e.buf.Pending(); n >= 2*redoFillRecords {
 		// A shipper that exited means the node died or closed; the
 		// transaction's commit wait reports that.
-		mt.e.awaitShipper(&mt.e.drainedLSN, end)
+		_ = mt.e.awaitShipper(plog.Drained, end)
 	} else if n >= redoFillRecords {
 		mt.e.nudgeShipper()
 	}
@@ -935,9 +803,7 @@ func (mt *Mtr) release() {
 	// the SMO's global latches may be released (sticky: they stay on this
 	// node until another node asks).
 	for _, f := range mt.deferred {
-		if mt.e.pool != nil && f.Remote.Registered {
-			_ = mt.e.pool.PL().UnlockX(f.ID, true) //polarvet:allow errdrop latch release to a possibly-dead home node; the next RW's takeover force-clears our latches
-		}
+		mt.e.PLUnlockX(f)
 		f.Unpin()
 	}
 	mt.deferred = nil

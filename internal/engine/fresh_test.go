@@ -82,9 +82,9 @@ func waitWarmed(t *testing.T, e *Engine) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		e.flightMu.Lock()
+		e.warmMu.Lock()
 		n := e.warmers
-		e.flightMu.Unlock()
+		e.warmMu.Unlock()
 		if n == 0 {
 			return
 		}

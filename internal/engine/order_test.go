@@ -13,6 +13,7 @@ import (
 
 	"polardb/internal/btree"
 	"polardb/internal/cache"
+	"polardb/internal/plog"
 	"polardb/internal/polarfs"
 	"polardb/internal/txn"
 	"polardb/internal/types"
@@ -32,7 +33,7 @@ func storageMismatches(t *testing.T, e *Engine) []string {
 		if f.NewestLSN == 0 {
 			return
 		}
-		if err := e.waitShipped(f.NewestLSN); err != nil {
+		if err := e.awaitShipper(plog.Shipped, f.NewestLSN); err != nil {
 			t.Error(err)
 			return
 		}

@@ -20,17 +20,17 @@ import (
 // calls together: a join buffer's worth (64 keys touch at most 64 leaves),
 // so a BKP batch is one round of latency however its keys are spread. The
 // bound is per engine because the hints come faster than fills finish — a
-// range scan names up to 16 leaves at every leaf it reads — and each fill
-// pins its frame for a moment: unbounded, the workers outnumber the cache's
-// frames and pin all of them.
+// range scan names up to 16 leaves at every leaf it reads — and each worker
+// pins the frame it filled for a moment: unbounded, the workers outnumber
+// the cache's frames and pin all of them.
 const warmParallelism = 64
 
 // warm starts filling the local cache with ids in the background and
 // returns at once; the handle waits for the fills. A page that is cached
 // and valid, or that somebody is filling already, is skipped by a probe
-// that counts nothing. Every other page goes through fetch — the same
-// flights map, registration, PIB probe and invalidation handling as a
-// reader's miss, and a reader that wants the page meanwhile joins the fill.
+// that counts nothing (cache.Probe). Every other page goes through fetch —
+// the same registration, PIB probe and invalidation handling as a reader's
+// miss, and a reader that wants the page meanwhile waits for the fill.
 // A failed fill is dropped: the page is read when it is asked for, as it
 // would have been. At most half the local cache is asked for, so a small
 // cache is not churned by a large batch. The fills run under e.wg and none
@@ -46,27 +46,23 @@ func (e *Engine) warm(ids []types.PageID) *PrefetchHandle {
 	}
 	var cold []types.PageID
 	for _, id := range ids {
-		if _, valid := e.cache.Probe(id); !valid {
+		if !e.cache.Probe(id) {
 			cold = append(cold, id)
 		}
 	}
 	if len(cold) == 0 {
 		return h
 	}
-	// flightMu orders the admission against Close: either Close finds these
+	// warmMu orders the admission against Close: either Close finds these
 	// workers in e.wg, or they find the engine closed and are not started.
-	e.flightMu.Lock()
+	e.warmMu.Lock()
 	if e.closed.Load() {
 		cold = nil
 	}
-	cold = slices.DeleteFunc(cold, func(id types.PageID) bool {
-		_, filling := e.flights[id.Key()]
-		return filling
-	})
 	workers := min(len(cold), warmParallelism-e.warmers)
 	e.warmers += workers
 	e.wg.Add(workers)
-	e.flightMu.Unlock()
+	e.warmMu.Unlock()
 	if workers == 0 {
 		return h
 	}
@@ -79,9 +75,9 @@ func (e *Engine) warm(ids []types.PageID) *PrefetchHandle {
 			defer e.wg.Done()
 			defer h.wg.Done()
 			defer func() {
-				e.flightMu.Lock()
+				e.warmMu.Lock()
 				e.warmers--
-				e.flightMu.Unlock()
+				e.warmMu.Unlock()
 			}()
 			for i := w; i < len(cold) && !e.closed.Load(); i += workers {
 				// Each page is its own register + read (remote memory or

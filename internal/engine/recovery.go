@@ -46,9 +46,7 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 	if err != nil {
 		return fmt.Errorf("engine: parallel redo: %w", err)
 	}
-	e.buf = e.newBufferAt(tail)
-	e.buf.MarkFlushed(tail)
-	e.setShipped(tail)
+	e.buf = e.newBufferAt(tail) // durable and shipped up to the tail
 	e.cts.PublishLSN(tail)
 
 	var purged []types.PageID // what step 5 took out of the pool

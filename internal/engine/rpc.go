@@ -20,11 +20,10 @@ func (e *Engine) handleFlushPage(from rdma.NodeID, req []byte) ([]byte, error) {
 		Space: types.SpaceID(binary.LittleEndian.Uint32(req[0:])),
 		No:    types.PageNo(binary.LittleEndian.Uint32(req[4:])),
 	}
+	// Get waits out a fill or an eviction of the page; an eviction waits
+	// for the page's redo to ship, so with no frame left storage is current.
 	f := e.cache.Get(id)
 	if f == nil {
-		// If the page is mid-eviction, the eviction waits for its redo to
-		// ship: once it finishes, storage is current.
-		e.cache.WaitEvicting(id)
 		return nil, nil
 	}
 	defer f.Unpin()

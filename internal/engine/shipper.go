@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
+	"polardb/internal/plog"
 	"polardb/internal/types"
 )
 
@@ -20,7 +20,7 @@ import (
 // every commit and ship waiter is released with a failure.
 func (e *Engine) shipper() {
 	defer e.wg.Done()
-	defer e.stopShipping()
+	defer e.buf.Fail() // no round will come for the waiters
 	for {
 		select {
 		case <-e.closeCh:
@@ -33,10 +33,6 @@ func (e *Engine) shipper() {
 			continue
 		}
 		last := recs[len(recs)-1].LSN
-		e.shippedMu.Lock()
-		e.drainedLSN = last
-		e.shippedMu.Unlock()
-		e.shippedCond.Broadcast()
 		for {
 			if _, err := e.pfs.AppendRedo(recs); err == nil {
 				break
@@ -45,7 +41,7 @@ func (e *Engine) shipper() {
 				return
 			}
 		}
-		e.buf.MarkFlushed(last)
+		e.buf.Advance(plog.Durable, last)
 		e.met.flushBatch.Inc()
 		e.met.flushRecs.Add(uint64(len(recs)))
 		for e.pfs.ShipRecords(recs, last) != nil {
@@ -53,18 +49,8 @@ func (e *Engine) shipper() {
 				return
 			}
 		}
-		e.setShipped(last)
+		e.buf.Advance(plog.Shipped, last)
 	}
-}
-
-// stopShipping fails the log buffer and the shipped watermark's waiters:
-// no round will come for them.
-func (e *Engine) stopShipping() {
-	e.buf.Fail()
-	e.shippedMu.Lock()
-	e.shipStopped = true
-	e.shippedMu.Unlock()
-	e.shippedCond.Broadcast()
 }
 
 // pause waits out a failed storage call before the shipper retries it,
@@ -95,9 +81,7 @@ func (e *Engine) checkpointer() {
 			return
 		case <-time.After(e.cfg.CheckpointInterval):
 		}
-		e.shippedMu.Lock()
-		w := e.shippedLSN
-		e.shippedMu.Unlock()
+		w := e.buf.Mark(plog.Shipped)
 		if w == 0 {
 			continue
 		}
@@ -116,15 +100,11 @@ func (e *Engine) checkpointer() {
 // WaitAllShipped blocks until everything appended so far is shipped
 // (planned handover, tests). It fails if the shipper stops first.
 func (e *Engine) WaitAllShipped() error {
-	return e.waitShipped(e.buf.CurrentLSN())
+	return e.awaitShipper(plog.Shipped, e.buf.CurrentLSN())
 }
 
 // DurableCommit waits until lsn is durable on the log chunks. It fails
 // if the node dies before durability is reached.
 func (e *Engine) DurableCommit(lsn types.LSN) error {
-	e.nudgeShipper()
-	if !e.buf.WaitFlushed(lsn) {
-		return fmt.Errorf("%w: node failed before commit became durable", ErrClosed)
-	}
-	return nil
+	return e.awaitShipper(plog.Durable, lsn)
 }

@@ -75,7 +75,7 @@ func TestPrefetchOverlapsColdLeaves(t *testing.T) {
 		}
 		cold := 0
 		for _, id := range leaves {
-			if resident, _ := e.Cache().Probe(id); !resident {
+			if !e.Cache().Probe(id) {
 				cold++
 			}
 		}

@@ -127,18 +127,27 @@ func (m *MTR) Records() []Record { return m.recs }
 // Empty reports whether the MTR logged nothing.
 func (m *MTR) Empty() bool { return len(m.recs) == 0 }
 
+// Watermark names one of the redo pipeline's progress marks on a Buffer:
+// each is the LSN up to which every record has reached that stage.
+type Watermark int
+
+const (
+	Drained Watermark = iota // taken out of the buffer by the shipper (Drain)
+	Durable                  // persisted on the PolarFS log chunks
+	Shipped                  // acknowledged by the owning page chunks
+)
+
 // Buffer is the RW node's in-memory redo log buffer. Appending an MTR
 // atomically assigns it a contiguous LSN range. A flusher drains the buffer
-// to PolarFS log chunks and advances the durable LSN.
+// to PolarFS log chunks and page chunks, advancing the watermarks that
+// commits, dirty evictions and bulk writers wait on.
 type Buffer struct {
 	mu      sync.Mutex
+	moved   *sync.Cond // a watermark advanced, or the buffer failed
 	pending []Record
 	nextLSN types.LSN
-
-	flushedMu sync.Mutex
-	flushed   types.LSN
-	failed    bool
-	flushCond *sync.Cond
+	marks   [Shipped + 1]types.LSN
+	failed  bool
 
 	// Metrics are attached by the owning engine (AttachMetrics); nil
 	// until then, so standalone buffers in tests stay dependency-free.
@@ -147,10 +156,11 @@ type Buffer struct {
 	metBytes   *stat.Counter
 }
 
-// NewBuffer creates a log buffer whose first record will get LSN start+1.
+// NewBuffer creates a log buffer whose first record will get LSN start+1;
+// every watermark starts at start.
 func NewBuffer(start types.LSN) *Buffer {
-	b := &Buffer{nextLSN: start + 1, flushed: start}
-	b.flushCond = sync.NewCond(&b.flushedMu)
+	b := &Buffer{nextLSN: start + 1, marks: [...]types.LSN{start, start, start}}
+	b.moved = sync.NewCond(&b.mu)
 	return b
 }
 
@@ -199,50 +209,56 @@ func (b *Buffer) Pending() int {
 	return len(b.pending)
 }
 
-// Drain removes and returns all pending records, for the flusher to persist.
+// Drain removes and returns all pending records, for the flusher to
+// persist, and advances the Drained watermark past them.
 func (b *Buffer) Drain() []Record {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	recs := b.pending
 	b.pending = nil
+	if len(recs) > 0 {
+		b.marks[Drained] = recs[len(recs)-1].LSN
+		b.moved.Broadcast()
+	}
 	return recs
 }
 
-// MarkFlushed advances the durable LSN and wakes waiters.
-func (b *Buffer) MarkFlushed(lsn types.LSN) {
-	b.flushedMu.Lock()
-	if lsn > b.flushed {
-		b.flushed = lsn
+// Advance moves watermark w up to lsn (never down) and wakes its waiters.
+func (b *Buffer) Advance(w Watermark, lsn types.LSN) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if lsn > b.marks[w] {
+		b.marks[w] = lsn
+		b.moved.Broadcast()
 	}
-	b.flushedMu.Unlock()
-	b.flushCond.Broadcast()
 }
 
-// FlushedLSN returns the durable LSN.
-func (b *Buffer) FlushedLSN() types.LSN {
-	b.flushedMu.Lock()
-	defer b.flushedMu.Unlock()
-	return b.flushed
+// Mark returns watermark w.
+func (b *Buffer) Mark(w Watermark) types.LSN {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.marks[w]
 }
 
-// WaitFlushed blocks until the durable LSN reaches lsn — the commit wait:
-// a transaction is committed once its MTRs' redo is durable. It returns
-// false if the buffer failed (node death) before lsn became durable.
-func (b *Buffer) WaitFlushed(lsn types.LSN) bool {
-	b.flushedMu.Lock()
-	defer b.flushedMu.Unlock()
-	for b.flushed < lsn && !b.failed {
-		b.flushCond.Wait()
+// Wait blocks until watermark w reaches lsn — for Durable, the commit
+// wait: a transaction is committed once its MTRs' redo is durable. It
+// returns false if the buffer failed (its flusher stopped) first.
+func (b *Buffer) Wait(w Watermark, lsn types.LSN) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for b.marks[w] < lsn && !b.failed {
+		b.moved.Wait()
 	}
-	return b.flushed >= lsn
+	return b.marks[w] >= lsn
 }
 
-// Fail marks the buffer dead (the node lost its fabric connection): all
-// current and future commit waiters return immediately with failure, so a
-// crashed node cannot wedge clients that hold resources while committing.
+// Fail marks the buffer dead (the flusher stopped: the node closed or lost
+// its fabric connection): every current and future waiter returns at once
+// with failure, so a crashed node cannot wedge clients that hold resources
+// while committing.
 func (b *Buffer) Fail() {
-	b.flushedMu.Lock()
+	b.mu.Lock()
 	b.failed = true
-	b.flushedMu.Unlock()
-	b.flushCond.Broadcast()
+	b.mu.Unlock()
+	b.moved.Broadcast()
 }

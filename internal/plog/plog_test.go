@@ -151,23 +151,56 @@ func TestWaitFlushed(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		b.WaitFlushed(lsn)
+		b.Wait(Durable, lsn)
 		close(done)
 	}()
+	// Draining and shipping are not durability.
+	b.Drain()
+	b.Advance(Shipped, lsn)
 	select {
 	case <-done:
-		t.Fatal("WaitFlushed returned before MarkFlushed")
+		t.Fatal("the durable wait returned before the Durable watermark moved")
 	default:
 	}
-	b.MarkFlushed(lsn)
+	b.Advance(Durable, lsn)
 	<-done
-	if b.FlushedLSN() != lsn {
-		t.Fatalf("flushed = %d, want %d", b.FlushedLSN(), lsn)
+	if got := b.Mark(Durable); got != lsn {
+		t.Fatalf("durable = %d, want %d", got, lsn)
 	}
-	// MarkFlushed never regresses.
-	b.MarkFlushed(lsn - 1)
-	if b.FlushedLSN() != lsn {
-		t.Fatal("flushed LSN regressed")
+	// A watermark never regresses.
+	b.Advance(Durable, lsn-1)
+	if b.Mark(Durable) != lsn {
+		t.Fatal("durable LSN regressed")
+	}
+}
+
+// TestDrainAdvancesDrainedAndFailReleasesEveryWaiter: Drain moves the
+// Drained watermark to its last record by itself, and Fail ends the waits
+// on every watermark with false.
+func TestDrainAdvancesDrainedAndFailReleasesEveryWaiter(t *testing.T) {
+	b := NewBuffer(10)
+	m := NewMTR()
+	m.LogWrite(types.PageID{Space: 1, No: 1}, 8, []byte{1})
+	m.LogWrite(types.PageID{Space: 1, No: 2}, 8, []byte{2})
+	lsn := b.Append(m)
+	if got := b.Mark(Drained); got != 10 {
+		t.Fatalf("drained = %d before the drain, want the start LSN 10", got)
+	}
+	if recs := b.Drain(); len(recs) != 2 || b.Mark(Drained) != lsn {
+		t.Fatalf("drained %d records, watermark %d; want 2 and %d", len(recs), b.Mark(Drained), lsn)
+	}
+	if !b.Wait(Drained, lsn) {
+		t.Fatal("a wait on a reached watermark failed")
+	}
+	results := make(chan bool, 2)
+	for _, w := range []Watermark{Durable, Shipped} {
+		go func() { results <- b.Wait(w, lsn) }()
+	}
+	b.Fail()
+	for i := 0; i < 2; i++ {
+		if <-results {
+			t.Fatal("a wait for an unreached watermark succeeded after Fail")
+		}
 	}
 }
 
