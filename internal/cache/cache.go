@@ -169,7 +169,9 @@ type Cache struct {
 
 // New creates a cache holding up to capacity pages. evict may be nil.
 func New(capacity int, evict EvictFn) *Cache {
-	capacity = max(capacity, 1)
+	if capacity < 1 {
+		capacity = 1
+	}
 	c := &Cache{
 		capacity: capacity,
 		frames:   make(map[uint64]*Frame, capacity),
@@ -363,37 +365,38 @@ func (c *Cache) Invalidate(id types.PageID) {
 }
 
 // AddressesGone records that the pool took the page's remote addresses
-// back; it never waits for a fill. A filling frame, and a published one
-// unless keep is set, is marked: the next holder of its X latch forgets
-// the addresses (ForgetLostAddresses), and unless keep is set the frame
-// reads invalid, so that its copy is read again. With keep a published
-// frame — a copy nobody is reading in — forgets them under its X latch.
-func (c *Cache) AddressesGone(id types.PageID, keep bool) {
+// back, on its published or filling frame, if any: the next holder of the
+// frame's X latch, or its filler's Publish, forgets them
+// (ForgetLostAddresses). It is the purge callback's mark and never waits.
+func (c *Cache) AddressesGone(id types.PageID) {
 	c.mu.Lock()
-	f, ok := c.frames[id.Key()]
-	switch {
-	case !ok || f.state == evicting:
-	case keep && f.state == resident:
-		f.Pin()
-		c.mu.Unlock()
-		f.Latch.Lock()
-		f.Remote = RemoteInfo{}
-		f.Latch.Unlock()
-		f.Unpin()
-		return
-	default:
+	defer c.mu.Unlock()
+	if f, ok := c.frames[id.Key()]; ok && f.state != evicting {
 		f.lost.Store(true)
-		if !keep {
-			f.Invalidate()
-		}
 	}
-	c.mu.Unlock()
+}
+
+// Published returns the page's published frame pinned, or nil. Unlike Get
+// it never waits for a fill or an eviction, and it is not an access: no
+// LRU move, no hit or miss counted.
+func (c *Cache) Published(id types.PageID) *Frame {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f, ok := c.frames[id.Key()]
+	if !ok || f.state != resident {
+		return nil
+	}
+	f.Pin()
+	return f
 }
 
 // Resize changes the capacity, evicting LRU frames if shrinking.
 func (c *Cache) Resize(capacity int) error {
+	if capacity < 1 {
+		capacity = 1
+	}
 	c.mu.Lock()
-	c.capacity = max(capacity, 1)
+	c.capacity = capacity
 	victims, _ := c.detachLocked(c.capacity)
 	c.mu.Unlock()
 	c.runEvicts(victims)

@@ -120,7 +120,18 @@ func TestInvalidate(t *testing.T) {
 	if !f.Invalid() {
 		t.Fatal("invalid bit not set")
 	}
-	c.Invalidate(pid(9)) // not resident: nothing to mark
+	// A page with no frame gets none: no map entry, no count held over for
+	// its next fill, which starts at one invalidation like any other.
+	resident := c.Stats().Resident
+	c.Invalidate(pid(9))
+	if c.Probe(pid(9)) || c.Stats().Resident != resident {
+		t.Fatal("invalidating a non-resident page made it resident")
+	}
+	g, fill := c.GetOrFill(pid(9))
+	if !fill || g.Invalidations() != 1 {
+		t.Fatalf("fill after invalidating an absent page: fill %v, invalidations %d; want a new frame at 1", fill, g.Invalidations())
+	}
+	c.Abandon(g)
 	// A refresh that read its image before a second invalidation arrived
 	// must not clear that one too.
 	seen := f.Invalidations()
@@ -316,41 +327,42 @@ func TestInvalidationDuringFillSurvivesPublish(t *testing.T) {
 }
 
 // TestAddressesGoneMarksWithoutWaiting: the pool taking a page's addresses
-// back marks a filling frame, and an RO's published one, for the next X
-// latch holder; with keep a published frame forgets them at once.
+// back marks its filling or published frame for the next X latch holder,
+// and Published hands out a published frame without waiting for a fill.
 func TestAddressesGoneMarksWithoutWaiting(t *testing.T) {
 	c := New(4, nil)
 	remote := RemoteInfo{Registered: true, Data: rdma.Addr{Node: "mem0", Region: 1}}
 
 	f, _ := c.GetOrFill(pid(1))
 	f.Remote = remote
+	if c.Published(pid(1)) != nil {
+		t.Fatal("Published returned a filling frame")
+	}
 	seen := f.Invalidations()
-	c.AddressesGone(pid(1), true)
+	c.AddressesGone(pid(1))
 	f.SetCurrent(seen)
 	if err := c.Publish(f); err != nil {
 		t.Fatal(err)
 	}
 	if f.Remote.Registered || f.Invalid() {
-		t.Fatalf("kept filling frame after publish: registered %v, invalid %v; want forgotten addresses, valid copy", f.Remote.Registered, f.Invalid())
-	}
-	f.Remote = remote
-	c.AddressesGone(pid(1), true)
-	if f.Remote.Registered || f.Invalid() || f.Pins() != 1 {
-		t.Fatalf("with keep, a published frame forgets its addresses at once and stays valid: registered %v, invalid %v, pins %d", f.Remote.Registered, f.Invalid(), f.Pins())
+		t.Fatalf("marked filling frame after publish: registered %v, invalid %v; want forgotten addresses, valid copy", f.Remote.Registered, f.Invalid())
 	}
 
-	g, _ := c.GetOrFill(pid(2))
-	g.SetCurrent(g.Invalidations())
-	g.Remote = remote
-	if err := c.Publish(g); err != nil {
-		t.Fatal(err)
+	f.Remote = remote
+	c.AddressesGone(pid(1))
+	if !f.Remote.Registered || f.Invalid() {
+		t.Fatal("a published frame keeps its addresses, and its validity, until its latch holder forgets them")
 	}
-	c.AddressesGone(pid(2), false)
-	if !g.Invalid() || !g.Remote.Registered {
-		t.Fatal("without keep, a published frame is marked invalid and keeps its addresses until its latch holder forgets them")
+	if got := c.Published(pid(1)); got != f || f.Pins() != 2 {
+		t.Fatalf("Published = %p with %d pins, want %p pinned once more", got, f.Pins(), f)
 	}
-	if !g.ForgetLostAddresses() || g.Remote.Registered || g.ForgetLostAddresses() {
+	f.Unpin()
+	if !f.ForgetLostAddresses() || f.Remote.Registered || f.ForgetLostAddresses() {
 		t.Fatal("ForgetLostAddresses did not clear the lost addresses exactly once")
+	}
+	c.AddressesGone(pid(9))
+	if c.Probe(pid(9)) {
+		t.Fatal("AddressesGone of an absent page made it resident")
 	}
 }
 

@@ -393,14 +393,24 @@ func (e *Engine) fetch(id types.PageID, fresh bool) (*cache.Frame, error) {
 
 // onAddressesGone is the pool's other callback: the home purged these
 // pages (slab crash, Shrink, RW takeover), and librmem has already
-// forgotten the registrations. A frame being filled reads its page again
-// through fresh addresses; an RO's cached copy is read again on next use.
+// forgotten the registrations. It never waits for a fill: a frame being
+// filled is marked and reads its page again through fresh addresses. An
+// RO's cached copy is marked and invalidated, without its latch (a refresh
+// may hold that for seconds on a dead RW), and is read again on next use.
 // The RW's copy is the newest there is, so it is kept: it only forgets its
-// addresses and stays storage-direct; an RO that needs it gets it in the
-// eng.flushpage reply (handleFlushPage).
+// addresses, under its latch, and stays storage-direct; an RO that needs
+// it gets it in the eng.flushpage reply (handleFlushPage).
 func (e *Engine) onAddressesGone(pages []types.PageID) {
 	for _, id := range pages {
-		e.cache.AddressesGone(id, !e.cfg.ReadOnly)
+		e.cache.AddressesGone(id)
+		if e.cfg.ReadOnly {
+			e.cache.Invalidate(id)
+		} else if f := e.cache.Published(id); f != nil {
+			f.Latch.Lock()
+			f.ForgetLostAddresses()
+			f.Latch.Unlock()
+			f.Unpin()
+		}
 	}
 }
 
@@ -545,7 +555,9 @@ func (e *Engine) fillFromStorage(f *cache.Frame) error {
 	if exists {
 		copy(f.Data, data)
 	} else {
-		clear(f.Data)
+		for i := range f.Data {
+			f.Data[i] = 0
+		}
 	}
 	binary.LittleEndian.PutUint64(f.Data[0:8], uint64(lsn))
 	f.NewestLSN = lsn

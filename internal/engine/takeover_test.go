@@ -156,3 +156,43 @@ func TestRWKeepsItsCopyWhenThePoolPurges(t *testing.T) {
 		t.Fatal("the RW's copy still has the purged addresses")
 	}
 }
+
+// TestROCopyIsReadAgainWhenThePoolPurges: when the pool takes a page's
+// addresses away, an RO's cached copy reads invalid at once and its next
+// fetch reads the page again without the purged addresses.
+func TestROCopyIsReadAgainWhenThePoolPurges(t *testing.T) {
+	h := newHarness(t, harnessOpts{})
+	tbl, err := h.rw.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCommitPut(t, h.rw, tbl, 1, "row")
+	ro := h.addRO(btree.Optimistic)
+	rtbl := mustOpen(t, ro, "t")
+	if v, ok := roGet(t, ro, rtbl, 1); !ok || v != "row" {
+		t.Fatalf("RO read %q %v, want row", v, ok)
+	}
+	leaf := types.PageID{Space: tbl.Primary.Space(), No: 1}
+	f, err := ro.Fetch(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := remoteOf(f).Registered
+	ro.Unpin(f)
+	if !registered || !ro.cache.Probe(leaf) {
+		t.Fatalf("the RO's copy of %s is not a valid registered one (registered %v); the test checks nothing", leaf, registered)
+	}
+	h.home.HandleSlabFailure("mem0")
+	if ro.cache.Probe(leaf) {
+		t.Fatal("the RO's copy reads valid after the pool purged its page")
+	}
+	g, err := ro.Fetch(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered = remoteOf(g).Registered
+	ro.Unpin(g)
+	if registered {
+		t.Fatal("the RO's copy still has the purged addresses after its next fetch")
+	}
+}

@@ -67,8 +67,9 @@ func (e *Endpoint) CallTimeout(target NodeID, method string, req []byte, timeout
 		resp, err := e.Call(target, method, req)
 		ch <- result{resp, err}
 	}()
-	// A timer stopped on return: the timeouts here are seconds on calls that
-	// take microseconds, thousands of times a second.
+	// A timer stopped on return, so none outlives the call: the timeouts
+	// here are seconds on calls that take microseconds, thousands of times
+	// a second.
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
