@@ -82,14 +82,36 @@ func marshalRanges(w *wire.Writer, rs []Range) {
 	}
 }
 
-func unmarshalRanges(rd *wire.Reader) []Range {
+func rangesSize(rs []Range) int { return 2 + 16*len(rs) }
+
+// skipRanges reads past one range list and returns its length.
+func skipRanges(rd *wire.Reader) int {
 	n := int(rd.U16())
-	rs := make([]Range, n)
+	for i := 0; i < 2*n && rd.Err() == nil; i++ {
+		rd.U64()
+	}
+	return n
+}
+
+// readRanges decodes one range list into the front of all and returns it
+// and the rest of all.
+func readRanges(rd *wire.Reader, all []Range) (rs, rest []Range) {
+	n := int(rd.U16())
+	rs, rest = all[:n:n], all[n:]
 	for i := range rs {
 		rs[i].Start = rd.U64()
 		rs[i].End = rd.U64()
 	}
-	return rs
+	return rs, rest
+}
+
+// size returns the entry's wire size.
+func (e *Entry) size() int {
+	n := 8 + 8 + rangesSize(e.Ranges) + 4 + len(e.Cmd) + 2
+	for _, rs := range e.LookBehind {
+		n += rangesSize(rs)
+	}
+	return n
 }
 
 func (e *Entry) marshal(w *wire.Writer) {
@@ -103,15 +125,30 @@ func (e *Entry) marshal(w *wire.Writer) {
 	}
 }
 
+// unmarshal decodes an entry. Cmd is a copy: the entry outlives the
+// request it came in. The entry's ranges and its look-behind's Window
+// lists share one array, sized by a first pass over a copy of the reader.
 func (e *Entry) unmarshal(rd *wire.Reader) {
 	e.Index = rd.U64()
 	e.Term = rd.U64()
-	e.Ranges = unmarshalRanges(rd)
+	peek := *rd
+	total := skipRanges(&peek)
+	peek.View32()
+	n := int(peek.U16())
+	for i := 0; i < n && peek.Err() == nil; i++ {
+		total += skipRanges(&peek)
+	}
+	if peek.Err() != nil {
+		*rd = peek
+		return
+	}
+	all := make([]Range, total)
+	e.Ranges, all = readRanges(rd, all)
 	e.Cmd = rd.Bytes32()
-	n := int(rd.U16())
+	rd.U16()
 	e.LookBehind = make([][]Range, n)
 	for i := range e.LookBehind {
-		e.LookBehind[i] = unmarshalRanges(rd)
+		e.LookBehind[i], all = readRanges(rd, all)
 	}
 }
 
@@ -448,10 +485,15 @@ func (r *Replica) buildAppendReq(e *Entry, term uint64) []byte {
 	return marshalAppendReq(term, r.ep.ID(), cp, ms, tt, extra, e)
 }
 
-// marshalAppendReq is the append/heartbeat request layout (handleAppend
-// decodes it).
+// marshalAppendReq is the append/heartbeat request layout
+// (unmarshalAppendReq decodes it), encoded into a buffer of exactly its
+// size.
 func marshalAppendReq(term uint64, leader rdma.NodeID, commitPrefix, maxSeen, truncTo uint64, extra []uint64, e *Entry) []byte {
-	w := wire.NewWriter(256)
+	size := 8 + 4 + len(leader) + 8 + 8 + 8 + 2 + 8*len(extra) + 1
+	if e != nil {
+		size += e.size()
+	}
+	w := wire.NewWriter(size)
 	w.U64(term)
 	w.String(string(leader))
 	w.U64(commitPrefix)
@@ -470,6 +512,43 @@ func marshalAppendReq(term uint64, leader rdma.NodeID, commitPrefix, maxSeen, tr
 	return w.Bytes()
 }
 
+// appendReq is a decoded append/heartbeat request.
+type appendReq struct {
+	term, commitPrefix, maxSeen, truncTo uint64
+	leader                               rdma.NodeID
+	extra                                []uint64
+	entry                                *Entry // nil for a heartbeat
+}
+
+// unmarshalAppendReq decodes marshalAppendReq's layout. The entry flag is
+// 0 or 1; any other value is a corrupt request.
+func unmarshalAppendReq(req []byte) (appendReq, error) {
+	rd := wire.NewReader(req)
+	var a appendReq
+	a.term = rd.U64()
+	a.leader = rdma.NodeID(rd.String())
+	a.commitPrefix = rd.U64()
+	a.maxSeen = rd.U64()
+	a.truncTo = rd.U64()
+	n := int(rd.U16())
+	a.extra = make([]uint64, 0, min(n, rd.Remaining()/8))
+	for i := 0; i < n && rd.Err() == nil; i++ {
+		a.extra = append(a.extra, rd.U64())
+	}
+	switch flag := rd.U8(); {
+	case rd.Err() != nil:
+	case flag == 1:
+		a.entry = new(Entry)
+		a.entry.unmarshal(rd)
+	case flag != 0:
+		return appendReq{}, fmt.Errorf("parallelraft: append request with entry flag %d", flag)
+	}
+	if err := rd.Err(); err != nil {
+		return appendReq{}, fmt.Errorf("parallelraft: decoding append request: %w", err)
+	}
+	return a, nil
+}
+
 func (r *Replica) committedBeyondPrefixLocked() []uint64 {
 	var out []uint64
 	for i := r.commitPrefix + 1; i <= r.maxSeen; i++ {
@@ -483,45 +562,30 @@ func (r *Replica) committedBeyondPrefixLocked() []uint64 {
 // handleAppend processes an AppendEntries/heartbeat RPC on a follower.
 func (r *Replica) handleAppend(from rdma.NodeID, req []byte) ([]byte, error) {
 	r.metAppend.Inc()
-	rd := wire.NewReader(req)
-	term := rd.U64()
-	leaderID := rdma.NodeID(rd.String())
-	leaderCP := rd.U64()
-	leaderMax := rd.U64()
-	leaderTrunc := rd.U64()
-	nExtra := int(rd.U16())
-	extra := make([]uint64, nExtra)
-	for i := range extra {
-		extra[i] = rd.U64()
-	}
-	hasEntry := rd.Bool()
-	var e Entry
-	if hasEntry {
-		e.unmarshal(rd)
-	}
-	if err := rd.Err(); err != nil {
+	a, err := unmarshalAppendReq(req)
+	if err != nil {
 		return nil, err
 	}
 
 	r.mu.Lock()
-	if term < r.term {
+	if a.term < r.term {
 		resp := r.appendRespLocked(false)
 		r.mu.Unlock()
 		return resp, nil
 	}
-	if term > r.term || r.role != Follower {
-		r.becomeFollowerLocked(term, leaderID)
+	if a.term > r.term || r.role != Follower {
+		r.becomeFollowerLocked(a.term, a.leader)
 	}
-	r.leader = leaderID
+	r.leader = a.leader
 	r.lastHeartbeat = time.Now()
-	if leaderMax > r.maxSeen {
-		r.maxSeen = leaderMax
+	if a.maxSeen > r.maxSeen {
+		r.maxSeen = a.maxSeen
 	}
 	ack := false
-	if hasEntry {
+	if e := a.entry; e != nil {
 		// A late duplicate of a truncated entry is acked but not kept.
 		if existing, ok := r.log[e.Index]; e.Index > r.logFloor && (!ok || existing.Term < e.Term) {
-			r.log[e.Index] = &e
+			r.log[e.Index] = e
 			if e.Index > r.maxIndex {
 				r.maxIndex = e.Index
 			}
@@ -529,15 +593,15 @@ func (r *Replica) handleAppend(from rdma.NodeID, req []byte) ([]byte, error) {
 		ack = true // out-of-order ack: durable locally, holes allowed
 	}
 	// Learn commits from the leader.
-	if leaderCP > r.commitPrefix {
-		r.advanceCommitTo(leaderCP)
+	if a.commitPrefix > r.commitPrefix {
+		r.advanceCommitTo(a.commitPrefix)
 	}
-	for _, i := range extra {
+	for _, i := range a.extra {
 		r.committed[i] = true
 	}
 	r.rollCommitPrefixLocked()
-	if leaderTrunc > r.truncTo {
-		r.truncTo = leaderTrunc
+	if a.truncTo > r.truncTo {
+		r.truncTo = a.truncTo
 	}
 	r.truncateLocked()
 	resp := r.appendRespLocked(ack)

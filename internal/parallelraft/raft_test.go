@@ -1,6 +1,8 @@
 package parallelraft
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -464,4 +466,79 @@ func TestEntryMarshalRoundTrip(t *testing.T) {
 	if len(out.LookBehind) != 2 || len(out.LookBehind[1]) != 2 {
 		t.Fatalf("lookbehind: %+v", out.LookBehind)
 	}
+}
+
+func goldenEntry() *Entry {
+	return &Entry{
+		Index:      42,
+		Term:       7,
+		Ranges:     []Range{{1, 2}, {9, 12}},
+		Cmd:        []byte("payload"),
+		LookBehind: [][]Range{{{0, 1}}, {{3, 4}, {5, 6}}},
+	}
+}
+
+// TestAppendRequestGolden pins the append and heartbeat request layouts
+// and checks that each is encoded into a buffer of exactly its size.
+func TestAppendRequestGolden(t *testing.T) {
+	const head = "0700000000000000" + "03000000" + "737430" + // term, leader "st0"
+		"0300000000000000" + "0900000000000000" + "0200000000000000" // commit prefix, max seen, truncate to
+	const entry = "2a00000000000000" + "0700000000000000" + // index, term
+		"0200" + "0100000000000000" + "0200000000000000" + "0900000000000000" + "0c00000000000000" + // ranges
+		"07000000" + "7061796c6f6164" + // cmd
+		"0200" + "0100" + "0000000000000000" + "0100000000000000" + // look-behind
+		"0200" + "0300000000000000" + "0400000000000000" + "0500000000000000" + "0600000000000000"
+	for _, c := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"append", marshalAppendReq(7, "st0", 3, 9, 2, []uint64{5, 6}, goldenEntry()),
+			head + "0200" + "0500000000000000" + "0600000000000000" + "01" + entry},
+		{"heartbeat", marshalAppendReq(7, "st0", 3, 9, 2, nil, nil), head + "0000" + "00"},
+	} {
+		if got := hex.EncodeToString(c.got); got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
+		if cap(c.got) != len(c.got) {
+			t.Errorf("%s: buffer of %d bytes for %d", c.name, cap(c.got), len(c.got))
+		}
+	}
+}
+
+// FuzzEntryUnmarshal feeds the append request decoder, entry included. No
+// input panics it; whatever it accepts re-encodes to the bytes it read,
+// so it read nothing from outside the input; no decoded range list
+// reaches into the next; and the command is the entry's own copy.
+func FuzzEntryUnmarshal(f *testing.F) {
+	f.Add(marshalAppendReq(7, "st0", 3, 9, 2, []uint64{5, 6}, goldenEntry()))
+	f.Add(marshalAppendReq(7, "st0", 3, 9, 2, nil, nil))
+	f.Add(marshalAppendReq(1, "a", 0, 0, 0, nil, &Entry{Index: 1, Term: 1, Ranges: FullRange}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req := bytes.Clone(data)
+		a, err := unmarshalAppendReq(req)
+		if err != nil {
+			return
+		}
+		enc := marshalAppendReq(a.term, a.leader, a.commitPrefix, a.maxSeen, a.truncTo, a.extra, a.entry)
+		if !bytes.HasPrefix(data, enc) {
+			t.Fatalf("decoded request re-encodes to %x, not a prefix of the input %x", enc, data)
+		}
+		e := a.entry
+		if e == nil {
+			return
+		}
+		for i, rs := range append([][]Range{e.Ranges}, e.LookBehind...) {
+			if cap(rs) != len(rs) {
+				t.Fatalf("range list %d: %d ranges, capacity %d", i, len(rs), cap(rs))
+			}
+		}
+		if len(e.Cmd) > 0 {
+			cmd := string(e.Cmd)
+			clear(req)
+			if string(e.Cmd) != cmd {
+				t.Fatal("the entry's command aliases the request")
+			}
+		}
+	})
 }

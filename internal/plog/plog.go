@@ -38,37 +38,97 @@ func (r *Record) Marshal(w *wire.Writer) {
 	w.Bytes32(r.Data)
 }
 
-// Unmarshal decodes a record from rd.
+// Unmarshal decodes a record from rd. Data aliases rd's buffer
+// (wire.Reader.View32): a record decoded from a request or a raft command
+// shares that never-written buffer instead of copying out of it.
 func (r *Record) Unmarshal(rd *wire.Reader) {
 	r.LSN = types.LSN(rd.U64())
 	r.Page = types.PageID{Space: types.SpaceID(rd.U32()), No: types.PageNo(rd.U32())}
 	r.Off = rd.U16()
-	r.Data = rd.Bytes32()
+	r.Data = rd.View32()
 }
 
-// MarshalRecords encodes a batch of records.
+// BatchSize returns the wire size of the batch MarshalRecords(recs)
+// encodes: the record count, then each record.
+func BatchSize(recs []Record) int {
+	n := 4
+	for i := range recs {
+		n += recs[i].size()
+	}
+	return n
+}
+
+// MarshalRecords encodes a batch of records into a buffer of exactly its
+// size.
 func MarshalRecords(recs []Record) []byte {
-	w := wire.NewWriter(32 * len(recs))
+	w := wire.NewWriter(BatchSize(recs))
+	writeBatch(w, recs)
+	return w.Bytes()
+}
+
+// AppendRecords appends the batch to w as one length-prefixed field: the
+// bytes w.Bytes32(MarshalRecords(recs)) would append, without encoding
+// the batch on its own first.
+func AppendRecords(w *wire.Writer, recs []Record) {
+	w.U32(uint32(BatchSize(recs)))
+	writeBatch(w, recs)
+}
+
+func writeBatch(w *wire.Writer, recs []Record) {
 	w.U32(uint32(len(recs)))
 	for i := range recs {
 		recs[i].Marshal(w)
 	}
-	return w.Bytes()
 }
 
-// UnmarshalRecords decodes a batch of records.
+// BatchReader walks an encoded record batch in place, allocating nothing;
+// each record it yields aliases the batch. ReadRecords checks the whole
+// batch first, so a walk cannot fail halfway: a consumer may apply the
+// records as it goes and still leave its state untouched by a corrupt
+// batch.
+type BatchReader struct {
+	rd   wire.Reader
+	left int
+}
+
+// ReadRecords checks that buf holds a whole batch and returns a reader
+// positioned at its first record.
+func ReadRecords(buf []byte) (BatchReader, error) {
+	b := BatchReader{rd: *wire.NewReader(buf)}
+	b.left = int(b.rd.U32())
+	check := b
+	var r Record
+	for i := 0; i < check.left && check.rd.Err() == nil; i++ {
+		r.Unmarshal(&check.rd)
+	}
+	if err := check.rd.Err(); err != nil {
+		return BatchReader{}, fmt.Errorf("plog: decoding %d records: %w", b.left, err)
+	}
+	return b, nil
+}
+
+// Len returns the number of records not yet walked.
+func (b *BatchReader) Len() int { return b.left }
+
+// Next decodes the next record into r and reports whether there was one.
+func (b *BatchReader) Next(r *Record) bool {
+	if b.left == 0 {
+		return false
+	}
+	b.left--
+	r.Unmarshal(&b.rd)
+	return true
+}
+
+// UnmarshalRecords decodes a batch of records; their Data alias buf.
 func UnmarshalRecords(buf []byte) ([]Record, error) {
-	rd := wire.NewReader(buf)
-	n := int(rd.U32())
-	if rd.Err() != nil {
-		return nil, rd.Err()
+	b, err := ReadRecords(buf)
+	if err != nil {
+		return nil, err
 	}
-	recs := make([]Record, n)
+	recs := make([]Record, b.Len())
 	for i := range recs {
-		recs[i].Unmarshal(rd)
-	}
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("plog: decoding %d records: %w", n, err)
+		b.Next(&recs[i])
 	}
 	return recs, nil
 }

@@ -2,11 +2,13 @@ package plog
 
 import (
 	"bytes"
+	"encoding/hex"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"polardb/internal/types"
+	"polardb/internal/wire"
 )
 
 func TestRecordMarshalRoundTrip(t *testing.T) {
@@ -238,4 +240,106 @@ func TestReplayEquivalenceProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func goldenRecords() []Record {
+	return []Record{
+		{LSN: 5, Page: types.PageID{Space: 1, No: 2}, Off: 10, Data: []byte("ab")},
+		{LSN: 6, Page: types.PageID{Space: 3, No: 4}, Off: 100, Data: []byte("xyz")},
+		{LSN: 9, Page: types.PageID{Space: 1, No: 2}},
+	}
+}
+
+// TestRecordBatchGolden pins the batch layout: a little-endian record
+// count, then per record its LSN, space, page number, offset and a
+// length-prefixed data field. AppendRecords writes the same batch behind
+// a length prefix.
+func TestRecordBatchGolden(t *testing.T) {
+	const want = "03000000" +
+		"0500000000000000" + "01000000" + "02000000" + "0a00" + "02000000" + "6162" +
+		"0600000000000000" + "03000000" + "04000000" + "6400" + "03000000" + "78797a" +
+		"0900000000000000" + "01000000" + "02000000" + "0000" + "00000000"
+	got := MarshalRecords(goldenRecords())
+	if h := hex.EncodeToString(got); h != want {
+		t.Fatalf("batch:\n got %s\nwant %s", h, want)
+	}
+	if len(got) != BatchSize(goldenRecords()) || cap(got) != len(got) {
+		t.Fatalf("batch of %d bytes in a buffer of %d, BatchSize says %d", len(got), cap(got), BatchSize(goldenRecords()))
+	}
+	w := wire.NewWriter(0)
+	w.U8(0xEE)
+	AppendRecords(w, goldenRecords())
+	if h := hex.EncodeToString(w.Bytes()); h != "ee"+"4b000000"+want {
+		t.Fatalf("AppendRecords wrote %s", h)
+	}
+}
+
+func TestMarshalRecordsAllocatesOnce(t *testing.T) {
+	recs := goldenRecords()
+	recs[1].Data = bytes.Repeat([]byte{7}, 300) // more than any guess per record
+	var out []byte
+	if n := testing.AllocsPerRun(100, func() { out = MarshalRecords(recs) }); n != 1 {
+		t.Fatalf("MarshalRecords allocated %.1f times, want 1", n)
+	}
+	_ = out
+}
+
+// TestBatchReaderWalksInPlace: the records a walk yields alias the batch,
+// and a batch that does not decode is refused before any record is seen.
+func TestBatchReaderWalksInPlace(t *testing.T) {
+	buf := MarshalRecords(goldenRecords())
+	b, err := ReadRecords(buf)
+	if err != nil || b.Len() != 3 {
+		t.Fatalf("ReadRecords: %d records, %v", b.Len(), err)
+	}
+	var r Record
+	if !b.Next(&r) || r.LSN != 5 || string(r.Data) != "ab" {
+		t.Fatalf("first record %+v", r)
+	}
+	buf[4+types.RedoRecordHeader] = 'A'
+	if string(r.Data) != "Ab" {
+		t.Fatalf("record data %q does not alias the batch", r.Data)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		b, _ := ReadRecords(buf)
+		for b.Next(&r) {
+		}
+	}); n != 0 {
+		t.Fatalf("a walk allocated %.1f times", n)
+	}
+	if _, err := ReadRecords(buf[:len(buf)-1]); err == nil {
+		t.Fatal("a batch missing its last byte was accepted")
+	}
+}
+
+// FuzzUnmarshalRecords: no input panics the decoder; whatever it accepts
+// re-encodes to the bytes it read, so it read no byte from outside the
+// input, and no record's data reaches past its own bytes.
+func FuzzUnmarshalRecords(f *testing.F) {
+	f.Add(MarshalRecords(goldenRecords()))
+	f.Add(MarshalRecords(nil))
+	f.Add([]byte{5, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := UnmarshalRecords(data)
+		if err != nil {
+			return
+		}
+		enc := MarshalRecords(recs)
+		if !bytes.HasPrefix(data, enc) {
+			t.Fatalf("decoded %d records that re-encode to %x, not a prefix of the input %x", len(recs), enc, data)
+		}
+		b, err := ReadRecords(data)
+		if err != nil || b.Len() != len(recs) {
+			t.Fatalf("ReadRecords disagrees: %d records, %v", b.Len(), err)
+		}
+		var r Record
+		for i := 0; b.Next(&r); i++ {
+			if cap(r.Data) != len(r.Data) {
+				t.Fatalf("record %d: data of %d bytes has capacity %d", i, len(r.Data), cap(r.Data))
+			}
+			if r.LSN != recs[i].LSN || !bytes.Equal(r.Data, recs[i].Data) {
+				t.Fatalf("record %d: walk %+v, slice %+v", i, r, recs[i])
+			}
+		}
+	})
 }

@@ -167,16 +167,20 @@ func (c *Client) TruncateRedo(upTo types.LSN) error {
 // ShipRecords distributes redo records to the page chunks owning their
 // pages (step 2 of Figure 7), advancing the touched partitions' coverage
 // to coverage ("all redo <= coverage affecting you is included"). It
-// returns once every touched partition has durably acknowledged.
-// Untouched partitions' coverage is advanced lazily by AdvanceCoverage.
+// ships one partition after another, in ascending order, and returns once
+// every touched partition has durably acknowledged. Untouched partitions'
+// coverage is advanced lazily by AdvanceCoverage.
 func (c *Client) ShipRecords(recs []plog.Record, coverage types.LSN) error {
 	c.met.shipRecords.Add(uint64(len(recs)))
-	byPart := make(map[int][]plog.Record)
+	byPart := make([][]plog.Record, c.cfg.PageChunks)
 	for _, r := range recs {
 		p := c.Partition(r.Page)
 		byPart[p] = append(byPart[p], r)
 	}
 	for p, batch := range byPart {
+		if len(batch) == 0 {
+			continue
+		}
 		//polarvet:allow fabriccost already batched per destination: one AddRecords RPC carries a partition's whole record batch
 		if err := c.AddRecords(p, batch, coverage); err != nil {
 			return err
@@ -200,11 +204,18 @@ func (c *Client) AdvanceCoverage(lsn types.LSN) error {
 // AddRecords sends a batch of redo records to one page-chunk partition.
 // recs may be empty to advance coverage only.
 func (c *Client) AddRecords(part int, recs []plog.Record, coverage types.LSN) error {
-	w := wire.NewWriter(64 + 32*len(recs))
-	w.U64(uint64(coverage))
-	w.Bytes32(plog.MarshalRecords(recs))
-	_, err := c.call(pageGroup(part), "add", w.Bytes())
+	_, err := c.call(pageGroup(part), "add", addRequest(recs, coverage))
 	return err
+}
+
+// addRequest encodes a page chunk's add: the coverage LSN, then the
+// record batch as one length-prefixed field, in one buffer of exactly its
+// size.
+func addRequest(recs []plog.Record, coverage types.LSN) []byte {
+	w := wire.NewWriter(8 + 4 + plog.BatchSize(recs))
+	w.U64(uint64(coverage))
+	plog.AppendRecords(w, recs)
+	return w.Bytes()
 }
 
 // GetPage fetches the page's contents as of atLSN (MaxLSN = latest known to

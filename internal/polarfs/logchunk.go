@@ -1,6 +1,8 @@
 package polarfs
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"polardb/internal/parallelraft"
@@ -12,12 +14,24 @@ import (
 
 // logChunkSM is the replicated state machine of a log chunk: the durable
 // redo log, ordered by LSN. All appends conflict (FullRange), so raft
-// applies them strictly in order on every replica.
+// applies them strictly in order on every replica. The log keeps each
+// append as the encoded batch it arrived in, aliasing the raft command,
+// and decodes it again only when it is read.
 type logChunkSM struct {
 	mu      sync.RWMutex
-	records []plog.Record // ascending LSN
-	tail    types.LSN     // highest durable LSN
-	head    types.LSN     // records below this have been truncated
+	batches []logBatch // ascending LSN
+	tail    types.LSN  // highest durable LSN
+	head    types.LSN  // records below this have been truncated
+}
+
+// logBatch is one append, kept encoded. Of its records the log holds
+// those above after that also rise above every record before them in
+// the batch: the same records a walk that skips anything at or below
+// the running tail would have kept.
+type logBatch struct {
+	after types.LSN // the log's tail when the batch came, raised by truncation
+	last  types.LSN // the batch's highest record
+	recs  []byte    // plog.MarshalRecords layout
 }
 
 const (
@@ -29,29 +43,37 @@ func (sm *logChunkSM) Apply(index uint64, cmd []byte) {
 	rd := wire.NewReader(cmd)
 	switch rd.U8() {
 	case logCmdAppend:
-		recs, err := plog.UnmarshalRecords(rd.Bytes32())
+		buf := rd.View32()
+		recs, err := plog.ReadRecords(buf)
 		if err != nil {
 			return // corrupt command: logged state unchanged
 		}
 		sm.mu.Lock()
-		for _, r := range recs {
-			// Idempotent: skip anything at or below the current tail
-			// (client retries after leader changes may replay a batch).
-			if r.LSN <= sm.tail {
-				continue
-			}
-			sm.records = append(sm.records, r)
-			sm.tail = r.LSN
+		// Idempotent: a record at or below the tail is not the log's
+		// (client retries after leader changes may replay a batch).
+		b := logBatch{after: sm.tail, recs: buf}
+		var r plog.Record
+		for recs.Next(&r) {
+			sm.tail = max(sm.tail, r.LSN)
+		}
+		if sm.tail > b.after {
+			b.last = sm.tail
+			sm.batches = append(sm.batches, b)
 		}
 		sm.mu.Unlock()
 	case logCmdTruncate:
 		upTo := types.LSN(rd.U64())
 		sm.mu.Lock()
 		i := 0
-		for i < len(sm.records) && sm.records[i].LSN <= upTo {
+		for i < len(sm.batches) && sm.batches[i].last <= upTo {
 			i++
 		}
-		sm.records = sm.records[i:]
+		// Delete clears the slots it vacates, so the backing array keeps
+		// no dropped batch alive.
+		sm.batches = slices.Delete(sm.batches, 0, i)
+		if len(sm.batches) > 0 {
+			sm.batches[0].after = max(sm.batches[0].after, upTo)
+		}
 		if upTo > sm.head {
 			sm.head = upTo
 		}
@@ -59,20 +81,36 @@ func (sm *logChunkSM) Apply(index uint64, cmd []byte) {
 	}
 }
 
-// readFrom returns up to max records with LSN in (after, tail].
-func (sm *logChunkSM) readFrom(after types.LSN, max int) []plog.Record {
+// readFrom returns up to max records with LSN in (after, tail]. Their
+// Data alias the kept batches, which nobody writes.
+func (sm *logChunkSM) readFrom(after types.LSN, max int) ([]plog.Record, error) {
 	sm.mu.RLock()
 	defer sm.mu.RUnlock()
 	out := make([]plog.Record, 0, 64)
-	for _, r := range sm.records {
-		if r.LSN > after {
-			out = append(out, r)
-			if max > 0 && len(out) >= max {
-				break
+	for _, b := range sm.batches {
+		if b.last <= after {
+			continue
+		}
+		recs, err := plog.ReadRecords(b.recs)
+		if err != nil {
+			return nil, fmt.Errorf("polarfs: log batch (%d, %d]: %w", b.after, b.last, err)
+		}
+		floor := b.after
+		var r plog.Record
+		for recs.Next(&r) {
+			if r.LSN <= floor {
+				continue
+			}
+			floor = r.LSN
+			if r.LSN > after {
+				out = append(out, r)
+				if max > 0 && len(out) >= max {
+					return out, nil
+				}
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 func (sm *logChunkSM) tailLSN() types.LSN {
@@ -106,15 +144,22 @@ func (lc *logChunk) close() { lc.replica.Close() }
 // handleAppend durably appends a batch of redo records (raft-committed
 // across the replica set) and returns the new tail LSN.
 func (lc *logChunk) handleAppend(from rdma.NodeID, req []byte) ([]byte, error) {
-	w := wire.NewWriter(len(req) + 8)
-	w.U8(logCmdAppend)
-	w.Bytes32(req)
-	if _, err := lc.replica.Propose(w.Bytes(), parallelraft.FullRange); err != nil {
+	if _, err := lc.replica.Propose(appendCommand(req), parallelraft.FullRange); err != nil {
 		return nil, err
 	}
 	resp := wire.NewWriter(8)
 	resp.U64(uint64(lc.sm.tailLSN()))
 	return resp.Bytes(), nil
+}
+
+// appendCommand wraps an append request's record batch in the log
+// chunk's append command, in a buffer of exactly its size. Raft never
+// writes a command again, so the log keeps a view of its batch.
+func appendCommand(req []byte) []byte {
+	w := wire.NewWriter(1 + 4 + len(req))
+	w.U8(logCmdAppend)
+	w.Bytes32(req)
+	return w.Bytes()
 }
 
 // handleRead serves records with LSN in (after, tail]; max bounds the batch.
@@ -128,7 +173,10 @@ func (lc *logChunk) handleRead(from rdma.NodeID, req []byte) ([]byte, error) {
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
-	recs := lc.sm.readFrom(after, max)
+	recs, err := lc.sm.readFrom(after, max)
+	if err != nil {
+		return nil, err
+	}
 	return plog.MarshalRecords(recs), nil
 }
 

@@ -43,17 +43,19 @@ type pageChunkSM struct {
 }
 
 // Apply ingests an add command: the coverage LSN, then the marshalled
-// records.
+// records. It walks the batch in place, so applying records to pages the
+// chunk already holds allocates nothing.
 func (sm *pageChunkSM) Apply(index uint64, cmd []byte) {
 	rd := wire.NewReader(cmd)
 	cov := types.LSN(rd.U64())
-	recs, err := plog.UnmarshalRecords(rd.Bytes32())
+	recs, err := plog.ReadRecords(rd.View32())
 	if err != nil {
 		return // corrupt command: chunk state unchanged
 	}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	for _, r := range recs {
+	var r plog.Record
+	for recs.Next(&r) {
 		k := r.Page.Key()
 		img := sm.pages[k]
 		if img == nil {
@@ -128,11 +130,7 @@ func (pc *pageChunk) handleAdd(from rdma.NodeID, req []byte) ([]byte, error) {
 	pc.metAdds.Inc()
 	rd := wire.NewReader(req)
 	rd.U64() // coverage, for Apply
-	recsBuf := rd.Bytes32()
-	if err := rd.Err(); err != nil {
-		return nil, err
-	}
-	recs, err := plog.UnmarshalRecords(recsBuf)
+	recs, err := plog.ReadRecords(rd.View32())
 	if err != nil {
 		return nil, err
 	}
@@ -148,10 +146,11 @@ func (pc *pageChunk) handleAdd(from rdma.NodeID, req []byte) ([]byte, error) {
 // page once. Every entry carries its predecessors' ranges as look-behind,
 // so a range per record would be paid for again by each of the next
 // Window appends.
-func pageRanges(recs []plog.Record) []parallelraft.Range {
-	keys := make([]uint64, len(recs))
-	for i, r := range recs {
-		keys[i] = r.Page.Key()
+func pageRanges(recs plog.BatchReader) []parallelraft.Range {
+	keys := make([]uint64, 0, recs.Len())
+	var r plog.Record
+	for recs.Next(&r) {
+		keys = append(keys, r.Page.Key())
 	}
 	slices.Sort(keys)
 	var ranges []parallelraft.Range

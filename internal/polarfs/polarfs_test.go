@@ -35,6 +35,17 @@ func rec(lsn types.LSN, space types.SpaceID, no types.PageNo, off uint16, data s
 	return plog.Record{LSN: lsn, Page: types.PageID{Space: space, No: no}, Off: off, Data: []byte(data)}
 }
 
+// batchOf encodes recs as one batch and returns a reader over it, as a
+// chunk sees the batch in a request.
+func batchOf(t *testing.T, recs []plog.Record) plog.BatchReader {
+	t.Helper()
+	b, err := plog.ReadRecords(plog.MarshalRecords(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestAppendAndReadRedo(t *testing.T) {
 	v := newTestVolume(t, VolumeConfig{})
 	recs := []plog.Record{rec(1, 1, 1, 0, "a"), rec(2, 1, 2, 4, "bb")}
@@ -386,7 +397,7 @@ func TestAddNamesEachPageOnce(t *testing.T) {
 		id := []types.PageID{far, a, b}[i%3]
 		recs = append(recs, rec(types.LSN(i+1), id.Space, id.No, uint16(i*8), "x"))
 	}
-	got := pageRanges(recs)
+	got := pageRanges(batchOf(t, recs))
 	want := []parallelraft.Range{{Start: a.Key(), End: b.Key() + 1}, {Start: far.Key(), End: far.Key() + 1}}
 	if !slices.Equal(got, want) {
 		t.Fatalf("an add of 30 records on pages %s, %s, %s proposes %v, want %v", a, b, far, got, want)
@@ -402,9 +413,9 @@ func TestAddNamesEachPageOnce(t *testing.T) {
 		}
 		return false
 	}
-	one := pageRanges([]plog.Record{rec(1, 3, 10, 0, "p"), rec(2, 3, 12, 0, "q")})
-	other := pageRanges([]plog.Record{rec(3, 3, 11, 0, "r"), rec(4, 4, 10, 0, "s")})
-	same := pageRanges([]plog.Record{rec(5, 3, 12, 64, "t")})
+	one := pageRanges(batchOf(t, []plog.Record{rec(1, 3, 10, 0, "p"), rec(2, 3, 12, 0, "q")}))
+	other := pageRanges(batchOf(t, []plog.Record{rec(3, 3, 11, 0, "r"), rec(4, 4, 10, 0, "s")}))
+	same := pageRanges(batchOf(t, []plog.Record{rec(5, 3, 12, 64, "t")}))
 	if conflict(one, other) {
 		t.Errorf("adds on disjoint pages conflict: %v and %v", one, other)
 	}

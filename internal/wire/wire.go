@@ -3,6 +3,13 @@
 // the repository implements its own Marshal/Unmarshal on top of these
 // primitives; we deliberately avoid reflective codecs (encoding/gob) on
 // hot paths such as page registration and log shipping.
+//
+// Buffer ownership: a buffer handed to an RPC or proposed as a raft
+// command is never written again, by its sender or by anyone it reaches.
+// A length-prefixed field therefore has two readers. Bytes32 copies, for
+// a value that outlives a buffer someone may reuse; View32 aliases, for a
+// value read out of such a never-written buffer (the redo path decodes
+// its record batches this way, from the request to every chunk replica).
 package wire
 
 import (
@@ -145,6 +152,19 @@ func (r *Reader) Bytes32() []byte {
 	out := make([]byte, n)
 	copy(out, b)
 	return out
+}
+
+// View32 reads a length-prefixed byte slice without copying it: the
+// result aliases the reader's buffer and is valid as long as that buffer
+// is not written. Its capacity ends with it, so appending to it cannot
+// reach the bytes that follow.
+func (r *Reader) View32() []byte {
+	n := int(r.U32())
+	b := r.take(n)
+	if b == nil {
+		return nil
+	}
+	return b[:n:n]
 }
 
 // String reads a length-prefixed string.

@@ -98,3 +98,32 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestView32Aliases(t *testing.T) {
+	w := NewWriter(16)
+	w.Bytes32([]byte{9, 9})
+	w.U8(7)
+	buf := w.Bytes()
+	r := NewReader(buf)
+	b := r.View32()
+	if r.Err() != nil || !bytes.Equal(b, []byte{9, 9}) {
+		t.Fatalf("View32 = %v, %v", b, r.Err())
+	}
+	buf[4] = 1 // the view sees writes to the buffer it was read from
+	if b[0] != 1 {
+		t.Fatal("View32 copied the source buffer")
+	}
+	if cap(b) != len(b) {
+		t.Fatalf("View32 cap = %d, want %d: an append would overwrite the next field", cap(b), len(b))
+	}
+	_ = append(b, 0)
+	if v := r.U8(); v != 7 {
+		t.Fatalf("field after the view = %d, want 7", v)
+	}
+
+	// A length beyond the buffer is an error and no view.
+	r = NewReader([]byte{5, 0, 0, 0, 1})
+	if b := r.View32(); b != nil || !errors.Is(r.Err(), ErrShort) {
+		t.Fatalf("short View32 = %v, %v", b, r.Err())
+	}
+}
