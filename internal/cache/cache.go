@@ -62,11 +62,9 @@ type Frame struct {
 	Remote RemoteInfo
 
 	// NewestLSN is the LSN of the last redo record modifying this frame.
+	// On the RW the frame may only leave the cache once the page chunks
+	// have acknowledged redo up to it.
 	NewestLSN types.LSN
-	// ShippedLSN is the highest LSN covering this page acknowledged by the
-	// owning page chunk; the frame may only be dropped (and its remote
-	// copy evicted) once ShippedLSN >= NewestLSN.
-	ShippedLSN types.LSN
 
 	pins  atomic.Int32
 	dirty atomic.Bool

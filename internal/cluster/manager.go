@@ -14,11 +14,10 @@ import (
 type Manager struct {
 	c *Cluster
 
-	mu       sync.Mutex
-	stopCh   chan struct{}
-	wg       sync.WaitGroup
-	running  bool
-	switchMu sync.Mutex // serializes failovers
+	mu      sync.Mutex
+	stopCh  chan struct{}
+	wg      sync.WaitGroup
+	running bool
 
 	// Events receives human-readable CM events (tests, CLI).
 	Events chan string
@@ -121,17 +120,17 @@ func (m *Manager) FailoverTraditional() error {
 }
 
 func (m *Manager) failover(planned, traditional bool) error {
-	m.switchMu.Lock()
-	defer m.switchMu.Unlock()
 	c := m.c
+	// Pause the proxy: drains in-flight statements, holds new ones. The
+	// gate also serializes failovers with each other and with
+	// FailoverHome and FullRestart, so the RO list and the old RW are read
+	// under it.
+	c.Proxy.gate.Lock()
+	defer c.Proxy.gate.Unlock()
 	if len(c.ROs) == 0 {
 		return fmt.Errorf("cluster: no RO node available for promotion")
 	}
 	old := c.Proxy.rwNode()
-
-	// Pause the proxy: drains in-flight statements, holds new ones.
-	c.Proxy.gate.Lock()
-	defer c.Proxy.gate.Unlock()
 
 	if planned {
 		// Old RW cleans up: sync redo to page chunks, write dirty pages to

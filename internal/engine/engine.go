@@ -472,7 +472,6 @@ func (e *Engine) readFrame(f *cache.Frame, fresh bool) error {
 		case fromRemote: // the page LSN travels in bytes 0-8 of the image
 			e.met.remoteRead.Inc()
 			f.NewestLSN = types.LSN(binary.LittleEndian.Uint64(f.Data[0:8]))
-			f.ShippedLSN = f.NewestLSN
 		default:
 			if err := e.fillFromStorage(f); err != nil {
 				return err
@@ -561,7 +560,6 @@ func (e *Engine) fillFromStorage(f *cache.Frame) error {
 	}
 	binary.LittleEndian.PutUint64(f.Data[0:8], uint64(lsn))
 	f.NewestLSN = lsn
-	f.ShippedLSN = lsn
 	return nil
 }
 
@@ -570,13 +568,11 @@ func (e *Engine) fillFromStorage(f *cache.Frame) error {
 // (Figure 7 step 6); dirty frames are written back to remote memory first.
 func (e *Engine) onEvict(f *cache.Frame) {
 	shipped := true
-	if !e.cfg.ReadOnly && f.NewestLSN > f.ShippedLSN {
-		// If the engine stopped first, the page must not reach the pool
-		// ahead of its redo: it leaves without a write-back.
+	if !e.cfg.ReadOnly {
+		// Returns at once if the redo has shipped. If the engine stopped
+		// first, the page must not reach the pool ahead of its redo: it
+		// leaves without a write-back.
 		shipped = e.awaitShipper(plog.Shipped, f.NewestLSN) == nil
-		if shipped {
-			f.ShippedLSN = f.NewestLSN
-		}
 	}
 	if shipped && f.Dirty() && !e.cfg.ReadOnly && f.Remote.Registered {
 		if err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB); err == nil {
@@ -606,13 +602,15 @@ func (e *Engine) awaitShipper(w plog.Watermark, lsn types.LSN) error {
 
 // PLLockX takes the page's global latch exclusively (RDMA CAS fast path,
 // home negotiation slow path). A no-op without remote memory (single-node
-// baselines have no cross-node readers).
+// baselines have no cross-node readers), and for a storage-direct page:
+// one whose frame never registered, or whose registration the pool has
+// dropped since (rmem.ErrNotRegistered).
 func (e *Engine) PLLockX(f *cache.Frame) error {
 	if e.pool == nil || !f.Remote.Registered {
 		return nil
 	}
 	e.met.smoLatchX.Inc()
-	return e.pool.PL().LockX(f.ID, f.Remote.PL)
+	return storageDirect(e.pool.PL().LockX(f.ID, f.Remote.PL))
 }
 
 // PLUnlockX releases an SMO's latch participation; the latch itself stays
@@ -631,7 +629,17 @@ func (e *Engine) PLLockS(f *cache.Frame) error {
 		return nil
 	}
 	e.met.smoLatchS.Inc()
-	return e.pool.PL().LockS(f.ID, remote.PL)
+	return storageDirect(e.pool.PL().LockS(f.ID, remote.PL))
+}
+
+// storageDirect reads a latch on a page the pool holds no registration
+// for as no latch: the page is storage-direct, like a frame that never
+// registered.
+func storageDirect(err error) error {
+	if errors.Is(err, rmem.ErrNotRegistered) {
+		return nil
+	}
+	return err
 }
 
 // PLUnlockS releases a shared global latch.

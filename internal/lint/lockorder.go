@@ -109,11 +109,10 @@ const plClass = "PL"
 // fabric-intolerant until someone argues otherwise here — and DESIGN.md
 // documents the same table (docdrift_test.go pins the two together).
 var fabricTolerant = map[string]string{
-	plClass:                    "the global page latch is taken and held across RDMA by design (CAS fast path, home negotiation, sticky retention); its fabric cost is the paper's cost model",
-	"cache.Frame.Latch":        "page materialization and B-tree latch coupling hold a frame latch while the page body or the child's PL crosses the fabric; instance-ordered by tree level",
-	"cluster.Session.mu":       "per-session serialization: one statement at a time per connection, each spanning full engine operations",
-	"cluster.Proxy.gate":       "the transparent-switchover fence: read-held across statements precisely so a handover can drain them",
-	"cluster.Manager.switchMu": "planned handover is stop-the-world for the cluster by design",
+	plClass:              "the global page latch is taken and held across RDMA by design (CAS fast path, home negotiation, sticky retention); its fabric cost is the paper's cost model",
+	"cache.Frame.Latch":  "page materialization and B-tree latch coupling hold a frame latch while the page body or the child's PL crosses the fabric; instance-ordered by tree level",
+	"cluster.Session.mu": "per-session serialization: one statement at a time per connection, each spanning full engine operations",
+	"cluster.Proxy.gate": "the transparent-switchover fence: read-held across statements precisely so a handover can drain them; a failover holds it exclusively, which also serializes failovers",
 }
 
 // pageOrdered marks the page-latch classes whose mutual acquisition

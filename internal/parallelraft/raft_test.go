@@ -56,6 +56,12 @@ type testGroup struct {
 
 func newTestGroup(t *testing.T, n int, bootstrap bool) *testGroup {
 	t.Helper()
+	return newTestGroupElecting(t, n, bootstrap, 60*time.Millisecond)
+}
+
+// newTestGroupElecting is newTestGroup with the given election timeout.
+func newTestGroupElecting(t *testing.T, n int, bootstrap bool, election time.Duration) *testGroup {
+	t.Helper()
 	g := &testGroup{
 		fabric:   rdma.NewFabric(rdma.TestConfig()),
 		replicas: make(map[rdma.NodeID]*Replica),
@@ -70,7 +76,7 @@ func newTestGroup(t *testing.T, n int, bootstrap bool) *testGroup {
 		Peers:             g.peers,
 		Window:            8,
 		HeartbeatInterval: 10 * time.Millisecond,
-		ElectionTimeout:   60 * time.Millisecond,
+		ElectionTimeout:   election,
 		Bootstrap:         bootstrap,
 	}
 	for _, p := range g.peers {

@@ -35,7 +35,12 @@ func proposeMany(t *testing.T, l *Replica, n int) {
 // situations truncation has to get right: steady state, a replica down, its
 // return, and a leader change.
 func TestLogTruncation(t *testing.T) {
-	g := newTestGroup(t, 3, true)
+	// A follower that misses heartbeats for an election timeout deposes a
+	// live leader, and a proposal that then fails with ErrNotLeader may
+	// still commit, so proposeMany cannot retry it. The timeout is set
+	// above the scheduling gaps of a shared CPU; the leader change below
+	// kills the leader outright.
+	g := newTestGroupElecting(t, 3, true, 500*time.Millisecond)
 	window := 8 // newTestGroup's Config.Window
 	l := g.replicas[g.peers[0]]
 	settle := func(what string, cond func() bool) {

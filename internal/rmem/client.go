@@ -36,14 +36,16 @@ type RegisterResult struct {
 // flight*: when the home runs out of slots and asks for them (cb.reclaim,
 // the oldest unregisterBatch), and at Flush. Registering a page that is
 // in flight, or that another goroutine is registering, waits for that
-// round trip first. A page with local users, or whose PL latch a critical
-// section pins, is never put in a batch; a sticky X latch leaves with its
+// round trip first. An entry also carries the page's PL record, the
+// global latch as this node holds it (see PLManager). A page with local
+// users, or whose latch a critical section pins or an acquisition is
+// taking, is never put in a batch; a sticky X latch leaves with its
 // entry. An entry also leaves when the home says its addresses are gone
 // (cb.slabfail: the home's purge, for a slab crash, a Shrink or an RW
-// takeover), taking its PL record with it, and when the node changes
-// home. So an entry always means "the home counts this node as a
-// holder", and the home never evicts under it; idle entries are a cache
-// of mappings that the home shrinks when it needs the slots.
+// takeover), and when the node changes home, its latch with it. So an
+// entry always means "the home counts this node as a holder", and the
+// home never evicts under it; idle entries are a cache of mappings that
+// the home shrinks when it needs the slots.
 type Pool struct {
 	ep  *rdma.Endpoint
 	met poolMetrics
@@ -53,7 +55,10 @@ type Pool struct {
 	regs    map[types.PageID]*registration
 	idle    *list.List // idle pages (types.PageID), oldest first
 	dropSeq uint64     // counts the times entries were dropped from outside (callback, SwitchHome)
-	pl      *PLManager
+	// plChanged is broadcast when a latch acquisition ends, a latch is let
+	// go, or entries leave from outside: PLManager waits on it.
+	plChanged *sync.Cond
+	pl        *PLManager
 
 	invalidateFn func(types.PageID)
 	slabFailFn   func([]types.PageID)
@@ -74,6 +79,10 @@ type registration struct {
 	// seq is the drop count a register's reply is checked against.
 	done chan struct{}
 	seq  uint64
+	// pl is the page's global latch as this node holds it; acquiring is
+	// set while a LockX or LockS of the page is on the wire.
+	pl        plRecord
+	acquiring bool
 }
 
 // unregBatch is one unreg round trip; done closes when it is answered.
@@ -132,7 +141,8 @@ func NewPool(ep *rdma.Endpoint, cfg Config, home rdma.NodeID) (*Pool, error) {
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
-	p.pl = NewPLManager(ep, cfg, home, ownerIdx)
+	p.plChanged = sync.NewCond(&p.mu)
+	p.pl = newPLManager(p, cfg, ownerIdx)
 	ep.RegisterHandler(method("cb.inv"), p.handleInvalidateCB)
 	ep.RegisterHandler(method("cb.slabfail"), p.handleSlabFailCB)
 	ep.RegisterHandler(method("cb.reclaim"), p.handleReclaimCB)
@@ -151,16 +161,16 @@ func (p *Pool) Home() rdma.NodeID {
 
 // SwitchHome repoints the client after a home failover (all cached remote
 // addresses become invalid; callers must drop them and re-register). The
-// registration table goes with the old home: the PL and PIB addresses in
-// it point into that node's memory.
+// registration table goes with the old home, latches and all: the PL and
+// PIB addresses in it point into that node's memory.
 func (p *Pool) SwitchHome(home rdma.NodeID) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.home = home
 	p.regs = make(map[types.PageID]*registration)
 	p.idle.Init()
 	p.dropSeq++
-	p.mu.Unlock()
-	p.pl.SetHome(home)
+	p.plChanged.Broadcast()
 }
 
 // OnInvalidate installs the callback run when the home invalidates a page
@@ -184,7 +194,7 @@ func writePages(w *wire.Writer, pages []types.PageID) {
 }
 
 func readPages(rd *wire.Reader) []types.PageID {
-	pages := make([]types.PageID, int(rd.U32()))
+	pages := make([]types.PageID, rd.Count(8))
 	for i := range pages {
 		pages[i] = types.PageID{Space: types.SpaceID(rd.U32()), No: types.PageNo(rd.U32())}
 	}
@@ -355,21 +365,23 @@ func (p *Pool) handleReclaimCB(from rdma.NodeID, req []byte) ([]byte, error) {
 // takeIdleLocked turns up to n of the oldest idle entries into a batch in
 // flight (nil if there are none). A page's PL record leaves with its
 // entry: a sticky X latch's word goes into the batch, to be cleared
-// before the unreg, while the slot is still the node's. An entry whose
-// latch a critical section pins stays.
+// before the unreg, while the slot is still the node's. A revoke that
+// comes meanwhile finds no latch, and the home finds the word clear on
+// its next look. An entry whose latch a critical section pins, or an
+// acquisition is taking, stays.
 func (p *Pool) takeIdleLocked(n int) *unregBatch {
 	b := &unregBatch{done: make(chan struct{})}
 	for el := p.idle.Front(); el != nil && len(b.pages) < n; {
 		next := el.Next()
 		page := el.Value.(types.PageID)
-		if x, sticky, pinned := p.pl.yield(page); !pinned {
-			r := p.regs[page]
+		if r := p.regs[page]; r.pl.pins == 0 && !r.acquiring {
 			p.idle.Remove(el)
 			r.idle, r.done = nil, b.done
 			b.pages = append(b.pages, page)
-			if sticky {
-				b.latches = append(b.latches, x)
+			if r.pl.held { // an unpinned latch is a sticky X
+				b.latches = append(b.latches, r.res.PL)
 			}
+			r.pl = plRecord{}
 		}
 		el = next
 	}
@@ -410,12 +422,10 @@ func (p *Pool) sendUnregister(b *unregBatch) error {
 }
 
 // dropRegistrations forgets pages whose addresses the home has taken
-// away, and their PL records: the latch words went with the slots, and a
-// record kept would make the next LockX at a new slot a sticky hit that
-// never touches the new word. A busy entry stays until its round trip is
-// answered — a Register waiting on a batch still orders after the Unref,
-// and a first register sees from the drop count that its reply cannot be
-// trusted.
+// away, and with them their PL records: the latch words went with the
+// slots. A busy entry stays until its round trip is answered — a
+// Register waiting on a batch still orders after the Unref, and a first
+// register sees from the drop count that its reply cannot be trusted.
 func (p *Pool) dropRegistrations(pages []types.PageID) {
 	p.mu.Lock()
 	for _, page := range pages {
@@ -426,8 +436,8 @@ func (p *Pool) dropRegistrations(pages []types.PageID) {
 		p.leaveIdleLocked(r)
 		delete(p.regs, page)
 	}
-	p.pl.forget(pages)
 	p.dropSeq++
+	p.plChanged.Broadcast()
 	p.mu.Unlock()
 }
 

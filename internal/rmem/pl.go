@@ -2,9 +2,7 @@ package rmem
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"polardb/internal/rdma"
@@ -52,30 +50,37 @@ func (m PLMode) String() string {
 	return "S"
 }
 
-type heldPL struct {
-	addr rdma.Addr
-	mode PLMode
-	pins int // active critical sections
-	// sticky X-latches are kept after the last unpin until revoked
-	cond      *sync.Cond
+// plRecord is a page's global latch as this node holds it, kept in the
+// page's registration entry so that it leaves the table with the entry.
+// pins counts the critical sections in the latch; an X latch left with
+// none is sticky, and stays until the home revokes it or the entry
+// leaves. revokeReq says the home waits for the X latch: the last unpin
+// lets it go.
+type plRecord struct {
+	held      bool
+	mode      PLMode
+	pins      int
 	revokeReq bool
 }
+
+func (r *registration) heldX() bool { return r.pl.held && r.pl.mode == PLExclusive }
 
 // PLManager is the database-node side of the global page latch protocol.
 // It implements the RDMA-CAS fast path, falls back to home-node
 // negotiation, and keeps X-latches sticky: an SMO's latches are retained
 // after the SMO completes so the next SMO on the same pages pays nothing,
 // and are released lazily when another node asks for them (§3.2).
+//
+// It is a view over the pool's registration table: a page's latch record
+// lives in its entry and is guarded by Pool.mu. A latch is taken only at
+// the address the entry holds, so a page with no entry, or one called
+// with an address its entry no longer has, touches no word and gets
+// ErrNotRegistered.
 type PLManager struct {
-	ep       *rdma.Endpoint
-	cfg      Config
-	home     rdma.NodeID
+	p        *Pool
+	timeout  time.Duration
 	ownerIdx uint16
-
-	mu   sync.Mutex
-	held map[uint64]*heldPL
-
-	met plMetrics
+	met      plMetrics
 }
 
 // plMetrics count latch-path outcomes in the node registry (§3.2).
@@ -86,216 +91,172 @@ type plMetrics struct {
 	revoke *stat.Counter // sticky latches surrendered to another node
 }
 
-func newPLMetrics(r *stat.Registry) plMetrics {
-	return plMetrics{
+func newPLManager(p *Pool, cfg Config, ownerIdx uint16) *PLManager {
+	cfg.applyDefaults()
+	r := p.ep.Metrics()
+	m := &PLManager{p: p, timeout: cfg.LatchTimeout, ownerIdx: ownerIdx, met: plMetrics{
 		fast:   r.Counter("rmem.pl.fast"),
 		slow:   r.Counter("rmem.pl.slow"),
 		sticky: r.Counter("rmem.pl.sticky"),
 		revoke: r.Counter("rmem.pl.revoke"),
-	}
-}
-
-// NewPLManager creates the node's latch manager. ownerIdx is the node
-// index assigned by the home at registration time (carried in X words so
-// other nodes can find the owner). It registers the revoke callback.
-func NewPLManager(ep *rdma.Endpoint, cfg Config, home rdma.NodeID, ownerIdx uint16) *PLManager {
-	cfg.applyDefaults()
-	m := &PLManager{ep: ep, cfg: cfg, home: home, ownerIdx: ownerIdx, held: make(map[uint64]*heldPL), met: newPLMetrics(ep.Metrics())}
-	ep.RegisterHandler(method("cb.revoke"), m.handleRevoke)
+	}}
+	p.ep.RegisterHandler(method("cb.revoke"), m.handleRevoke)
 	return m
-}
-
-// SetHome repoints the manager after a home failover. All sticky state is
-// dropped; latches on the old home are gone with it.
-func (m *PLManager) SetHome(home rdma.NodeID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.home = home
-	m.held = make(map[uint64]*heldPL)
 }
 
 // LockX acquires the page's global latch exclusively. plAddr is the latch
 // word address returned by page_register.
 func (m *PLManager) LockX(page types.PageID, plAddr rdma.Addr) error {
-	k := page.Key()
-	m.mu.Lock()
-	if h, ok := m.held[k]; ok && h.mode == PLExclusive {
-		// Sticky hit: we still own the X latch from a previous SMO.
-		h.pins++
-		h.addr = plAddr
-		m.met.sticky.Inc()
-		m.mu.Unlock()
-		return nil
+	r, err := m.begin(page, plAddr, PLExclusive)
+	if r == nil {
+		return err
 	}
-	m.mu.Unlock()
+	// Fast path: one RDMA CAS; else negotiate through the home node.
+	_, fast, err := m.p.ep.CAS64(plAddr, 0, plMakeX(m.ownerIdx))
+	if err == nil && !fast {
+		err = m.slowAcquire(page, PLExclusive)
+	}
+	return m.finish(page, r, PLExclusive, fast, err)
+}
 
-	// Fast path: one RDMA CAS.
-	want := plMakeX(m.ownerIdx)
-	if _, ok, err := m.ep.CAS64(plAddr, 0, want); err != nil {
-		return err
-	} else if ok {
-		m.record(k, plAddr, PLExclusive, true)
-		return nil
-	}
-	// Slow path: negotiate through the home node.
-	if err := m.slowAcquire(page, PLExclusive); err != nil {
+// LockS acquires the latch in shared mode (RO traversals).
+func (m *PLManager) LockS(page types.PageID, plAddr rdma.Addr) error {
+	r, err := m.begin(page, plAddr, PLShared)
+	if r == nil {
 		return err
 	}
-	m.record(k, plAddr, PLExclusive, false)
+	// Fast path: a few CAS attempts to bump the S count.
+	fast := false
+	for attempt := 0; attempt < 3; attempt++ {
+		var w uint64
+		if w, err = m.p.ep.Load64(plAddr); err != nil || plIsX(w) {
+			break
+		}
+		if _, fast, err = m.p.ep.CAS64(plAddr, w, w+1); err != nil || fast {
+			break
+		}
+	}
+	if err == nil && !fast {
+		err = m.slowAcquire(page, PLShared)
+	}
+	return m.finish(page, r, PLShared, fast, err)
+}
+
+// begin starts taking the page's latch in mode at plAddr. It returns nil
+// when no word is to be touched: the node holds the latch in mode already
+// (one more pin, nil error), or the page has no idle or held entry at
+// plAddr (ErrNotRegistered). Otherwise the entry comes back marked
+// acquiring, which keeps it in the table and makes the node's other
+// acquisitions of the page wait, and finish must follow.
+func (m *PLManager) begin(page types.PageID, plAddr rdma.Addr, mode PLMode) (*registration, error) {
+	p := m.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		r := p.regs[page]
+		switch {
+		case r == nil || r.done != nil || r.res.PL != plAddr:
+			return nil, fmt.Errorf("%w: latch %s at %v", ErrNotRegistered, page, plAddr)
+		case r.acquiring:
+			p.plChanged.Wait()
+		case r.pl.held && r.pl.mode == mode:
+			r.pl.pins++
+			if mode == PLExclusive {
+				m.met.sticky.Inc()
+			}
+			return nil, nil
+		default:
+			r.acquiring = true
+			return r, nil
+		}
+	}
+}
+
+// finish ends an acquisition begun by begin: with err nil the entry now
+// holds the latch in mode, pinned once. If the entry left the table
+// meanwhile (a purge or a home switch took the word with its slot) there
+// is no latch to keep, and the call reports ErrNotRegistered.
+func (m *PLManager) finish(page types.PageID, r *registration, mode PLMode, fast bool, err error) error {
+	p := m.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r.acquiring = false
+	p.plChanged.Broadcast()
+	if err != nil {
+		return err
+	}
+	if p.regs[page] != r {
+		return fmt.Errorf("%w: %s left the table while its latch was taken", ErrNotRegistered, page)
+	}
+	r.pl = plRecord{held: true, mode: mode, pins: 1}
+	if fast {
+		m.met.fast.Inc()
+	} else {
+		m.met.slow.Inc()
+	}
 	return nil
+}
+
+// unpin ends one critical section in the page's latch held in mode. It
+// returns the latch word to release when that was the last pin and the
+// latch does not stay sticky.
+func (m *PLManager) unpin(page types.PageID, mode PLMode, sticky bool) (rdma.Addr, bool, error) {
+	p := m.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r := p.regs[page]
+	if r == nil || !r.pl.held || r.pl.mode != mode || r.pl.pins == 0 {
+		return rdma.Addr{}, false, fmt.Errorf("%w: unlock%s %s", ErrNotRegistered, mode, page)
+	}
+	r.pl.pins--
+	if r.pl.pins > 0 || sticky && !r.pl.revokeReq {
+		return rdma.Addr{}, false, nil
+	}
+	r.pl = plRecord{}
+	p.plChanged.Broadcast()
+	return r.res.PL, true, nil
 }
 
 // UnlockX unpins an X latch. If sticky is true the latch is retained
 // (released lazily on revocation); otherwise it is released immediately
 // once no pins remain.
 func (m *PLManager) UnlockX(page types.PageID, sticky bool) error {
-	k := page.Key()
-	m.mu.Lock()
-	h, ok := m.held[k]
-	if !ok || h.mode != PLExclusive {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: unlockX %s", ErrNotRegistered, page)
+	addr, release, err := m.unpin(page, PLExclusive, sticky)
+	if !release {
+		return err
 	}
-	h.pins--
-	if h.pins > 0 {
-		m.mu.Unlock()
-		return nil
-	}
-	if sticky && !h.revokeReq {
-		h.cond.Broadcast()
-		m.mu.Unlock()
-		return nil
-	}
-	delete(m.held, k)
-	addr := h.addr
-	h.cond.Broadcast()
-	m.mu.Unlock()
 	return m.releaseX(addr)
-}
-
-func (m *PLManager) releaseX(addr rdma.Addr) error {
-	_, ok, err := m.ep.CAS64(addr, plMakeX(m.ownerIdx), 0)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		// The home may have force-released it (node kick / recovery).
-		return nil
-	}
-	return nil
-}
-
-// LockS acquires the latch in shared mode (RO traversals).
-func (m *PLManager) LockS(page types.PageID, plAddr rdma.Addr) error {
-	k := page.Key()
-	m.mu.Lock()
-	if h, ok := m.held[k]; ok && h.mode == PLShared {
-		h.pins++
-		m.mu.Unlock()
-		return nil
-	}
-	m.mu.Unlock()
-
-	// Fast path: a few CAS attempts to bump the S count.
-	for attempt := 0; attempt < 3; attempt++ {
-		w, err := m.ep.Load64(plAddr)
-		if err != nil {
-			return err
-		}
-		if plIsX(w) {
-			break
-		}
-		if _, ok, err := m.ep.CAS64(plAddr, w, w+1); err != nil {
-			return err
-		} else if ok {
-			m.record(k, plAddr, PLShared, true)
-			return nil
-		}
-	}
-	if err := m.slowAcquire(page, PLShared); err != nil {
-		return err
-	}
-	m.record(k, plAddr, PLShared, false)
-	return nil
 }
 
 // UnlockS releases a shared latch (S latches are never sticky).
 func (m *PLManager) UnlockS(page types.PageID) error {
-	k := page.Key()
-	m.mu.Lock()
-	h, ok := m.held[k]
-	if !ok || h.mode != PLShared {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: unlockS %s", ErrNotRegistered, page)
+	addr, release, err := m.unpin(page, PLShared, false)
+	if !release {
+		return err
 	}
-	h.pins--
-	if h.pins > 0 {
-		m.mu.Unlock()
-		return nil
-	}
-	delete(m.held, k)
-	addr := h.addr
-	m.mu.Unlock()
+	return m.releaseS(addr)
+}
+
+// releaseX clears the node's X word. A word that is not ours any more was
+// force-released by the home (node kick, recovery).
+func (m *PLManager) releaseX(addr rdma.Addr) error {
+	_, _, err := m.p.ep.CAS64(addr, plMakeX(m.ownerIdx), 0)
+	return err
+}
+
+// releaseS takes the node's share off the S count.
+func (m *PLManager) releaseS(addr rdma.Addr) error {
 	for {
-		w, err := m.ep.Load64(addr)
+		w, err := m.p.ep.Load64(addr)
 		if err != nil {
 			return err
 		}
 		if plSCount(w) == 0 {
 			return nil // force-released by the home
 		}
-		if _, ok, err := m.ep.CAS64(addr, w, w-1); err != nil {
+		if _, ok, err := m.p.ep.CAS64(addr, w, w-1); err != nil || ok {
 			return err
-		} else if ok {
-			return nil
 		}
-	}
-}
-
-// yield takes the page's record away for its registration to leave the
-// table, unless a critical section pins it (pinned). A record left after
-// the last unpin is a sticky X latch: its word comes back (sticky) for the
-// caller to clear while the slot is still the node's. A revoke that comes
-// meanwhile finds no record, and the home finds the word clear on its
-// next look.
-func (m *PLManager) yield(page types.PageID) (x rdma.Addr, sticky, pinned bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.held[page.Key()]
-	if !ok {
-		return rdma.Addr{}, false, false
-	}
-	if h.pins > 0 {
-		return rdma.Addr{}, false, true
-	}
-	delete(m.held, page.Key())
-	return h.addr, h.mode == PLExclusive, false
-}
-
-// forget drops the records of pages whose latch words the home took away
-// with their slots (a purge). A critical section still pinning one finds
-// it gone at unlock; a revoke waiting on it returns.
-func (m *PLManager) forget(pages []types.PageID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, page := range pages {
-		if h, ok := m.held[page.Key()]; ok {
-			delete(m.held, page.Key())
-			h.cond.Broadcast()
-		}
-	}
-}
-
-func (m *PLManager) record(k uint64, addr rdma.Addr, mode PLMode, fast bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := &heldPL{addr: addr, mode: mode, pins: 1}
-	h.cond = sync.NewCond(&m.mu)
-	m.held[k] = h
-	if fast {
-		m.met.fast.Inc()
-	} else {
-		m.met.slow.Inc()
 	}
 }
 
@@ -309,7 +270,7 @@ func (m *PLManager) slowAcquire(page types.PageID, mode PLMode) error {
 	// pl.slow must run home-side code: the home parks the request, revokes
 	// the current owner and hands the latch over — not expressible as a
 	// one-sided write.
-	_, err := m.ep.CallTimeout(m.home, method("pl.slow"), w.Bytes(), m.cfg.LatchTimeout)
+	_, err := m.p.ep.CallTimeout(m.p.Home(), method("pl.slow"), w.Bytes(), m.timeout)
 	if err != nil {
 		return fmt.Errorf("%w: %s %s via home: %v", ErrLatchTimeout, mode, page, err)
 	}
@@ -317,76 +278,74 @@ func (m *PLManager) slowAcquire(page types.PageID, mode PLMode) error {
 }
 
 // handleRevoke is called (via the home) when another node needs a latch we
-// hold sticky. We release as soon as the current critical section ends.
+// hold sticky. We release as soon as the current critical sections end,
+// unless the entry leaves the table first and takes the word with it.
 func (m *PLManager) handleRevoke(from rdma.NodeID, req []byte) ([]byte, error) {
 	rd := wire.NewReader(req)
 	page := types.PageID{Space: types.SpaceID(rd.U32()), No: types.PageNo(rd.U32())}
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
-	k := page.Key()
-	m.mu.Lock()
-	h, ok := m.held[k]
-	if !ok || h.mode != PLExclusive {
-		m.mu.Unlock()
+	p := m.p
+	p.mu.Lock()
+	r := p.regs[page]
+	if r == nil || !r.heldX() {
+		p.mu.Unlock()
 		return nil, nil // already released
 	}
 	m.met.revoke.Inc()
-	h.revokeReq = true
-	for h.pins > 0 && m.held[k] == h {
-		h.cond.Wait()
+	for r.heldX() && r.pl.pins > 0 && p.regs[page] == r {
+		r.pl.revokeReq = true
+		p.plChanged.Wait()
 	}
-	if m.held[k] != h {
-		m.mu.Unlock()
-		return nil, nil // released concurrently
+	if !r.heldX() || p.regs[page] != r {
+		p.mu.Unlock()
+		return nil, nil // released concurrently, or gone with the entry
 	}
-	delete(m.held, k)
-	addr := h.addr
-	m.mu.Unlock()
-	if err := m.releaseX(addr); err != nil {
-		return nil, err
-	}
-	return nil, nil
+	r.pl = plRecord{}
+	p.mu.Unlock()
+	return nil, m.releaseX(r.res.PL)
 }
 
 // ReleaseAll drops every latch this node holds (planned shutdown: the
 // paper's RW actively releases all PL locks before handover).
 func (m *PLManager) ReleaseAll() {
-	m.mu.Lock()
-	var toRelease []heldPL
-	for k, h := range m.held {
-		if h.pins == 0 || h.mode == PLShared {
-			toRelease = append(toRelease, *h)
-			delete(m.held, k)
+	p := m.p
+	var xs, ss []rdma.Addr
+	p.mu.Lock()
+	for _, r := range p.regs {
+		if !r.pl.held || r.pl.mode == PLExclusive && r.pl.pins > 0 {
+			continue
 		}
-	}
-	m.mu.Unlock()
-	for _, h := range toRelease {
-		if h.mode == PLExclusive {
-			_ = m.releaseX(h.addr)
+		if r.pl.mode == PLExclusive {
+			xs = append(xs, r.res.PL)
 		} else {
-			for {
-				w, err := m.ep.Load64(h.addr)
-				if err != nil || plSCount(w) == 0 {
-					break
-				}
-				_, ok, err := m.ep.CAS64(h.addr, w, w-1)
-				if err != nil || ok {
-					break
-				}
-			}
+			ss = append(ss, r.res.PL)
 		}
+		r.pl = plRecord{}
+	}
+	p.mu.Unlock()
+	for _, addr := range xs {
+		_ = m.releaseX(addr)
+	}
+	for _, addr := range ss {
+		_ = m.releaseS(addr)
 	}
 }
 
 // HeldCount reports how many latches are currently held (incl. sticky).
 func (m *PLManager) HeldCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.held)
+	p := m.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, r := range p.regs {
+		if r.pl.held {
+			n++
+		}
+	}
+	return n
 }
-
-var errLatchBusy = errors.New("rmem: latch busy")
 
 // homeGrant negotiates a latch grant on the home node's local word. It
 // revokes sticky X holders and waits for S counts to drain.

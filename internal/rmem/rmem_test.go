@@ -12,6 +12,7 @@ import (
 
 	"polardb/internal/rdma"
 	"polardb/internal/types"
+	"polardb/internal/wire"
 )
 
 // testPool wires one home (also a slab node), optional extra slab nodes,
@@ -637,6 +638,47 @@ func TestPLPinnedXBlocksRevokeUntilUnpin(t *testing.T) {
 	}
 }
 
+// TestPLConcurrentLatchesOfOnePage: critical sections of one node on one
+// page overlap (readers on an RO, SMOs on an RW). Each latch word must
+// come back to 0 once every one of them has ended, with no record left.
+func TestPLConcurrentLatchesOfOnePage(t *testing.T) {
+	tp := newTestPool(t, Config{}, 16)
+	rw := tp.client(t, "rw")
+	ro := tp.client(t, "ro")
+	res, _ := rw.Register(pid(1))
+	if _, err := ro.Register(pid(1)); err != nil {
+		t.Fatal(err)
+	}
+	overlap := func(lock, unlock func() error) {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					if err := lock(); err != nil {
+						t.Errorf("lock: %v", err)
+						return
+					}
+					if err := unlock(); err != nil {
+						t.Errorf("unlock: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	overlap(func() error { return ro.PL().LockS(pid(1), res.PL) }, func() error { return ro.PL().UnlockS(pid(1)) })
+	overlap(func() error { return rw.PL().LockX(pid(1), res.PL) }, func() error { return rw.PL().UnlockX(pid(1), false) })
+	if w, err := rw.ep.Load64(res.PL); err != nil || w != 0 {
+		t.Errorf("latch word = %#x (err %v) after every critical section ended, want 0", w, err)
+	}
+	if n, m := ro.PL().HeldCount(), rw.PL().HeldCount(); n != 0 || m != 0 {
+		t.Errorf("latch records left: ro %d, rw %d; want none", n, m)
+	}
+}
+
 // TestReleaseNodeLatches: a takeover releases the crashed RW's X latch on
 // a page it keeps in the pool, so the next S latch is one CAS, not a
 // negotiation with a dead owner, and drops the crashed RW's references.
@@ -1032,5 +1074,67 @@ func TestPurgeDropsStickyLatchRecord(t *testing.T) {
 	}
 	if !plIsX(w) || plOwner(w) != rw.PL().ownerIdx {
 		t.Fatalf("PL word at the new slot = %#x after LockX, want X owned by rw (index %d)", w, rw.PL().ownerIdx)
+	}
+}
+
+// TestLockXAtAPurgedAddressTouchesNoWord: after a purge hands a page's
+// metadata slot to another page, a LockX of the purged page at its old
+// address is refused without touching the word, which is now the other
+// page's latch.
+func TestLockXAtAPurgedAddressTouchesNoWord(t *testing.T) {
+	tp := newTestPool(t, Config{}, 0)
+	tp.addSlabNode(t, "slab1", 1)
+	tp.addSlabNode(t, "slab2", 1)
+	rw := tp.client(t, "rw")
+	old, err := rw.Register(pid(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp.fabric.Detach(old.Data.Node)
+	tp.home.HandleSlabFailure(old.Data.Node)
+	other, err := tp.client(t, "ro").Register(pid(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.PL != old.PL {
+		t.Fatalf("page 2's latch word is at %v, want the purged page's %v", other.PL, old.PL)
+	}
+	before, err := rw.ep.Load64(old.PL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atomics := counter(rw, "rdma.atomic.ops")
+	if err := rw.PL().LockX(pid(1), old.PL); !errors.Is(err, ErrNotRegistered) {
+		t.Errorf("LockX at the purged address: %v, want ErrNotRegistered", err)
+	}
+	if n := counter(rw, "rdma.atomic.ops") - atomics; n != 0 {
+		t.Errorf("LockX at the purged address issued %d atomic verbs, want 0", n)
+	}
+	if w, err := rw.ep.Load64(old.PL); err != nil || w != before {
+		t.Errorf("page 2's latch word = %#x (err %v) after the LockX, want %#x", w, err, before)
+	}
+}
+
+// TestReadPagesRejectsCountBeyondBuffer: a page list whose count the
+// message cannot hold fails with wire.ErrShort before the list is made,
+// so a corrupt count cannot size an allocation.
+func TestReadPagesRejectsCountBeyondBuffer(t *testing.T) {
+	w := wire.NewWriter(12)
+	w.U32(1000) // 8,000 bytes of ids announced, 8 sent
+	w.U32(1)
+	w.U32(2)
+	msg := w.Bytes()
+	var pages []types.PageID
+	var err error
+	allocs := testing.AllocsPerRun(10, func() {
+		rd := wire.NewReader(msg)
+		pages = readPages(rd)
+		err = rd.Err()
+	})
+	if !errors.Is(err, wire.ErrShort) || len(pages) != 0 {
+		t.Errorf("readPages = %d pages, err %v; want none and wire.ErrShort", len(pages), err)
+	}
+	if allocs != 0 {
+		t.Fatalf("readPages allocated %.0f times on a count beyond the buffer, want 0", allocs)
 	}
 }

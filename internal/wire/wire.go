@@ -138,6 +138,19 @@ func (r *Reader) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
+// Count reads a uint32 element count for a list of elem-byte elements
+// that follows it. A count the rest of the buffer cannot hold fails with
+// ErrShort and reads as 0, so a decoder can size its list from it before
+// reading the elements.
+func (r *Reader) Count(elem int) int {
+	n := int(r.U32())
+	if n > r.Remaining()/elem {
+		r.err = ErrShort
+		return 0
+	}
+	return n
+}
+
 // Bool reads a boolean.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
 
