@@ -1,9 +1,12 @@
 package polardb_test
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -226,5 +229,78 @@ func TestFabricBudgetsDocDrift(t *testing.T) {
 	sort.Strings(stale)
 	for _, fn := range stale {
 		t.Errorf("DESIGN.md's fabric-budget table lists %q, which declares no //polarvet:fabric directive", fn)
+	}
+}
+
+// allowDirective and allowCounts match what CI's summary step counts and
+// the sentence in DESIGN.md that states the counts ("currently 29: 8
+// errdrop, 17 fabriccost, ...").
+var (
+	allowDirective = regexp.MustCompile(`//polarvet:allow ([a-z]+)`)
+	allowCounts    = regexp.MustCompile(`currently (\d+):((?:\s+\d+ [a-z]+,?)+)`)
+	allowCount     = regexp.MustCompile(`(\d+) ([a-z]+)`)
+)
+
+// TestAllowDirectivesDocDrift pins DESIGN.md's count of
+// //polarvet:allow directives, per analyzer, to the code. It counts like
+// CI's summary step: every directive in a non-test .go file, outside any
+// directory named lint (the analyzers' own sources and test data). Dot
+// directories are skipped too: .git, and the benchmark's build output.
+func TestAllowDirectivesDocDrift(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := allowCounts.FindStringSubmatch(string(doc))
+	if m == nil {
+		t.Fatal("DESIGN.md states no \"currently N: n analyzer, ...\" count of //polarvet:allow directives")
+	}
+	documented := map[string]int{}
+	sum := 0
+	for _, c := range allowCount.FindAllStringSubmatch(m[2], -1) {
+		n, _ := strconv.Atoi(c[1])
+		documented[c[2]] = n
+		sum += n
+	}
+	if total, _ := strconv.Atoi(m[1]); total != sum {
+		t.Errorf("DESIGN.md says %d directives but its per-analyzer counts add up to %d", total, sum)
+	}
+
+	counted := map[string]int{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if name == "lint" || (path != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, c := range allowDirective.FindAllStringSubmatch(string(src), -1) {
+			counted[c[1]]++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a, n := range counted {
+		if documented[a] != n {
+			t.Errorf("%d //polarvet:allow %s directives in the code, DESIGN.md says %d", n, a, documented[a])
+		}
+	}
+	for a, n := range documented {
+		if _, ok := counted[a]; !ok {
+			t.Errorf("DESIGN.md counts %d //polarvet:allow %s directives, the code has none", n, a)
+		}
 	}
 }

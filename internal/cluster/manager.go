@@ -149,7 +149,8 @@ func (m *Manager) failover(planned, traditional bool) error {
 
 	target := c.ROs[0]
 	rest := append([]*DBNode(nil), c.ROs[1:]...)
-	if err := target.promoteToRW(old.ID, planned, traditional); err != nil {
+	adopted, err := target.promoteToRW(old.ID, planned, traditional)
+	if err != nil {
 		return err
 	}
 	c.RW = target
@@ -159,10 +160,6 @@ func (m *Manager) failover(planned, traditional bool) error {
 		ro.Engine.SwitchRW(target.ID, target.Engine.CTSRegionID())
 	}
 	c.Proxy.setNodes(target, rest)
-	var adopted = target.Engine.Adopted()
-	if !planned {
-		adopted = nil
-	}
 	c.Proxy.rebindAll(adopted)
 	m.event("promoted %s to RW (planned=%v, adopted=%d txns)", target.ID, planned, len(adopted))
 	return nil

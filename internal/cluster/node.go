@@ -7,6 +7,7 @@ import (
 	"polardb/internal/polarfs"
 	"polardb/internal/rdma"
 	"polardb/internal/rmem"
+	"polardb/internal/types"
 )
 
 // DBNode is a database node (RW or RO): an engine plus its substrate
@@ -78,31 +79,33 @@ func (n *DBNode) newEngine(rw *DBNode) (*engine.Engine, error) {
 // down and an RW engine is
 // built on the same endpoint, substrate clients and local state, then runs
 // recovery. traditional selects the single-node redo replay baseline
-// instead of parallel REDO.
-func (n *DBNode) promoteToRW(oldRW rdma.NodeID, planned, traditional bool) error {
+// instead of parallel REDO. A planned switch returns the transactions the
+// new RW adopted, keyed by transaction id.
+func (n *DBNode) promoteToRW(oldRW rdma.NodeID, planned, traditional bool) (map[types.TrxID]*engine.Txn, error) {
 	if !n.ReadOnly {
-		return fmt.Errorf("cluster: %s is already the RW", n.ID)
+		return nil, fmt.Errorf("cluster: %s is already the RW", n.ID)
 	}
 	n.Engine.Cache().EvictAll()
 	if n.Pool != nil {
 		if err := n.Pool.Flush(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	n.Engine.Close()
 	e, err := n.newEngine(nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var adopted map[types.TrxID]*engine.Txn
 	if traditional {
 		_, err = e.RecoverTraditional(oldRW)
 	} else {
-		err = e.Recover(oldRW, planned)
+		adopted, err = e.Recover(oldRW, planned)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	n.Engine = e
 	n.ReadOnly = false
-	return nil
+	return adopted, nil
 }

@@ -81,7 +81,7 @@ func (c *Cluster) FullRestart() error {
 	if err := oldRW.restart(nil); err != nil {
 		return err
 	}
-	if err := oldRW.Engine.Recover("", false); err != nil {
+	if _, err := oldRW.Engine.Recover("", false); err != nil {
 		return err
 	}
 	// The ROs restart side by side: each connects itself to the new home,

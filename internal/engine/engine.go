@@ -139,22 +139,16 @@ type Engine struct {
 	lease    atomic.Pointer[heldLease] // newest acknowledged purge-horizon lease
 	leaseCh  chan leaseReq             // renewals for leaseKeeper; one waiting is enough
 
-	// activeMu guards the in-flight read-write transactions and, among
-	// them, the owners of an undo slot. The owners are what the CTS region's
-	// view block publishes: every change to slotOwner is followed by
-	// publishViewLocked under the same hold.
+	// activeMu guards the RW's transaction table. slotOwner holds the
+	// transactions that own an undo slot: every view lists them, and the
+	// CTS region's view block publishes them (every change to slotOwner is
+	// followed by publishViewLocked under the same hold). views holds every
+	// open local snapshot's timestamp and roLeases the ones RO nodes hold
+	// for the views they read one-sided: together, the purge horizon.
 	activeMu  sync.Mutex
-	active    map[types.TrxID]*Txn
 	slotOwner map[int]types.TrxID
-
-	// Read-view horizon tracking for purge: local read-only views, plus the
-	// leases RO nodes take out for the views they read one-sided.
-	roViewsMu sync.Mutex
-	roViews   map[*Txn]types.Timestamp
+	views     map[*Txn]types.Timestamp
 	roLeases  []roLease // in expiry order
-
-	adoptedMu sync.Mutex
-	adopted   map[types.TrxID]*Txn
 
 	// warmMu guards the admission of the warmer's workers against Close
 	// and against the ones still running (see warm).
@@ -266,9 +260,8 @@ func newEngine(deps Deps, cfg Config) *Engine {
 		pool:       deps.Pool,
 		trees:      make(map[types.SpaceID]*btree.Tree),
 		tables:     make(map[string]*Table),
-		active:     make(map[types.TrxID]*Txn),
-		roViews:    make(map[*Txn]types.Timestamp),
 		slotOwner:  make(map[int]types.TrxID),
+		views:      make(map[*Txn]types.Timestamp),
 		nudge:      make(chan struct{}, 1),
 		leaseCh:    make(chan leaseReq, 1),
 		backfillCh: make(chan backfillItem, 4096),

@@ -741,7 +741,7 @@ func TestUnplannedRWFailover(t *testing.T) {
 	// kill above; storage/home fencing is implicit — the dead node cannot
 	// reach the fabric).
 	newRW := h.newEngine(t, "rw2", Config{LocalCachePages: 256}, false, "")
-	if err := newRW.Recover("rw", false); err != nil {
+	if _, err := newRW.Recover("rw", false); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	// Committed data survives.
@@ -795,7 +795,7 @@ func TestFailoverKeepsRemoteMemoryWarm(t *testing.T) {
 	h.rw.Close()
 
 	newRW := h.newEngine(t, "rw2", Config{LocalCachePages: 512}, false, "")
-	if err := newRW.Recover("rw", false); err != nil {
+	if _, err := newRW.Recover("rw", false); err != nil {
 		t.Fatal(err)
 	}
 	before := newRW.EP().Metrics().Snapshot()
@@ -841,7 +841,7 @@ func TestRecoveryWarmsPurgedPages(t *testing.T) {
 	}
 
 	newRW := h.newEngine(t, "rw2", Config{LocalCachePages: 512}, false, "")
-	if err := newRW.Recover("rw", false); err != nil {
+	if _, err := newRW.Recover("rw", false); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -877,7 +877,7 @@ func TestPlannedHandover(t *testing.T) {
 	h.rw.EP().Kill()
 
 	newRW := h.newEngine(t, "rw2", Config{LocalCachePages: 256}, false, "")
-	if err := newRW.Recover("rw", true); err != nil {
+	if _, err := newRW.Recover("rw", true); err != nil {
 		t.Fatal(err)
 	}
 	tbl2 := mustOpen(t, newRW, "t")
@@ -901,7 +901,7 @@ func TestROSwitchRWAfterFailover(t *testing.T) {
 	h.rw.EP().Kill()
 	h.rw.Close()
 	newRW := h.newEngine(t, "rw2", Config{LocalCachePages: 256}, false, "")
-	if err := newRW.Recover("rw", false); err != nil {
+	if _, err := newRW.Recover("rw", false); err != nil {
 		t.Fatal(err)
 	}
 	ro.SwitchRW("rw2", newRW.CTSRegionID())

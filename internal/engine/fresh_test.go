@@ -159,7 +159,7 @@ func TestAllocatedPagesAreBornInMemory(t *testing.T) {
 	h.rw.EP().Kill()
 	h.rw.Close()
 	newRW := h.newEngine(t, "rw2", Config{LocalCachePages: 1024}, false, "")
-	if err := newRW.Recover("rw", false); err != nil {
+	if _, err := newRW.Recover("rw", false); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	tbl2 := mustOpen(t, newRW, "t")

@@ -172,7 +172,7 @@ func TestRecoveredUndoCursorIsPastEveryRecord(t *testing.T) {
 	e.Close()
 
 	newRW := h.newEngine(t, "rw2", Config{LocalCachePages: 256}, false, "")
-	if err := newRW.Recover("rw", false); err != nil {
+	if _, err := newRW.Recover("rw", false); err != nil {
 		t.Fatal(err)
 	}
 	hdr, err := newRW.Fetch(types.PageID{Space: UndoSpace, No: 0})
@@ -217,7 +217,7 @@ func TestCTSWatermarkNeverFalls(t *testing.T) {
 	e.Close()
 
 	newRW := h.newEngine(t, "rw2", Config{LocalCachePages: 256}, false, "")
-	if err := newRW.Recover("rw", false); err != nil {
+	if _, err := newRW.Recover("rw", false); err != nil {
 		t.Fatal(err)
 	}
 	if next := newRW.cts.NextTS(); next <= ts[2] {

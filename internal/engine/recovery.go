@@ -37,14 +37,18 @@ func (e *Engine) newBufferAt(start types.LSN) *plog.Buffer {
 //	8.   start serving.
 //	9.   in the background: roll back unfinished transactions, and fetch
 //	     the pages step 5 purged back from storage.
-func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
+//
+// A planned switch adopts the unfinished transactions instead of rolling
+// them back, and returns them keyed by transaction id, for the proxy to
+// rebind to sessions; otherwise the map is nil.
+func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) (map[types.TrxID]*Txn, error) {
 	if e.cfg.ReadOnly {
-		return ErrNotRW
+		return nil, ErrNotRW
 	}
 	// Steps 3-4: parallel REDO on the storage fleet.
 	_, tail, err := e.pfs.ParallelRedo()
 	if err != nil {
-		return fmt.Errorf("engine: parallel redo: %w", err)
+		return nil, fmt.Errorf("engine: parallel redo: %w", err)
 	}
 	e.buf = e.newBufferAt(tail) // durable and shipped up to the tail
 	e.cts.PublishLSN(tail)
@@ -58,42 +62,32 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 		// what does not is the part of it the old RW was writing, and is
 		// fetched again in the background once this node serves (step 9).
 		if purged, err = e.pool.Takeover(oldRW, tail); err != nil {
-			return fmt.Errorf("engine: taking over the remote memory pool: %w", err)
+			return nil, fmt.Errorf("engine: taking over the remote memory pool: %w", err)
 		}
 	}
 
 	// Step 7: rebuild transaction state from the undo header.
 	hdrPage, err := e.Fetch(types.PageID{Space: UndoSpace, No: 0})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hdrPage.Latch.RLock()
 	unfinished := txn.ScanUnfinished(hdrPage.Data)
 	maxTrx := txn.MaxTrxID(hdrPage.Data)
 	watermark := txn.CTSWatermark(hdrPage.Data)
-	slotByTrx := make(map[types.TrxID]int)
-	for i := 0; i < txn.SlotCount(); i++ {
-		s := txn.UnmarshalSlot(hdrPage.Data, i)
-		if s.State == txn.SlotActive || s.State == txn.SlotAborting {
-			slotByTrx[s.Trx] = i
-		}
-	}
 	hdrPage.Latch.RUnlock()
 	e.Unpin(hdrPage)
 
 	e.nextTrx.Store(uint64(maxTrx))
 	e.cts.SetCounter(watermark + 1)
 
-	// Unfinished transactions stay in the active set and, as slot owners,
-	// in the published view (invisible to every read view) until their
-	// background rollback completes, or, adopted, until they finish. This is
-	// the region's first view: no RO node is pointed here before it.
+	// Unfinished transactions stay slot owners, listed in every view
+	// (invisible to all of them), until their background rollback
+	// completes, or, adopted, until they finish. This is the region's first
+	// view: no RO node is pointed here before it.
 	e.activeMu.Lock()
-	for _, u := range unfinished {
-		e.active[u.Trx] = &Txn{e: e, id: u.Trx}
-	}
-	for trx, slot := range slotByTrx {
-		e.slotOwner[slot] = trx
+	for slot, u := range unfinished {
+		e.slotOwner[slot] = u.Trx
 	}
 	e.publishViewLocked()
 	e.activeMu.Unlock()
@@ -106,7 +100,7 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 		// (undo chains, slot table), so in-flight transactions are adopted
 		// by the new RW instead of being rolled back — the proxy resumes
 		// them from their latest savepoint.
-		return e.adoptUnfinished(unfinished, slotByTrx)
+		return e.adoptUnfinished(unfinished)
 	}
 
 	// Step 9: what step 5 purged is what the crashed RW had modified and
@@ -123,68 +117,46 @@ func (e *Engine) Recover(oldRW rdma.NodeID, planned bool) error {
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
-			for _, u := range unfinished {
-				slot := slotByTrx[u.Trx]
+			for slot, u := range unfinished {
 				_ = e.rollbackChain(u.Trx, u.LastUndoPage, u.LastUndoOff, slot)
-				e.retire(u.Trx, slot)
+				e.activeMu.Lock()
+				e.retireLocked(u.Trx, slot)
+				e.activeMu.Unlock()
 			}
 		}()
 	}
-	return nil
+	return nil, nil
 }
 
 // adoptUnfinished rebuilds live Txn handles for the unfinished
-// transactions found at planned takeover: their undo chains are walked to
-// re-acquire row locks and rebuild the touched-key set, and their CTS log
-// slots are re-claimed as active. Adopted transactions get a fresh read
-// view (their original snapshot died with the old node's memory).
-func (e *Engine) adoptUnfinished(unfinished []txn.TxnSlot, slotByTrx map[types.TrxID]int) error {
+// transactions found at planned takeover, keyed by slot: their undo chains
+// are walked to re-acquire row locks and rebuild the touched-key set, and
+// their CTS log slots are re-claimed as active. Adopted transactions get a
+// fresh read view (their original snapshot died with the old node's
+// memory).
+func (e *Engine) adoptUnfinished(unfinished map[int]txn.TxnSlot) (map[types.TrxID]*Txn, error) {
 	adopted := make(map[types.TrxID]*Txn, len(unfinished))
-	for _, u := range unfinished {
-		t := &Txn{e: e, id: u.Trx, slot: slotByTrx[u.Trx], lastPg: u.LastUndoPage, lastOff: u.LastUndoOff}
+	for slot, u := range unfinished {
+		t := &Txn{e: e, id: u.Trx, slot: slot, lastPg: u.LastUndoPage, lastOff: u.LastUndoOff}
 		// Walk the undo chain to rediscover what the txn touched.
 		pg, off := u.LastUndoPage, u.LastUndoOff
 		for pg != 0 {
 			ur, err := e.readUndo(pg, off) //polarvet:allow fabriccost undo chain walk is bounded by the dead transaction's write count, not a retry
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if err := e.locks.Lock(u.Trx, ur.Space, ur.Key); err != nil {
-				return err
+				return nil, err
 			}
 			t.locks = append(t.locks, txn.LockRef{Space: ur.Space, Key: ur.Key})
 			t.touched = append(t.touched, touchedKey{ur.Space, ur.Key})
-			t.writes++
 			pg, off = ur.PrevTxnPg, ur.PrevTxnOff
 		}
-		e.cts.BeginInLog(u.Trx)
-		if uint64(u.Trx) > e.nextTrx.Load() {
-			e.nextTrx.Store(uint64(u.Trx))
-		}
-		e.activeMu.Lock()
-		readTS := e.cts.NextTS()
-		active := e.activeListLocked()
-		e.activeMu.Unlock()
-		t.view = txn.NewReadView(readTS, u.Trx, active)
+		e.cts.BeginInLog(u.Trx) // the new region's log is empty: the claim holds
+		e.openView(t)
 		adopted[u.Trx] = t
-		e.activeMu.Lock()
-		e.active[u.Trx] = t
-		e.activeMu.Unlock()
 	}
-	e.adoptedMu.Lock()
-	e.adopted = adopted
-	e.adoptedMu.Unlock()
-	return nil
-}
-
-// Adopted returns (and clears) the transactions adopted at planned
-// takeover, keyed by transaction id, for the proxy to rebind to sessions.
-func (e *Engine) Adopted() map[types.TrxID]*Txn {
-	e.adoptedMu.Lock()
-	defer e.adoptedMu.Unlock()
-	m := e.adopted
-	e.adopted = nil
-	return m
+	return adopted, nil
 }
 
 // RecoverTraditional replays redo on this single node instead of using
@@ -251,7 +223,7 @@ func (e *Engine) RecoverTraditional(oldRW rdma.NodeID) (int, error) {
 		return 0, err
 	}
 	// Continue with the common tail of recovery (txn table etc.).
-	if err := e.Recover(oldRW, false); err != nil {
+	if _, err := e.Recover(oldRW, false); err != nil {
 		return 0, err
 	}
 	return len(replayed), nil

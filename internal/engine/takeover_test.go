@@ -64,7 +64,7 @@ func TestRecoveryPurgesPagesAheadOfTail(t *testing.T) {
 	}
 
 	newRW := h.newEngine(t, "rw2", Config{LocalCachePages: 512}, false, "")
-	if err := newRW.Recover("rw", false); err != nil {
+	if _, err := newRW.Recover("rw", false); err != nil {
 		t.Fatal(err)
 	}
 	if n := planterEP.Metrics().Snapshot().Counter("rmem.slabfail.pages"); n != 1 {
@@ -106,7 +106,7 @@ func TestRecoverFailsWithoutHome(t *testing.T) {
 	h.rw.Close()
 	newRW := h.newEngine(t, "rw2", Config{LocalCachePages: 256}, false, "")
 	h.home.Endpoint().Kill()
-	if err := newRW.Recover("rw", false); err == nil {
+	if _, err := newRW.Recover("rw", false); err == nil {
 		t.Fatal("recovery succeeded with the pool's home unreachable")
 	}
 }

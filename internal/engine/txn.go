@@ -27,7 +27,6 @@ type Txn struct {
 	lastOff  uint16
 	locks    []txn.LockRef
 	touched  []touchedKey
-	writes   int
 	finished bool
 }
 
@@ -44,7 +43,8 @@ type backfillItem struct {
 	keys []touchedKey
 }
 
-// Begin starts a read-write transaction (RW node only).
+// Begin starts a read-write transaction (RW node only). It claims no
+// CTS-log slot: a transaction does that at its first write (claimSlot).
 func (e *Engine) Begin() (*Txn, error) {
 	if e.cfg.ReadOnly {
 		return nil, ErrNotRW
@@ -53,15 +53,8 @@ func (e *Engine) Begin() (*Txn, error) {
 		return nil, errNotBootstrapped
 	}
 	id := types.TrxID(e.nextTrx.Add(1))
-	if !e.cts.BeginInLog(id) {
-		return nil, txn.ErrTooManyTxns
-	}
 	t := &Txn{e: e, id: id, slot: -1}
-	e.activeMu.Lock()
-	// The view is set before t joins e.active, where purgeHorizon reads it.
-	t.view = txn.NewReadView(e.cts.NextTS(), id, e.activeListLocked())
-	e.active[id] = t
-	e.activeMu.Unlock()
+	e.openView(t)
 	return t, nil
 }
 
@@ -73,14 +66,8 @@ func (e *Engine) Begin() (*Txn, error) {
 //polarvet:fabric O(1) one one-sided read of the published view, no RPC; the purge-horizon lease is renewed at most once a second, off this path unless none is held
 func (e *Engine) BeginRO() (*Txn, error) {
 	if !e.cfg.ReadOnly {
-		e.activeMu.Lock()
-		readTS := e.cts.CurrentTS() + 1
-		active := e.activeListLocked()
-		e.activeMu.Unlock()
-		t := &Txn{e: e, view: txn.NewReadView(readTS, 0, active)}
-		e.roViewsMu.Lock()
-		e.roViews[t] = readTS
-		e.roViewsMu.Unlock()
+		t := &Txn{e: e}
+		e.openView(t)
 		return t, nil
 	}
 	view, lsn, err := e.ctsCli.ReadView()
@@ -94,30 +81,38 @@ func (e *Engine) BeginRO() (*Txn, error) {
 	return &Txn{e: e, view: view}, nil
 }
 
-// activeListLocked snapshots in-flight read-write transactions.
-func (e *Engine) activeListLocked() []types.TrxID {
-	out := make([]types.TrxID, 0, len(e.active))
-	for id := range e.active {
-		out = append(out, id)
-	}
-	return out
+// openView gives t a local snapshot that lists the slot owners, as the
+// published view does (publishViewLocked says why that is enough), and
+// enters it into the purge horizon. Its timestamp is read under the same
+// hold, so purgeHorizon never passes a view about to open.
+func (e *Engine) openView(t *Txn) {
+	e.activeMu.Lock()
+	readTS := e.cts.CurrentTS() + 1
+	t.view = txn.NewReadView(readTS, t.id, e.ownersLocked())
+	e.views[t] = readTS
+	e.activeMu.Unlock()
 }
 
-// publishViewLocked rewrites the view RO nodes read one-sided. Its list is
-// the slot owners, not everything in e.active, which keeps it within the
-// block's fixed size, and it is enough: a transaction without a slot has
-// written no record; one that joined after a view was taken commits with a
-// timestamp above that view's (it joined at its first write, under this
-// lock, and takes its commit timestamp later), and until then its CTS-log
-// slot says "uncommitted"; one listed leaves only after its outcome is in
-// the CTS log (retire), so a view either lists it or reads its final
-// timestamp — never first one, then the other.
-func (e *Engine) publishViewLocked() {
+// ownersLocked lists the transactions that own an undo slot.
+func (e *Engine) ownersLocked() []types.TrxID {
 	owners := make([]types.TrxID, 0, len(e.slotOwner))
 	for _, id := range e.slotOwner {
 		owners = append(owners, id)
 	}
-	e.cts.PublishView(owners)
+	return owners
+}
+
+// publishViewLocked rewrites the view RO nodes read one-sided. Its list is
+// the slot owners, which keeps it within the block's fixed size, and it is
+// enough: a transaction without a slot has written no record; one that
+// claimed its slot after a view was taken commits with a timestamp above
+// that view's (it claims at its first write, under this lock, and takes
+// its commit timestamp later), and until then its CTS-log slot, claimed
+// with it, says "uncommitted"; one listed leaves only after its outcome is
+// in the CTS log (finish), so a view either lists it or reads its final
+// timestamp — never first one, then the other.
+func (e *Engine) publishViewLocked() {
+	e.cts.PublishView(e.ownersLocked())
 }
 
 // ID returns the transaction id (0 for read-only transactions).
@@ -375,7 +370,6 @@ func (t *Txn) writeTree(tree *btree.Tree, key uint64, payload []byte, kind write
 	}
 	committed = true
 	t.lastPg, t.lastOff = undoPg, undoOff
-	t.writes++
 	t.touched = append(t.touched, touchedKey{space, key})
 	return nil
 }
@@ -387,15 +381,13 @@ func (t *Txn) Commit() error {
 	}
 	t.finished = true
 	e := t.e
+	defer e.finish(t)
 	if t.id == 0 {
-		e.dropROView(t)
 		return nil // read-only
 	}
-	defer e.finish(t)
-	if t.writes == 0 {
-		e.cts.ClearSlot(t.id)
+	if t.slot < 0 {
 		e.met.txnCommit.Inc()
-		return nil
+		return nil // wrote nothing: no CTS-log slot to end
 	}
 	ctsCommit := e.cts.NextTS()
 	mt := e.BeginMtr()
@@ -443,14 +435,18 @@ func (t *Txn) Rollback() error {
 	}
 	t.finished = true
 	e := t.e
+	defer e.finish(t)
 	if t.id == 0 {
-		e.dropROView(t)
 		return nil
 	}
-	defer e.finish(t)
+	e.met.txnAbort.Inc()
+	if t.slot < 0 {
+		// Wrote nothing: nothing to undo, and the CTS-log slot its id maps
+		// to may belong to another transaction.
+		return nil
+	}
 	err := e.rollbackChain(t.id, t.lastPg, t.lastOff, t.slot)
 	e.cts.RecordAbort(t.id)
-	e.met.txnAbort.Inc()
 	return err
 }
 
@@ -545,13 +541,16 @@ func (e *Engine) appendUndo(mt *Mtr, u *txn.UndoRec) (types.PageNo, uint16, erro
 }
 
 // claimSlot assigns a persistent transaction slot (first write) and, with
-// it, a place in the published view — before any record of the
-// transaction exists.
+// it, the transaction's CTS-log slot and a place in every view taken from
+// now on — before any record of the transaction exists.
 func (e *Engine) claimSlot(id types.TrxID) (int, error) {
 	e.activeMu.Lock()
 	defer e.activeMu.Unlock()
 	for i := 0; i < txn.SlotCount(); i++ {
 		if _, taken := e.slotOwner[i]; !taken {
+			if !e.cts.BeginInLog(id) {
+				return -1, txn.ErrTooManyTxns
+			}
 			e.slotOwner[i] = id
 			e.publishViewLocked()
 			return i, nil
@@ -560,25 +559,29 @@ func (e *Engine) claimSlot(id types.TrxID) (int, error) {
 	return -1, txn.ErrTooManyTxns
 }
 
-// retire takes a read-write transaction out of the active set and, if it
-// owned a slot, out of the published view. Callers have put its outcome
-// into the CTS log first (RecordCommit, or RecordAbort after the rollback).
-func (e *Engine) retire(id types.TrxID, slot int) {
-	e.activeMu.Lock()
-	delete(e.active, id)
-	if slot >= 0 && e.slotOwner[slot] == id {
+// retireLocked takes a slot's owner out of the published view and out of
+// every view taken from now on. Callers have put its outcome into the CTS
+// log first (RecordCommit, or RecordAbort after the rollback), or rolled
+// back a transaction recovery found, whose CTS log died with its RW.
+func (e *Engine) retireLocked(id types.TrxID, slot int) {
+	if owner, ok := e.slotOwner[slot]; ok && owner == id {
 		delete(e.slotOwner, slot)
 		e.publishViewLocked()
 	}
-	e.activeMu.Unlock()
 }
 
-// finish ends a transaction on every path out of Commit and Rollback. Row
-// locks go after the view: the next writer of these rows must not become
-// visible to a view that still lists this transaction.
+// finish ends a transaction on every path out of Commit and Rollback: its
+// snapshot leaves the purge horizon and its slot the views. Row locks go
+// after the slot: the next writer of these rows must not become visible
+// to a view that still lists this transaction.
 func (e *Engine) finish(t *Txn) {
-	e.retire(t.id, t.slot)
-	e.locks.ReleaseAll(t.id, t.locks)
+	e.activeMu.Lock()
+	delete(e.views, t)
+	e.retireLocked(t.id, t.slot)
+	e.activeMu.Unlock()
+	if len(t.locks) > 0 { // an RO node has no lock table
+		e.locks.ReleaseAll(t.id, t.locks)
+	}
 }
 
 // writeSlot logs a transaction slot update on the undo header page.
@@ -673,26 +676,14 @@ func (e *Engine) backfill(item backfillItem, keys []touchedKey) []touchedKey {
 	return keys[done:]
 }
 
-func (e *Engine) dropROView(t *Txn) {
-	e.roViewsMu.Lock()
-	delete(e.roViews, t)
-	e.roViewsMu.Unlock()
-}
-
 // purgeHorizon computes the oldest timestamp any snapshot may still
-// need: active read-write views, local read-only views, and the leases RO
+// need: the local views, read-write and read-only, and the leases RO
 // nodes hold for theirs.
 func (e *Engine) purgeHorizon() types.Timestamp {
 	e.activeMu.Lock()
+	defer e.activeMu.Unlock()
 	horizon := e.cts.CurrentTS() + 1
-	for _, t := range e.active {
-		if t.view != nil && t.view.ReadTS < horizon {
-			horizon = t.view.ReadTS
-		}
-	}
-	e.activeMu.Unlock()
-	e.roViewsMu.Lock()
-	for _, ts := range e.roViews {
+	for _, ts := range e.views {
 		if ts < horizon {
 			horizon = ts
 		}
@@ -703,7 +694,6 @@ func (e *Engine) purgeHorizon() types.Timestamp {
 			horizon = l.ts
 		}
 	}
-	e.roViewsMu.Unlock()
 	return horizon
 }
 
@@ -711,13 +701,13 @@ func (e *Engine) purgeHorizon() types.Timestamp {
 // horizon until now+roLeaseWindow. Expired leases leave as new ones
 // arrive; all have the same window, so the slice is in expiry order.
 func (e *Engine) noteROLease(ts types.Timestamp, now time.Time) {
-	e.roViewsMu.Lock()
+	e.activeMu.Lock()
 	expired := 0
 	for expired < len(e.roLeases) && !now.Before(e.roLeases[expired].expires) {
 		expired++
 	}
 	e.roLeases = append(e.roLeases[expired:], roLease{ts: ts, expires: now.Add(roLeaseWindow)})
-	e.roViewsMu.Unlock()
+	e.activeMu.Unlock()
 }
 
 // heldLease is the newest lease an RO node knows the RW has acknowledged.
@@ -853,9 +843,11 @@ func (e *Engine) PurgeTombstones(tbl *Table) (int, error) {
 	return purged, nil
 }
 
-// ActiveTxnCount reports in-flight read-write transactions.
+// ActiveTxnCount reports the in-flight read-write transactions that own
+// an undo slot: those that have written, and those recovery found and has
+// not finished rolling back.
 func (e *Engine) ActiveTxnCount() int {
 	e.activeMu.Lock()
 	defer e.activeMu.Unlock()
-	return len(e.active)
+	return len(e.slotOwner)
 }

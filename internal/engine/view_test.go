@@ -40,9 +40,9 @@ func TestROStatementCostsOneRead(t *testing.T) {
 	if reads, views, clocks := d.Counter("rdma.read.ops"), d.Counter("txn.cts.read_ts.ops"), d.Counter("txn.cts.read_lsn.ops"); reads != n || views != n || clocks != 0 {
 		t.Fatalf("%d read views: %d one-sided reads, %d counted as view reads, %d clock reads; want %d, %d, 0", n, reads, views, clocks, n, n)
 	}
-	h.rw.roViewsMu.Lock()
+	h.rw.activeMu.Lock()
 	leases := len(h.rw.roLeases)
-	h.rw.roViewsMu.Unlock()
+	h.rw.activeMu.Unlock()
 	if leases != 1 {
 		t.Fatalf("RW holds %d leases after %d views within a second, want the first view's", leases, n+1)
 	}
@@ -206,9 +206,9 @@ func TestROLeasesStayBounded(t *testing.T) {
 	for i := 0; i < leases; i++ {
 		h.rw.noteROLease(types.Timestamp(i+1), start.Add(time.Duration(i)*step))
 	}
-	h.rw.roViewsMu.Lock()
+	h.rw.activeMu.Lock()
 	live := len(h.rw.roLeases)
-	h.rw.roViewsMu.Unlock()
+	h.rw.activeMu.Unlock()
 	if want := int(roLeaseWindow / step); live > want {
 		t.Fatalf("%d leases retained after %d, want at most the %d of one window", live, leases, want)
 	}
@@ -239,5 +239,86 @@ func TestROLeaseHoldsPurgeHorizon(t *testing.T) {
 	}
 	if got, ok := roGetTx(t, old, roTbl, 1); !ok || got != "v" {
 		t.Fatalf("RO snapshot lost its version: %q %v", got, ok)
+	}
+}
+
+// TestNoWriteRollbackLeavesCollidingCTSSlot: a transaction that wrote
+// nothing claimed no CTS-log slot, so its rollback must not write one. Its
+// id may map to the slot of a writer still in flight, and a view that does
+// not list that writer judges the writer's records by that slot: an abort
+// entry under the other id would read as "slot reused, so the writer
+// committed long ago".
+func TestNoWriteRollbackLeavesCollidingCTSSlot(t *testing.T) {
+	h := newHarness(t, harnessOpts{})
+	tbl, _ := h.rw.CreateTable("t")
+	mustCommitPut(t, h.rw, tbl, 1, "old")
+
+	view, err := h.rw.BeginRO()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer view.Commit()
+	writer, err := h.rw.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Rollback()
+	if err := writer.Update(tbl, 1, []byte("dirty")); err != nil {
+		t.Fatal(err)
+	}
+
+	h.rw.nextTrx.Store(uint64(writer.ID()) + txn.DefaultCTSSlots - 1)
+	idle, err := h.rw.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.ID()%txn.DefaultCTSSlots != writer.ID()%txn.DefaultCTSSlots {
+		t.Fatalf("trx %d and %d do not share a CTS-log slot", idle.ID(), writer.ID())
+	}
+	if err := idle.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := roGetTx(t, view, tbl, 1); !ok || got != "old" {
+		t.Fatalf("view taken before the write reads %q %v, want \"old\"", got, ok)
+	}
+}
+
+// TestViewOmitsTxnWithoutSlot: a view lists the slot owners only, so a
+// transaction that has not written yet is not in it, and its later commit
+// stays invisible to the view by timestamp alone.
+func TestViewOmitsTxnWithoutSlot(t *testing.T) {
+	h := newHarness(t, harnessOpts{})
+	tbl, _ := h.rw.CreateTable("t")
+	mustCommitPut(t, h.rw, tbl, 1, "old")
+
+	late, err := h.rw.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := h.rw.BeginRO()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Commit()
+	rw, err := h.rw.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Rollback()
+	for _, v := range []*Txn{ro, rw} {
+		if v.view.Active[late.ID()] {
+			t.Fatalf("a view lists trx %d, which owns no slot", late.ID())
+		}
+	}
+	if err := late.Update(tbl, 1, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := late.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*Txn{ro, rw} {
+		if got, ok := roGetTx(t, v, tbl, 1); !ok || got != "old" {
+			t.Fatalf("view taken before the write reads %q %v, want \"old\"", got, ok)
+		}
 	}
 }

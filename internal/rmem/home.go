@@ -28,18 +28,16 @@ type Home struct {
 	// of the page still goes to them.
 	purging map[*patEntry]bool
 
-	slaveMu sync.Mutex
-	slave   rdma.NodeID
-
-	// Replication queue (replication.go): mutations mirrored to the slave
-	// are enqueued under h.mu but sent by replSender with no lock held, so
-	// the control plane never stalls behind slave fabric latency.
-	replMu   sync.Mutex
-	replCond *sync.Cond
-	replQ    []homeOp
-	replSeq  uint64 // ops enqueued
-	replDone uint64 // ops sent (or dropped)
-	replStop bool
+	// Replication (replication.go), under mu too: mutations mirrored to
+	// the slave are queued under mu and sent by a flushing caller with mu
+	// released, so the control plane never stalls behind slave fabric
+	// latency. replCond (over mu) wakes the callers waiting for that send.
+	slave       rdma.NodeID // "" once a send to it has failed
+	replQ       []homeOp
+	replSeq     uint64 // ops queued
+	replSent    uint64 // ops sent (or dropped)
+	replSending bool
+	replCond    *sync.Cond
 
 	met     homeMetrics
 	closeCh chan struct{}
@@ -86,7 +84,7 @@ func NewHome(ep *rdma.Endpoint, cfg Config, slave rdma.NodeID) *Home {
 		met:     newHomeMetrics(ep.Metrics()),
 		closeCh: make(chan struct{}),
 	}
-	h.replCond = sync.NewCond(&h.replMu)
+	h.replCond = sync.NewCond(&h.mu)
 	ep.RegisterHandler(method("hello"), h.handleHello)
 	ep.RegisterHandler(method("reg"), h.handleRegister)
 	ep.RegisterHandler(method("unreg"), h.handleUnregister)
@@ -94,8 +92,6 @@ func NewHome(ep *rdma.Endpoint, cfg Config, slave rdma.NodeID) *Home {
 	ep.RegisterHandler(method("pl.slow"), h.handlePLSlow)
 	ep.RegisterHandler(method("repl"), h.handleReplicate)
 	ep.RegisterHandler(method("takeover"), h.handleTakeover)
-	h.wg.Add(1)
-	go h.replSender()
 	if cfg.SlabHeartbeat > 0 {
 		h.wg.Add(1)
 		go h.slabHeartbeat()
@@ -165,14 +161,9 @@ func (h *Home) Promote() {
 	h.mu.Unlock()
 }
 
-// Close stops the home's background goroutines, draining any queued
-// replication first.
+// Close stops the home's background goroutines.
 func (h *Home) Close() {
 	close(h.closeCh)
-	h.replMu.Lock()
-	h.replStop = true
-	h.replCond.Broadcast()
-	h.replMu.Unlock()
 	h.wg.Wait()
 }
 

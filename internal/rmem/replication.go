@@ -1,6 +1,9 @@
 package rmem
 
-import "polardb/internal/rdma"
+import (
+	"polardb/internal/rdma"
+	"polardb/internal/wire"
+)
 
 // Home-node metadata replication (§5.2): because the home's control
 // metadata (PAT, PIB, PRD) is essential for cross-node consistency, it is
@@ -20,90 +23,80 @@ import "polardb/internal/rdma"
 //     database nodes re-validate against storage on first touch.
 
 // mutate performs one metadata mutation: it applies op to the table and,
-// if a slave is configured, enqueues the same op for mirroring. Callers
-// hold h.mu, so queue order is mutation order. The fabric call itself
-// happens on the replication sender goroutine with no Home lock held —
-// home metadata operations never serialize behind slave fabric latency
-// (and can never deadlock against a slave calling back). Call sites that
-// must not reply before the slave is current follow up with
-// flushReplication once h.mu is released.
+// if a slave is configured, queues the same op for mirroring. Callers hold
+// h.mu, so queue order is mutation order, and follow up with
+// flushReplication once h.mu is released: the home replies to no request
+// before the slave is current.
 func (h *Home) mutate(op homeOp) {
 	h.tab.apply(op)
-	h.slaveMu.Lock()
-	slave := h.slave
-	h.slaveMu.Unlock()
-	if slave == "" {
-		return
+	if h.slave != "" {
+		h.replQ = append(h.replQ, op)
+		h.replSeq++
 	}
-	h.replMu.Lock()
-	h.replQ = append(h.replQ, op)
-	h.replSeq++
-	h.replCond.Broadcast()
-	h.replMu.Unlock()
 }
 
-// flushReplication blocks until every previously enqueued mutation has
-// been sent (or dropped with its dead slave). Must be called WITHOUT
-// h.mu held — the wait spans a fabric round trip per queued op.
+// flushReplication returns once every mutation queued before the call has
+// been sent (or dropped with its dead slave). Must be called WITHOUT h.mu
+// held. The first caller that finds unsent ops and no send in flight
+// sends the whole queue, in one repl call, with h.mu released: home
+// metadata operations never serialize behind slave fabric latency (and
+// can never deadlock against a slave calling back). One send at a time
+// keeps the slave's ops in the master's order; other callers wait for it.
 func (h *Home) flushReplication() {
-	h.replMu.Lock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	target := h.replSeq
-	for h.replDone < target && !h.replStop {
-		h.replCond.Wait()
-	}
-	h.replMu.Unlock()
-}
-
-// replSender is the single goroutine draining the replication queue, so
-// mirrored mutations reach the slave in exactly the order the master
-// applied them.
-func (h *Home) replSender() {
-	defer h.wg.Done()
-	for {
-		h.replMu.Lock()
-		for len(h.replQ) == 0 && !h.replStop {
+	for h.replSent < target {
+		if h.replSending {
 			h.replCond.Wait()
+			continue
 		}
-		if len(h.replQ) == 0 {
-			h.replMu.Unlock()
-			return
+		ops, slave := h.replQ, h.slave
+		h.replQ, h.replSending = nil, true
+		h.mu.Unlock()
+		err := h.sendReplicate(slave, ops)
+		h.mu.Lock()
+		if err != nil && h.slave == slave {
+			// Tolerated: the slave is then stale, and the DBaaS would
+			// replace it. The master never blocks on a dead slave beyond
+			// the call timeout.
+			h.slave = ""
 		}
-		op := h.replQ[0]
-		h.replQ = h.replQ[1:]
-		h.replMu.Unlock()
-		h.sendReplicate(op)
-		h.replMu.Lock()
-		h.replDone++
+		h.replSent += uint64(len(ops))
+		h.replSending = false
 		h.replCond.Broadcast()
-		h.replMu.Unlock()
 	}
 }
 
-// sendReplicate performs the actual mirror call. Failure is tolerated
-// (the slave is then stale; the DBaaS would replace it); the master
-// never blocks on a dead slave beyond the call timeout.
-func (h *Home) sendReplicate(op homeOp) {
-	h.slaveMu.Lock()
-	slave := h.slave
-	h.slaveMu.Unlock()
+// sendReplicate mirrors a batch of ops to the slave: a count, then each op.
+func (h *Home) sendReplicate(slave rdma.NodeID, ops []homeOp) error {
 	if slave == "" {
-		return
+		return nil // dropped after these were queued
 	}
-	if _, err := h.ep.CallTimeout(slave, method("repl"), op.encode(), h.cfg.InvalidateTimeout); err != nil {
-		h.slaveMu.Lock()
-		h.slave = "" // drop the dead slave
-		h.slaveMu.Unlock()
+	w := wire.NewWriter(4 + 64*len(ops))
+	w.U32(uint32(len(ops)))
+	for _, op := range ops {
+		op.encode(w)
 	}
+	_, err := h.ep.CallTimeout(slave, method("repl"), w.Bytes(), h.cfg.InvalidateTimeout)
+	return err
 }
 
-// handleReplicate applies a mirrored mutation on the slave home.
+// handleReplicate applies a batch of mirrored mutations on the slave home,
+// in the master's order.
 func (h *Home) handleReplicate(from rdma.NodeID, req []byte) ([]byte, error) {
-	op, err := decodeHomeOp(req)
-	if err != nil {
+	rd := wire.NewReader(req)
+	ops := make([]homeOp, rd.Count(homeOpMinBytes))
+	for i := range ops {
+		ops[i] = decodeHomeOp(rd)
+	}
+	if err := rd.Err(); err != nil {
 		return nil, err
 	}
 	h.mu.Lock()
-	h.tab.apply(op)
+	for _, op := range ops {
+		h.tab.apply(op)
+	}
 	h.mu.Unlock()
 	return nil, nil
 }

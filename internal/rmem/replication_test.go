@@ -7,15 +7,16 @@ import (
 	"time"
 
 	"polardb/internal/rdma"
+	"polardb/internal/wire"
 )
 
 // TestReplicationStallDoesNotBlockHomeMetadata is the regression test for
 // the replication queue: mirroring a metadata mutation to the slave home
 // must never happen while h.mu is held. A stalled (or slow) slave then
-// delays only the caller waiting on its flush barrier — every other home
-// metadata operation keeps serving at local-latch speed. Before the queue
-// existed, the mirror call ran inside the h.mu critical section and a
-// stalled slave froze the whole home for the call timeout.
+// delays only the callers waiting for the queue to be sent — every other
+// home metadata operation keeps serving at local-latch speed. Before the
+// queue existed, the mirror call ran inside the h.mu critical section and
+// a stalled slave froze the whole home for the call timeout.
 func TestReplicationStallDoesNotBlockHomeMetadata(t *testing.T) {
 	fabric := rdma.NewFabric(rdma.TestConfig())
 	cfg := Config{InvalidateTimeout: 3 * time.Second, LatchTimeout: time.Second}
@@ -24,8 +25,8 @@ func TestReplicationStallDoesNotBlockHomeMetadata(t *testing.T) {
 	masterEP := fabric.MustAttach("home")
 	NewSlabNode(masterEP)
 
-	// A stand-in slave whose repl handler records each mirrored op and can
-	// be stalled on demand.
+	// A stand-in slave whose repl handler records each mirrored batch and
+	// can be stalled on demand.
 	slaveEP := fabric.MustAttach("home2")
 	var stall atomic.Bool
 	release := make(chan struct{})
@@ -60,14 +61,20 @@ func TestReplicationStallDoesNotBlockHomeMetadata(t *testing.T) {
 		_, err := rw.Register(pid(1))
 		regDone <- err
 	}()
-	var regOp []byte
+	var batch []byte
 	select {
-	case regOp = <-ops:
+	case batch = <-ops:
 	case <-time.After(2 * time.Second):
 		t.Fatal("replicated register op never reached the slave")
 	}
-	if regOp[0] != replOpRegister {
-		t.Fatalf("first mirrored op = %d, want replOpRegister", regOp[0])
+	rd := wire.NewReader(batch)
+	n := rd.Count(homeOpMinBytes)
+	first := decodeHomeOp(rd)
+	if err := rd.Err(); err != nil || n == 0 {
+		t.Fatalf("mirrored batch of %d ops: %v", n, err)
+	}
+	if first.kind != replOpRegister {
+		t.Fatalf("first mirrored op = %d, want replOpRegister", first.kind)
 	}
 	// The register reply is fenced behind the mirror: it must still be
 	// waiting on its flush barrier while the slave stalls.

@@ -263,10 +263,10 @@ func (t *homeTable) oldest() *patEntry {
 }
 
 // The codec writes every field for every kind: one layout, no per-kind
-// switch to keep in step with apply. Only replSender encodes, so a home
-// without a slave never pays for it.
-func (op homeOp) encode() []byte {
-	w := wire.NewWriter(48 + len(op.slab.node) + len(op.node))
+// switch to keep in step with apply. Only a flushing master encodes, so a
+// home without a slave never pays for it. homeOpMinBytes is an op with
+// both node names empty.
+func (op homeOp) encode(w *wire.Writer) {
 	w.U8(op.kind)
 	w.U32(uint32(op.page.Space))
 	w.U32(uint32(op.page.No))
@@ -276,12 +276,12 @@ func (op homeOp) encode() []byte {
 	w.U64(op.slotOff)
 	w.String(string(op.node))
 	w.U16(op.idx)
-	return w.Bytes()
 }
 
-func decodeHomeOp(b []byte) (homeOp, error) {
-	rd := wire.NewReader(b)
-	op := homeOp{
+const homeOpMinBytes = 1 + 4 + 4 + 4 + 4 + 4 + 8 + 4 + 2
+
+func decodeHomeOp(rd *wire.Reader) homeOp {
+	return homeOp{
 		kind:    rd.U8(),
 		page:    types.PageID{Space: types.SpaceID(rd.U32()), No: types.PageNo(rd.U32())},
 		slab:    slabKey{node: rdma.NodeID(rd.String()), region: rd.U32()},
@@ -290,5 +290,4 @@ func decodeHomeOp(b []byte) (homeOp, error) {
 		node:    rdma.NodeID(rd.String()),
 		idx:     rd.U16(),
 	}
-	return op, rd.Err()
 }

@@ -180,19 +180,6 @@ const abortedCTS = ^types.Timestamp(0)
 // "committed after every view": invisible, and the slot reusable.
 func (s *Service) RecordAbort(trx types.TrxID) { s.RecordCommit(trx, abortedCTS) }
 
-// ClearSlot frees the slot of a transaction that wrote no record.
-func (s *Service) ClearSlot(trx types.TrxID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	off := s.slotOff(trx)
-	var cur [16]byte
-	s.region.MustReadLocal(off, cur[:])
-	if types.TrxID(getU64(cur[0:])) == trx {
-		var zero [16]byte
-		s.region.MustWriteLocal(off, zero[:])
-	}
-}
-
 // Lookup resolves a transaction's commit status from the local CTS log.
 func (s *Service) Lookup(trx types.TrxID) (cts types.Timestamp, known bool) {
 	var buf [16]byte

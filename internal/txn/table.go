@@ -94,13 +94,13 @@ func UnmarshalSlot(page []byte, i int) TxnSlot {
 }
 
 // ScanUnfinished returns every slot holding an active or aborting
-// transaction — the set recovery must roll back.
-func ScanUnfinished(page []byte) []TxnSlot {
-	var out []TxnSlot
+// transaction — the set recovery must roll back — keyed by slot index.
+func ScanUnfinished(page []byte) map[int]TxnSlot {
+	out := make(map[int]TxnSlot)
 	for i := 0; i < SlotCount(); i++ {
 		s := UnmarshalSlot(page, i)
 		if s.State == SlotActive || s.State == SlotAborting {
-			out = append(out, s)
+			out[i] = s
 		}
 	}
 	return out

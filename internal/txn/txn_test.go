@@ -195,20 +195,6 @@ func TestCTSLogLifecycle(t *testing.T) {
 	}
 }
 
-func TestCTSClearSlot(t *testing.T) {
-	svc, _ := newCTSPair(t)
-	svc.BeginInLog(3)
-	svc.ClearSlot(3)
-	if !svc.BeginInLog(3 + 64) {
-		t.Fatal("slot not reusable after clear")
-	}
-	// Clearing someone else's slot is a no-op.
-	svc.ClearSlot(3)
-	if cts, known := svc.Lookup(3 + 64); !known || cts != 0 {
-		t.Fatalf("lookup after foreign clear: %d,%v", cts, known)
-	}
-}
-
 // TestAbortedTxnStaysInvisible: a record of a rolled-back transaction that
 // a reader still holds must not resolve to "slot reused, so it committed
 // long ago" for a view that does not list the transaction.
@@ -495,8 +481,8 @@ func TestTxnSlotRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v", out)
 	}
 	unfinished := ScanUnfinished(page)
-	if len(unfinished) != 1 || unfinished[0].Trx != 99 {
-		t.Fatalf("unfinished = %+v", unfinished)
+	if u, ok := unfinished[3]; len(unfinished) != 1 || !ok || u.Trx != 99 {
+		t.Fatalf("unfinished = %+v, want trx 99 at slot 3", unfinished)
 	}
 	if MaxTrxID(page) != 99 {
 		t.Fatalf("max trx = %d", MaxTrxID(page))
