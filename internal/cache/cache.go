@@ -11,7 +11,9 @@
 // a time and whoever asks for it meanwhile waits here. Policy (where
 // misses are fetched from, what write-back means) lives in the engine so
 // the same cache backs both PolarDB Serverless nodes and the baseline
-// architectures.
+// architectures. A page's remote-memory addresses are not kept here: the
+// node's registration table in librmem is their only copy, and the engine
+// looks them up when it uses them.
 package cache
 
 import (
@@ -20,7 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"polardb/internal/rdma"
 	"polardb/internal/types"
 )
 
@@ -28,13 +29,11 @@ import (
 // frame is pinned.
 var ErrAllPinned = errors.New("cache: all frames pinned, cannot evict")
 
-// RemoteInfo carries the remote-memory addresses of a cached page, set by
-// the engine at registration time.
+// RemoteInfo is a frame's part in the page's remote-memory registration.
 type RemoteInfo struct {
+	// Registered: the frame's fill took a registration, which its eviction
+	// gives back. The pool may have purged it since.
 	Registered bool
-	Data       rdma.Addr
-	PL         rdma.Addr
-	PIB        rdma.Addr
 }
 
 // state is where a frame is in its life in the cache's map.
@@ -56,9 +55,8 @@ type Frame struct {
 	// modifications. Lock ordering follows B+tree crabbing rules.
 	Latch sync.RWMutex
 
-	// Remote holds the page's remote-memory registration, if any. It is
-	// written only under the X latch, or by the filler of a filling frame,
-	// which nobody else reaches.
+	// Remote is written only under the X latch, or by the filler of a
+	// filling frame, which nobody else reaches.
 	Remote RemoteInfo
 
 	// NewestLSN is the LSN of the last redo record modifying this frame.
@@ -77,9 +75,6 @@ type Frame struct {
 	// never current: it starts at one invalidation.
 	invals  atomic.Uint64
 	current atomic.Uint64
-	// lost: the pool took Remote's addresses back (AddressesGone); the next
-	// X-latch holder, or the filler's Publish, forgets them.
-	lost atomic.Bool
 
 	lruElem *list.Element
 	state   state // guarded by Cache.mu
@@ -118,17 +113,6 @@ func (f *Frame) SetCurrent(k uint64) { f.current.Store(k) }
 // Invalid reports the local PIB bit: an invalidation arrived that the
 // contents do not yet reflect.
 func (f *Frame) Invalid() bool { return f.current.Load() != f.invals.Load() }
-
-// ForgetLostAddresses clears Remote if the pool took the page's addresses
-// back since the last call, and reports whether it did. The caller holds
-// the X latch, or is the frame's filler.
-func (f *Frame) ForgetLostAddresses() bool {
-	if !f.lost.Swap(false) {
-		return false
-	}
-	f.Remote = RemoteInfo{}
-	return true
-}
 
 // EvictFn is called (outside cache locks) with a victim frame detached
 // from the LRU. It must write back / unregister as needed. The frame is
@@ -241,9 +225,8 @@ func (c *Cache) get(id types.PageID, fill bool) (*Frame, bool) {
 }
 
 // Publish makes a filling frame resident (pinned once on return), evicting
-// LRU unpinned frames as needed; addresses the pool took back meanwhile
-// are forgotten. On ErrAllPinned the frame stays filling, for the caller
-// to Abandon.
+// LRU unpinned frames as needed. On ErrAllPinned the frame stays filling,
+// for the caller to Abandon.
 func (c *Cache) Publish(f *Frame) error {
 	c.mu.Lock()
 	victims, ok := c.detachLocked(c.capacity - 1)
@@ -254,7 +237,6 @@ func (c *Cache) Publish(f *Frame) error {
 		c.runEvicts(victims)
 		return ErrAllPinned
 	}
-	f.ForgetLostAddresses()
 	f.state = resident
 	f.Pin()
 	f.lruElem = c.lru.PushBack(f)
@@ -352,40 +334,14 @@ func (c *Cache) Probe(id types.PageID) bool {
 
 // Invalidate sets the local PIB bit on the page's published or filling
 // frame, if any — a fill's image may have been read before the
-// invalidation. It is the cache-invalidation callback (§3.1.4): it never
-// waits.
+// invalidation. It is an RO node's invalidation callback (§3.1.4), and its
+// purge callback, page by page: it never waits.
 func (c *Cache) Invalidate(id types.PageID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if f, ok := c.frames[id.Key()]; ok && f.state != evicting {
 		f.Invalidate()
 	}
-}
-
-// AddressesGone records that the pool took the page's remote addresses
-// back, on its published or filling frame, if any: the next holder of the
-// frame's X latch, or its filler's Publish, forgets them
-// (ForgetLostAddresses). It is the purge callback's mark and never waits.
-func (c *Cache) AddressesGone(id types.PageID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f, ok := c.frames[id.Key()]; ok && f.state != evicting {
-		f.lost.Store(true)
-	}
-}
-
-// Published returns the page's published frame pinned, or nil. Unlike Get
-// it never waits for a fill or an eviction, and it is not an access: no
-// LRU move, no hit or miss counted.
-func (c *Cache) Published(id types.PageID) *Frame {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.frames[id.Key()]
-	if !ok || f.state != resident {
-		return nil
-	}
-	f.Pin()
-	return f
 }
 
 // Resize changes the capacity, evicting LRU frames if shrinking.

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"polardb/internal/rdma"
 	"polardb/internal/types"
 )
 
@@ -323,46 +322,6 @@ func TestInvalidationDuringFillSurvivesPublish(t *testing.T) {
 	}
 	if !f.Invalid() {
 		t.Fatal("an invalidation that landed during the fill was lost")
-	}
-}
-
-// TestAddressesGoneMarksWithoutWaiting: the pool taking a page's addresses
-// back marks its filling or published frame for the next X latch holder,
-// and Published hands out a published frame without waiting for a fill.
-func TestAddressesGoneMarksWithoutWaiting(t *testing.T) {
-	c := New(4, nil)
-	remote := RemoteInfo{Registered: true, Data: rdma.Addr{Node: "mem0", Region: 1}}
-
-	f, _ := c.GetOrFill(pid(1))
-	f.Remote = remote
-	if c.Published(pid(1)) != nil {
-		t.Fatal("Published returned a filling frame")
-	}
-	seen := f.Invalidations()
-	c.AddressesGone(pid(1))
-	f.SetCurrent(seen)
-	if err := c.Publish(f); err != nil {
-		t.Fatal(err)
-	}
-	if f.Remote.Registered || f.Invalid() {
-		t.Fatalf("marked filling frame after publish: registered %v, invalid %v; want forgotten addresses, valid copy", f.Remote.Registered, f.Invalid())
-	}
-
-	f.Remote = remote
-	c.AddressesGone(pid(1))
-	if !f.Remote.Registered || f.Invalid() {
-		t.Fatal("a published frame keeps its addresses, and its validity, until its latch holder forgets them")
-	}
-	if got := c.Published(pid(1)); got != f || f.Pins() != 2 {
-		t.Fatalf("Published = %p with %d pins, want %p pinned once more", got, f.Pins(), f)
-	}
-	f.Unpin()
-	if !f.ForgetLostAddresses() || f.Remote.Registered || f.ForgetLostAddresses() {
-		t.Fatal("ForgetLostAddresses did not clear the lost addresses exactly once")
-	}
-	c.AddressesGone(pid(9))
-	if c.Probe(pid(9)) {
-		t.Fatal("AddressesGone of an absent page made it resident")
 	}
 }
 

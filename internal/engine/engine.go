@@ -269,9 +269,21 @@ func newEngine(deps Deps, cfg Config) *Engine {
 		met:        newEngineMetrics(deps.EP.Metrics()),
 	}
 	e.cache = cache.New(cfg.LocalCachePages, e.onEvict)
-	if e.pool != nil {
+	if e.pool != nil && cfg.ReadOnly {
+		// An RO's copy of a page the home invalidates or purges is read
+		// again on next use; a fill under way reads once more (readFrame).
 		e.pool.OnInvalidate(e.cache.Invalidate)
-		e.pool.OnSlabFailure(e.onAddressesGone)
+		e.pool.OnSlabFailure(func(pages []types.PageID) {
+			for _, id := range pages {
+				e.cache.Invalidate(id)
+			}
+		})
+	} else if e.pool != nil {
+		// The RW's copy is the newest there is: nothing the home sends can
+		// outdate it, and a purge leaves it storage-direct. A promoted RO's
+		// callbacks go with its engine.
+		e.pool.OnInvalidate(nil)
+		e.pool.OnSlabFailure(nil)
 	}
 	return e
 }
@@ -384,29 +396,6 @@ func (e *Engine) fetch(id types.PageID, fresh bool) (*cache.Frame, error) {
 	return nil, err
 }
 
-// onAddressesGone is the pool's other callback: the home purged these
-// pages (slab crash, Shrink, RW takeover), and librmem has already
-// forgotten the registrations. It never waits for a fill: a frame being
-// filled is marked and reads its page again through fresh addresses. An
-// RO's cached copy is marked and invalidated, without its latch (a refresh
-// may hold that for seconds on a dead RW), and is read again on next use.
-// The RW's copy is the newest there is, so it is kept: it only forgets its
-// addresses, under its latch, and stays storage-direct; an RO that needs
-// it gets it in the eng.flushpage reply (handleFlushPage).
-func (e *Engine) onAddressesGone(pages []types.PageID) {
-	for _, id := range pages {
-		e.cache.AddressesGone(id)
-		if e.cfg.ReadOnly {
-			e.cache.Invalidate(id)
-		} else if f := e.cache.Published(id); f != nil {
-			f.Latch.Lock()
-			f.ForgetLostAddresses()
-			f.Latch.Unlock()
-			f.Unpin()
-		}
-	}
-}
-
 // Unpin releases a fetched frame.
 func (e *Engine) Unpin(f *cache.Frame) { f.Unpin() }
 
@@ -416,27 +405,28 @@ func (e *Engine) Unpin(f *cache.Frame) { f.Unpin() }
 // invalidation count is read before the read and published after it, so an
 // invalidation that lands in between leaves the frame invalid for the next
 // fetch instead of being cleared with the ones it followed. If the pool
-// takes the page's addresses back meanwhile, the page is read once more;
-// a copy that loses them again is left to the next fetch (an RO's reads
+// purges the page's entry meanwhile, the page is read once more: the read
+// may have hit a slot the home has since given to another page. A copy
+// that loses its entry again is left to the next fetch (an RO's reads
 // invalid, the RW keeps its copy).
 func (e *Engine) readFrame(f *cache.Frame, fresh bool) error {
 	if !f.Invalid() {
 		return nil // refreshed by a concurrent reader
 	}
-	f.ForgetLostAddresses()
 	for reads := 0; reads < 2; reads++ {
 		seen := f.Invalidations()
-		// A registration the frame holds may name an image newer than
-		// storage's, so it is probed; a new one is probed if the slot
+		// The registration the frame's fill took may name an image newer
+		// than storage's, so it is probed; a new one is probed if the slot
 		// existed, or on an RO, which asks about a slot it allocated too:
 		// the RW may hold the page outside the pool, with redo storage has
 		// not seen yet.
-		probe, allocated := f.Remote.Registered && !fresh, false
-		if !f.Remote.Registered && e.pool != nil {
-			res, err := e.pool.Register(f.ID)
-			switch {
+		res, held := e.lookup(f.ID)
+		probe, allocated := held && !fresh, false
+		if !held && e.pool != nil {
+			var err error
+			switch res, err = e.pool.Register(f.ID); {
 			case err == nil:
-				f.Remote = cache.RemoteInfo{Registered: true, Data: res.Data, PL: res.PL, PIB: res.PIB}
+				f.Remote.Registered, held = true, true
 				probe, allocated = !fresh && (res.Exists || e.cfg.ReadOnly), !res.Exists
 			case errors.Is(err, rmem.ErrOutOfMemory) || errors.Is(err, rmem.ErrMetaFull):
 				// Pool full: operate storage-direct for this page.
@@ -450,7 +440,7 @@ func (e *Engine) readFrame(f *cache.Frame, fresh bool) error {
 		// the RW's invalidate/write-back and clear a PIB bit the RW just set.
 		populate, fromRemote := !e.cfg.ReadOnly, false
 		if probe {
-			switch err := e.readRemoteFresh(f); {
+			switch err := e.readRemoteFresh(f, res); {
 			case err == nil:
 				fromRemote = true
 			case errors.Is(err, errNoRWCopy):
@@ -469,33 +459,40 @@ func (e *Engine) readFrame(f *cache.Frame, fresh bool) error {
 			if err := e.fillFromStorage(f); err != nil {
 				return err
 			}
-			if f.Remote.Registered && populate {
-				if err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB); err != nil {
-					_ = e.pool.Unregister(f.ID) //polarvet:allow errdrop demoting the page to storage-direct; the write failure is already handled by clearing Remote
-					f.Remote = cache.RemoteInfo{}
-				}
+			if held && populate && e.pool.WriteBack(f.ID, f.Data) != nil {
+				_ = e.pool.Unregister(f.ID) //polarvet:allow errdrop demoting the page to storage-direct; the write failure is already handled by giving the registration back
+				f.Remote.Registered, held = false, false
 			}
 		}
 		f.SetCurrent(seen)
-		if !f.ForgetLostAddresses() {
+		if _, still := e.lookup(f.ID); !held || still {
 			break
 		}
 	}
 	return nil
 }
 
-// readRemoteFresh reads the page from remote memory: with one one-sided
-// read if the pool's copy is fresh, or, on an RO whose pool copy is stale,
-// from the RW's eng.flushpage reply, which is the RW's image of the page.
-// errReadStorage means storage is current; errNoRWCopy says so too, and
-// that the RW holds no copy of the page.
-func (e *Engine) readRemoteFresh(f *cache.Frame) error {
-	stale, err := e.pool.PIBStale(f.Remote.PIB)
+// lookup returns the addresses of the registration the page's frame took,
+// while the pool holds it.
+func (e *Engine) lookup(id types.PageID) (rmem.RegisterResult, bool) {
+	if e.pool == nil {
+		return rmem.RegisterResult{}, false
+	}
+	return e.pool.Lookup(id)
+}
+
+// readRemoteFresh reads the page from remote memory at res: with one
+// one-sided read if the pool's copy is fresh, or, on an RO whose pool copy
+// is stale, from the RW's eng.flushpage reply, which is the RW's image of
+// the page. errReadStorage means storage is current; errNoRWCopy says so
+// too, and that the RW holds no copy of the page.
+func (e *Engine) readRemoteFresh(f *cache.Frame, res rmem.RegisterResult) error {
+	stale, err := e.pool.PIBStale(res.PIB)
 	if err != nil {
 		return err
 	}
 	if !stale {
-		if err := e.pool.ReadPage(f.Remote.Data, f.Data); err != nil {
+		if err := e.pool.ReadPage(res.Data, f.Data); err != nil {
 			// Most likely a purge freed the slab under the read. The RW
 			// holds no copy, so storage is current; an RO's proxy asks
 			// again, and the next fill registers afresh.
@@ -567,13 +564,21 @@ func (e *Engine) onEvict(f *cache.Frame) {
 		// leaves without a write-back.
 		shipped = e.awaitShipper(plog.Shipped, f.NewestLSN) == nil
 	}
-	if shipped && f.Dirty() && !e.cfg.ReadOnly && f.Remote.Registered {
-		if err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB); err == nil {
-			f.ClearDirty()
-		}
+	if shipped && f.Dirty() && !e.cfg.ReadOnly {
+		e.writeBack(f)
 	}
-	if f.Remote.Registered && e.pool != nil {
+	if f.Remote.Registered {
 		_ = e.pool.Unregister(f.ID) //polarvet:allow errdrop best-effort deref on eviction; an unreachable home node means recovery reclaims the refs wholesale
+	}
+}
+
+// writeBack writes the frame's image to its page's pool slot, through the
+// registration the frame's fill took, and marks it clean. A page the pool
+// holds no entry for (never registered, or purged since) is storage-direct
+// and stays as it is.
+func (e *Engine) writeBack(f *cache.Frame) {
+	if e.pool != nil && e.pool.WriteBack(f.ID, f.Data) == nil {
+		f.ClearDirty()
 	}
 }
 
@@ -596,33 +601,34 @@ func (e *Engine) awaitShipper(w plog.Watermark, lsn types.LSN) error {
 // PLLockX takes the page's global latch exclusively (RDMA CAS fast path,
 // home negotiation slow path). A no-op without remote memory (single-node
 // baselines have no cross-node readers), and for a storage-direct page:
-// one whose frame never registered, or whose registration the pool has
-// dropped since (rmem.ErrNotRegistered).
+// one whose frame holds no registration, because its fill took none or
+// the pool has purged it since (rmem.ErrNotRegistered).
 func (e *Engine) PLLockX(f *cache.Frame) error {
-	if e.pool == nil || !f.Remote.Registered {
+	res, ok := e.lookup(f.ID)
+	if !ok {
 		return nil
 	}
 	e.met.smoLatchX.Inc()
-	return storageDirect(e.pool.PL().LockX(f.ID, f.Remote.PL))
+	return storageDirect(e.pool.PL().LockX(f.ID, res.PL))
 }
 
 // PLUnlockX releases an SMO's latch participation; the latch itself stays
-// sticky on this node until another node asks for it (§3.2).
+// sticky on this node until another node asks for it (§3.2). A page whose
+// latch was not taken is a no-op (rmem.ErrNotRegistered).
 func (e *Engine) PLUnlockX(f *cache.Frame) {
-	if e.pool == nil || !f.Remote.Registered {
-		return
+	if e.pool != nil {
+		_ = e.pool.PL().UnlockX(f.ID, true) //polarvet:allow errdrop latch release to a possibly-dead home node; the next RW's takeover force-clears our latches
 	}
-	_ = e.pool.PL().UnlockX(f.ID, true) //polarvet:allow errdrop latch release to a possibly-dead home node; the next RW's takeover force-clears our latches
 }
 
 // PLLockS takes the global latch shared (RO pessimistic traversals).
 func (e *Engine) PLLockS(f *cache.Frame) error {
-	remote := remoteOf(f)
-	if e.pool == nil || !remote.Registered {
+	res, ok := e.lookup(f.ID)
+	if !ok {
 		return nil
 	}
 	e.met.smoLatchS.Inc()
-	return storageDirect(e.pool.PL().LockS(f.ID, remote.PL))
+	return storageDirect(e.pool.PL().LockS(f.ID, res.PL))
 }
 
 // storageDirect reads a latch on a page the pool holds no registration
@@ -635,20 +641,12 @@ func storageDirect(err error) error {
 	return err
 }
 
-// PLUnlockS releases a shared global latch.
+// PLUnlockS releases a shared global latch; like PLUnlockX, a no-op for a
+// page whose latch was not taken.
 func (e *Engine) PLUnlockS(f *cache.Frame) {
-	if e.pool == nil || !remoteOf(f).Registered {
-		return
+	if e.pool != nil {
+		_ = e.pool.PL().UnlockS(f.ID) //polarvet:allow errdrop latch release to a possibly-dead home node; the next RW's takeover force-clears our latches
 	}
-	_ = e.pool.PL().UnlockS(f.ID) //polarvet:allow errdrop latch release to a possibly-dead home node; the next RW's takeover force-clears our latches
-}
-
-// remoteOf reads f's addresses under its S latch, for a pessimistic
-// reader that does not hold it while a refresh may rewrite them.
-func remoteOf(f *cache.Frame) cache.RemoteInfo {
-	f.Latch.RLock()
-	defer f.Latch.RUnlock()
-	return f.Remote
 }
 
 // SMOStamp returns the value SMOs stamp onto modified pages. It is

@@ -241,11 +241,9 @@ func (e *Engine) PlannedHandover() error {
 		return err
 	}
 	e.cache.ForEach(func(f *cache.Frame) {
-		if f.Dirty() && f.Remote.Registered {
+		if f.Dirty() {
 			f.Latch.RLock()
-			if err := e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB); err == nil {
-				f.ClearDirty()
-			}
+			e.writeBack(f)
 			f.Latch.RUnlock()
 		}
 	})

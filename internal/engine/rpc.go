@@ -33,12 +33,9 @@ func (e *Engine) handleFlushPage(from rdma.NodeID, req []byte) ([]byte, error) {
 	f.Latch.RLock()
 	img := append([]byte(nil), f.Data...)
 	// A failed write-back means the slot is unreachable (its slab died
-	// with the home, or a purge freed it); the reply carries the page.
-	written := f.Remote.Registered && e.pool.WritePage(f.Remote.Data, f.Data, f.Remote.PIB) == nil
+	// with the home, or a purge took it); the reply carries the page.
+	e.writeBack(f)
 	f.Latch.RUnlock()
-	if written {
-		f.ClearDirty()
-	}
 	e.met.flushServed.Inc()
 	return img, nil
 }

@@ -3,10 +3,12 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"polardb/internal/btree"
+	"polardb/internal/rdma"
 	"polardb/internal/rmem"
 	"polardb/internal/types"
 )
@@ -128,7 +130,7 @@ func TestRWKeepsItsCopyWhenThePoolPurges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Remote.Registered {
+	if _, ok := h.rw.pool.Lookup(leaf); !ok {
 		t.Fatalf("%s is not registered with the pool; the test checks nothing", leaf)
 	}
 	mark := []byte("written by mtr")
@@ -146,14 +148,15 @@ func TestRWKeepsItsCopyWhenThePoolPurges(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Latch.RLock()
-	got, registered := bytes.Clone(g.Data[off:off+len(mark)]), g.Remote.Registered
+	got := bytes.Clone(g.Data[off : off+len(mark)])
 	g.Latch.RUnlock()
 	g.Unpin()
+	_, registered := h.rw.pool.Lookup(leaf)
 	if !bytes.Equal(got, mark) {
 		t.Fatalf("the RW reads %q at %d after the purge, want its own %q", got, off, mark)
 	}
 	if registered {
-		t.Fatal("the RW's copy still has the purged addresses")
+		t.Fatal("the RW's copy still holds the purged registration")
 	}
 }
 
@@ -177,8 +180,8 @@ func TestROCopyIsReadAgainWhenThePoolPurges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registered := remoteOf(f).Registered
 	ro.Unpin(f)
+	_, registered := ro.pool.Lookup(leaf)
 	if !registered || !ro.cache.Probe(leaf) {
 		t.Fatalf("the RO's copy of %s is not a valid registered one (registered %v); the test checks nothing", leaf, registered)
 	}
@@ -190,9 +193,77 @@ func TestROCopyIsReadAgainWhenThePoolPurges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registered = remoteOf(g).Registered
 	ro.Unpin(g)
+	_, registered = ro.pool.Lookup(leaf)
 	if registered {
-		t.Fatal("the RO's copy still has the purged addresses after its next fetch")
+		t.Fatal("the RO's copy still holds the purged registration after its next fetch")
+	}
+}
+
+// TestFillReadsAgainWhenThePoolPurgesUnderIt: a refresh whose page the
+// pool purges while it reads reads the page once more, through a new
+// registration: the first read may have hit a slot the home has since
+// given to another page. Here the purge lands inside the RW's answer to
+// the RO's first eng.flushpage, so the RO must ask twice.
+func TestFillReadsAgainWhenThePoolPurgesUnderIt(t *testing.T) {
+	h := newHarness(t, harnessOpts{})
+	tbl, err := h.rw.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCommitPut(t, h.rw, tbl, 1, "v1")
+	ro := h.addRO(btree.Optimistic)
+	rtbl := mustOpen(t, ro, "t")
+	if v, ok := roGet(t, ro, rtbl, 1); !ok || v != "v1" {
+		t.Fatalf("RO read %q %v, want v1", v, ok)
+	}
+	rmem.NewSlabNode(h.fabric.MustAttach("mem1"))
+	if _, err := h.home.AddSlab("mem1", 512); err != nil {
+		t.Fatal(err)
+	}
+	mustCommitPut(t, h.rw, tbl, 1, "v2") // the RO's copy of the leaf is stale now
+	var asked atomic.Int32
+	h.rw.EP().RegisterHandler("eng.flushpage", func(from rdma.NodeID, req []byte) ([]byte, error) {
+		if asked.Add(1) == 1 {
+			h.home.HandleSlabFailure("mem0")
+		}
+		return h.rw.handleFlushPage(from, req)
+	})
+	if v, ok := roGet(t, ro, rtbl, 1); !ok || v != "v2" {
+		t.Fatalf("RO read %q %v after the purge, want v2", v, ok)
+	}
+	if n := asked.Load(); n != 2 {
+		t.Fatalf("the RO asked the RW for the page %d times, want 2", n)
+	}
+}
+
+// TestRWCopyIgnoresLateInvalidation: nothing the home sends outdates the
+// RW's copy of a page. An invalidation from another writer, here a pool
+// client standing in for the old RW of a promotion, leaves it valid.
+func TestRWCopyIgnoresLateInvalidation(t *testing.T) {
+	h := newHarness(t, harnessOpts{})
+	tbl, err := h.rw.CreateTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCommitPut(t, h.rw, tbl, 1, "row")
+	leaf := types.PageID{Space: tbl.Primary.Space(), No: 1}
+	f, err := h.rw.Fetch(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.rw.Unpin(f)
+	if _, ok := h.rw.pool.Lookup(leaf); !ok {
+		t.Fatalf("%s is not registered with the pool; the test checks nothing", leaf)
+	}
+	old, err := rmem.NewPool(h.fabric.MustAttach("oldrw"), h.memCfg, "mem0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.InvalidateBatch([]types.PageID{leaf}); err != nil {
+		t.Fatal(err)
+	}
+	if f.Invalid() {
+		t.Fatal("a late invalidation outdated the RW's own copy")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"polardb/internal/rdma"
 	"polardb/internal/stat"
@@ -56,12 +57,15 @@ type Pool struct {
 	idle    *list.List // idle pages (types.PageID), oldest first
 	dropSeq uint64     // counts the times entries were dropped from outside (callback, SwitchHome)
 	// plChanged is broadcast when a latch acquisition ends, a latch is let
-	// go, or entries leave from outside: PLManager waits on it.
+	// go, entries leave from outside, or a write-back ends: PLManager and
+	// dropRegistrations wait on it.
 	plChanged *sync.Cond
 	pl        *PLManager
 
-	invalidateFn func(types.PageID)
-	slabFailFn   func([]types.PageID)
+	// The callbacks are installed while the home may be calling them: a
+	// promotion builds the new RW's engine on the RO's pool.
+	invalidateFn atomic.Pointer[func(types.PageID)]
+	slabFailFn   atomic.Pointer[func([]types.PageID)]
 }
 
 // unregisterBatch is how many idle entries one cb.reclaim asks a holder for.
@@ -79,6 +83,9 @@ type registration struct {
 	// seq is the drop count a register's reply is checked against.
 	done chan struct{}
 	seq  uint64
+	// writes counts write-backs through the entry on the wire; a drop
+	// waits for them, so none lands in a slot the home has given away.
+	writes int
 	// pl is the page's global latch as this node holds it; acquiring is
 	// set while a LockX or LockS of the page is on the wire.
 	pl        plRecord
@@ -159,8 +166,8 @@ func (p *Pool) Home() rdma.NodeID {
 	return p.home
 }
 
-// SwitchHome repoints the client after a home failover (all cached remote
-// addresses become invalid; callers must drop them and re-register). The
+// SwitchHome repoints the client after a home failover (every address in
+// the table becomes invalid: a page's next fill registers it again). The
 // registration table goes with the old home, latches and all: the PL and
 // PIB addresses in it point into that node's memory.
 func (p *Pool) SwitchHome(home rdma.NodeID) {
@@ -175,12 +182,13 @@ func (p *Pool) SwitchHome(home rdma.NodeID) {
 
 // OnInvalidate installs the callback run when the home invalidates a page
 // this node holds (it must be lock-light: it runs on the RPC path of the
-// RW node's page_invalidate).
-func (p *Pool) OnInvalidate(fn func(types.PageID)) { p.invalidateFn = fn }
+// RW node's page_invalidate). nil clears it.
+func (p *Pool) OnInvalidate(fn func(types.PageID)) { p.invalidateFn.Store(&fn) }
 
-// OnSlabFailure installs the callback run when pages are lost to a slab
-// node crash.
-func (p *Pool) OnSlabFailure(fn func([]types.PageID)) { p.slabFailFn = fn }
+// OnSlabFailure installs the callback run when the home purges pages this
+// node holds (slab crash, Shrink, RW takeover), after the table has
+// dropped them. nil clears it.
+func (p *Pool) OnSlabFailure(fn func([]types.PageID)) { p.slabFailFn.Store(&fn) }
 
 // writePages / readPages are the one page-list wire format (count + ids)
 // of unreg, inv, the takeover reply and the cb.inv and cb.slabfail
@@ -305,6 +313,18 @@ func (p *Pool) registerAtHome(page types.PageID) (RegisterResult, error) {
 	return res, nil
 }
 
+// Lookup returns the page's addresses while a local user holds its entry.
+// A node's one frame of a page is the page's only local user, so they are
+// that frame's; a purge drops the entry, and with it the addresses.
+func (p *Pool) Lookup(page types.PageID) (RegisterResult, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if r := p.regs[page]; r != nil && r.users > 0 {
+		return r.res, true
+	}
+	return RegisterResult{}, false
+}
+
 // Unregister implements page_unregister: one local holder lets go. The
 // last one leaves the entry idle, at the back of the idle list; the home
 // hears of it only when it reclaims the entry, or at Flush. A page this
@@ -423,13 +443,18 @@ func (p *Pool) sendUnregister(b *unregBatch) error {
 
 // dropRegistrations forgets pages whose addresses the home has taken
 // away, and with them their PL records: the latch words went with the
-// slots. A busy entry stays until its round trip is answered — a
-// Register waiting on a batch still orders after the Unref, and a first
-// register sees from the drop count that its reply cannot be trusted.
+// slots. It waits out the write-backs through them (WriteBack). A busy
+// entry stays until its round trip is answered — a Register waiting on a
+// batch still orders after the Unref, and a first register sees from the
+// drop count that its reply cannot be trusted.
 func (p *Pool) dropRegistrations(pages []types.PageID) {
 	p.mu.Lock()
 	for _, page := range pages {
 		r := p.regs[page]
+		for r != nil && r.writes > 0 {
+			p.plChanged.Wait()
+			r = p.regs[page]
+		}
 		if r == nil || r.done != nil {
 			continue
 		}
@@ -456,6 +481,28 @@ func (p *Pool) WritePage(data rdma.Addr, buf []byte, pib rdma.Addr) error {
 	}
 	var zero [8]byte
 	return p.ep.Write(pib, zero[:])
+}
+
+// WriteBack is WritePage at the addresses of the page's held entry, or
+// ErrNotRegistered if there is none. The home gives a purged slot to
+// another page only once this node has dropped the entry, which waits for
+// the write.
+func (p *Pool) WriteBack(page types.PageID, buf []byte) error {
+	p.mu.Lock()
+	r := p.regs[page]
+	if r == nil || r.users == 0 {
+		p.mu.Unlock()
+		return ErrNotRegistered
+	}
+	r.writes++
+	res := r.res
+	p.mu.Unlock()
+	err := p.WritePage(res.Data, buf, res.PIB)
+	p.mu.Lock()
+	r.writes--
+	p.plChanged.Broadcast()
+	p.mu.Unlock()
+	return err
 }
 
 // PIBStale reads the page's home PIB word with a one-sided read: true
@@ -499,9 +546,9 @@ func (p *Pool) handleInvalidateCB(from rdma.NodeID, req []byte) ([]byte, error) 
 		return nil, err
 	}
 	p.met.invRecv.Inc()
-	if p.invalidateFn != nil {
+	if fn := p.invalidateFn.Load(); fn != nil && *fn != nil {
 		for _, page := range pages {
-			p.invalidateFn(page)
+			(*fn)(page)
 		}
 	}
 	return nil, nil
@@ -519,8 +566,8 @@ func (p *Pool) handleSlabFailCB(from rdma.NodeID, req []byte) ([]byte, error) {
 	}
 	p.met.slabFail.Add(uint64(len(pages)))
 	p.dropRegistrations(pages)
-	if p.slabFailFn != nil {
-		p.slabFailFn(pages)
+	if fn := p.slabFailFn.Load(); fn != nil && *fn != nil {
+		(*fn)(pages)
 	}
 	return nil, nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,6 +182,50 @@ func TestInvalidationFanOut(t *testing.T) {
 	}
 	if len(got["ro3"]) != 0 {
 		t.Fatalf("ro3 (no reference) got invalidation: %v", got["ro3"])
+	}
+}
+
+// TestCallbacksReinstalledUnderInvalidations: a pool's callbacks may be
+// installed while the home calls them, as a promotion does when it builds
+// the new RW's engine on the RO's pool; nil clears them. Run it with -race.
+func TestCallbacksReinstalledUnderInvalidations(t *testing.T) {
+	tp := newTestPool(t, Config{}, 16)
+	rw := tp.client(t, "rw")
+	ro := tp.client(t, "ro")
+	if _, err := ro.Register(pid(1)); err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < 200; i++ {
+			if err := rw.InvalidateBatch([]types.PageID{pid(1)}); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	for i := 0; i < 200; i++ {
+		ro.OnInvalidate(func(types.PageID) { calls.Add(1) })
+		ro.OnSlabFailure(func([]types.PageID) {})
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	before := calls.Load()
+	if err := rw.InvalidateBatch([]types.PageID{pid(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != before+1 {
+		t.Fatalf("the installed callback ran %d times for one invalidation, want 1", calls.Load()-before)
+	}
+	ro.OnInvalidate(nil)
+	if err := rw.InvalidateBatch([]types.PageID{pid(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != before+1 {
+		t.Fatal("a cleared callback ran")
 	}
 }
 
@@ -435,6 +480,47 @@ func TestShrinkPurgesReferencedPages(t *testing.T) {
 	}
 	if counter(rw, "rmem.register.ops") != ops+1 || again.Exists || again.Data.Node != "home" {
 		t.Fatalf("re-register of a purged page = %+v; want a new slot on the home's slab, from the home", again)
+	}
+}
+
+// TestPurgeWaitsForWriteBack: a holder drops a purged entry only once the
+// write-backs through it are done, so none lands in the slot after the
+// home has given it to another page; a write-back after the drop finds no
+// entry and writes nothing.
+func TestPurgeWaitsForWriteBack(t *testing.T) {
+	tp := newTestPool(t, Config{InvalidateTimeout: 5 * time.Second}, 4)
+	a := tp.client(t, "a")
+	if _, err := a.Register(pid(1)); err != nil {
+		t.Fatal(err)
+	}
+	img := make([]byte, types.PageSize)
+	if err := a.WriteBack(pid(1), img); err != nil {
+		t.Fatal(err)
+	}
+	setWrites := func(d int) {
+		a.mu.Lock()
+		a.regs[pid(1)].writes += d
+		a.plChanged.Broadcast()
+		a.mu.Unlock()
+	}
+	setWrites(1) // a write-back on the wire
+	purged := make(chan struct{})
+	go func() {
+		tp.home.HandleSlabFailure("home")
+		close(purged)
+	}()
+	select {
+	case <-purged:
+		t.Fatal("the purge finished while a write-back through the entry was on the wire")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, ok := a.Lookup(pid(1)); !ok {
+		t.Fatal("the entry was dropped under a write-back")
+	}
+	setWrites(-1)
+	<-purged
+	if err := a.WriteBack(pid(1), img); !errors.Is(err, ErrNotRegistered) {
+		t.Fatalf("write-back after the purge: %v, want ErrNotRegistered", err)
 	}
 }
 
